@@ -18,7 +18,7 @@ from .inference import (ActiveLog, MotionLikelihoodModel, Posterior,
                         expected_information_gain, run_active_loop,
                         select_motion, uniform_posterior, update_posterior)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CONTAINER_MASS", "MATERIAL_CLASSES", "MaterialParams", "material_table",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -33,11 +32,6 @@ CLASSIFIER_FILE = "classifier.gsm"
 
 class UsageError(Exception):
     pass
-
-
-def _derived_seed(seed: int, index: int, role: str) -> int:
-    digest = hashlib.sha256(f"{seed}|{index}|{role}".encode()).digest()
-    return int.from_bytes(digest[:8], "little") & (2 ** 63 - 1)
 
 
 def _echo_config(args: argparse.Namespace, out_dir: Path) -> None:
@@ -130,7 +124,12 @@ def cmd_train(args) -> int:
         model, metrics = train_classifier(train_items, val_items, cfg)
         save_classifier(out / CLASSIFIER_FILE, model)
         _write_classifier_metrics(out / "metrics_classifier.csv", metrics)
-        _write_confusions_from_val(out, model, manifest, val_items, val_sources)
+        L = inference.confusions_from_segments(
+            model, val_items,
+            [manifest.entry(s).motion["kind"] for s in val_sources])
+        for motion, C in L.confusions.items():
+            write_confusion_csv(out / confusion_filename(motion), C,
+                                model.cfg.classes)
         print(f"classifier: val accuracy {metrics.accuracy:.3f} "
               f"({len(train_items)} train / {len(val_items)} val segments)")
         return 0
@@ -181,22 +180,6 @@ def _write_classifier_metrics(path, metrics) -> None:
                        + [int(v) for v in metrics.confusion[i]])
 
 
-def _write_confusions_from_val(out: Path, model, manifest, val_items,
-                               val_sources) -> None:
-    """Estimate per-motion confusion matrices on the validation segments."""
-    from .models.classifier import classify
-    index = {c: i for i, c in enumerate(model.cfg.classes)}
-    obs = []
-    for (frames, label), source in zip(val_items, val_sources):
-        motion = manifest.entry(source).motion["kind"]
-        pred = int(np.argmax(classify(model, frames)))
-        obs.append((motion, index[label], pred))
-    L = inference.estimate_confusions(obs, len(model.cfg.classes))
-    for motion, C in L.confusions.items():
-        write_confusion_csv(out / confusion_filename(motion), C,
-                            model.cfg.classes)
-
-
 def cmd_episode(args) -> int:
     models_dir = _require_dir(Path(args.models), "models")
     out = Path(args.out)
@@ -225,9 +208,9 @@ def cmd_episode(args) -> int:
 
     rows = []
     for i in range(args.episodes):
-        profile_rng = np.random.default_rng(_derived_seed(args.seed, i, "profile"))
+        profile_rng = np.random.default_rng(ds.derive_seed(args.seed, i, "profile"))
         profile = ds.sample_trial_profile(args.motion, profile_rng)
-        sim_seed = _derived_seed(args.seed, i, "sim")
+        sim_seed = ds.derive_seed(args.seed, i, "sim")
         if fixed_torque is None:
             log = run_reactive_loop(material, profile, classifier, registry,
                                     cfg, sim_seed)
@@ -272,7 +255,7 @@ def cmd_active(args) -> int:
 
     rows = []
     for i in range(args.seeds):
-        seed = _derived_seed(args.seed, i, "active")
+        seed = ds.derive_seed(args.seed, i, "active")
         logs = {}
         for selector in ("eig", "random"):
             log = inference.run_active_loop(
@@ -309,11 +292,10 @@ def cmd_eval(args) -> int:
     manifest = ds.load_manifest(dataset_dir)
     classifier, registry, _ = load_models(models_dir)
 
-    from .models.classifier import classify
     test_items, _ = ds.classifier_segments(dataset_dir, manifest, "test")
     index = {c: i for i, c in enumerate(classifier.cfg.classes)}
-    pred = np.array([int(np.argmax(classify(classifier, frames)))
-                     for frames, _ in test_items])
+    probs, _ = classifier.forward(np.stack([frames for frames, _ in test_items]))
+    pred = probs.argmax(axis=1)
     truth = np.array([index[label] for _, label in test_items])
     acc = mx.accuracy(pred, truth)
     lines = [["classifier_accuracy", repr(float(acc))]]
@@ -396,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--models", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--summary", action="store_true")
     p.set_defaults(func=cmd_eval)
     parser.command_parsers = dict(sub.choices)
     return parser

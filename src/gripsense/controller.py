@@ -10,6 +10,7 @@ predictor for the rest of the episode.
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,10 +137,11 @@ class _ReactivePolicy:
         self.default_model = self.model
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
         self.seg_samples = round(dsp.SEGMENT_S * sample_rate)
-        self.chunks: list[np.ndarray] = []
+        # newest audio chunks, trimmed to the fewest that hold seg_samples
+        self.chunks: deque[np.ndarray] = deque()
         self.n_samples = 0
         self.window: list[np.ndarray] = []
-        self.prev_com = None
+        self.prev_grid = None
         self.prev_angles = None
         self.step_count = 0
         self.slip_prob: list[float] = []
@@ -153,18 +155,15 @@ class _ReactivePolicy:
     def _ingest(self, obs) -> None:
         self.chunks.append(obs.audio_chunk)
         self.n_samples += len(obs.audio_chunk)
-        mean_nz, max_nz = tactile.nonzero_stats(obs.tactile_grid)
-        com = tactile.center_of_mass(obs.tactile_grid)
-        if self.prev_com is None:
-            grad = (0.0, 0.0)
-            deltas = np.zeros_like(obs.joint_angles)
+        while self.n_samples - len(self.chunks[0]) >= self.seg_samples:
+            self.n_samples -= len(self.chunks.popleft())
+        if self.prev_grid is None:
+            grids, angles = obs.tactile_grid[None], obs.joint_angles[None]
         else:
-            grad = tactile.com_gradient(self.prev_com, com, SIM_DT)
-            deltas = (obs.joint_angles - self.prev_angles) / SIM_DT
-        vec = np.concatenate([[mean_nz, max_nz, *com, *grad],
-                              obs.joint_angles, deltas])
-        self.prev_com, self.prev_angles = com, obs.joint_angles
-        self.window.append(vec)
+            grids = np.array([self.prev_grid, obs.tactile_grid])
+            angles = np.array([self.prev_angles, obs.joint_angles])
+        self.window.append(tactile.features_from_arrays(grids, angles, SIM_DT)[-1])
+        self.prev_grid, self.prev_angles = obs.tactile_grid, obs.joint_angles
         while len(self.window) > self.model.cfg.window:
             self.window.pop(0)
 

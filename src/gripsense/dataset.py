@@ -97,11 +97,9 @@ class DatasetManifest:
         return [e for e in self.trials if e.trial_id in wanted]
 
 
-def trial_seed(base_seed: int, material: str, motion: str, index: int,
-               role: str) -> int:
-    """Deterministic per-trial seed from the protocol coordinates."""
-    text = f"{base_seed}|{material}|{motion}|{index}|{role}"
-    digest = hashlib.sha256(text.encode()).digest()
+def derive_seed(*parts) -> int:
+    """Deterministic 63-bit seed from SHA-256 of the "|"-joined parts."""
+    digest = hashlib.sha256("|".join(map(str, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "little") & (2 ** 63 - 1)
 
 
@@ -315,9 +313,9 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
         for material in materials:
             for index in range(trials_per_cell):
                 profile_rng = np.random.default_rng(
-                    trial_seed(base_seed, material, motion_kind, index, "profile"))
+                    derive_seed(base_seed, material, motion_kind, index, "profile"))
                 profile = sample_trial_profile(motion_kind, profile_rng)
-                sim_seed = trial_seed(base_seed, material, motion_kind, index, "sim")
+                sim_seed = derive_seed(base_seed, material, motion_kind, index, "sim")
                 trial_id = f"{motion_kind}-{material}-{index:03d}"
                 record = run_trial(table[material], profile, COLLECTION_TORQUE,
                                    sim_seed, trial_id=trial_id, params=params)
@@ -381,7 +379,6 @@ def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
     items, sources = [], []
     for e in manifest.split_entries(split):
         meta, w = read_trial_audio(dataset_dir / e.path, e.checksums)
-        w = dsp.crop_to_motion(w, 0.0, w.duration)
         for seg in dsp.segment(w, dsp.SEGMENT_S, source_trial=e.trial_id,
                                label=e.material):
             variants = [seg]

@@ -1,4 +1,4 @@
-"""Audio preprocessing: cropping, 1-second segmentation, augmentation, MFCCs.
+"""Audio preprocessing: 1-second segmentation, augmentation, MFCCs.
 
 The MFCC chain is the standard speech recipe: periodic Hann window,
 magnitude-squared spectrum, HTK-mel triangular filterbank, log with an
@@ -7,6 +7,7 @@ additive floor, orthonormal DCT-II keeping the first n_coeffs terms.
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass, field
 
@@ -81,15 +82,6 @@ class MfccMatrix:
             raise ValueError("MFCC matrix contains non-finite values")
 
 
-def crop_to_motion(w: Waveform, start_s: float, end_s: float) -> Waveform:
-    """Cut out [start_s, end_s) of the recording."""
-    if not 0.0 <= start_s < end_s <= w.duration + 1e-12:
-        raise ValueError(f"window [{start_s}, {end_s}) outside waveform of {w.duration} s")
-    lo = round(start_s * w.sample_rate)
-    hi = round(end_s * w.sample_rate)
-    return Waveform(w.samples[lo:hi].copy(), w.sample_rate)
-
-
 def segment(w: Waveform, hop_s: float, source_trial: str = "",
             label: str | None = None) -> list[AudioSegment]:
     """Cut 1-second clips at offsets 0, hop_s, 2*hop_s, ...; partial tail dropped."""
@@ -148,8 +140,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
-    """Triangular filters on the HTK mel scale, (n_mels, n_fft//2 + 1)."""
+    """Triangular filters on the HTK mel scale, (n_mels, n_fft//2 + 1).
+
+    Cached per (cfg, sample_rate); the shared array is read-only."""
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     bin_hz = np.arange(cfg.n_fft // 2 + 1) * sample_rate / cfg.n_fft
@@ -159,15 +154,18 @@ def mel_filterbank(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
         up = (bin_hz - left) / (center - left)
         down = (right - bin_hz) / (right - center)
         bank[m] = np.maximum(0.0, np.minimum(up, down))
+    bank.flags.writeable = False
     return bank
 
 
+@functools.lru_cache(maxsize=16)
 def dct_matrix(n_coeffs: int, n_mels: int) -> np.ndarray:
-    """Orthonormal DCT-II rows, (n_coeffs, n_mels)."""
+    """Orthonormal DCT-II rows, (n_coeffs, n_mels); cached and read-only."""
     m = np.arange(n_mels)
     k = np.arange(n_coeffs)[:, None]
     d = np.cos(np.pi * k * (2 * m + 1) / (2 * n_mels)) * np.sqrt(2.0 / n_mels)
     d[0] /= np.sqrt(2.0)
+    d.flags.writeable = False
     return d
 
 

@@ -70,6 +70,21 @@ def estimate_confusions(observations: list[tuple[str, int, int]],
     return MotionLikelihoodModel(confusions)
 
 
+def confusions_from_segments(model: MaterialClassifier, items,
+                             motions) -> MotionLikelihoodModel:
+    """Confusion matrices from labeled held-out MFCC segments.
+
+    items are (frames, label) pairs and motions the motion kind each was
+    recorded under; the predicted class is the argmax of one batched
+    classifier forward pass over all items.
+    """
+    index = {c: i for i, c in enumerate(model.cfg.classes)}
+    probs, _ = model.forward(np.stack([frames for frames, _ in items]))
+    obs = [(motion, index[label], int(pred)) for (_, label), motion, pred
+           in zip(items, motions, probs.argmax(axis=1))]
+    return estimate_confusions(obs, len(model.cfg.classes))
+
+
 def entropy_bits(probs: np.ndarray) -> float:
     p = np.asarray(probs, dtype=float)
     nz = p[p > 0]

@@ -218,8 +218,8 @@ def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
 
 
 def predict(model: SlipPredictor, window) -> Prediction:
-    """One forward pass over a FeatureWindow (or a (W, input_dim) array)."""
-    mat = window.as_matrix() if hasattr(window, "as_matrix") else np.asarray(window)
+    """One forward pass over a (W, input_dim) feature window."""
+    mat = np.asarray(window)
     if mat.shape != (model.cfg.window, model.cfg.input_dim):
         raise ValueError(f"expected ({model.cfg.window}, {model.cfg.input_dim}) "
                          f"window, got {mat.shape}")

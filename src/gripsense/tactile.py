@@ -7,8 +7,6 @@ with their finite-difference velocities: 2 + 2 + 2 + 16 + 16 = 38 values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GRID_CENTER = (7.5, 7.5)
@@ -18,75 +16,6 @@ SLIP_THRESHOLD_RAD = 0.02
 SLIP_HORIZON_STEPS = 5
 
 FEATURE_DIM = 38
-
-
-@dataclass(frozen=True)
-class TactileFrame:
-    t: float
-    grid: np.ndarray           # (16, 16) N
-    joint_angles: np.ndarray   # (16,) rad
-    joint_torques: np.ndarray  # (16,) Nm
-
-    def __post_init__(self):
-        if np.any(self.grid < 0) or not np.all(np.isfinite(self.grid)):
-            raise ValueError("grid pressures must be finite and non-negative")
-        if not (np.all(np.isfinite(self.joint_angles))
-                and np.all(np.isfinite(self.joint_torques))):
-            raise ValueError("joint streams must be finite")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    mean_nz: float
-    max_nz: float
-    com: tuple[float, float]
-    com_grad: tuple[float, float]
-    joint_angles: np.ndarray
-    joint_deltas: np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([
-            [self.mean_nz, self.max_nz, *self.com, *self.com_grad],
-            self.joint_angles, self.joint_deltas,
-        ])
-
-
-@dataclass(frozen=True)
-class FeatureWindow:
-    vectors: tuple[FeatureVector, ...]
-    dt: float
-
-    def __post_init__(self):
-        if len(self.vectors) < 2:
-            raise ValueError("window needs at least two frames")
-
-    def as_matrix(self) -> np.ndarray:
-        return np.stack([v.as_array() for v in self.vectors])
-
-
-def nonzero_stats(grid: np.ndarray) -> tuple[float, float]:
-    """Mean and max over strictly positive cells; (0, 0) when none."""
-    nz = grid[grid > 0]
-    if nz.size == 0:
-        return 0.0, 0.0
-    return float(nz.mean()), float(nz.max())
-
-
-def center_of_mass(grid: np.ndarray) -> tuple[float, float]:
-    """Pressure-weighted (row, col); grid center when everything is zero."""
-    total = grid.sum()
-    if total <= 0:
-        return GRID_CENTER
-    rows, cols = grid.shape
-    r = float((grid.sum(axis=1) * np.arange(rows)).sum() / total)
-    c = float((grid.sum(axis=0) * np.arange(cols)).sum() / total)
-    return r, c
-
-
-def com_gradient(prev_com, cur_com, dt: float) -> tuple[float, float]:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return ((cur_com[0] - prev_com[0]) / dt, (cur_com[1] - prev_com[1]) / dt)
 
 
 def label_slip(joint_history: np.ndarray, threshold: float = SLIP_THRESHOLD_RAD,
@@ -108,38 +37,17 @@ def label_slip(joint_history: np.ndarray, threshold: float = SLIP_THRESHOLD_RAD,
     return out
 
 
-def feature_vectors(frames: list[TactileFrame], dt: float) -> list[FeatureVector]:
-    """Per-frame features over a stream; gradients are zero on the first frame."""
-    out = []
-    prev_com = None
-    prev_angles = None
-    for f in frames:
-        mean_nz, max_nz = nonzero_stats(f.grid)
-        com = center_of_mass(f.grid)
-        grad = (0.0, 0.0) if prev_com is None else com_gradient(prev_com, com, dt)
-        deltas = (np.zeros_like(f.joint_angles) if prev_angles is None
-                  else (f.joint_angles - prev_angles) / dt)
-        out.append(FeatureVector(mean_nz, max_nz, com, grad, f.joint_angles, deltas))
-        prev_com, prev_angles = com, f.joint_angles
-    return out
-
-
-def make_windows(frames: list[TactileFrame], W: int, dt: float) -> list[FeatureWindow]:
-    """Sliding windows, stride 1; shorter-than-W streams give no windows."""
-    if W < 2:
-        raise ValueError(f"W must be >= 2, got {W}")
-    vecs = feature_vectors(frames, dt)
-    return [FeatureWindow(tuple(vecs[i:i + W]), dt)
-            for i in range(0, len(vecs) - W + 1)]
-
-
 def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
                          dt: float) -> np.ndarray:
-    """Vectorized per-trial feature extraction, (T, 38).
+    """Per-frame haptic features of a frame stream, (T, 38).
 
-    Matches feature_vectors() frame for frame; used by dataset builders
-    where constructing per-frame objects would dominate runtime.
+    The one definition of the feature, used for training and for control.
+    Row t depends only on frames t - 1 and t (gradients are zero on the
+    first frame), and it is bit-identical however many frames the call
+    holds: every reduction runs within a frame, never across frames.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     T = len(grids)
     flat = grids.reshape(T, -1)
     mask = flat > 0
@@ -152,16 +60,18 @@ def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
     rows, cols = grids.shape[1], grids.shape[2]
     total = flat.sum(axis=1)
     safe = np.maximum(total, 1e-300)
-    com_r = np.where(total > 0, (grids.sum(axis=2) @ np.arange(rows)) / safe,
-                     GRID_CENTER[0])
-    com_c = np.where(total > 0, (grids.sum(axis=1) @ np.arange(cols)) / safe,
-                     GRID_CENTER[1])
+    # elementwise products and row sums: a matrix product here would round
+    # differently depending on T
+    row_moment = (grids.sum(axis=2) * np.arange(rows)).sum(axis=1)
+    col_moment = (grids.sum(axis=1) * np.arange(cols)).sum(axis=1)
+    com_r = np.where(total > 0, row_moment / safe, GRID_CENTER[0])
+    com_c = np.where(total > 0, col_moment / safe, GRID_CENTER[1])
     grad_r = np.zeros(T)
     grad_c = np.zeros(T)
-    grad_r[1:] = np.diff(com_r) / dt
-    grad_c[1:] = np.diff(com_c) / dt
+    grad_r[1:] = (com_r[1:] - com_r[:-1]) / dt
+    grad_c[1:] = (com_c[1:] - com_c[:-1]) / dt
     deltas = np.zeros_like(joint_angles)
-    deltas[1:] = np.diff(joint_angles, axis=0) / dt
+    deltas[1:] = (joint_angles[1:] - joint_angles[:-1]) / dt
     return np.column_stack([mean_nz, max_nz, com_r, com_c, grad_r, grad_c,
                             joint_angles, deltas])
 

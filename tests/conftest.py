@@ -3,13 +3,12 @@ test session, so the expensive pieces are paid for once."""
 
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from gripsense import dataset as ds
 from gripsense import inference
-from gripsense.models.classifier import TrainConfig, classify, train_classifier
+from gripsense.models.classifier import TrainConfig, train_classifier
 from gripsense.models.predictor import PredictorTrainConfig, train_predictor
 from gripsense.models.registry import ModelRegistry
 
@@ -64,13 +63,8 @@ def classifier(clf_bundle):
 def likelihoods(clf_bundle, manifest):
     """Per-motion confusion matrices estimated on the validation split."""
     model, _, val_items, val_sources = clf_bundle
-    index = {c: i for i, c in enumerate(model.cfg.classes)}
-    obs = []
-    for (frames, label), source in zip(val_items, val_sources):
-        motion = manifest.entry(source).motion["kind"]
-        pred = int(np.argmax(classify(model, frames)))
-        obs.append((motion, index[label], pred))
-    return inference.estimate_confusions(obs, len(model.cfg.classes))
+    motions = [manifest.entry(s).motion["kind"] for s in val_sources]
+    return inference.confusions_from_segments(model, val_items, motions)
 
 
 def _windows(dataset_dir, manifest, split, motion, material, cache):

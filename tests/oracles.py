@@ -171,6 +171,26 @@ def loop_center_of_mass(grid) -> tuple:
     return row_acc / total, col_acc / total
 
 
+def loop_features(grids, angles, dt: float) -> np.ndarray:
+    """Per-frame haptic features, one frame at a time: non-zero stats,
+    center of mass, its finite-difference rate, joint angles and their
+    finite-difference rates; both rates are zero on the first frame."""
+    rows = []
+    prev_com = prev_angles = None
+    for grid, frame_angles in zip(grids, angles):
+        a = [float(v) for v in frame_angles]
+        com = loop_center_of_mass(grid)
+        if prev_com is None:
+            grad = (0.0, 0.0)
+            deltas = [0.0] * len(a)
+        else:
+            grad = ((com[0] - prev_com[0]) / dt, (com[1] - prev_com[1]) / dt)
+            deltas = [(x - p) / dt for x, p in zip(a, prev_angles)]
+        rows.append([*loop_nonzero_stats(grid), *com, *grad, *a, *deltas])
+        prev_com, prev_angles = com, a
+    return np.asarray(rows)
+
+
 def loop_label_slip(history, threshold: float, horizon: int):
     """Slip labels by literal re-reading of the definition."""
     h = np.asarray(history, dtype=float)

@@ -160,10 +160,10 @@ def test_criterion_6_controller_safety_and_effort(classifier, registry):
     reactive_means = []
     reactive_drops = baseline_drops = 0
     for s in range(100):
-        prof_rng = np.random.default_rng(ds.trial_seed(600, "rice", "shaking",
-                                                       s, "profile"))
+        prof_rng = np.random.default_rng(ds.derive_seed(600, "rice", "shaking",
+                                                        s, "profile"))
         profile = ds.sample_trial_profile("shaking", prof_rng)
-        sim_seed = ds.trial_seed(600, "rice", "shaking", s, "sim")
+        sim_seed = ds.derive_seed(600, "rice", "shaking", s, "sim")
 
         probe = run_baseline_episode(table["rice"], profile, 0.4, sim_seed)
         assert probe.true_slip.any(), f"seed {s}: motion does not induce slip"
@@ -192,10 +192,10 @@ def test_criterion_7_model_switching(classifier, registry):
     material_maes, default_maes = [], []
     commits = 0
     for s in range(20):
-        prof_rng = np.random.default_rng(ds.trial_seed(900, "cereal",
-                                                       "rotation", s, "profile"))
+        prof_rng = np.random.default_rng(ds.derive_seed(900, "cereal",
+                                                        "rotation", s, "profile"))
         profile = ds.sample_trial_profile("rotation", prof_rng)
-        sim_seed = ds.trial_seed(900, "cereal", "rotation", s, "sim")
+        sim_seed = ds.derive_seed(900, "cereal", "rotation", s, "sim")
         log = run_reactive_loop(table["cereal"], profile, classifier, registry,
                                 cfg, seed=sim_seed, compare_default=True)
         assert switches(log) <= 1, f"seed {s}: switch is not latching"
@@ -257,6 +257,15 @@ def test_criterion_8_active_inference(classifier, likelihoods):
 def test_criterion_9_invariant_suites(manifest):
     cases = {"posterior": 0, "tactile": 0, "slip": 0, "splits": 0}
 
+    def one_frame(grid):
+        return tactile.features_from_arrays(grid[None], np.zeros((1, 16)), 1.0)[0]
+
+    def nonzero_stats(grid):
+        return tuple(one_frame(grid)[0:2])
+
+    def center_of_mass(grid):
+        return tuple(one_frame(grid)[2:4])
+
     @settings(max_examples=120)
     @given(weights=st.lists(st.floats(1e-3, 1e3), min_size=5, max_size=5),
            rows=st.lists(st.floats(1e-3, 1.0), min_size=25, max_size=25),
@@ -283,10 +292,10 @@ def test_criterion_9_invariant_suites(manifest):
     def tactile_suite(values, gain, perm_seed):
         cases["tactile"] += 1
         grid = np.asarray(values).reshape(16, 16)
-        mean_nz, max_nz = tactile.nonzero_stats(grid)
-        com = tactile.center_of_mass(grid)
-        s_mean, s_max = tactile.nonzero_stats(grid * gain)
-        s_com = tactile.center_of_mass(grid * gain)
+        mean_nz, max_nz = nonzero_stats(grid)
+        com = center_of_mass(grid)
+        s_mean, s_max = nonzero_stats(grid * gain)
+        s_com = center_of_mass(grid * gain)
         assert abs(s_mean - mean_nz * gain) <= 1e-9 * max(1.0, mean_nz * gain)
         assert abs(s_max - max_nz * gain) <= 1e-9 * max(1.0, max_nz * gain)
         assert abs(s_com[0] - com[0]) <= 1e-9
@@ -297,8 +306,8 @@ def test_criterion_9_invariant_suites(manifest):
         perm = np.random.default_rng(perm_seed).permutation(len(zeros))
         flat[zeros] = flat[zeros[perm]]
         shuffled = flat.reshape(16, 16)
-        assert tactile.nonzero_stats(shuffled) == (mean_nz, max_nz)
-        assert tactile.center_of_mass(shuffled) == com
+        assert nonzero_stats(shuffled) == (mean_nz, max_nz)
+        assert center_of_mass(shuffled) == com
 
     @settings(max_examples=120)
     @given(seed=st.integers(0, 2 ** 31 - 1),

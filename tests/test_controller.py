@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gripsense import controller, dsp, tactile
 from gripsense import dataset as ds
 from gripsense.controller import (
     EPISODE_COLUMNS,
@@ -16,7 +17,8 @@ from gripsense.controller import (
 )
 from gripsense.materials import material_table
 from gripsense.models.predictor import Prediction
-from gripsense.motion import shaking_profile
+from gripsense.motion import SIM_DT, shaking_profile
+from gripsense.simulation import DEFAULT_PARAMS
 
 TABLE = material_table()
 
@@ -96,10 +98,10 @@ class TestEpisodes:
                    if b)
 
     def test_commit_switches_and_latches(self, classifier, registry):
-        prof_rng = np.random.default_rng(ds.trial_seed(900, "cereal",
-                                                       "rotation", 0, "profile"))
+        prof_rng = np.random.default_rng(ds.derive_seed(900, "cereal",
+                                                        "rotation", 0, "profile"))
         profile = ds.sample_trial_profile("rotation", prof_rng)
-        sim_seed = ds.trial_seed(900, "cereal", "rotation", 0, "sim")
+        sim_seed = ds.derive_seed(900, "cereal", "rotation", 0, "sim")
         log = run_reactive_loop(TABLE["cereal"], profile, classifier, registry,
                                 ControllerConfig(), seed=sim_seed,
                                 compare_default=True)
@@ -140,6 +142,64 @@ class TestEpisodes:
         w = registry.default_models["shaking"].cfg.window
         assert np.isnan(log.slip_prob[:w]).all()
         assert np.isfinite(log.slip_prob[w:]).all()
+
+
+def spied_cereal_episode(monkeypatch, classifier, registry):
+    """A reactive episode that commits to cereal mid-run. Returns the
+    observations the policy ingested, in order, plus (observations ingested
+    so far, input) for every predict and mfcc call of the controller."""
+    seen, windows, segments = [], [], []
+    run_trial, predict, mfcc = controller.run_trial, controller.predict, dsp.mfcc
+
+    def spy_run_trial(material, motion, policy, seed, **kwargs):
+        def spy_policy(t, prev_obs):
+            if prev_obs is not None:
+                seen.append(prev_obs)
+            return policy(t, prev_obs)
+        return run_trial(material, motion, spy_policy, seed, **kwargs)
+
+    def spy_predict(model, window):
+        windows.append((len(seen), np.array(window)))
+        return predict(model, window)
+
+    def spy_mfcc(seg, *args, **kwargs):
+        segments.append((len(seen), seg.samples.copy()))
+        return mfcc(seg, *args, **kwargs)
+
+    monkeypatch.setattr(controller, "run_trial", spy_run_trial)
+    monkeypatch.setattr(controller, "predict", spy_predict)
+    monkeypatch.setattr(dsp, "mfcc", spy_mfcc)
+    prof_rng = np.random.default_rng(ds.derive_seed(900, "cereal", "rotation",
+                                                    0, "profile"))
+    profile = ds.sample_trial_profile("rotation", prof_rng)
+    log = run_reactive_loop(TABLE["cereal"], profile, classifier, registry,
+                            ControllerConfig(),
+                            seed=ds.derive_seed(900, "cereal", "rotation", 0, "sim"))
+    assert log.switch_time_s is not None
+    return seen, windows, segments
+
+
+class TestOnlineInputs:
+    def test_online_windows_equal_offline_features(self, monkeypatch,
+                                                   classifier, registry):
+        seen, windows, _ = spied_cereal_episode(monkeypatch, classifier, registry)
+        offline = tactile.features_from_arrays(
+            np.stack([o.tactile_grid for o in seen]),
+            np.stack([o.joint_angles for o in seen]), SIM_DT)
+        W = registry.default_models["rotation"].cfg.window
+        assert len(windows) == len(seen) - W + 1
+        for n, window in windows:
+            assert np.array_equal(window, offline[n - W:n])
+
+    def test_classifier_audio_is_last_second_of_stream(self, monkeypatch,
+                                                       classifier, registry):
+        seen, _, segments = spied_cereal_episode(monkeypatch, classifier,
+                                                 registry)
+        seg_samples = round(dsp.SEGMENT_S * DEFAULT_PARAMS.sample_rate)
+        assert segments
+        for n, samples in segments:
+            stream = np.concatenate([o.audio_chunk for o in seen[:n]])
+            assert np.array_equal(samples, stream[-seg_samples:])
 
 
 class TestEpisodeCsv:

@@ -18,30 +18,6 @@ def make_segment(samples, sr=16000):
 
 
 class TestCropAndSegment:
-    def test_crop_identity(self):
-        w = dsp.Waveform(tone(seconds=2.0), 16000)
-        c = dsp.crop_to_motion(w, 0.0, 2.0)
-        assert np.array_equal(c.samples, w.samples)
-
-    def test_crop_arithmetic(self):
-        w = dsp.Waveform(np.arange(32000, dtype=float), 16000)
-        c = dsp.crop_to_motion(w, 0.25, 1.75)
-        assert len(c.samples) == 24000
-        assert c.samples[0] == 4000.0
-
-    def test_crop_composes(self):
-        w = dsp.Waveform(np.arange(48000, dtype=float), 16000)
-        once = dsp.crop_to_motion(w, 0.5, 2.5)
-        twice = dsp.crop_to_motion(once, 0.5, 1.5)
-        direct = dsp.crop_to_motion(w, 1.0, 2.0)
-        assert np.array_equal(twice.samples, direct.samples)
-
-    def test_crop_rejects_bad_window(self):
-        w = dsp.Waveform(tone(), 16000)
-        for lo, hi in ((-0.1, 0.5), (0.5, 0.5), (0.2, 1.5)):
-            with pytest.raises(ValueError):
-                dsp.crop_to_motion(w, lo, hi)
-
     @pytest.mark.parametrize("seconds,hop,expect", [
         (3.0, 1.0, 3),
         (3.5, 1.0, 3),
@@ -161,6 +137,16 @@ class TestMfcc:
         bin_hz = np.arange(257) * 16000 / 512
         inside = (bin_hz > 100.0) & (bin_hz < 7000.0)
         assert (bank.sum(axis=0)[inside] > 0).all()
+
+    def test_filterbank_and_dct_are_shared_read_only(self):
+        cfg = dsp.MfccConfig()
+        bank = dsp.mel_filterbank(cfg, 16000)
+        d = dsp.dct_matrix(cfg.n_coeffs, cfg.n_mels)
+        assert dsp.mel_filterbank(cfg, 16000) is bank
+        assert dsp.dct_matrix(cfg.n_coeffs, cfg.n_mels) is d
+        for arr in (bank, d):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
     def test_mel_scale_round_trip(self):
         f = np.linspace(20.0, 7600.0, 50)

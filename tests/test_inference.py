@@ -6,6 +6,7 @@ import pytest
 import oracles
 from gripsense import inference
 from gripsense.materials import material_table
+from gripsense.models.classifier import classify
 
 TABLE = material_table()
 
@@ -175,6 +176,19 @@ class TestEstimateConfusions:
                for _ in range(100)]
         L = inference.estimate_confusions(obs)
         assert np.allclose(L.confusions["rotation"].sum(axis=1), 1.0)
+
+    def test_from_segments_matches_per_item_classify(self, clf_bundle,
+                                                      manifest):
+        model, _, val_items, val_sources = clf_bundle
+        motions = [manifest.entry(s).motion["kind"] for s in val_sources]
+        index = {c: i for i, c in enumerate(model.cfg.classes)}
+        obs = [(motion, index[label], int(np.argmax(classify(model, frames))))
+               for (frames, label), motion in zip(val_items, motions)]
+        want = inference.estimate_confusions(obs, len(model.cfg.classes))
+        got = inference.confusions_from_segments(model, val_items, motions)
+        assert got.confusions.keys() == want.confusions.keys()
+        for motion, C in want.confusions.items():
+            assert np.array_equal(got.confusions[motion], C)
 
 
 class TestActiveLoop:

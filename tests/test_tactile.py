@@ -15,39 +15,47 @@ def grid_with(values: dict[tuple[int, int], float]) -> np.ndarray:
     return g
 
 
+def frame_features(grid: np.ndarray) -> np.ndarray:
+    """Feature row of a one-frame call; columns 0-1 are the non-zero stats,
+    2-3 the center of mass."""
+    return tactile.features_from_arrays(grid[None], np.zeros((1, 16)), SIM_DT)[0]
+
+
 class TestGridStats:
     def test_nonzero_stats_examples(self):
         g = grid_with({(0, 0): 2.0, (3, 7): 4.0})
-        assert tactile.nonzero_stats(g) == (3.0, 4.0)
-        assert tactile.nonzero_stats(np.zeros((16, 16))) == (0.0, 0.0)
-        assert tactile.nonzero_stats(np.full((16, 16), 5.0)) == (5.0, 5.0)
+        assert tuple(frame_features(g)[:2]) == (3.0, 4.0)
+        assert tuple(frame_features(np.zeros((16, 16)))[:2]) == (0.0, 0.0)
+        assert tuple(frame_features(np.full((16, 16), 5.0))[:2]) == (5.0, 5.0)
 
     def test_nonzero_stats_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             g = rng.uniform(0, 3, (16, 16)) * (rng.random((16, 16)) < 0.3)
             want = oracles.loop_nonzero_stats(g)
-            got = tactile.nonzero_stats(g)
+            got = tuple(frame_features(g)[:2])
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_center_of_mass_examples(self):
-        assert tactile.center_of_mass(grid_with({(5, 5): 1.0})) == (5.0, 5.0)
+        assert tuple(frame_features(grid_with({(5, 5): 1.0}))[2:4]) == (5.0, 5.0)
         g = grid_with({(2, 4): 1.0, (6, 4): 1.0})
-        assert tactile.center_of_mass(g) == (4.0, 4.0)
-        assert tactile.center_of_mass(np.zeros((16, 16))) == tactile.GRID_CENTER
+        assert tuple(frame_features(g)[2:4]) == (4.0, 4.0)
+        assert tuple(frame_features(np.zeros((16, 16)))[2:4]) == tactile.GRID_CENTER
 
     def test_center_of_mass_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             g = rng.uniform(0, 3, (16, 16))
             want = oracles.loop_center_of_mass(g)
-            got = tactile.center_of_mass(g)
+            got = tuple(frame_features(g)[2:4])
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_com_gradient(self):
-        assert tactile.com_gradient((1.0, 2.0), (2.0, 0.0), 0.5) == (2.0, -4.0)
-        with pytest.raises(ValueError):
-            tactile.com_gradient((0.0, 0.0), (1.0, 1.0), 0.0)
+        grids = np.stack([grid_with({(1, 2): 1.0}), grid_with({(2, 0): 1.0})])
+        feats = tactile.features_from_arrays(grids, np.zeros((2, 16)), 0.5)
+        assert tuple(feats[1, 4:6]) == (2.0, -4.0)
+        with pytest.raises(ValueError, match="dt"):
+            tactile.features_from_arrays(grids, np.zeros((2, 16)), 0.0)
 
 
 class TestSlipLabels:
@@ -100,61 +108,47 @@ class TestSlipLabels:
 
 class TestFeatures:
     def make_frames(self, n=8, seed=0):
+        """(grids (n, 16, 16), joint angles (n, 16)) of a random stream."""
         rng = np.random.default_rng(seed)
-        frames = []
-        for i in range(n):
-            grid = rng.uniform(0, 2, (16, 16)) * (rng.random((16, 16)) < 0.4)
-            frames.append(tactile.TactileFrame(i * SIM_DT, grid,
-                                               rng.uniform(0, 1.5, 16),
-                                               rng.uniform(0, 0.4, 16)))
-        return frames
+        grids = rng.uniform(0, 2, (n, 16, 16)) * (rng.random((n, 16, 16)) < 0.4)
+        return grids, rng.uniform(0, 1.5, (n, 16))
 
     def test_feature_vector_layout(self):
-        frames = self.make_frames(3)
-        vecs = tactile.feature_vectors(frames, SIM_DT)
-        arr = vecs[1].as_array()
+        grids, angles = self.make_frames(3)
+        arr = tactile.features_from_arrays(grids, angles, SIM_DT)[1]
         assert arr.shape == (tactile.FEATURE_DIM,)
-        mean_nz, max_nz = tactile.nonzero_stats(frames[1].grid)
-        assert arr[0] == mean_nz and arr[1] == max_nz
-        assert tuple(arr[2:4]) == tactile.center_of_mass(frames[1].grid)
-        want_delta = (frames[1].joint_angles - frames[0].joint_angles) / SIM_DT
-        assert np.allclose(arr[22:], want_delta)
+        assert tuple(arr[:2]) == pytest.approx(
+            oracles.loop_nonzero_stats(grids[1]), rel=1e-12)
+        assert tuple(arr[2:4]) == pytest.approx(
+            oracles.loop_center_of_mass(grids[1]), abs=1e-12)
+        assert np.array_equal(arr[6:22], angles[1])
+        assert np.allclose(arr[22:], (angles[1] - angles[0]) / SIM_DT)
 
     def test_first_frame_gradients_are_zero(self):
-        vecs = tactile.feature_vectors(self.make_frames(2), SIM_DT)
-        assert vecs[0].com_grad == (0.0, 0.0)
-        assert not vecs[0].joint_deltas.any()
-
-    @pytest.mark.parametrize("n,W,expect", [(10, 5, 6), (5, 5, 1), (4, 5, 0),
-                                            (2, 2, 1)])
-    def test_window_counts(self, n, W, expect):
-        frames = self.make_frames(n)
-        assert len(tactile.make_windows(frames, W, SIM_DT)) == expect
+        grids, angles = self.make_frames(2)
+        first = tactile.features_from_arrays(grids, angles, SIM_DT)[0]
+        assert not first[4:6].any()
+        assert not first[22:].any()
 
     def test_window_matrix_equals_stacked_vectors(self):
-        frames = self.make_frames(4)
-        vecs = tactile.feature_vectors(frames, SIM_DT)
-        win = tactile.make_windows(frames, 2, SIM_DT)[1]
-        assert np.array_equal(win.as_matrix(),
-                              np.stack([vecs[1].as_array(), vecs[2].as_array()]))
-
-    def test_window_size_guard(self):
-        with pytest.raises(ValueError):
-            tactile.make_windows(self.make_frames(4), 1, SIM_DT)
+        # rows built a frame at a time, as the controller does, are
+        # bit-identical to the rows of one call over the whole stream
+        grids, angles = self.make_frames(40, seed=5)
+        full = tactile.features_from_arrays(grids, angles, SIM_DT)
+        rows = [tactile.features_from_arrays(grids[:1], angles[:1], SIM_DT)[-1]]
+        for t in range(1, len(grids)):
+            rows.append(tactile.features_from_arrays(
+                grids[t - 1:t + 1], angles[t - 1:t + 1], SIM_DT)[-1])
+        assert np.array_equal(np.stack(rows), full)
 
     def test_vectorized_path_matches_object_path(self):
-        frames = self.make_frames(12, seed=7)
-        grids = np.stack([f.grid for f in frames])
-        angles = np.stack([f.joint_angles for f in frames])
+        grids, angles = self.make_frames(12, seed=7)
         fast = tactile.features_from_arrays(grids, angles, SIM_DT)
-        slow = np.stack([v.as_array()
-                         for v in tactile.feature_vectors(frames, SIM_DT)])
+        slow = oracles.loop_features(grids, angles, SIM_DT)
         assert np.allclose(fast, slow, atol=1e-12)
 
     def test_frame_validation(self):
-        with pytest.raises(ValueError):
-            tactile.TactileFrame(0.0, np.full((16, 16), -1.0), np.zeros(16),
-                                 np.zeros(16))
-        with pytest.raises(ValueError):
-            tactile.TactileFrame(0.0, np.zeros((16, 16)),
-                                 np.full(16, np.nan), np.zeros(16))
+        grids, angles = self.make_frames(2)
+        for dt in (0.0, -SIM_DT, float("nan")):
+            with pytest.raises(ValueError, match="dt"):
+                tactile.features_from_arrays(grids, angles, dt)
