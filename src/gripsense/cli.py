@@ -68,8 +68,15 @@ def write_confusion_csv(path, matrix: np.ndarray,
 
 
 def read_confusion_csv(path) -> np.ndarray:
+    """Square confusion matrix whose header and row labels are MATERIAL_CLASSES."""
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
+    n = len(MATERIAL_CLASSES)
+    if (not rows or any(len(row) != n + 1 for row in rows)
+            or tuple(rows[0][1:]) != MATERIAL_CLASSES
+            or tuple(row[0] for row in rows[1:]) != MATERIAL_CLASSES):
+        raise ValueError(f"{path} is not a {n}x{n} confusion matrix with "
+                         f"header and row labels {MATERIAL_CLASSES}")
     return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
 
 
@@ -77,6 +84,9 @@ def load_models(models_dir):
     """Classifier + registry + per-motion likelihood model from a models dir."""
     models_dir = Path(models_dir)
     classifier = load_classifier(models_dir / CLASSIFIER_FILE)
+    if tuple(classifier.cfg.classes) != MATERIAL_CLASSES:
+        raise ValueError(f"{models_dir / CLASSIFIER_FILE} has classes "
+                         f"{classifier.cfg.classes}, expected {MATERIAL_CLASSES}")
     registry = ModelRegistry()
     for path in sorted(models_dir.glob("predictor_default_*.gsm")):
         model = load_predictor(path)

@@ -6,12 +6,13 @@ material, motion, index). Each trial directory holds:
 
   meta.json    format version, ids, motion parameters, seed, step count
   audio.wav    PCM 16-bit mono 16 kHz
-  tactile.csv  one row per step: t, 256 grid cells, 16 angles, 16 torques
-  truth.csv    one row per step: t, slip, max_force, cell_row, cell_col, dropped
+  <name>.npy   one little-endian NumPy array per simulation.TRIAL_ARRAYS
+               field (t, tactile, joints, truth), step axis first
 
 The top-level manifest.json records per-file CRC32 checksums and the
-train/val/test split. Floats are written with shortest round-trip repr,
-so re-reading a trial reproduces it bit for bit.
+train/val/test split. The .npy files hold raw array bytes, so re-reading
+a trial reproduces it bit for bit. Older versions are regenerated, not
+read: a dataset is a pure function of (seed, trials).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import zipfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,13 +30,15 @@ import numpy as np
 from . import dsp
 from .materials import MATERIAL_CLASSES, MaterialParams, material_table
 from .motion import MotionProfile, SIM_DT, rotation_profile, shaking_profile
-from .simulation import (DEFAULT_PARAMS, GRID_COLS, GRID_ROWS, N_JOINTS,
-                         SimParams, TrialRecord, run_trial)
+from .simulation import (DEFAULT_PARAMS, TRIAL_ARRAYS, SimParams,
+                         TrialRecord, run_trial)
 from .tactile import features_from_arrays
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
-TRIAL_FILES = ("meta.json", "audio.wav", "tactile.csv", "truth.csv")
+TRIAL_FILES = ("meta.json", "audio.wav") + tuple(
+    f"{name}.npy" for name, _, _ in TRIAL_ARRAYS)
+REGENERATE_HINT = "regenerate the dataset with `gripsense generate`"
 
 COLLECTION_TORQUE = 0.4  # Nm, fixed grip during data collection
 MOTIONS = ("shaking", "rotation")
@@ -118,13 +122,8 @@ def _crc(path: Path) -> int:
     return zlib.crc32(path.read_bytes())
 
 
-def _fmt_floats(values) -> str:
-    # repr(float(x)) is the shortest string that round-trips exactly
-    return ",".join(repr(float(v)) for v in values)
-
-
 def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
-    """Write the four trial files; returns per-file CRC32 checksums."""
+    """Write the trial files; returns per-file CRC32 checksums."""
     trial_dir = Path(trial_dir)
     trial_dir.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -140,25 +139,9 @@ def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
     (trial_dir / "meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=1) + "\n")
     dsp.write_wav(trial_dir / "audio.wav", record.audio, record.sample_rate)
-
-    header = (["t"]
-              + [f"g{i:03d}" for i in range(GRID_ROWS * GRID_COLS)]
-              + [f"a{i:02d}" for i in range(N_JOINTS)]
-              + [f"tq{i:02d}" for i in range(N_JOINTS)])
-    lines = [",".join(header)]
-    flat_grid = record.tactile.reshape(record.n_steps, -1)
-    for i in range(record.n_steps):
-        lines.append(_fmt_floats(
-            [record.t[i]] + flat_grid[i].tolist()
-            + record.joint_angles[i].tolist() + record.joint_torques[i].tolist()))
-    (trial_dir / "tactile.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["t,slip,max_force,cell_row,cell_col,dropped"]
-    for i in range(record.n_steps):
-        lines.append(f"{float(record.t[i])!r},{int(record.true_slip[i])},"
-                     f"{float(record.true_max_force[i])!r},{int(record.true_cell[i, 0])},"
-                     f"{int(record.true_cell[i, 1])},{int(record.dropped[i])}")
-    (trial_dir / "truth.csv").write_text("\n".join(lines) + "\n")
+    for name, _, dtype in TRIAL_ARRAYS:
+        np.save(trial_dir / f"{name}.npy",
+                np.ascontiguousarray(getattr(record, name), dtype=dtype))
     return {name: _crc(trial_dir / name) for name in TRIAL_FILES}
 
 
@@ -178,13 +161,17 @@ def _verify(trial_dir: Path, checksums: dict[str, int] | None) -> None:
 def read_trial_meta(trial_dir) -> dict:
     trial_dir = Path(trial_dir)
     meta_path = trial_dir / "meta.json"
-    if not meta_path.exists():
-        raise TruncationError(f"missing file {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except FileNotFoundError:
+        raise TruncationError(f"missing file {meta_path}") from None
+    except json.JSONDecodeError as e:
+        raise TruncationError(f"{meta_path} is not complete JSON") from e
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"trial format version {version!r} in {meta_path}; "
-                           f"this reader handles version {FORMAT_VERSION}")
+                           f"this reader handles version {FORMAT_VERSION}: "
+                           f"{REGENERATE_HINT}")
     return meta
 
 
@@ -203,41 +190,33 @@ def read_trial_audio(trial_dir, checksums: dict[str, int] | None = None):
     return meta, w
 
 
-def _read_csv_floats(path: Path, expected_cols: int,
-                     expected_rows: int) -> np.ndarray:
-    if not path.exists():
-        raise TruncationError(f"missing file {path}")
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        if len(header) != expected_cols:
-            raise TruncationError(f"{path} has {len(header)} columns, "
-                                  f"expected {expected_cols}")
-        rows = []
-        for line in f:
-            line = line.rstrip("\n")
-            if line:
-                rows.append(line.split(","))
-    if len(rows) != expected_rows:
-        raise TruncationError(f"{path} has {len(rows)} rows, "
-                              f"expected {expected_rows}")
+def _read_array(path: Path, shape: tuple[int, ...],
+                dtype: np.dtype) -> np.ndarray:
     try:
-        return np.asarray(rows, dtype=float)
-    except ValueError as e:
-        raise TruncationError(f"unparseable numeric data in {path}: {e}") from e
+        arr = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise TruncationError(f"missing file {path}") from None
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
+        # np.load reads a file without the .npy magic as a pickle (refused)
+        # or, after a zip magic, as an .npz archive
+        raise TruncationError(f"{path} is not a complete .npy file") from e
+    if not isinstance(arr, np.ndarray):  # a zip archive loads as NpzFile
+        arr.close()
+        raise TruncationError(f"{path} is not a complete .npy file")
+    if (arr.shape, arr.dtype) != (shape, dtype):
+        raise TruncationError(f"{path} holds {arr.dtype} {arr.shape}, "
+                              f"expected {dtype} {shape}")
+    return arr
 
 
 def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecord:
     """Rebuild a TrialRecord; optional checksums are verified per file."""
     trial_dir = Path(trial_dir)
     _verify(trial_dir, checksums)
-    meta = read_trial_meta(trial_dir)
-    n = meta["n_steps"]
-    _, w = read_trial_audio(trial_dir)
-
-    tac = _read_csv_floats(trial_dir / "tactile.csv",
-                           1 + GRID_ROWS * GRID_COLS + 2 * N_JOINTS, n)
-    truth = _read_csv_floats(trial_dir / "truth.csv", 6, n)
-    g_end = 1 + GRID_ROWS * GRID_COLS
+    meta, w = read_trial_audio(trial_dir)
+    arrays = {name: _read_array(trial_dir / f"{name}.npy",
+                                (meta["n_steps"],) + trailing, dtype)
+              for name, trailing, dtype in TRIAL_ARRAYS}
     return TrialRecord(
         trial_id=meta["trial_id"],
         material=meta["material"],
@@ -246,14 +225,7 @@ def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecor
         sample_rate=meta["sample_rate"],
         dt=meta["dt"],
         audio=w.samples,
-        t=tac[:, 0],
-        tactile=tac[:, 1:g_end].reshape(n, GRID_ROWS, GRID_COLS),
-        joint_angles=tac[:, g_end:g_end + N_JOINTS],
-        joint_torques=tac[:, g_end + N_JOINTS:],
-        true_slip=truth[:, 1].astype(bool),
-        true_max_force=truth[:, 2],
-        true_cell=truth[:, 3:5].astype(np.int64),
-        dropped=truth[:, 5].astype(bool),
+        **arrays,
     )
 
 
@@ -283,8 +255,9 @@ def load_manifest(dataset_dir) -> DatasetManifest:
         raise DatasetError(f"no {MANIFEST_NAME} in {dataset_dir}")
     doc = json.loads(path.read_text())
     if doc.get("format_version") != FORMAT_VERSION:
-        raise VersionError(f"manifest format version {doc.get('format_version')!r}; "
-                           f"this reader handles version {FORMAT_VERSION}")
+        raise VersionError(f"manifest format version {doc.get('format_version')!r} "
+                           f"in {path}; this reader handles version "
+                           f"{FORMAT_VERSION}: {REGENERATE_HINT}")
     trials = tuple(TrialEntry(t["trial_id"], t["material"], t["motion"],
                               t["seed"], t["path"], t["checksums"])
                    for t in doc["trials"])

@@ -26,6 +26,7 @@ and seed reproduce trials bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -75,18 +76,17 @@ class SimParams:
 
 DEFAULT_PARAMS = SimParams()
 
-_PATTERN_CACHE: dict[tuple, np.ndarray] = {}
 
-
-def _base_pattern(params: SimParams) -> np.ndarray:
-    key = (params.base_sigma,)
-    if key not in _PATTERN_CACHE:
-        r = np.arange(GRID_ROWS) - (GRID_ROWS - 1) / 2.0
-        c = np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0
-        w = np.exp(-0.5 * (r[:, None] / params.base_sigma) ** 2
-                   - 0.5 * (c[None, :] / params.base_sigma) ** 2)
-        _PATTERN_CACHE[key] = w / w.sum()
-    return _PATTERN_CACHE[key]
+@functools.lru_cache(maxsize=16)
+def _base_pattern(base_sigma: float) -> np.ndarray:
+    """Normalized grip contact pattern; cached per width and read-only."""
+    r = np.arange(GRID_ROWS) - (GRID_ROWS - 1) / 2.0
+    c = np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0
+    w = np.exp(-0.5 * (r[:, None] / base_sigma) ** 2
+               - 0.5 * (c[None, :] / base_sigma) ** 2)
+    w = w / w.sum()
+    w.flags.writeable = False
+    return w
 
 
 def _load_pattern(center_row: float, params: SimParams) -> np.ndarray:
@@ -179,6 +179,8 @@ def step(state: SimState, material: MaterialParams, motion_accel: float,
         raise ValueError(f"dt must be in (0, 0.02], got {dt}")
     if not 0.0 <= grip_torque <= 1.0:
         raise ValueError(f"grip_torque must be in [0, 1] Nm, got {grip_torque}")
+    if stiffness_scale <= 0.0:
+        raise ValueError(f"stiffness_scale must be positive, got {stiffness_scale}")
 
     g = params.gravity
     mass = material.total_mass
@@ -203,7 +205,7 @@ def step(state: SimState, material: MaterialParams, motion_accel: float,
     # Tactile rendering. Both patterns are grid-normalized, so the grid sum
     # is exactly normal + load before quantization.
     load = 0.0 if state.dropped else required
-    grid = normal * _base_pattern(params)
+    grid = normal * _base_pattern(params.base_sigma)
     if load > 0.0:
         center = (GRID_ROWS - 1) / 2.0 + params.load_shift_cells * state.contents_offset
         grid = grid + load * _load_pattern(center, params)
@@ -251,6 +253,20 @@ def step(state: SimState, material: MaterialParams, motion_accel: float,
     return state, obs
 
 
+# The per-step arrays of a TrialRecord: (field, shape after the step axis,
+# dtype). Trial storage keeps one .npy file per entry.
+TRIAL_ARRAYS = (
+    ("t", (), np.dtype("<f8")),
+    ("tactile", (GRID_ROWS, GRID_COLS), np.dtype("<f8")),
+    ("joint_angles", (N_JOINTS,), np.dtype("<f8")),
+    ("joint_torques", (N_JOINTS,), np.dtype("<f8")),
+    ("true_slip", (), np.dtype(bool)),
+    ("true_max_force", (), np.dtype("<f8")),
+    ("true_cell", (2,), np.dtype("<i8")),
+    ("dropped", (), np.dtype(bool)),
+)
+
+
 @dataclass
 class TrialRecord:
     """One manipulation trial: synchronized streams plus ground truth.
@@ -285,8 +301,7 @@ class TrialRecord:
             return False
         if self.motion != other.motion:
             return False
-        arrays = ("audio", "t", "tactile", "joint_angles", "joint_torques",
-                  "true_slip", "true_max_force", "true_cell", "dropped")
+        arrays = ("audio",) + tuple(name for name, _, _ in TRIAL_ARRAYS)
         return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
 
 

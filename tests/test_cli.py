@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -168,6 +170,33 @@ class TestActiveAndEval:
         rc = cli.main(["active", "--models", str(bare),
                        "--out", str(tmp_path / "o"), "--material", "rice"])
         assert rc == 2
+
+    def test_permuted_confusion_header_rejected(self, cli_models, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        path = models / "confusion_shaking.csv"
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        # swap two class columns, header included: the numbers stay with
+        # their labels, but the column order no longer matches the rows
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows([row[:1] + row[2:3] + row[1:2] + row[3:]
+                                     for row in rows])
+        with pytest.raises(ValueError, match="confusion_shaking.csv"):
+            cli.load_models(models)
+        rc = cli.main(["active", "--models", str(models),
+                       "--out", str(tmp_path / "o"), "--material", "rice"])
+        assert rc == 1
+
+    def test_non_square_confusion_rejected(self, cli_models, tmp_path):
+        path = tmp_path / "confusion_shaking.csv"
+        with open(cli_models / "confusion_shaking.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        rows[2] = rows[2][:-1]
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        with pytest.raises(ValueError, match="confusion_shaking.csv"):
+            cli.read_confusion_csv(path)
 
     def test_eval_reports_test_metrics(self, cli_dataset, cli_models,
                                        tmp_path, capsys):

@@ -59,20 +59,35 @@ class TestTrialStorage:
     def test_round_trip_is_exact(self, tmp_path):
         rec = small_record()
         checksums = ds.write_trial(rec, tmp_path / "t0")
-        assert set(checksums) == {"meta.json", "audio.wav", "tactile.csv",
-                                  "truth.csv"}
+        assert set(checksums) == {"meta.json", "audio.wav", "t.npy",
+                                  "tactile.npy", "joint_angles.npy",
+                                  "joint_torques.npy", "true_slip.npy",
+                                  "true_max_force.npy", "true_cell.npy",
+                                  "dropped.npy"}
+        assert set(checksums) == set(ds.TRIAL_FILES)
         back = ds.read_trial(tmp_path / "t0", checksums)
         assert back.equals(rec)
+        for name in ("audio", "t", "tactile", "joint_angles", "joint_torques",
+                     "true_slip", "true_max_force", "true_cell", "dropped"):
+            assert getattr(back, name).dtype == getattr(rec, name).dtype, name
+
+    def test_write_is_byte_deterministic(self, tmp_path):
+        rec = small_record()
+        a = ds.write_trial(rec, tmp_path / "a")
+        b = ds.write_trial(rec, tmp_path / "b")
+        assert a == b
+        for name in ds.TRIAL_FILES:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
     def test_checksum_error_names_file(self, tmp_path):
         rec = small_record()
         checksums = ds.write_trial(rec, tmp_path / "t0")
-        path = tmp_path / "t0" / "tactile.csv"
+        path = tmp_path / "t0" / "tactile.npy"
         raw = bytearray(path.read_bytes())
-        i = len(raw) // 2
-        raw[i] = ord("1") if raw[i] != ord("1") else ord("2")
+        raw[len(raw) // 2] ^= 0x01
         path.write_bytes(bytes(raw))
-        with pytest.raises(ds.ChecksumError, match="tactile.csv"):
+        with pytest.raises(ds.ChecksumError, match="tactile.npy"):
             ds.read_trial(tmp_path / "t0", checksums)
 
     def test_version_error(self, tmp_path):
@@ -85,26 +100,67 @@ class TestTrialStorage:
         with pytest.raises(ds.VersionError, match="99"):
             ds.read_trial(tmp_path / "t0")
 
+    def test_v1_trial_is_refused_with_regenerate_hint(self, tmp_path):
+        rec = small_record()
+        ds.write_trial(rec, tmp_path / "t0")
+        meta_path = tmp_path / "t0" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ds.VersionError,
+                           match="version 1 .*gripsense generate"):
+            ds.read_trial(tmp_path / "t0")
+
     def test_truncation_errors(self, tmp_path):
         rec = small_record()
         ds.write_trial(rec, tmp_path / "t0")
-        truth = tmp_path / "t0" / "truth.csv"
-        lines = truth.read_text().splitlines()
-        truth.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ds.TruncationError, match="truth.csv"):
+        path = tmp_path / "t0" / "true_max_force.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ds.TruncationError, match="true_max_force.npy"):
             ds.read_trial(tmp_path / "t0")
 
         ds.write_trial(rec, tmp_path / "t1")
-        (tmp_path / "t1" / "tactile.csv").unlink()
-        with pytest.raises(ds.TruncationError, match="tactile.csv"):
+        (tmp_path / "t1" / "tactile.npy").unlink()
+        with pytest.raises(ds.TruncationError, match="tactile.npy"):
             ds.read_trial(tmp_path / "t1")
 
         ds.write_trial(rec, tmp_path / "t2")
-        truth2 = tmp_path / "t2" / "truth.csv"
-        body = truth2.read_text().replace("0.005", "not-a-number", 1)
-        truth2.write_text(body)
-        with pytest.raises(ds.TruncationError, match="truth.csv"):
+        path = tmp_path / "t2" / "t.npy"
+        # an intact magic string with an unparseable header dictionary
+        raw = path.read_bytes().replace(b"'descr'", b"'dexcr'", 1)
+        path.write_bytes(raw)
+        with pytest.raises(ds.TruncationError, match="t.npy"):
             ds.read_trial(tmp_path / "t2")
+
+        ds.write_trial(rec, tmp_path / "t3")
+        meta = tmp_path / "t3" / "meta.json"
+        meta.write_text(meta.read_text()[:40])
+        with pytest.raises(ds.TruncationError, match="meta.json"):
+            ds.read_trial(tmp_path / "t3")
+
+    def test_garbage_bytes_rejected(self, tmp_path):
+        rec = small_record()
+        ds.write_trial(rec, tmp_path / "t0")
+        path = tmp_path / "t0" / "joint_angles.npy"
+        for junk in (b"", b"not an array at all\n" * 10,
+                     b"PK\x03\x04" + bytes(60)):
+            path.write_bytes(junk)
+            with pytest.raises(ds.TruncationError, match="joint_angles.npy"):
+                ds.read_trial(tmp_path / "t0")
+
+    def test_wrong_row_count_rejected(self, tmp_path):
+        rec = small_record()
+        ds.write_trial(rec, tmp_path / "t0")
+        np.save(tmp_path / "t0" / "true_cell.npy", rec.true_cell[:-1])
+        with pytest.raises(ds.TruncationError, match="true_cell.npy"):
+            ds.read_trial(tmp_path / "t0")
+
+    def test_wrong_dtype_rejected(self, tmp_path):
+        rec = small_record()
+        ds.write_trial(rec, tmp_path / "t0")
+        np.save(tmp_path / "t0" / "tactile.npy", rec.tactile.astype(np.float32))
+        with pytest.raises(ds.TruncationError, match="tactile.npy.*float32"):
+            ds.read_trial(tmp_path / "t0")
 
     def test_audio_only_reader(self, tmp_path):
         rec = small_record()
@@ -116,7 +172,7 @@ class TestTrialStorage:
 
 class TestManifestAndSplits:
     def test_manifest_round_trip(self, dataset_dir, manifest):
-        assert manifest.format_version == 1
+        assert manifest.format_version == ds.FORMAT_VERSION == 2
         assert len(manifest.trials) == 300
         e = manifest.entry("shaking-rice-000")
         assert e.material == "rice"
@@ -124,9 +180,9 @@ class TestManifestAndSplits:
             manifest.entry("nope")
 
     def test_manifest_version_guard(self, tmp_path):
-        doc = {"format_version": 2}
+        doc = {"format_version": 1}
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
-        with pytest.raises(ds.VersionError):
+        with pytest.raises(ds.VersionError, match="gripsense generate"):
             ds.load_manifest(tmp_path)
         with pytest.raises(ds.DatasetError):
             ds.load_manifest(tmp_path / "missing")

@@ -6,6 +6,7 @@ from gripsense.motion import SIM_DT, LEVER_ARM_M, MotionProfile, rotation_profil
 from gripsense.simulation import (
     DEFAULT_PARAMS,
     SimParams,
+    _base_pattern,
     initial_state,
     quantize_pcm16,
     run_trial,
@@ -92,6 +93,7 @@ class TestStep:
         dict(dt=0.0),
         dict(dt=0.05),
         dict(stiffness_scale=np.inf),
+        dict(stiffness_scale=-0.5),
     ])
     def test_input_validation(self, kwargs):
         m = TABLE["rice"]
@@ -100,6 +102,13 @@ class TestStep:
         args.update(kwargs)
         with pytest.raises(ValueError):
             step(initial_state(0, m), m, **args)
+
+    def test_contact_pattern_is_shared_read_only(self):
+        pattern = _base_pattern(DEFAULT_PARAMS.base_sigma)
+        assert _base_pattern(DEFAULT_PARAMS.base_sigma) is pattern
+        assert pattern.sum() == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            pattern[0, 0] = 1.0
 
 
 class TestTrials:
