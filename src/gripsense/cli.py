@@ -17,8 +17,8 @@ import numpy as np
 
 from . import dataset as ds
 from . import dsp, inference
-from .controller import (ControllerConfig, run_baseline_episode,
-                         run_reactive_loop, write_episode_csv)
+from .controller import (CONFIG, run_baseline_episode, run_reactive_loop,
+                         write_episode_csv)
 from .materials import MATERIAL_CLASSES, material_table
 from .models.classifier import TrainConfig, train_classifier
 from .models.predictor import PredictorConfig, PredictorTrainConfig, predict_batch, train_predictor
@@ -77,7 +77,10 @@ def read_confusion_csv(path) -> np.ndarray:
             or tuple(row[0] for row in rows[1:]) != MATERIAL_CLASSES):
         raise ValueError(f"{path} is not a {n}x{n} confusion matrix with "
                          f"header and row labels {MATERIAL_CLASSES}")
-    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    try:
+        return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+    except ValueError as e:
+        raise ValueError(f"{path} has a non-numeric confusion entry: {e}") from e
 
 
 def load_models(models_dir):
@@ -199,7 +202,6 @@ def cmd_episode(args) -> int:
     if args.material not in table:
         raise UsageError(f"unknown material {args.material!r}")
     material = table[args.material]
-    cfg = ControllerConfig()
 
     fixed_torque = None
     if args.policy != "reactive":
@@ -207,9 +209,9 @@ def cmd_episode(args) -> int:
             raise UsageError(f"policy must be reactive or fixed:<torque>, "
                              f"got {args.policy!r}")
         fixed_torque = float(args.policy.split(":", 1)[1])
-        if not 0.0 <= fixed_torque <= cfg.max_torque:
+        if not 0.0 <= fixed_torque <= CONFIG.max_torque:
             raise UsageError(f"fixed torque {fixed_torque} outside "
-                             f"[0, {cfg.max_torque}] Nm")
+                             f"[0, {CONFIG.max_torque}] Nm")
     else:
         classifier, registry, _ = load_models(models_dir)
         if args.motion not in registry.default_models:
@@ -223,7 +225,7 @@ def cmd_episode(args) -> int:
         sim_seed = ds.derive_seed(args.seed, i, "sim")
         if fixed_torque is None:
             log = run_reactive_loop(material, profile, classifier, registry,
-                                    cfg, sim_seed)
+                                    sim_seed)
         else:
             log = run_baseline_episode(material, profile, fixed_torque, sim_seed)
         tag = args.policy.replace(":", "_")

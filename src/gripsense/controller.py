@@ -5,6 +5,10 @@ torque while the predictor expects slip, relaxes it back after a stable
 stretch, stiffens when a large contact force is predicted, and, once the
 audio classifier commits to a material, latches the material-specific
 predictor for the rest of the episode.
+
+An episode is one simulator trial (`simulation.run_trial`) driven by the
+policy; its `EpisodeLog` keeps that `TrialRecord` and adds the
+controller's per-step command, predictions and active model.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .materials import MaterialParams
 from .models.classifier import MaterialClassifier, classify
 from .models.predictor import Prediction, predict
 from .models.registry import ModelRegistry, select_model
-from .motion import SIM_DT, MotionProfile, rotation_profile, shaking_profile
-from .simulation import DEFAULT_PARAMS, SimParams, run_trial
+from .motion import SIM_DT, MotionProfile
+from .simulation import DEFAULT_PARAMS, TrialRecord, run_trial
 
 ONLINE_HOP_S = 0.25  # classifier cadence during an episode
 
@@ -44,6 +48,9 @@ class ControllerConfig:
             raise ValueError("stable window must be positive")
 
 
+CONFIG = ControllerConfig()  # the settings the reactive policy runs with
+
+
 @dataclass
 class GripState:
     applied_torque: float
@@ -61,7 +68,7 @@ class GripCommand:
 
 
 def grip_update(state: GripState, pred: Prediction,
-                cfg: ControllerConfig = ControllerConfig()) -> tuple[GripState, GripCommand]:
+                cfg: ControllerConfig = CONFIG) -> tuple[GripState, GripCommand]:
     """One reactive decision from a prediction; mutates and returns state."""
     t = state.step_index * SIM_DT
     torque = state.applied_torque
@@ -89,23 +96,17 @@ def grip_update(state: GripState, pred: Prediction,
 
 @dataclass
 class EpisodeLog:
-    material: str
-    motion: dict
-    seed: int
-    t: np.ndarray
+    """One episode: the simulator record it ran on plus, per step, what the
+    controller commanded and predicted before that step."""
+
+    record: TrialRecord
     torque_cmd: np.ndarray
     stiffness: np.ndarray
     slip_prob: np.ndarray       # nan before the first full feature window
     pred_force: np.ndarray      # nan before the first full feature window
-    true_slip: np.ndarray
-    true_max_force: np.ndarray
     active_material: list[str]  # "default" until the classifier commits
-    dropped: np.ndarray
     switch_time_s: float | None = None
     events: list[tuple[float, str]] = field(default_factory=list)
-    # In-memory only (not part of the CSV contract): what the default
-    # predictor would have said on the same windows, when requested.
-    pred_force_default: np.ndarray | None = None
 
     @property
     def mean_torque(self) -> float:
@@ -113,43 +114,38 @@ class EpisodeLog:
 
     @property
     def dropped_any(self) -> bool:
-        return bool(self.dropped.any())
+        return bool(self.record.dropped.any())
 
 
 class _ReactivePolicy:
     """Stateful per-step policy fed to the simulator trial loop.
 
     Ingests the previous observation (features, audio, classifier hops,
-    prediction, grip update) and emits the next torque/stiffness command.
+    prediction, grip update), records step i's command and prediction at
+    index i, and emits the command.
     """
 
     def __init__(self, classifier: MaterialClassifier, registry: ModelRegistry,
-                 motion_kind: str, cfg: ControllerConfig, sample_rate: int,
-                 compare_default: bool = False):
+                 motion_kind: str, n_steps: int):
         self.classifier = classifier
         self.registry = registry
         self.motion_kind = motion_kind
-        self.cfg = cfg
-        self.sample_rate = sample_rate
-        self.compare_default = compare_default
-        self.state = GripState(applied_torque=cfg.base_torque)
+        self.state = GripState(applied_torque=CONFIG.base_torque)
         self.model = select_model(registry, motion_kind)
-        self.default_model = self.model
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
-        self.seg_samples = round(dsp.SEGMENT_S * sample_rate)
+        self.seg_samples = round(dsp.SEGMENT_S * DEFAULT_PARAMS.sample_rate)
         # newest audio chunks, trimmed to the fewest that hold seg_samples
         self.chunks: deque[np.ndarray] = deque()
         self.n_samples = 0
         self.window: list[np.ndarray] = []
         self.prev_grid = None
         self.prev_angles = None
-        self.step_count = 0
-        self.slip_prob: list[float] = []
-        self.pred_force: list[float] = []
-        self.pred_force_default: list[float] = []
-        self.active: list[str] = []
-        self.torques: list[float] = []
-        self.stiffnesses: list[float] = []
+        self.step_count = 0  # index of the step the next call commands
+        self.torque_cmd = np.empty(n_steps)
+        self.stiffness = np.empty(n_steps)
+        self.slip_prob = np.full(n_steps, np.nan)
+        self.pred_force = np.full(n_steps, np.nan)
+        self.active_material = ["default"] * n_steps
         self.switch_time_s: float | None = None
 
     def _ingest(self, obs) -> None:
@@ -174,95 +170,54 @@ class _ReactivePolicy:
             return
         audio = np.concatenate(self.chunks)[-self.seg_samples:]
         seg = dsp.AudioSegment(audio, "online", t - dsp.SEGMENT_S,
-                               sample_rate=self.sample_rate)
+                               sample_rate=DEFAULT_PARAMS.sample_rate)
         probs = classify(self.classifier, dsp.mfcc(seg))
         best = int(np.argmax(probs))
-        if probs[best] >= self.cfg.classifier_commit_confidence:
+        if probs[best] >= CONFIG.classifier_commit_confidence:
             name = self.classifier.cfg.classes[best]
             self.state.active_material = name
             self.model = select_model(self.registry, self.motion_kind, name)
             self.state.event_log.append((t, f"switch:{name}"))
             self.switch_time_s = t
 
-    def __call__(self, t: float, prev_obs):
+    def __call__(self, prev_obs):
+        i = self.step_count
         if prev_obs is not None:
-            self.step_count += 1
             self._ingest(prev_obs)
-            self._maybe_classify(self.step_count * SIM_DT)
+            self._maybe_classify(i * SIM_DT)
             if len(self.window) == self.model.cfg.window:
-                mat = np.stack(self.window)
-                pred = predict(self.model, mat)
-                grip_update(self.state, pred, self.cfg)
-                self.slip_prob.append(pred.slip_prob)
-                self.pred_force.append(pred.force_value)
-                if not self.compare_default:
-                    self.pred_force_default.append(float("nan"))
-                elif self.model is self.default_model:
-                    self.pred_force_default.append(pred.force_value)
-                else:
-                    self.pred_force_default.append(
-                        predict(self.default_model, mat).force_value)
+                pred = predict(self.model, np.stack(self.window))
+                grip_update(self.state, pred)
+                self.slip_prob[i] = pred.slip_prob
+                self.pred_force[i] = pred.force_value
             else:
                 self.state.step_index += 1
-                self.slip_prob.append(float("nan"))
-                self.pred_force.append(float("nan"))
-                self.pred_force_default.append(float("nan"))
-        else:
-            self.slip_prob.append(float("nan"))
-            self.pred_force.append(float("nan"))
-            self.pred_force_default.append(float("nan"))
-        self.active.append(self.state.active_material or "default")
-        self.torques.append(self.state.applied_torque)
-        self.stiffnesses.append(self.state.stiffness_scale)
+        self.active_material[i] = self.state.active_material or "default"
+        self.torque_cmd[i] = self.state.applied_torque
+        self.stiffness[i] = self.state.stiffness_scale
+        self.step_count += 1
         return self.state.applied_torque, self.state.stiffness_scale
 
 
 def run_reactive_loop(material: MaterialParams, motion: MotionProfile,
                       classifier: MaterialClassifier, registry: ModelRegistry,
-                      cfg: ControllerConfig, seed: int,
-                      params: SimParams = DEFAULT_PARAMS,
-                      compare_default: bool = False) -> EpisodeLog:
+                      seed: int) -> EpisodeLog:
     """Closed-loop episode; deterministic for a given seed."""
-    policy = _ReactivePolicy(classifier, registry, motion.kind, cfg,
-                             params.sample_rate, compare_default)
-    record = run_trial(material, motion, policy, seed,
-                       trial_id=f"episode-{seed}", params=params)
-    n = record.n_steps
-    return EpisodeLog(
-        material=material.name,
-        motion=record.motion,
-        seed=seed,
-        t=record.t,
-        torque_cmd=np.asarray(policy.torques[:n]),
-        stiffness=np.asarray(policy.stiffnesses[:n]),
-        slip_prob=np.asarray(policy.slip_prob[:n]),
-        pred_force=np.asarray(policy.pred_force[:n]),
-        true_slip=record.true_slip,
-        true_max_force=record.true_max_force,
-        active_material=policy.active[:n],
-        dropped=record.dropped,
-        switch_time_s=policy.switch_time_s,
-        events=list(policy.state.event_log),
-        pred_force_default=(np.asarray(policy.pred_force_default[:n])
-                            if compare_default else None),
-    )
+    policy = _ReactivePolicy(classifier, registry, motion.kind, motion.n_steps)
+    record = run_trial(material, motion, policy, seed, trial_id=f"episode-{seed}")
+    return EpisodeLog(record, policy.torque_cmd, policy.stiffness,
+                      policy.slip_prob, policy.pred_force,
+                      policy.active_material, policy.switch_time_s,
+                      policy.state.event_log)
 
 
 def run_baseline_episode(material: MaterialParams, motion: MotionProfile,
-                         torque: float, seed: int,
-                         params: SimParams = DEFAULT_PARAMS) -> EpisodeLog:
+                         torque: float, seed: int) -> EpisodeLog:
     """Constant-torque episode in the same log format (no predictions)."""
-    record = run_trial(material, motion, torque, seed,
-                       trial_id=f"baseline-{seed}", params=params)
+    record = run_trial(material, motion, torque, seed, trial_id=f"baseline-{seed}")
     n = record.n_steps
-    nan = np.full(n, float("nan"))
-    return EpisodeLog(
-        material=material.name, motion=record.motion, seed=seed, t=record.t,
-        torque_cmd=np.full(n, float(torque)), stiffness=np.ones(n),
-        slip_prob=nan, pred_force=nan.copy(), true_slip=record.true_slip,
-        true_max_force=record.true_max_force, active_material=["default"] * n,
-        dropped=record.dropped,
-    )
+    return EpisodeLog(record, np.full(n, float(torque)), np.ones(n),
+                      np.full(n, np.nan), np.full(n, np.nan), ["default"] * n)
 
 
 EPISODE_COLUMNS = ("t", "torque_cmd", "stiffness", "slip_prob", "pred_force",
@@ -270,34 +225,15 @@ EPISODE_COLUMNS = ("t", "torque_cmd", "stiffness", "slip_prob", "pred_force",
 
 
 def write_episode_csv(log: EpisodeLog, path) -> None:
+    rec = log.record
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(EPISODE_COLUMNS)
-        for i in range(len(log.t)):
+        for i in range(rec.n_steps):
             w.writerow([
-                repr(float(log.t[i])), repr(float(log.torque_cmd[i])),
+                repr(float(rec.t[i])), repr(float(log.torque_cmd[i])),
                 repr(float(log.stiffness[i])), repr(float(log.slip_prob[i])),
-                repr(float(log.pred_force[i])), int(log.true_slip[i]),
-                repr(float(log.true_max_force[i])), log.active_material[i],
-                int(log.dropped[i]),
+                repr(float(log.pred_force[i])), int(rec.true_slip[i]),
+                repr(float(rec.true_max_force[i])), log.active_material[i],
+                int(rec.dropped[i]),
             ])
-
-
-def read_episode_csv(path) -> EpisodeLog:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or tuple(rows[0]) != EPISODE_COLUMNS:
-        raise ValueError(f"unexpected episode CSV header in {path}")
-    cols = list(zip(*rows[1:])) if len(rows) > 1 else [[] for _ in EPISODE_COLUMNS]
-    return EpisodeLog(
-        material="", motion={}, seed=-1,
-        t=np.array([float(v) for v in cols[0]]),
-        torque_cmd=np.array([float(v) for v in cols[1]]),
-        stiffness=np.array([float(v) for v in cols[2]]),
-        slip_prob=np.array([float(v) for v in cols[3]]),
-        pred_force=np.array([float(v) for v in cols[4]]),
-        true_slip=np.array([int(v) for v in cols[5]], dtype=bool),
-        true_max_force=np.array([float(v) for v in cols[6]]),
-        active_material=list(cols[7]),
-        dropped=np.array([int(v) for v in cols[8]], dtype=bool),
-    )

@@ -39,6 +39,9 @@ MANIFEST_NAME = "manifest.json"
 TRIAL_FILES = ("meta.json", "audio.wav") + tuple(
     f"{name}.npy" for name, _, _ in TRIAL_ARRAYS)
 REGENERATE_HINT = "regenerate the dataset with `gripsense generate`"
+# meta.json keys the readers use, besides format_version
+META_KEYS = ("trial_id", "material", "motion", "seed", "sample_rate", "dt",
+             "n_steps")
 
 COLLECTION_TORQUE = 0.4  # Nm, fixed grip during data collection
 MOTIONS = ("shaking", "rotation")
@@ -167,11 +170,16 @@ def read_trial_meta(trial_dir) -> dict:
         raise TruncationError(f"missing file {meta_path}") from None
     except json.JSONDecodeError as e:
         raise TruncationError(f"{meta_path} is not complete JSON") from e
+    if not isinstance(meta, dict):
+        raise TruncationError(f"{meta_path} does not hold a JSON object")
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"trial format version {version!r} in {meta_path}; "
                            f"this reader handles version {FORMAT_VERSION}: "
                            f"{REGENERATE_HINT}")
+    missing = [k for k in META_KEYS if k not in meta]
+    if missing:
+        raise TruncationError(f"{meta_path} lacks {', '.join(missing)}")
     return meta
 
 

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp
+from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
 from .materials import MATERIAL_CLASSES, MaterialParams, material_table
 from .models.classifier import MaterialClassifier, classify
 from .simulation import DEFAULT_PARAMS, SimParams, run_trial
 
 log = logging.getLogger(__name__)
 
-MOTION_ORDER = ("shaking", "rotation")  # canonical tie-break order
 DEGENERACY_EPS = 1e-12
 
 
@@ -33,9 +33,6 @@ class Posterior:
         p = self.probs
         if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
             raise ValueError("posterior must be non-negative and sum to 1")
-
-    def argmax_class(self, classes: tuple[str, ...] = MATERIAL_CLASSES) -> str:
-        return classes[int(np.argmax(self.probs))]
 
 
 def uniform_posterior(n_classes: int = len(MATERIAL_CLASSES)) -> Posterior:
@@ -124,17 +121,18 @@ def expected_information_gain(p: Posterior, motion: str,
     return float(total)
 
 
+def _motion_order(m: str) -> tuple:
+    """Sort key: dataset.MOTIONS order first, unknown motions after by name."""
+    return (MOTIONS.index(m) if m in MOTIONS else len(MOTIONS), m)
+
+
 def select_motion(p: Posterior, motions: list[str],
                   L: MotionLikelihoodModel) -> str:
     """Highest-EIG motion; exact ties fall back to the canonical order."""
     if not motions:
         raise ValueError("no motions to select from")
-
-    def order_key(m: str) -> tuple:
-        return (MOTION_ORDER.index(m) if m in MOTION_ORDER else len(MOTION_ORDER), m)
-
     best, best_eig = None, -np.inf
-    for m in sorted(motions, key=order_key):
+    for m in sorted(motions, key=_motion_order):
         eig = expected_information_gain(p, m, L)
         if eig > best_eig:
             best, best_eig = m, eig
@@ -172,11 +170,7 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
         raise ValueError("confidence_target must lie in (0.2, 1)")
     if selector not in ("eig", "random"):
         raise ValueError(f"unknown selector {selector!r}")
-    from .dataset import COLLECTION_TORQUE, sample_trial_profile
-
-    motions = sorted(L.confusions.keys(),
-                     key=lambda m: (MOTION_ORDER.index(m)
-                                    if m in MOTION_ORDER else len(MOTION_ORDER), m))
+    motions = sorted(L.confusions, key=_motion_order)
     rng = np.random.default_rng(seed)
     p = uniform_posterior()
     out = ActiveLog(material.name, selector, seed, confidence_target)

@@ -101,8 +101,6 @@ def _load_pattern(center_row: float, params: SimParams) -> np.ndarray:
 class SimState:
     """Mutable per-trial state; owned by exactly one trial loop."""
 
-    container_pose: np.ndarray      # [z m, orientation rad]
-    container_velocity: np.ndarray  # [dz m/s, dtheta rad/s]
     contents_offset: float          # smoothed load direction in [-1, 1]
     grip_normal_force: float        # N, from the last commanded torque
     slip_displacement: float        # m, monotone within a trial
@@ -130,8 +128,6 @@ def initial_state(seed: int, material: MaterialParams,
                           * material.impact_decay_s * params.sample_rate)
     chunk = round(SIM_DT * params.sample_rate)
     return SimState(
-        container_pose=np.zeros(2),
-        container_velocity=np.zeros(2),
         contents_offset=0.0,
         grip_normal_force=0.0,
         slip_displacement=0.0,
@@ -191,10 +187,8 @@ def step(state: SimState, material: MaterialParams, motion_accel: float,
     required = mass * abs(motion_accel + g)
     available = params.friction_mu * normal
     slipping = (required > available) and not state.dropped
-    slip_inc = 0.0
     if slipping:
-        slip_inc = params.slip_rate * ((required - available) / mass) * dt
-        state.slip_displacement += slip_inc
+        state.slip_displacement += params.slip_rate * ((required - available) / mass) * dt
         if state.slip_displacement >= params.drop_threshold:
             state.dropped = True
 
@@ -235,9 +229,6 @@ def step(state: SimState, material: MaterialParams, motion_accel: float,
     torques = grip_torque * stiffness_scale * TORQUE_DIST + 0.005 * load * SLIP_DIR
     torques = np.round(torques / jq) * jq
 
-    # Pose bookkeeping: the container tracks the hand minus accumulated slip.
-    state.container_velocity[0] += motion_accel * dt
-    state.container_pose[0] += state.container_velocity[0] * dt - slip_inc
     state.t += dt
 
     obs = SimObservation(
@@ -317,8 +308,9 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     """Run one full trial and collect the synchronized record.
 
     grip_policy is either a fixed torque (float) or a callable
-    ``policy(t, prev_obs) -> torque | (torque, stiffness_scale)`` invoked
-    before every step (prev_obs is None on the first step).
+    ``policy(prev_obs) -> (torque, stiffness_scale)`` invoked before every
+    step with the previous step's observation (None on the first step).
+    This is the only loop over `step`.
     """
     if motion.n_steps < 1:
         raise ValueError("motion duration must cover at least one step")
@@ -340,14 +332,11 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     prev_obs = None
     for i in range(n):
         if callable(grip_policy):
-            cmd = grip_policy(i * SIM_DT, prev_obs)
-            torque, stiffness = cmd if isinstance(cmd, tuple) else (cmd, 1.0)
+            torque, stiffness = grip_policy(prev_obs)
         else:
             torque, stiffness = float(grip_policy), 1.0
         state, obs = step(state, material, float(accels[i]), torque, SIM_DT,
                           stiffness_scale=stiffness, params=params)
-        if motion.kind == "rotation":
-            state.container_pose[1] = motion.samples[i + 1]
         audio[i * chunk:(i + 1) * chunk] = obs.audio_chunk
         t[i] = obs.t
         tactile[i] = obs.tactile_grid

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 import oracles
 from gripsense import dataset as ds
 from gripsense import dsp, inference, tactile
-from gripsense.controller import ControllerConfig, run_baseline_episode, run_reactive_loop
+from gripsense.controller import run_baseline_episode, run_reactive_loop
 from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models.classifier import ClassifierConfig, MaterialClassifier, TrainConfig, classify, train_classifier
-from gripsense.models.predictor import PredictorConfig, SlipPredictor, predict_batch
+from gripsense.models.predictor import PredictorConfig, SlipPredictor, predict, predict_batch
 from gripsense.models.registry import select_model
 from gripsense.models import metrics as mx
+from gripsense.motion import SIM_DT
 
 RESULTS = []
 ATTEMPTED = set()
@@ -156,7 +157,6 @@ def test_criterion_5_gradient_checks():
 
 def test_criterion_6_controller_safety_and_effort(classifier, registry):
     table = material_table()
-    cfg = ControllerConfig()
     reactive_means = []
     reactive_drops = baseline_drops = 0
     for s in range(100):
@@ -166,10 +166,10 @@ def test_criterion_6_controller_safety_and_effort(classifier, registry):
         sim_seed = ds.derive_seed(600, "rice", "shaking", s, "sim")
 
         probe = run_baseline_episode(table["rice"], profile, 0.4, sim_seed)
-        assert probe.true_slip.any(), f"seed {s}: motion does not induce slip"
+        assert probe.record.true_slip.any(), f"seed {s}: motion does not induce slip"
 
         log = run_reactive_loop(table["rice"], profile, classifier, registry,
-                                cfg, seed=sim_seed)
+                                seed=sim_seed)
         baseline = run_baseline_episode(table["rice"], profile, 1.0, sim_seed)
         assert not log.dropped_any, f"seed {s}: reactive policy dropped"
         assert (log.torque_cmd >= 0.4 - 1e-12).all()
@@ -187,8 +187,9 @@ def test_criterion_6_controller_safety_and_effort(classifier, registry):
 
 def test_criterion_7_model_switching(classifier, registry):
     table = material_table()
-    cfg = ControllerConfig()
     horizon = select_model(registry, "rotation", "cereal").cfg.horizon
+    default_model = select_model(registry, "rotation")
+    W = default_model.cfg.window
     material_maes, default_maes = [], []
     commits = 0
     for s in range(20):
@@ -197,20 +198,25 @@ def test_criterion_7_model_switching(classifier, registry):
         profile = ds.sample_trial_profile("rotation", prof_rng)
         sim_seed = ds.derive_seed(900, "cereal", "rotation", s, "sim")
         log = run_reactive_loop(table["cereal"], profile, classifier, registry,
-                                cfg, seed=sim_seed, compare_default=True)
+                                seed=sim_seed)
         assert switches(log) <= 1, f"seed {s}: switch is not latching"
         if log.active_material[-1] != "cereal":
             continue
         commits += 1
-        n = len(log.t)
+        rec = log.record
+        n = rec.n_steps
         specific = log.pred_force[:n - horizon]
-        default = np.asarray(log.pred_force_default)[:n - horizon]
-        truth = log.true_max_force[horizon:]
+        truth = rec.true_max_force[horizon:]
         post = np.array([a == "cereal" for a in log.active_material[:n - horizon]])
-        valid = post & np.isfinite(specific) & np.isfinite(default)
+        valid = post & np.isfinite(specific)
         assert valid.sum() > 0
+        # the default model on the same windows: step i's window holds the
+        # features of the observations before it
+        feats = tactile.features_from_arrays(rec.tactile, rec.joint_angles, SIM_DT)
+        default = np.array([predict(default_model, feats[i - W:i]).force_value
+                            for i in np.flatnonzero(valid)])
         material_maes.append(float(np.abs(specific[valid] - truth[valid]).mean()))
-        default_maes.append(float(np.abs(default[valid] - truth[valid]).mean()))
+        default_maes.append(float(np.abs(default - truth[valid]).mean()))
     assert commits >= 10, f"only {commits}/20 episodes committed correctly"
     med_material = float(np.median(material_maes))
     med_default = float(np.median(default_maes))

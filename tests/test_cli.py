@@ -7,7 +7,12 @@ import pytest
 
 from gripsense import cli
 from gripsense import dataset as ds
-from gripsense.controller import EPISODE_COLUMNS, read_episode_csv
+from gripsense.controller import EPISODE_COLUMNS
+
+
+def episode_column(path, name):
+    with open(path, newline="") as f:
+        return np.array([float(row[name]) for row in csv.DictReader(f)])
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +121,9 @@ class TestEpisode:
                        "--policy", "fixed:1.0", "--episodes", "2",
                        "--seed", "7"])
         assert rc == 0
-        log = read_episode_csv(tmp_path / "episode_fixed_1.0_000.csv")
-        assert np.all(log.torque_cmd == 1.0)
+        torque = episode_column(tmp_path / "episode_fixed_1.0_000.csv",
+                                "torque_cmd")
+        assert np.all(torque == 1.0)
         assert (tmp_path / "episode_fixed_1.0_001.csv").exists()
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(summary) == 3
@@ -138,9 +144,10 @@ class TestEpisode:
                        "--out", str(tmp_path), "--material", "rice",
                        "--policy", "reactive", "--seed", "3"])
         assert rc == 0
-        log = read_episode_csv(tmp_path / "episode_reactive_000.csv")
-        assert len(log.t) > 0
-        assert np.all(np.isfinite(log.torque_cmd))
+        torque = episode_column(tmp_path / "episode_reactive_000.csv",
+                                "torque_cmd")
+        assert len(torque) > 0
+        assert np.all(np.isfinite(torque))
 
     def test_reactive_needs_motion_model(self, cli_models, tmp_path):
         rc = cli.main(["episode", "--models", str(cli_models),
@@ -193,6 +200,16 @@ class TestActiveAndEval:
         with open(cli_models / "confusion_shaking.csv", newline="") as f:
             rows = list(csv.reader(f))
         rows[2] = rows[2][:-1]
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        with pytest.raises(ValueError, match="confusion_shaking.csv"):
+            cli.read_confusion_csv(path)
+
+    def test_non_numeric_confusion_rejected(self, cli_models, tmp_path):
+        path = tmp_path / "confusion_shaking.csv"
+        with open(cli_models / "confusion_shaking.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        rows[2][3] = "x" + rows[2][3]
         with open(path, "w", newline="") as f:
             csv.writer(f).writerows(rows)
         with pytest.raises(ValueError, match="confusion_shaking.csv"):

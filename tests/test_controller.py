@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,12 @@ from gripsense.controller import (
     ControllerConfig,
     GripState,
     grip_update,
-    read_episode_csv,
     run_baseline_episode,
     run_reactive_loop,
     write_episode_csv,
 )
 from gripsense.materials import material_table
-from gripsense.models.predictor import Prediction
+from gripsense.models.predictor import Prediction, predict
 from gripsense.motion import SIM_DT, shaking_profile
 from gripsense.simulation import DEFAULT_PARAMS
 
@@ -83,17 +84,15 @@ class TestGripUpdate:
 class TestEpisodes:
     def test_empty_container_holds_base_torque(self, classifier, registry):
         log = run_reactive_loop(TABLE["empty"], shaking_profile(4, 16.0, 2.0),
-                                classifier, registry, ControllerConfig(),
-                                seed=777)
+                                classifier, registry, seed=777)
         assert not log.dropped_any
         assert np.all(log.torque_cmd == 0.4)
         assert np.all(log.stiffness == 1.0)
 
     def test_default_model_before_first_segment(self, classifier, registry):
         log = run_reactive_loop(TABLE["rice"], shaking_profile(6, 18.0, 2.0),
-                                classifier, registry, ControllerConfig(),
-                                seed=778)
-        before = log.t < 1.0
+                                classifier, registry, seed=778)
+        before = log.record.t < 1.0
         assert all(a == "default" for a, b in zip(log.active_material, before)
                    if b)
 
@@ -103,25 +102,35 @@ class TestEpisodes:
         profile = ds.sample_trial_profile("rotation", prof_rng)
         sim_seed = ds.derive_seed(900, "cereal", "rotation", 0, "sim")
         log = run_reactive_loop(TABLE["cereal"], profile, classifier, registry,
-                                ControllerConfig(), seed=sim_seed,
-                                compare_default=True)
+                                seed=sim_seed)
         assert log.active_material[-1] == "cereal"
         assert log.switch_time_s is not None
         assert any(kind == "switch:cereal" for _, kind in log.events)
         flips = sum(1 for a, b in zip(log.active_material,
                                       log.active_material[1:]) if a != b)
         assert flips == 1
-        # default-model shadow predictions are recorded after the switch
-        post = log.t > log.switch_time_s + 0.2
-        shadow = np.asarray(log.pred_force_default)[post]
-        assert np.isfinite(shadow).any()
+        # the default model, replayed on the recorded streams, gives the
+        # logged predictions before the switch and not after it
+        default = registry.default_models["rotation"]
+        W = default.cfg.window
+        feats = tactile.features_from_arrays(log.record.tactile,
+                                             log.record.joint_angles, SIM_DT)
+        replayed = np.full(len(log.pred_force), np.nan)
+        for i in range(W, len(replayed)):
+            replayed[i] = predict(default, feats[i - W:i]).force_value
+        pre = np.array([a == "default" for a in log.active_material])
+        assert np.isfinite(log.pred_force[pre]).any()
+        assert np.array_equal(replayed[pre], log.pred_force[pre], equal_nan=True)
+        post = ~pre & np.isfinite(log.pred_force)
+        assert post.any()
+        assert not np.array_equal(replayed[post], log.pred_force[post])
 
     def test_same_seed_reproduces_log(self, classifier, registry):
         profile = shaking_profile(5, 19.0, 2.0)
         a = run_reactive_loop(TABLE["gummies"], profile, classifier, registry,
-                              ControllerConfig(), seed=52)
+                              seed=52)
         b = run_reactive_loop(TABLE["gummies"], profile, classifier, registry,
-                              ControllerConfig(), seed=52)
+                              seed=52)
         assert np.array_equal(a.torque_cmd, b.torque_cmd)
         assert np.array_equal(a.slip_prob, b.slip_prob, equal_nan=True)
         assert np.array_equal(a.pred_force, b.pred_force, equal_nan=True)
@@ -137,8 +146,7 @@ class TestEpisodes:
 
     def test_prediction_warmup_is_nan(self, classifier, registry):
         log = run_reactive_loop(TABLE["rice"], shaking_profile(4, 18.0, 2.0),
-                                classifier, registry, ControllerConfig(),
-                                seed=53)
+                                classifier, registry, seed=53)
         w = registry.default_models["shaking"].cfg.window
         assert np.isnan(log.slip_prob[:w]).all()
         assert np.isfinite(log.slip_prob[w:]).all()
@@ -152,10 +160,10 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
     run_trial, predict, mfcc = controller.run_trial, controller.predict, dsp.mfcc
 
     def spy_run_trial(material, motion, policy, seed, **kwargs):
-        def spy_policy(t, prev_obs):
+        def spy_policy(prev_obs):
             if prev_obs is not None:
                 seen.append(prev_obs)
-            return policy(t, prev_obs)
+            return policy(prev_obs)
         return run_trial(material, motion, spy_policy, seed, **kwargs)
 
     def spy_predict(model, window):
@@ -173,7 +181,6 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
                                                     0, "profile"))
     profile = ds.sample_trial_profile("rotation", prof_rng)
     log = run_reactive_loop(TABLE["cereal"], profile, classifier, registry,
-                            ControllerConfig(),
                             seed=ds.derive_seed(900, "cereal", "rotation", 0, "sim"))
     assert log.switch_time_s is not None
     return seen, windows, segments
@@ -205,24 +212,27 @@ class TestOnlineInputs:
 class TestEpisodeCsv:
     def test_round_trip(self, tmp_path, classifier, registry):
         log = run_reactive_loop(TABLE["vitamins"], shaking_profile(3, 18.0, 2.0),
-                                classifier, registry, ControllerConfig(),
-                                seed=54)
+                                classifier, registry, seed=54)
         path = tmp_path / "episode.csv"
         write_episode_csv(log, path)
-        header = path.read_text().splitlines()[0]
-        assert tuple(header.split(",")) == EPISODE_COLUMNS
-        back = read_episode_csv(path)
-        assert np.array_equal(back.t, log.t)
-        assert np.array_equal(back.torque_cmd, log.torque_cmd)
-        assert np.array_equal(back.slip_prob, log.slip_prob, equal_nan=True)
-        assert np.array_equal(back.pred_force, log.pred_force, equal_nan=True)
-        assert np.array_equal(back.true_slip, log.true_slip)
-        assert np.array_equal(back.true_max_force, log.true_max_force)
-        assert back.active_material == log.active_material
-        assert np.array_equal(back.dropped, log.dropped)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert tuple(rows[0]) == EPISODE_COLUMNS
+        back = dict(zip(rows[0], zip(*rows[1:])))
+        rec = log.record
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,torque\n0.0,0.4\n")
-        with pytest.raises(ValueError):
-            read_episode_csv(path)
+        def floats(name):
+            return np.array([float(v) for v in back[name]])
+
+        def flags(name):
+            return np.array([int(v) for v in back[name]], dtype=bool)
+
+        assert np.array_equal(floats("t"), rec.t)
+        assert np.array_equal(floats("torque_cmd"), log.torque_cmd)
+        assert np.array_equal(floats("stiffness"), log.stiffness)
+        assert np.array_equal(floats("slip_prob"), log.slip_prob, equal_nan=True)
+        assert np.array_equal(floats("pred_force"), log.pred_force, equal_nan=True)
+        assert np.array_equal(flags("true_slip"), rec.true_slip)
+        assert np.array_equal(floats("true_max_force"), rec.true_max_force)
+        assert list(back["active_material"]) == log.active_material
+        assert np.array_equal(flags("dropped"), rec.dropped)

@@ -138,6 +138,17 @@ class TestTrialStorage:
         with pytest.raises(ds.TruncationError, match="meta.json"):
             ds.read_trial(tmp_path / "t3")
 
+        # valid JSON that is not an object, or an object without a key the
+        # readers use
+        meta.write_text("[1, 2]")
+        with pytest.raises(ds.TruncationError, match="meta.json"):
+            ds.read_trial(tmp_path / "t3")
+        full = json.loads((tmp_path / "t0" / "meta.json").read_text())
+        for key in ds.META_KEYS:
+            meta.write_text(json.dumps({k: v for k, v in full.items() if k != key}))
+            with pytest.raises(ds.TruncationError, match=f"meta.json lacks {key}"):
+                ds.read_trial(tmp_path / "t3")
+
     def test_garbage_bytes_rejected(self, tmp_path):
         rec = small_record()
         ds.write_trial(rec, tmp_path / "t0")

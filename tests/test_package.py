@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 import gripsense
+from gripsense import controller, simulation
+from gripsense.materials import material_table
+from gripsense.motion import shaking_profile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +36,29 @@ def test_benchmark_wrap_points_exist(monkeypatch):
         for part in path:
             owner = owner.__dict__[part]
         assert last in owner.__dict__, f"{module_name}.{attr} is gone"
+
+
+def test_benchmark_wrap_points_see_every_call(monkeypatch, classifier, registry):
+    # the benchmark's per-decision metrics come from spans on these
+    # attributes; a loop that bound them at import time would bypass them
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(simulation, "step")
+    counting(controller, "predict")
+    counting(controller, "grip_update")
+    profile = shaking_profile(3, 18.0, 2.0)
+    log = controller.run_reactive_loop(material_table()["rice"], profile,
+                                       classifier, registry, seed=56)
+    n = profile.n_steps
+    W = registry.default_models["shaking"].cfg.window
+    assert log.record.n_steps == n
+    assert calls == {"step": n, "predict": n - W, "grip_update": n - W}

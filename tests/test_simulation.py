@@ -188,7 +188,7 @@ class TestTrials:
     def test_policy_tuple_controls_stiffness(self):
         p = fixed_shake(peak=5.0, count=2)
 
-        def policy(t, prev):
+        def policy(prev_obs):
             return (0.4, 2.0)
 
         rec = run_trial(TABLE["rice"], p, policy, 4)
