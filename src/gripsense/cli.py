@@ -16,16 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from . import dsp, inference
+from . import inference, tactile
 from .controller import (CONFIG, run_baseline_episode, run_reactive_loop,
                          write_episode_csv)
 from .materials import MATERIAL_CLASSES, material_table
-from .models.classifier import TrainConfig, train_classifier
-from .models.predictor import PredictorConfig, PredictorTrainConfig, predict_batch, train_predictor
+from .models.classifier import train_classifier
+from .models.optim import TrainConfig
+from .models.predictor import PredictorConfig, predict_batch, train_predictor
 from .models import metrics as mx
 from .models.registry import ModelRegistry
-from .models.serialize import (load_classifier, load_predictor,
-                               save_classifier, save_predictor)
+from .models.serialize import load_model, save_model
 
 CLASSIFIER_FILE = "classifier.gsm"
 
@@ -84,19 +84,28 @@ def read_confusion_csv(path) -> np.ndarray:
 
 
 def load_models(models_dir):
-    """Classifier + registry + per-motion likelihood model from a models dir."""
+    """Classifier + registry + per-motion likelihood model from a models dir.
+
+    Every check runs here, once, and its error names the offending file."""
     models_dir = Path(models_dir)
-    classifier = load_classifier(models_dir / CLASSIFIER_FILE)
+    classifier = load_model(models_dir / CLASSIFIER_FILE, "classifier")
     if tuple(classifier.cfg.classes) != MATERIAL_CLASSES:
         raise ValueError(f"{models_dir / CLASSIFIER_FILE} has classes "
                          f"{classifier.cfg.classes}, expected {MATERIAL_CLASSES}")
     registry = ModelRegistry()
-    for path in sorted(models_dir.glob("predictor_default_*.gsm")):
-        model = load_predictor(path)
-        registry.register_default(model.motion, model)
-    for path in sorted(models_dir.glob("predictor_material_*.gsm")):
-        model = load_predictor(path)
-        registry.register_material(model.motion, model.material, model)
+    for scope in ("default", "material"):
+        for path in sorted(models_dir.glob(f"predictor_{scope}_*.gsm")):
+            model = load_model(path, "predictor")
+            if model.cfg.input_dim != tactile.FEATURE_DIM:
+                raise ValueError(f"{path} has input_dim {model.cfg.input_dim}, "
+                                 f"expected {tactile.FEATURE_DIM}")
+            if scope == "default":
+                registry.register_default(model.motion, model)
+                continue
+            try:
+                registry.register_material(model.motion, model.material, model)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from e
     confusions = {}
     for path in sorted(models_dir.glob("confusion_*.csv")):
         confusions[path.stem.removeprefix("confusion_")] = read_confusion_csv(path)
@@ -129,13 +138,13 @@ def cmd_train(args) -> int:
         raise ds.DatasetError("dataset manifest has no splits; regenerate it")
     _echo_config(args, out)
 
+    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.task == "classifier":
         train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                                 augment=True)
         val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
-        cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
         model, metrics = train_classifier(train_items, val_items, cfg)
-        save_classifier(out / CLASSIFIER_FILE, model)
+        save_model(out / CLASSIFIER_FILE, model)
         _write_classifier_metrics(out / "metrics_classifier.csv", metrics)
         L = inference.confusions_from_segments(
             model, val_items,
@@ -154,14 +163,13 @@ def cmd_train(args) -> int:
     X, slip, force, cell, _ = ds.predictor_windows(
         dataset_dir, manifest, "train", args.motion, material,
         window=args.window, horizon=args.horizon, stride=args.stride)
-    cfg = PredictorTrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     model_cfg = PredictorConfig(input_dim=X.shape[2], window=args.window,
                                 horizon=args.horizon, seed=args.seed)
-    model = train_predictor(X, slip, force, cell, scope=args.scope,
+    model = train_predictor(X, slip, force, cell, cfg, scope=args.scope,
                             motion=args.motion, material=material,
-                            cfg=cfg, model_cfg=model_cfg)
+                            model_cfg=model_cfg)
     name = predictor_filename(args.scope, args.motion, material)
-    save_predictor(out / name, model)
+    save_model(out / name, model)
 
     Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
         dataset_dir, manifest, "test", args.motion, material,
@@ -235,7 +243,7 @@ def cmd_episode(args) -> int:
                      repr(float(log.torque_cmd.max())),
                      int(log.dropped_any),
                      "" if log.switch_time_s is None else repr(log.switch_time_s),
-                     log.active_material[-1] if log.active_material else ""])
+                     log.active_material[-1]])
     with open(out / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["episode", "policy", "mean_torque", "min_torque",

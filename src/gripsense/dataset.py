@@ -370,7 +370,7 @@ def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
                         shifted, AUGMENT_SNR_DB,
                         _augment_seed(e.trial_id, seg.offset_s, st)))
             for v in variants:
-                items.append((dsp.mfcc(v, cfg).frames, e.material))
+                items.append((dsp.mfcc(v, cfg), e.material))
                 sources.append(e.trial_id)
     return items, sources
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +70,6 @@ class MfccConfig:
             raise ValueError("sizes must be positive")
         if self.log_floor <= 0:
             raise ValueError("log_floor must be positive")
-
-
-@dataclass(frozen=True)
-class MfccMatrix:
-    frames: np.ndarray  # (n_frames, n_coeffs)
-    config: MfccConfig
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.frames)):
-            raise ValueError("MFCC matrix contains non-finite values")
 
 
 def segment(w: Waveform, hop_s: float, source_trial: str = "",
@@ -173,7 +163,8 @@ def frame_count(n_samples: int, cfg: MfccConfig) -> int:
     return 1 + (n_samples - cfg.frame_len) // cfg.hop
 
 
-def mfcc(seg: AudioSegment, cfg: MfccConfig = MfccConfig()) -> MfccMatrix:
+def mfcc(seg: AudioSegment, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+    """(n_frames, n_coeffs) MFCC matrix of one segment."""
     x = np.asarray(seg.samples, dtype=float)
     if len(x) < cfg.frame_len:
         raise ValueError("segment shorter than one analysis frame")
@@ -187,7 +178,9 @@ def mfcc(seg: AudioSegment, cfg: MfccConfig = MfccConfig()) -> MfccMatrix:
     bank = mel_filterbank(cfg, seg.sample_rate)
     logmel = np.log(spectrum @ bank.T + cfg.log_floor)
     coeffs = logmel @ dct_matrix(cfg.n_coeffs, cfg.n_mels).T
-    return MfccMatrix(coeffs, cfg)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("MFCC matrix contains non-finite values")
+    return coeffs
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:

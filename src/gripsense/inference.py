@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dsp
 from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
-from .materials import MATERIAL_CLASSES, MaterialParams, material_table
+from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
 from .simulation import DEFAULT_PARAMS, SimParams, run_trial
 

@@ -7,12 +7,12 @@ backward passes are written out explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..materials import MATERIAL_CLASSES
-from .optim import MomentumSGD
+from .optim import TrainConfig, fit_standardizer, sgd_epochs
 from .params import ParamLayout
 from . import metrics as _metrics
 
@@ -25,15 +25,7 @@ class ClassifierConfig:
     classes: tuple[str, ...] = MATERIAL_CLASSES
     seed: int = 0
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    lr: float = 0.01
-    batch: int = 32
-    seed: int = 0
-    momentum: float = 0.9
-    clip_norm: float = 5.0
+BATCH = 32  # segments per SGD step
 
 
 def _layout(cfg: ClassifierConfig) -> ParamLayout:
@@ -159,16 +151,12 @@ def _maxpool2_back(dp: np.ndarray, arg: np.ndarray, x_shape: tuple) -> np.ndarra
 
 
 def _to_arrays(dataset, classes: tuple[str, ...]):
-    xs, ys = [], []
     index = {name: i for i, name in enumerate(classes)}
-    for item, label in dataset:
-        frames = item.frames if hasattr(item, "frames") else np.asarray(item)
-        xs.append(frames)
-        ys.append(index[label])
-    return np.stack(xs), np.asarray(ys)
+    return (np.stack([frames for frames, _ in dataset]),
+            np.asarray([index[label] for _, label in dataset]))
 
 
-def train_classifier(train_set, val_set, cfg: TrainConfig = TrainConfig(),
+def train_classifier(train_set, val_set, cfg: TrainConfig,
                      model_cfg: ClassifierConfig | None = None):
     """Minibatch SGD with momentum on cross-entropy; returns the model with
     the best validation-accuracy weights plus held-out Metrics."""
@@ -181,24 +169,10 @@ def train_classifier(train_set, val_set, cfg: TrainConfig = TrainConfig(),
         raise ValueError(f"training split is missing classes: {missing}")
 
     model = MaterialClassifier(model_cfg)
-    flat = x_train.reshape(-1, model_cfg.n_coeffs)
-    model.input_mean = flat.mean(axis=0)
-    model.input_std = np.maximum(flat.std(axis=0), 1e-6)
-
-    opt = MomentumSGD(model.layout.n_params, cfg.lr, cfg.momentum, cfg.clip_norm)
-    rng = np.random.default_rng(cfg.seed)
+    fit_standardizer(model, x_train)
     best_theta = model.theta.copy()
     best_acc = -1.0
-    n = len(x_train)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch):
-            idx = order[lo:lo + cfg.batch]
-            loss, grad = model.loss_and_grad(x_train[idx], y_train[idx])
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}")
-            opt.update(model.theta, grad)
+    for _ in sgd_epochs(model, (x_train, y_train), cfg, BATCH):
         probs, _ = model.forward(x_val)
         acc = _metrics.accuracy(probs.argmax(axis=1), y_val)
         if acc > best_acc:
@@ -214,10 +188,9 @@ def train_classifier(train_set, val_set, cfg: TrainConfig = TrainConfig(),
     return model, result
 
 
-def classify(model: MaterialClassifier, mfcc_matrix) -> np.ndarray:
-    """Probability vector over the model's classes for one MFCC matrix."""
-    frames = (mfcc_matrix.frames if hasattr(mfcc_matrix, "frames")
-              else np.asarray(mfcc_matrix))
+def classify(model: MaterialClassifier, frames: np.ndarray) -> np.ndarray:
+    """Probability vector over the model's classes for one (T, n_coeffs)
+    MFCC matrix."""
     if frames.ndim != 2 or frames.shape[1] != model.cfg.n_coeffs:
         raise ValueError(f"expected (T, {model.cfg.n_coeffs}) MFCC matrix, "
                          f"got {frames.shape}")

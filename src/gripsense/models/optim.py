@@ -1,23 +1,53 @@
-"""Minibatch SGD with classical momentum and global-norm gradient clipping."""
+"""The one training loop both networks share: minibatch SGD with classical
+momentum and global-norm gradient clipping, plus the input standardizer
+fit on the training inputs."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+MOMENTUM = 0.9
+CLIP_NORM = 5.0
 
-class MomentumSGD:
-    def __init__(self, n_params: int, lr: float, momentum: float = 0.9,
-                 clip_norm: float | None = 5.0):
-        self.lr = lr
-        self.momentum = momentum
-        self.clip_norm = clip_norm
-        self.velocity = np.zeros(n_params)
 
-    def update(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        if self.clip_norm is not None:
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int
+    lr: float
+    seed: int = 0
+
+
+def fit_standardizer(model, X: np.ndarray) -> None:
+    """Per-feature mean/std over every row of X's last axis."""
+    flat = X.reshape(-1, X.shape[-1])
+    model.input_mean = flat.mean(axis=0)
+    model.input_std = np.maximum(flat.std(axis=0), 1e-6)
+
+
+def sgd_epochs(model, arrays: tuple[np.ndarray, ...], cfg: TrainConfig,
+               batch: int):
+    """Train `model.theta` in place on `model.loss_and_grad(*minibatch)`,
+    yielding the epoch index after each pass over the data.
+
+    Each epoch draws one permutation from a generator seeded by `cfg.seed`
+    and slices every array in `arrays` with the same minibatch indices."""
+    velocity = np.zeros_like(model.theta)
+    rng = np.random.default_rng(cfg.seed)
+    n = len(arrays[0])
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            loss, grad = model.loss_and_grad(*(a[idx] for a in arrays))
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}")
             norm = float(np.linalg.norm(grad))
-            if norm > self.clip_norm:
-                grad = grad * (self.clip_norm / norm)
-        self.velocity *= self.momentum
-        self.velocity -= self.lr * grad
-        theta += self.velocity
+            if norm > CLIP_NORM:
+                grad = grad * (CLIP_NORM / norm)
+            velocity *= MOMENTUM
+            velocity -= cfg.lr * grad
+            model.theta += velocity
+        yield epoch

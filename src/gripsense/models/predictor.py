@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import MomentumSGD
+from .optim import TrainConfig, fit_standardizer, sgd_epochs
 from .params import ParamLayout
 
 GRID_MAX = 15  # highest row/col index of the tactile grid
+BATCH = 64     # windows per SGD step
 
 
 @dataclass(frozen=True)
@@ -25,16 +26,6 @@ class PredictorConfig:
     window: int = 20        # feature frames per prediction
     horizon: int = 10       # steps ahead the targets sit (50 ms at sim dt)
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class PredictorTrainConfig:
-    epochs: int = 8
-    lr: float = 0.05
-    batch: int = 64
-    seed: int = 0
-    momentum: float = 0.9
-    clip_norm: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -180,9 +171,9 @@ class SlipPredictor:
 
 
 def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
-                    y_cell: np.ndarray, scope: str = "default",
-                    motion: str = "shaking", material: str | None = None,
-                    cfg: PredictorTrainConfig = PredictorTrainConfig(),
+                    y_cell: np.ndarray, cfg: TrainConfig,
+                    scope: str = "default", motion: str = "shaking",
+                    material: str | None = None,
                     model_cfg: PredictorConfig | None = None) -> SlipPredictor:
     """Fit a predictor on windowed features with matched-step-count targets."""
     if scope not in ("default", "material"):
@@ -195,42 +186,23 @@ def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
                                              input_dim=X.shape[2], seed=cfg.seed)
     model = SlipPredictor(model_cfg, scope=scope, motion=motion,
                           material=material if scope == "material" else None)
-    flat = X.reshape(-1, X.shape[2])
-    model.input_mean = flat.mean(axis=0)
-    model.input_std = np.maximum(flat.std(axis=0), 1e-6)
+    fit_standardizer(model, X)
     model.force_mean = float(np.mean(y_force))
     model.force_std = float(max(np.std(y_force), 1e-6))
-
-    opt = MomentumSGD(model.layout.n_params, cfg.lr, cfg.momentum, cfg.clip_norm)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(X)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch):
-            idx = order[lo:lo + cfg.batch]
-            loss, grad = model.loss_and_grad(X[idx], y_slip[idx],
-                                             y_force[idx], y_cell[idx])
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch offset {lo}: {loss}")
-            opt.update(model.theta, grad)
+    for _ in sgd_epochs(model, (X, y_slip, y_force, y_cell), cfg, BATCH):
+        pass
     return model
 
 
-def predict(model: SlipPredictor, window) -> Prediction:
+def predict(model: SlipPredictor, window: np.ndarray) -> Prediction:
     """One forward pass over a (W, input_dim) feature window."""
-    mat = np.asarray(window)
-    if mat.shape != (model.cfg.window, model.cfg.input_dim):
+    if window.shape != (model.cfg.window, model.cfg.input_dim):
         raise ValueError(f"expected ({model.cfg.window}, {model.cfg.input_dim}) "
-                         f"window, got {mat.shape}")
-    (slip_logit, force, cell), _ = model.forward(mat[None])
-    row = int(np.clip(round(cell[0, 0] * GRID_MAX), 0, GRID_MAX))
-    col = int(np.clip(round(cell[0, 1] * GRID_MAX), 0, GRID_MAX))
-    return Prediction(
-        slip_prob=float(_sigmoid(slip_logit[0])),
-        force_value=float(force[0] * model.force_std + model.force_mean),
-        cell=(row, col),
-    )
+                         f"window, got {window.shape}")
+    slip_prob, force, cell = predict_batch(model, window[None])
+    row, col = np.round(cell[0]).astype(int).tolist()
+    return Prediction(slip_prob=float(slip_prob[0]),
+                      force_value=float(force[0]), cell=(row, col))
 
 
 def predict_batch(model: SlipPredictor, X: np.ndarray):

@@ -22,7 +22,7 @@ class ModelRegistry:
     def register_material(self, motion: str, material: str,
                           model: SlipPredictor) -> None:
         if motion not in self.default_models:
-            raise ValueError(f"register a default model for {motion!r} first")
+            raise ValueError(f"no default {motion!r} model is registered")
         self.material_models[(motion, material)] = model
 
 

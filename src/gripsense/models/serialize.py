@@ -7,6 +7,7 @@ uint32 LE CRC32 of everything preceding it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -17,6 +18,14 @@ from .classifier import ClassifierConfig, MaterialClassifier
 from .predictor import PredictorConfig, SlipPredictor
 
 MAGIC = b"GSM1"
+
+# kind -> (model class, config class, descriptor fields beyond the config
+# and the input statistics)
+_KINDS = {
+    "classifier": (MaterialClassifier, ClassifierConfig, ()),
+    "predictor": (SlipPredictor, PredictorConfig,
+                  ("scope", "motion", "material", "force_mean", "force_std")),
+}
 
 
 class ModelFormatError(ValueError):
@@ -35,98 +44,77 @@ def _pack(descriptor: dict, params: np.ndarray) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _unpack(blob: bytes) -> tuple[dict, np.ndarray]:
+def _unpack(blob: bytes, path) -> tuple[dict, np.ndarray]:
     if len(blob) < len(MAGIC) + 4 + 8 + 4:
-        raise ModelFormatError("file too short for a model")
+        raise ModelFormatError(f"{path}: file too short for a model")
     if blob[:len(MAGIC)] != MAGIC:
-        raise ModelFormatError(f"bad magic {blob[:len(MAGIC)]!r}")
+        raise ModelFormatError(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
-        raise ModelChecksumError("model file CRC32 mismatch")
+        raise ModelChecksumError(f"{path}: model file CRC32 mismatch")
     pos = len(MAGIC)
     (desc_len,) = struct.unpack_from("<I", body, pos)
     pos += 4
+    if pos + desc_len + 8 > len(body):
+        raise ModelFormatError(f"{path}: truncated descriptor")
     try:
         descriptor = json.loads(body[pos:pos + desc_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ModelFormatError(f"bad descriptor: {e}") from e
+        raise ModelFormatError(f"{path}: bad descriptor: {e}") from e
+    if not isinstance(descriptor, dict):
+        raise ModelFormatError(f"{path}: descriptor is not a JSON object")
     pos += desc_len
     (count,) = struct.unpack_from("<Q", body, pos)
     pos += 8
     block = body[pos:pos + 4 * count]
     if len(block) != 4 * count:
-        raise ModelFormatError("truncated parameter block")
+        raise ModelFormatError(f"{path}: truncated parameter block")
     params = np.frombuffer(block, dtype="<f4").astype(float)
     return descriptor, params
 
 
-def save_classifier(path, model: MaterialClassifier) -> None:
-    descriptor = {
-        "kind": "classifier",
-        "config": {
-            "n_coeffs": model.cfg.n_coeffs,
-            "channels": list(model.cfg.channels),
-            "kernel": model.cfg.kernel,
-            "classes": list(model.cfg.classes),
-            "seed": model.cfg.seed,
-        },
-        "input_mean": model.input_mean.tolist(),
-        "input_std": model.input_std.tolist(),
-    }
+def save_model(path, model) -> None:
+    """Write a classifier or predictor as one `.gsm` file."""
+    kind = next(k for k, (cls, _, _) in _KINDS.items() if isinstance(model, cls))
+    descriptor = {"kind": kind, "config": dataclasses.asdict(model.cfg),
+                  "input_mean": model.input_mean.tolist(),
+                  "input_std": model.input_std.tolist()}
+    for name in _KINDS[kind][2]:
+        descriptor[name] = getattr(model, name)
     with open(path, "wb") as f:
         f.write(_pack(descriptor, model.theta))
 
 
-def load_classifier(path) -> MaterialClassifier:
+def load_model(path, kind: str):
+    """Read a `.gsm` file that must hold a model of `kind`; every error
+    names the file."""
+    model_cls, cfg_cls, extras = _KINDS[kind]
     with open(path, "rb") as f:
-        descriptor, params = _unpack(f.read())
-    if descriptor.get("kind") != "classifier":
-        raise ModelFormatError(f"expected a classifier, got {descriptor.get('kind')!r}")
-    c = descriptor["config"]
-    cfg = ClassifierConfig(n_coeffs=c["n_coeffs"], channels=tuple(c["channels"]),
-                           kernel=c["kernel"], classes=tuple(c["classes"]),
-                           seed=c["seed"])
-    model = MaterialClassifier(cfg, theta=params)
-    model.input_mean = np.asarray(descriptor["input_mean"], dtype=float)
-    model.input_std = np.asarray(descriptor["input_std"], dtype=float)
-    return model
-
-
-def save_predictor(path, model: SlipPredictor) -> None:
-    descriptor = {
-        "kind": "predictor",
-        "config": {
-            "input_dim": model.cfg.input_dim,
-            "hidden": model.cfg.hidden,
-            "window": model.cfg.window,
-            "horizon": model.cfg.horizon,
-            "seed": model.cfg.seed,
-        },
-        "scope": model.scope,
-        "motion": model.motion,
-        "material": model.material,
-        "input_mean": model.input_mean.tolist(),
-        "input_std": model.input_std.tolist(),
-        "force_mean": model.force_mean,
-        "force_std": model.force_std,
-    }
-    with open(path, "wb") as f:
-        f.write(_pack(descriptor, model.theta))
-
-
-def load_predictor(path) -> SlipPredictor:
-    with open(path, "rb") as f:
-        descriptor, params = _unpack(f.read())
-    if descriptor.get("kind") != "predictor":
-        raise ModelFormatError(f"expected a predictor, got {descriptor.get('kind')!r}")
-    c = descriptor["config"]
-    cfg = PredictorConfig(input_dim=c["input_dim"], hidden=c["hidden"],
-                          window=c["window"], horizon=c["horizon"], seed=c["seed"])
-    model = SlipPredictor(cfg, theta=params, scope=descriptor["scope"],
-                          motion=descriptor["motion"],
-                          material=descriptor["material"])
-    model.input_mean = np.asarray(descriptor["input_mean"], dtype=float)
-    model.input_std = np.asarray(descriptor["input_std"], dtype=float)
-    model.force_mean = float(descriptor["force_mean"])
-    model.force_std = float(descriptor["force_std"])
+        descriptor, params = _unpack(f.read(), path)
+    if descriptor.get("kind") != kind:
+        raise ModelFormatError(f"{path}: expected a {kind}, "
+                               f"got {descriptor.get('kind')!r}")
+    config = descriptor.get("config")
+    want = {f.name for f in dataclasses.fields(cfg_cls)}
+    if not isinstance(config, dict) or set(config) != want:
+        got = sorted(config) if isinstance(config, dict) else config
+        raise ModelFormatError(f"{path}: {kind} config must have the keys "
+                               f"{sorted(want)}, got {got}")
+    missing = sorted({"input_mean", "input_std", *extras} - set(descriptor))
+    if missing:
+        raise ModelFormatError(f"{path}: descriptor lacks {missing}")
+    try:
+        cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v
+                         for k, v in config.items()})
+        model = model_cls(cfg, theta=params)
+        for name in ("input_mean", "input_std"):
+            stats = np.asarray(descriptor[name], dtype=float)
+            if stats.shape != getattr(model, name).shape:
+                raise ValueError(f"{name} has shape {stats.shape}, expected "
+                                 f"{getattr(model, name).shape}")
+            setattr(model, name, stats)
+    except (TypeError, ValueError) as e:
+        raise ModelFormatError(f"{path}: bad {kind} descriptor: {e}") from e
+    for name in extras:
+        setattr(model, name, descriptor[name])
     return model

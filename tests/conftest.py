@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, settings
 
 from gripsense import dataset as ds
 from gripsense import inference
-from gripsense.models.classifier import TrainConfig, train_classifier
-from gripsense.models.predictor import PredictorTrainConfig, train_predictor
+from gripsense.models.classifier import train_classifier
+from gripsense.models.optim import TrainConfig
+from gripsense.models.predictor import train_predictor
 from gripsense.models.registry import ModelRegistry
 
 settings.register_profile(
@@ -49,8 +50,8 @@ def clf_bundle(dataset_dir, manifest):
     train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                             augment=True)
     val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
-    model, metrics = train_classifier(train_items, val_items,
-                                      TrainConfig(seed=BASE_SEED))
+    model, metrics = train_classifier(
+        train_items, val_items, TrainConfig(epochs=30, lr=0.01, seed=BASE_SEED))
     return model, metrics, val_items, val_sources
 
 
@@ -78,7 +79,8 @@ def default_shaking(dataset_dir, manifest, window_cache):
                                        "shaking", None, window_cache)
     return train_predictor(X, slip, force, cell, scope="default",
                            motion="shaking",
-                           cfg=PredictorTrainConfig(seed=BASE_SEED))
+                           cfg=TrainConfig(epochs=8, lr=0.05,
+                                           seed=BASE_SEED))
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +89,8 @@ def default_rotation(dataset_dir, manifest, window_cache):
                                        "rotation", None, window_cache)
     return train_predictor(X, slip, force, cell, scope="default",
                            motion="rotation",
-                           cfg=PredictorTrainConfig(seed=BASE_SEED))
+                           cfg=TrainConfig(epochs=8, lr=0.05,
+                                           seed=BASE_SEED))
 
 
 @pytest.fixture(scope="session")
@@ -96,7 +99,8 @@ def cereal_rotation_model(dataset_dir, manifest, window_cache):
                                        "rotation", "cereal", window_cache)
     return train_predictor(X, slip, force, cell, scope="material",
                            motion="rotation", material="cereal",
-                           cfg=PredictorTrainConfig(epochs=24, seed=BASE_SEED))
+                           cfg=TrainConfig(epochs=24, lr=0.05,
+                                           seed=BASE_SEED))
 
 
 @pytest.fixture(scope="session")

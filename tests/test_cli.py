@@ -8,6 +8,8 @@ import pytest
 from gripsense import cli
 from gripsense import dataset as ds
 from gripsense.controller import EPISODE_COLUMNS
+from gripsense.models.predictor import PredictorConfig, SlipPredictor
+from gripsense.models.serialize import ModelChecksumError, save_model
 
 
 def episode_column(path, name):
@@ -227,6 +229,45 @@ class TestActiveAndEval:
         assert lines[0].startswith("classifier_accuracy,")
         acc = float(lines[0].split(",")[1])
         assert 0.0 <= acc <= 1.0
+
+
+class TestLoadModels:
+    """Each bad models directory fails at load_models, naming the file."""
+
+    def copy(self, cli_models, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        return models
+
+    def test_truncated_classifier_names_file(self, cli_models, tmp_path,
+                                             capsys):
+        models = self.copy(cli_models, tmp_path)
+        path = models / cli.CLASSIFIER_FILE
+        path.write_bytes(path.read_bytes()[:300])
+        with pytest.raises(ModelChecksumError, match=str(path)):
+            cli.load_models(models)
+        rc = cli.main(["episode", "--models", str(models),
+                       "--out", str(tmp_path / "o"), "--material", "rice"])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_wrong_input_dim_names_file(self, cli_models, tmp_path):
+        models = self.copy(cli_models, tmp_path)
+        path = models / cli.predictor_filename("default", "shaking", None)
+        save_model(path, SlipPredictor(PredictorConfig(input_dim=4),
+                                       motion="shaking"))
+        with pytest.raises(ValueError, match=f"{path} has input_dim 4"):
+            cli.load_models(models)
+
+    def test_material_model_without_default_names_file(self, cli_models,
+                                                       tmp_path):
+        models = self.copy(cli_models, tmp_path)
+        path = models / cli.predictor_filename("material", "rotation",
+                                               "cereal")
+        save_model(path, SlipPredictor(PredictorConfig(), scope="material",
+                                       motion="rotation", material="cereal"))
+        with pytest.raises(ValueError, match=str(path)):
+            cli.load_models(models)
 
 
 def test_episode_csv_schema_is_stable():

@@ -1,3 +1,7 @@
+import hashlib
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,26 +13,24 @@ from gripsense.models import metrics as mx
 from gripsense.models.classifier import (
     ClassifierConfig,
     MaterialClassifier,
-    TrainConfig,
     classify,
     train_classifier,
 )
+from gripsense.models.optim import TrainConfig
 from gripsense.models.predictor import (
     PredictorConfig,
-    PredictorTrainConfig,
     SlipPredictor,
     predict,
     predict_batch,
     train_predictor,
 )
+from gripsense.models import serialize
 from gripsense.models.registry import ModelRegistry, select_model
 from gripsense.models.serialize import (
     ModelChecksumError,
     ModelFormatError,
-    load_classifier,
-    load_predictor,
-    save_classifier,
-    save_predictor,
+    load_model,
+    save_model,
 )
 from gripsense.motion import shaking_profile
 from gripsense.simulation import run_trial
@@ -79,7 +81,7 @@ class TestClassifier:
 
     def test_training_deterministic(self):
         items = toy_items()
-        cfg = TrainConfig(epochs=3, seed=11)
+        cfg = TrainConfig(epochs=3, lr=0.01, seed=11)
         a, _ = train_classifier(items, items[:5], cfg)
         b, _ = train_classifier(items, items[:5], cfg)
         assert np.array_equal(a.theta, b.theta)
@@ -89,7 +91,7 @@ class TestClassifier:
         x = np.stack([m for m, _ in items])
         y = np.asarray([MATERIAL_CLASSES.index(lab) for _, lab in items])
         trained, _ = train_classifier(items, items[:5],
-                                      TrainConfig(epochs=5, seed=4))
+                                      TrainConfig(epochs=5, lr=0.01, seed=4))
         init = MaterialClassifier(ClassifierConfig(seed=4))
         init.input_mean = trained.input_mean.copy()
         init.input_std = trained.input_std.copy()
@@ -98,7 +100,8 @@ class TestClassifier:
     def test_missing_class_rejected(self):
         items = [(m, lab) for m, lab in toy_items() if lab != "gummies"]
         with pytest.raises(ValueError, match="gummies"):
-            train_classifier(items, items[:5], TrainConfig(epochs=1))
+            train_classifier(items, items[:5],
+                             TrainConfig(epochs=1, lr=0.01))
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         items = toy_items()
@@ -107,7 +110,8 @@ class TestClassifier:
         items[0] = (poisoned, items[0][1])
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite loss"):
-                train_classifier(items, items[:5], TrainConfig(epochs=1))
+                train_classifier(items, items[:5],
+                                 TrainConfig(epochs=1, lr=0.01))
 
     def test_forward_shape_guard(self):
         with pytest.raises(ValueError):
@@ -140,15 +144,15 @@ class TestPredictor:
 
     def test_training_deterministic(self):
         X, ys, yf, yc = self.small_windows()
-        cfg = PredictorTrainConfig(epochs=3, seed=9)
-        a = train_predictor(X, ys, yf, yc, cfg=cfg)
-        b = train_predictor(X, ys, yf, yc, cfg=cfg)
+        cfg = TrainConfig(epochs=3, lr=0.05, seed=9)
+        a = train_predictor(X, ys, yf, yc, cfg)
+        b = train_predictor(X, ys, yf, yc, cfg)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         X, ys, yf, yc = self.small_windows()
-        trained = train_predictor(X, ys, yf, yc,
-                                  cfg=PredictorTrainConfig(epochs=6, seed=2))
+        trained = train_predictor(
+            X, ys, yf, yc, cfg=TrainConfig(epochs=6, lr=0.05, seed=2))
         init = SlipPredictor(PredictorConfig(input_dim=8, hidden=32, window=6,
                                              seed=2))
         for attr in ("input_mean", "input_std"):
@@ -159,12 +163,13 @@ class TestPredictor:
 
     def test_input_validation(self):
         X, ys, yf, yc = self.small_windows()
+        cfg = TrainConfig(epochs=8, lr=0.05)
         with pytest.raises(ValueError):
-            train_predictor(X[:0], ys[:0], yf[:0], yc[:0])
+            train_predictor(X[:0], ys[:0], yf[:0], yc[:0], cfg)
         with pytest.raises(ValueError):
-            train_predictor(X, ys, yf, yc, scope="material")
+            train_predictor(X, ys, yf, yc, cfg, scope="material")
         with pytest.raises(ValueError):
-            train_predictor(X, ys, yf, yc, scope="global")
+            train_predictor(X, ys, yf, yc, cfg, scope="global")
 
     def test_non_finite_targets_abort(self):
         X, ys, yf, yc = self.small_windows()
@@ -172,7 +177,7 @@ class TestPredictor:
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite loss"):
                 train_predictor(X, ys, yf, yc,
-                                cfg=PredictorTrainConfig(epochs=1))
+                                cfg=TrainConfig(epochs=1, lr=0.05))
 
     def test_slip_free_training_keeps_base_rate_low(
             self, dataset_dir, manifest, window_cache, cereal_rotation_model):
@@ -204,7 +209,7 @@ class TestPredictor:
                 model = train_predictor(
                     Xtr, str_, ftr, ctr, scope="material", motion="rotation",
                     material="cereal",
-                    cfg=PredictorTrainConfig(epochs=24, seed=seed))
+                    cfg=TrainConfig(epochs=24, lr=0.05, seed=seed))
             _, fhat, _ = predict_batch(model, Xte)
             maes.append(mx.mae(fhat, fte))
         _, fhat_default, _ = predict_batch(default_rotation, Xte)
@@ -253,13 +258,13 @@ class TestSerialization:
         model.input_mean = np.random.default_rng(0).standard_normal(13)
         model.input_std = np.abs(np.random.default_rng(1).standard_normal(13)) + 0.1
         path = tmp_path / "clf.gsm"
-        save_classifier(path, model)
-        back = load_classifier(path)
+        save_model(path, model)
+        back = load_model(path, "classifier")
         assert back.cfg == model.cfg
         # parameters travel as float32; the stored values round-trip exactly
         assert np.array_equal(back.theta,
                               model.theta.astype("<f4").astype(float))
-        save_classifier(tmp_path / "clf2.gsm", back)
+        save_model(tmp_path / "clf2.gsm", back)
         assert (tmp_path / "clf2.gsm").read_bytes() == path.read_bytes()
         x = np.random.default_rng(2).standard_normal((2, 98, 13))
         assert np.allclose(back.forward(x)[0], model.forward(x)[0], atol=1e-4)
@@ -271,41 +276,88 @@ class TestSerialization:
                               material="gummies")
         model.force_mean, model.force_std = 0.4, 0.2
         path = tmp_path / "pred.gsm"
-        save_predictor(path, model)
-        back = load_predictor(path)
+        save_model(path, model)
+        back = load_model(path, "predictor")
         assert (back.scope, back.motion, back.material) == \
             ("material", "rotation", "gummies")
         assert back.cfg == model.cfg
         assert (back.force_mean, back.force_std) == (0.4, 0.2)
+        save_model(tmp_path / "pred2.gsm", back)
+        assert (tmp_path / "pred2.gsm").read_bytes() == path.read_bytes()
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # the whole file, hashed: a CRC32 of it is constant, since the
+        # file ends with the CRC32 of everything before it
+        clf = MaterialClassifier(ClassifierConfig(seed=5))
+        pred = SlipPredictor(PredictorConfig(seed=2), scope="material",
+                             motion="rotation", material="gummies")
+        pred.force_mean, pred.force_std = 0.4, 0.2
+        golden = [
+            (clf, 9832, "21f6913289551672ee3ded4bb70d4f05"
+                        "21d5f0971ef9fa128c0871439d690df1"),
+            (pred, 28430, "311c5f9799efb56338e10d3e023195dc"
+                          "79e7f9057cbe5cf3cc5b428c849c3238"),
+        ]
+        for model, size, digest in golden:
+            path = tmp_path / "m.gsm"
+            save_model(path, model)
+            raw = path.read_bytes()
+            assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
 
     def test_corruption_detected(self, tmp_path):
         model = MaterialClassifier(ClassifierConfig(seed=1))
         path = tmp_path / "m.gsm"
-        save_classifier(path, model)
+        save_model(path, model)
         raw = bytearray(path.read_bytes())
 
         bad = tmp_path / "bad.gsm"
         bad.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(ModelFormatError):
-            load_classifier(bad)
+            load_model(bad, "classifier")
 
         flipped = bytearray(raw)
         mid = len(flipped) // 2
         flipped[mid] ^= 0xFF
         bad.write_bytes(bytes(flipped))
-        with pytest.raises(ModelChecksumError):
-            load_classifier(bad)
+        with pytest.raises(ModelChecksumError, match="bad.gsm"):
+            load_model(bad, "classifier")
 
         bad.write_bytes(bytes(raw[:10]))
         with pytest.raises(ModelFormatError):
-            load_classifier(bad)
+            load_model(bad, "classifier")
+
+        # a valid descriptor and checksum, but no parameter count after it
+        (desc_len,) = struct.unpack_from("<I", raw, 4)
+        body = bytes(raw[:8 + desc_len])
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(ModelFormatError, match="bad.gsm"):
+            load_model(bad, "classifier")
 
     def test_kind_mismatch_rejected(self, tmp_path):
         model = MaterialClassifier(ClassifierConfig(seed=1))
         path = tmp_path / "clf.gsm"
-        save_classifier(path, model)
-        with pytest.raises(ModelFormatError):
-            load_predictor(path)
+        save_model(path, model)
+        with pytest.raises(ModelFormatError, match="clf.gsm"):
+            load_model(path, "predictor")
+
+    @pytest.mark.parametrize("edit", ["drop_key", "add_key", "short_stats"])
+    def test_bad_descriptor_names_the_file(self, tmp_path, edit):
+        descriptor = {"kind": "classifier",
+                      "config": {"n_coeffs": 13, "channels": [16, 32],
+                                 "kernel": 3, "classes": list(MATERIAL_CLASSES),
+                                 "seed": 0},
+                      "input_mean": [0.0] * 13, "input_std": [1.0] * 13}
+        if edit == "drop_key":
+            del descriptor["config"]["kernel"]
+        elif edit == "add_key":
+            descriptor["config"]["dropout"] = 0.5
+        else:
+            descriptor["input_mean"] = [0.0]
+        path = tmp_path / "odd.gsm"
+        path.write_bytes(serialize._pack(descriptor,
+                                         MaterialClassifier().theta))
+        with pytest.raises(ModelFormatError, match="odd.gsm"):
+            load_model(path, "classifier")
 
 
 class TestMetrics:
