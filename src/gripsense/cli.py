@@ -99,6 +99,13 @@ def load_models(models_dir):
             if model.cfg.input_dim != tactile.FEATURE_DIM:
                 raise ValueError(f"{path} has input_dim {model.cfg.input_dim}, "
                                  f"expected {tactile.FEATURE_DIM}")
+            expected = predictor_filename(model.scope, model.motion,
+                                          model.material)
+            if path.name != expected:
+                raise ValueError(
+                    f"{path} holds a {model.scope} predictor for motion "
+                    f"{model.motion!r}, material {model.material!r}; its file "
+                    f"name should be {expected}")
             if scope == "default":
                 registry.register_default(model.motion, model)
                 continue
@@ -106,6 +113,17 @@ def load_models(models_dir):
                 registry.register_material(model.motion, model.material, model)
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from e
+            # the controller's feature window outlives the switch from the
+            # default model to a material model, and both predict the same
+            # step ahead, so window and horizon must agree
+            default = registry.default_models[model.motion].cfg
+            if ((model.cfg.window, model.cfg.horizon)
+                    != (default.window, default.horizon)):
+                raise ValueError(
+                    f"{path} has window {model.cfg.window} and horizon "
+                    f"{model.cfg.horizon}; the default {model.motion!r} "
+                    f"predictor has window {default.window} and horizon "
+                    f"{default.horizon}")
     confusions = {}
     for path in sorted(models_dir.glob("confusion_*.csv")):
         confusions[path.stem.removeprefix("confusion_")] = read_confusion_csv(path)
@@ -183,10 +201,17 @@ def cmd_train(args) -> int:
         w = csv.writer(f)
         w.writerow(["auc", "force_mae", "cell_distance"])
         w.writerow([metrics.auc, metrics.force_mae, metrics.cell_distance])
-    auc_txt = f"{metrics.auc:.3f}" if metrics.auc is not None else "n/a"
+    auc_txt = (f"{metrics.auc:.3f}" if metrics.auc is not None
+               else "n/a" + _one_class_note(slip_t))
     print(f"predictor {name}: test AUC {auc_txt}, force MAE "
           f"{metrics.force_mae:.4f} N, cell distance {metrics.cell_distance:.2f}")
     return 0
+
+
+def _one_class_note(slip: np.ndarray) -> str:
+    """Why a test AUC is missing: the test windows hold one slip class."""
+    n_slip = int(np.sum(slip))
+    return f" (test windows: {n_slip} slip, {len(slip) - n_slip} non-slip)"
 
 
 def _write_classifier_metrics(path, metrics) -> None:
@@ -326,13 +351,15 @@ def cmd_eval(args) -> int:
             dataset_dir, manifest, "test", motion,
             window=model.cfg.window, horizon=model.cfg.horizon)
         probs, force_hat, cell_hat = predict_batch(model, Xt)
-        auc = mx.auc(probs, slip_t) if 0 < slip_t.sum() < len(slip_t) else float("nan")
+        two_classes = 0 < slip_t.sum() < len(slip_t)
+        auc = mx.auc(probs, slip_t) if two_classes else float("nan")
         fmae = mx.mae(force_hat, force_t)
         cdist = mx.mean_cell_distance(cell_hat, cell_t)
         lines += [[f"{motion}_auc", repr(float(auc))],
                   [f"{motion}_force_mae", repr(float(fmae))],
                   [f"{motion}_cell_distance", repr(float(cdist))]]
-        print(f"default predictor [{motion}]: AUC {auc:.3f}, "
+        auc_txt = f"{auc:.3f}" if two_classes else "nan" + _one_class_note(slip_t)
+        print(f"default predictor [{motion}]: AUC {auc_txt}, "
               f"force MAE {fmae:.4f} N, cell distance {cdist:.2f}")
     with open(out / "eval.csv", "w", newline="") as f:
         csv.writer(f).writerows(lines)

@@ -22,7 +22,7 @@ import numpy as np
 from . import dsp, tactile
 from .materials import MaterialParams
 from .models.classifier import MaterialClassifier, classify
-from .models.predictor import Prediction, predict
+from .models.predictor import FeatureWindow, Prediction, predict
 from .models.registry import ModelRegistry, select_model
 from .motion import SIM_DT, MotionProfile
 from .simulation import DEFAULT_PARAMS, TrialRecord, run_trial
@@ -137,7 +137,8 @@ class _ReactivePolicy:
         # newest audio chunks, trimmed to the fewest that hold seg_samples
         self.chunks: deque[np.ndarray] = deque()
         self.n_samples = 0
-        self.window: list[np.ndarray] = []
+        self.window = FeatureWindow(self.model.cfg.window,
+                                    self.model.cfg.input_dim)
         self.prev_grid = None
         self.prev_angles = None
         self.step_count = 0  # index of the step the next call commands
@@ -158,10 +159,8 @@ class _ReactivePolicy:
         else:
             grids = np.array([self.prev_grid, obs.tactile_grid])
             angles = np.array([self.prev_angles, obs.joint_angles])
-        self.window.append(tactile.features_from_arrays(grids, angles, SIM_DT)[-1])
+        self.window.push(tactile.features_from_arrays(grids, angles, SIM_DT)[-1])
         self.prev_grid, self.prev_angles = obs.tactile_grid, obs.joint_angles
-        while len(self.window) > self.model.cfg.window:
-            self.window.pop(0)
 
     def _maybe_classify(self, t: float) -> None:
         if self.state.active_material is not None:
@@ -185,8 +184,8 @@ class _ReactivePolicy:
         if prev_obs is not None:
             self._ingest(prev_obs)
             self._maybe_classify(i * SIM_DT)
-            if len(self.window) == self.model.cfg.window:
-                pred = predict(self.model, np.stack(self.window))
+            if self.window.full:
+                pred = predict(self.model, self.window)
                 grip_update(self.state, pred)
                 self.slip_prob[i] = pred.slip_prob
                 self.pred_force[i] = pred.force_value

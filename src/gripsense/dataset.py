@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .materials import MATERIAL_CLASSES, MaterialParams, material_table
-from .motion import MotionProfile, SIM_DT, rotation_profile, shaking_profile
+from .materials import MATERIAL_CLASSES, material_table
+from .motion import MotionProfile, rotation_profile, shaking_profile
 from .simulation import (DEFAULT_PARAMS, TRIAL_ARRAYS, SimParams,
                          TrialRecord, run_trial)
 from .tactile import features_from_arrays

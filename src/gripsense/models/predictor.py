@@ -39,6 +39,17 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _gru_cell(gx, h, Uzr, Un, b):
+    """One GRU step for the hidden states h (B, H), given the inputs'
+    projection gx = x @ Wx, (B, 3H) or (1, 3H) shared by every row.
+    Returns (h_new, z, r, n)."""
+    H = h.shape[1]
+    zr = _sigmoid(gx[:, :2 * H] + h @ Uzr + b[:2 * H])
+    z, r = zr[:, :H], zr[:, H:]
+    n = np.tanh(gx[:, 2 * H:] + (r * h) @ Un + b[2 * H:])
+    return (1.0 - z) * n + z * h, z, r, n
+
+
 def _layout(cfg: PredictorConfig) -> ParamLayout:
     d, h = cfg.input_dim, cfg.hidden
     return ParamLayout([
@@ -85,6 +96,22 @@ class SlipPredictor:
     def _normalize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.input_mean) / self.input_std
 
+    def _gru_weights(self):
+        """The recurrent layer's weights, stacked for `_gru_cell`: input
+        weights (input_dim, 3H) for z, r, n; z/r recurrent weights (H, 2H);
+        the n recurrent weights (H, H); biases (3H,)."""
+        v = self.layout.views(self.theta)
+        return (np.concatenate([v["Wz"], v["Wr"], v["Wn"]]).T,
+                np.concatenate([v["Uz"], v["Ur"]]).T, v["Un"].T,
+                np.concatenate([v["bz"], v["br"], v["bn"]]))
+
+    def _heads(self, h: np.ndarray):
+        """(slip_logit (B,), force_norm (B,), cell_norm (B, 2)) from final
+        hidden states h (B, H)."""
+        ws, bs, wf, bf, Wc, bc = (self.layout.view(self.theta, name) for name
+                                  in ("ws", "bs", "wf", "bf", "Wc", "bc"))
+        return h @ ws + bs[0], h @ wf + bf[0], h @ Wc.T + bc
+
     def forward(self, X: np.ndarray, want_cache: bool = False):
         """X: (B, W, input_dim) raw features. Returns (outputs, cache) where
         outputs = (slip_logit (B,), force_norm (B,), cell_norm (B, 2))."""
@@ -92,24 +119,17 @@ class SlipPredictor:
         if X.ndim != 3 or X.shape[1] != cfg.window or X.shape[2] != cfg.input_dim:
             raise ValueError(f"expected (B, {cfg.window}, {cfg.input_dim}) window "
                              f"batch, got {X.shape}")
-        v = self.layout.views(self.theta)
+        Wx, Uzr, Un, b = self._gru_weights()
         x = self._normalize(X)
         B, W, _ = x.shape
         h = np.zeros((B, cfg.hidden))
-        zs, rs, ns, hs = [], [], [], [np.zeros((B, cfg.hidden))]
+        zs, rs, ns, hs = [], [], [], [h]
         for t in range(W):
-            xt = x[:, t]
-            z = _sigmoid(xt @ v["Wz"].T + h @ v["Uz"].T + v["bz"])
-            r = _sigmoid(xt @ v["Wr"].T + h @ v["Ur"].T + v["br"])
-            n = np.tanh(xt @ v["Wn"].T + (r * h) @ v["Un"].T + v["bn"])
-            h = (1.0 - z) * n + z * h
+            h, z, r, n = _gru_cell(x[:, t] @ Wx, h, Uzr, Un, b)
             if want_cache:
                 zs.append(z); rs.append(r); ns.append(n); hs.append(h)
-        slip_logit = h @ v["ws"] + v["bs"][0]
-        force = h @ v["wf"] + v["bf"][0]
-        cell = h @ v["Wc"].T + v["bc"]
         cache = (x, zs, rs, ns, hs) if want_cache else None
-        return (slip_logit, force, cell), cache
+        return self._heads(h), cache
 
     def loss_and_grad(self, X: np.ndarray, y_slip: np.ndarray,
                       y_force: np.ndarray, y_cell: np.ndarray):
@@ -194,12 +214,87 @@ def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
     return model
 
 
-def predict(model: SlipPredictor, window: np.ndarray) -> Prediction:
-    """One forward pass over a (W, input_dim) feature window."""
-    if window.shape != (model.cfg.window, model.cfg.input_dim):
-        raise ValueError(f"expected ({model.cfg.window}, {model.cfg.input_dim}) "
-                         f"window, got {window.shape}")
-    slip_prob, force, cell = predict_batch(model, window[None])
+class FeatureWindow:
+    """The newest W feature frames of a stream, plus the GRU states of
+    every window in flight for the model that last read it.
+
+    The state block holds one row per window in flight: row k has seen the
+    k + 1 newest frames, so row W - 1 is the final state of the window of
+    all W frames. Reading the window advances the block by the frames
+    pushed since the last read: each frame is normalized and projected
+    once, then one batched cell step shifts in a zero row and advances all
+    W windows. A read by a different model replays the stored frames from
+    a zero block, so the block always belongs to one model, whose
+    parameters must not change between reads.
+    """
+
+    def __init__(self, window: int, input_dim: int):
+        self._frames = np.zeros((window, input_dim))
+        self._count = 0     # frames held, at most W
+        self._pending = 0   # frames pushed since the block last advanced
+        self._model = None
+        self._weights = None
+        self._h = None
+
+    @property
+    def full(self) -> bool:
+        return self._count == len(self._frames)
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The frames held, oldest first (a view; at most W rows)."""
+        return self._frames[len(self._frames) - self._count:]
+
+    def push(self, frame: np.ndarray) -> None:
+        frame = np.asarray(frame, dtype=float)
+        if frame.shape != self._frames.shape[1:]:
+            raise ValueError(f"expected a ({self._frames.shape[1]},) feature "
+                             f"frame, got {frame.shape}")
+        self._frames[:-1] = self._frames[1:]
+        self._frames[-1] = frame
+        W = len(self._frames)
+        self._count = min(self._count + 1, W)
+        self._pending = min(self._pending + 1, W)
+
+    def _advance(self, model: SlipPredictor) -> np.ndarray:
+        """Final hidden state (1, hidden) of `model` over the W frames held,
+        as a view into the block."""
+        W, d = self._frames.shape
+        if (model.cfg.window, model.cfg.input_dim) != (W, d):
+            raise ValueError(f"a ({W}, {d}) feature window cannot feed a model "
+                             f"of window {model.cfg.window} and input_dim "
+                             f"{model.cfg.input_dim}")
+        if not self.full:
+            raise ValueError(f"feature window holds {self._count} of {W} frames")
+        if model is not self._model:
+            self._model, self._weights = model, model._gru_weights()
+            # the block is _h[1:]; _h[0] stays zero, so _h[:W] is the
+            # block shifted down by one row with a zero row in front
+            self._h = np.zeros((W + 1, model.cfg.hidden))
+            self._pending = W
+        Wx, Uzr, Un, b = self._weights
+        for frame in self._frames[W - self._pending:]:
+            gx = model._normalize(frame)[None] @ Wx
+            self._h[1:] = _gru_cell(gx, self._h[:W], Uzr, Un, b)[0]
+        self._pending = 0
+        return self._h[W:]
+
+
+def predict(model: SlipPredictor,
+            window: FeatureWindow | np.ndarray) -> Prediction:
+    """One prediction from a full window of W feature frames: a
+    `FeatureWindow`, or a (W, input_dim) array replayed through a fresh
+    one, so that online and offline predictions agree bit for bit."""
+    if not isinstance(window, FeatureWindow):
+        window = np.asarray(window, dtype=float)
+        if window.shape != (model.cfg.window, model.cfg.input_dim):
+            raise ValueError(f"expected ({model.cfg.window}, "
+                             f"{model.cfg.input_dim}) window, got {window.shape}")
+        frames, window = window, FeatureWindow(*window.shape)
+        for frame in frames:
+            window.push(frame)
+    h = window._advance(model)
+    slip_prob, force, cell = _natural_units(model, *model._heads(h))
     row, col = np.round(cell[0]).astype(int).tolist()
     return Prediction(slip_prob=float(slip_prob[0]),
                       force_value=float(force[0]), cell=(row, col))
@@ -208,7 +303,11 @@ def predict(model: SlipPredictor, window: np.ndarray) -> Prediction:
 def predict_batch(model: SlipPredictor, X: np.ndarray):
     """Vectorized predict over (N, W, input_dim); returns arrays
     (slip_prob, force_value, cell_float)."""
-    (slip_logit, force, cell), _ = model.forward(X)
+    outputs, _ = model.forward(X)
+    return _natural_units(model, *outputs)
+
+
+def _natural_units(model: SlipPredictor, slip_logit, force, cell):
     return (_sigmoid(slip_logit),
             force * model.force_std + model.force_mean,
             np.clip(cell * GRID_MAX, 0, GRID_MAX))

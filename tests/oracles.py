@@ -16,8 +16,14 @@ def naive_dft(x: np.ndarray, n_fft: int) -> np.ndarray:
     padded[:len(x)] = x
     n = np.arange(n_fft)
     bins = np.arange(n_fft // 2 + 1)
-    basis = np.exp(-2j * np.pi * np.outer(bins, n) / n_fft)
-    return basis @ padded
+    out = np.empty(len(bins), dtype=complex)
+    # 256 bins of the basis at a time: the whole basis of a 16000-sample
+    # frame would take about 2 GB
+    for lo in range(0, len(bins), 256):
+        block = bins[lo:lo + 256]
+        basis = np.exp(-2j * np.pi * np.outer(block, n) / n_fft)
+        out[lo:lo + 256] = basis @ padded
+    return out
 
 
 def naive_mfcc(samples: np.ndarray, sample_rate: int, frame_len: int = 400,

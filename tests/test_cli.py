@@ -231,6 +231,31 @@ class TestActiveAndEval:
         assert 0.0 <= acc <= 1.0
 
 
+    def test_missing_auc_gives_class_counts(self, cli_dataset, cli_models,
+                                             tmp_path, capsys):
+        # the rotation test windows of this dataset hold no slip
+        manifest = ds.load_manifest(cli_dataset)
+        _, slip, _, _, _ = ds.predictor_windows(cli_dataset, manifest, "test",
+                                                "rotation")
+        assert slip.sum() == 0
+        note = f"(test windows: 0 slip, {len(slip)} non-slip)"
+        models = tmp_path / "models"
+        shutil.copytree(cli_models, models)
+        rc = cli.main(["train", "--dataset", str(cli_dataset),
+                       "--out", str(models), "--task", "predictor",
+                       "--motion", "rotation", "--epochs", "1"])
+        assert rc == 0
+        assert f"test AUC n/a {note}," in capsys.readouterr().out
+        metrics = models / "metrics_predictor_default_rotation.csv"
+        assert metrics.read_text().splitlines()[1].startswith(",")
+        rc = cli.main(["eval", "--dataset", str(cli_dataset),
+                       "--models", str(models), "--out", str(tmp_path / "e")])
+        assert rc == 0
+        assert f"default predictor [rotation]: AUC nan {note}," in \
+            capsys.readouterr().out
+        assert "rotation_auc,nan" in (tmp_path / "e" / "eval.csv").read_text()
+
+
 class TestLoadModels:
     """Each bad models directory fails at load_models, naming the file."""
 
@@ -268,6 +293,40 @@ class TestLoadModels:
                                        motion="rotation", material="cereal"))
         with pytest.raises(ValueError, match=str(path)):
             cli.load_models(models)
+
+
+    @pytest.mark.parametrize("saved_as, scope, motion, material", [
+        # a material rice-rotation model under the shaking default's name
+        (("default", "shaking", None), "material", "rotation", "rice"),
+        (("material", "shaking", "rice"), "default", "shaking", None),
+        (("default", "shaking", None), "default", "rotation", None),
+        (("material", "shaking", "rice"), "material", "shaking", "gummies"),
+    ])
+    def test_name_disagreeing_with_descriptor_names_file(
+            self, cli_models, tmp_path, saved_as, scope, motion, material):
+        models = self.copy(cli_models, tmp_path)
+        path = models / cli.predictor_filename(*saved_as)
+        save_model(path, SlipPredictor(PredictorConfig(), scope=scope,
+                                       motion=motion, material=material))
+        expected = cli.predictor_filename(scope, motion, material)
+        with pytest.raises(ValueError,
+                           match=f"{path} holds .* should be {expected}"):
+            cli.load_models(models)
+
+    @pytest.mark.parametrize("cfg", [PredictorConfig(window=10),
+                                     PredictorConfig(horizon=5)])
+    def test_material_window_differing_from_default_names_file(
+            self, cli_models, tmp_path, cfg):
+        models = self.copy(cli_models, tmp_path)
+        path = models / cli.predictor_filename("material", "shaking", "rice")
+        save_model(path, SlipPredictor(cfg, scope="material", motion="shaking",
+                                       material="rice"))
+        with pytest.raises(ValueError, match=f"{path} has window "
+                           f"{cfg.window} and horizon {cfg.horizon}"):
+            cli.load_models(models)
+        save_model(path, SlipPredictor(PredictorConfig(), scope="material",
+                                       motion="shaking", material="rice"))
+        cli.load_models(models)
 
 
 def test_episode_csv_schema_is_stable():

@@ -167,7 +167,7 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
         return run_trial(material, motion, spy_policy, seed, **kwargs)
 
     def spy_predict(model, window):
-        windows.append((len(seen), np.array(window)))
+        windows.append((len(seen), np.array(window.frames)))
         return predict(model, window)
 
     def spy_mfcc(seg, *args, **kwargs):

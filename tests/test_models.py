@@ -16,8 +16,10 @@ from gripsense.models.classifier import (
     classify,
     train_classifier,
 )
-from gripsense.models.optim import TrainConfig
+from gripsense import tactile
+from gripsense.models.optim import TrainConfig, fit_standardizer
 from gripsense.models.predictor import (
+    FeatureWindow,
     PredictorConfig,
     SlipPredictor,
     predict,
@@ -32,7 +34,7 @@ from gripsense.models.serialize import (
     load_model,
     save_model,
 )
-from gripsense.motion import shaking_profile
+from gripsense.motion import SIM_DT, shaking_profile
 from gripsense.simulation import run_trial
 
 
@@ -219,6 +221,91 @@ class TestPredictor:
         assert median < default_mae, \
             f"median {median:.5f} vs default {default_mae:.5f}"
         assert effect > 0.2, f"effect size {effect:.2f} too small to matter"
+
+
+def recorded_stream(seed=31):
+    """Haptic features of a fixed-torque rice shaking trial, (n, 38)."""
+    rec = run_trial(material_table()["rice"], shaking_profile(3, 18.0, 2.0),
+                    0.4, seed)
+    return tactile.features_from_arrays(rec.tactile, rec.joint_angles, SIM_DT)
+
+
+def stream_model(feats, seed):
+    model = SlipPredictor(PredictorConfig(seed=seed))
+    fit_standardizer(model, feats)
+    model.force_mean, model.force_std = 0.3, 0.1
+    return model
+
+
+class TestFeatureWindow:
+    def test_stream_equals_replay_and_batch(self):
+        feats = recorded_stream()
+        model = stream_model(feats, seed=4)
+        W = model.cfg.window
+        fw = FeatureWindow(W, model.cfg.input_dim)
+        streamed, replayed = [], []
+        for i, frame in enumerate(feats):
+            fw.push(frame)
+            assert fw.full == (i + 1 >= W)
+            assert np.array_equal(fw.frames, feats[max(0, i + 1 - W):i + 1])
+            if fw.full:
+                streamed.append(predict(model, fw))
+                replayed.append(predict(model, feats[i + 1 - W:i + 1]))
+        assert len(streamed) == len(feats) - W + 1
+        assert streamed == replayed  # bit for bit, cell included
+        X = np.lib.stride_tricks.sliding_window_view(feats, W, axis=0)
+        probs, force, _ = predict_batch(model, X.transpose(0, 2, 1))
+        assert np.allclose([p.slip_prob for p in streamed], probs,
+                           rtol=0, atol=1e-12)
+        assert np.allclose([p.force_value for p in streamed], force,
+                           rtol=0, atol=1e-12)
+
+    def test_model_switch_replays_the_window(self):
+        feats = recorded_stream()
+        a, b = stream_model(feats, seed=4), stream_model(feats, seed=5)
+        W = a.cfg.window
+        fw = FeatureWindow(W, a.cfg.input_dim)
+        for frame in feats[:W]:
+            fw.push(frame)
+        predict(a, fw)
+        fw.push(feats[W])
+        predict(a, fw)
+        for i, model in ((W + 1, b), (W + 2, b), (W + 3, a)):
+            fw.push(feats[i])
+            got = predict(model, fw)
+            assert got == predict(model, feats[i + 1 - W:i + 1])
+            # a read by the other model and back replays the window twice
+            assert got != predict(b if model is a else a, fw)
+            assert predict(model, fw) == got
+
+    def test_bad_frames_and_windows_rejected(self):
+        model = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=6))
+        fw = FeatureWindow(6, 8)
+        for shape in ((7,), (9,), (1, 8), ()):
+            with pytest.raises(ValueError, match="feature frame"):
+                fw.push(np.zeros(shape))
+        for _ in range(5):
+            fw.push(np.zeros(8))
+        with pytest.raises(ValueError, match="5 of 6 frames"):
+            predict(model, fw)
+        fw.push(np.zeros(8))
+        other = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=5))
+        with pytest.raises(ValueError, match="window 5"):
+            predict(other, fw)
+        predict(model, fw)
+
+    def test_batch_outputs_are_pinned(self):
+        # SHA-256 of predict_batch's outputs at B = 1, 8 and 64, as the
+        # unstacked per-gate GRU computed them
+        model = SlipPredictor(PredictorConfig(seed=3))
+        model.force_mean, model.force_std = 0.3, 0.1
+        X = np.random.default_rng(11).standard_normal((64, 20, 38)) * 2.0
+        digest = hashlib.sha256()
+        for b in (1, 8, 64):
+            for out in predict_batch(model, X[:b]):
+                digest.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+        assert digest.hexdigest() == ("512096925cffa8ad7c6b0f62eaa70b3b"
+                                      "dc3dd79138f305054759d92774abe2a9")
 
 
 class TestRegistry:
