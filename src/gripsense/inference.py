@@ -152,10 +152,6 @@ class ActiveLog:
     segments_used: int = 0
     reached_confidence: bool = False
 
-    @property
-    def budget_exhausted(self) -> bool:
-        return not self.reached_confidence
-
 
 def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
                     L: MotionLikelihoodModel, confidence_target: float,

@@ -3,6 +3,10 @@
 One simulator step advances a 1-DoF Coulomb slip model and emits a
 synchronized observation: a 16x16 tactile pressure grid, 16 joint angles
 and torques, an 80-sample audio chunk, and ground-truth slip/force labels.
+`step` advances a block of k >= 1 such steps under one grip command: the
+scalar physics and every random draw run step by step, and the block's
+grids, joint streams and audio are then rendered as arrays with a leading
+step axis. A block gives the same bits as k single steps.
 
 Physics, in brief:
   * The grip torque maps linearly to a normal force, N = 25 * torque (N/Nm),
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +50,16 @@ REST_POSE = np.tile([0.08, 0.55, 0.65, 0.80], 4)
 CLOSE_DIR = np.tile([0.20, 1.00, 0.80, 0.50], 4)   # joints that tighten with grip torque
 SLIP_DIR = np.tile([0.10, 0.50, 0.80, 1.00], 4)    # joints dragged open by container slip
 TORQUE_DIST = np.tile([0.10, 0.40, 0.30, 0.20], 4)
+
+# The stiffest grip the hand can be commanded to; the reactive controller
+# commands 1.0 or 2.0.
+MAX_STIFFNESS_SCALE = 2.0
+
+# Steps per `step` call when a trial runs at a fixed grip: bounds the
+# render temporaries (a (100, 16, 16) float64 block is 200 kB).
+RENDER_BLOCK = 100
+# Impact bursts synthesized per array operation (16 x 1680 samples at most).
+BURST_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,11 @@ class SimParams:
 DEFAULT_PARAMS = SimParams()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=16)
 def _base_pattern(base_sigma: float) -> np.ndarray:
     """Normalized grip contact pattern; cached per width and read-only."""
@@ -84,17 +103,43 @@ def _base_pattern(base_sigma: float) -> np.ndarray:
     c = np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0
     w = np.exp(-0.5 * (r[:, None] / base_sigma) ** 2
                - 0.5 * (c[None, :] / base_sigma) ** 2)
-    w = w / w.sum()
-    w.flags.writeable = False
+    return _read_only(w / w.sum())
+
+
+_GRID_ROW_INDEX = _read_only(np.arange(GRID_ROWS))
+
+
+@functools.lru_cache(maxsize=16)
+def _load_col_term(load_sigma: float) -> np.ndarray:
+    """Column part of the load blob's exponent; cached per width and read-only."""
+    c = np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0
+    return _read_only(0.5 * (c / load_sigma) ** 2)
+
+
+def _load_patterns(center_rows: np.ndarray, load_sigma: float) -> np.ndarray:
+    """(k, 16, 16) load blobs, one per center row, each normalized to sum 1."""
+    r = _GRID_ROW_INDEX - center_rows[:, None]
+    r /= load_sigma
+    w = (-0.5 * r ** 2)[:, :, None] - _load_col_term(load_sigma)
+    np.exp(w, out=w)
+    # each blob's 256 cells sum in one contiguous pairwise reduction, as
+    # the sum of a single (16, 16) blob does
+    w /= np.add.reduce(w.reshape(len(center_rows), -1), axis=1)[:, None, None]
     return w
 
 
-def _load_pattern(center_row: float, params: SimParams) -> np.ndarray:
-    r = np.arange(GRID_ROWS) - center_row
-    c = np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0
-    w = np.exp(-0.5 * (r[:, None] / params.load_sigma) ** 2
-               - 0.5 * (c[None, :] / params.load_sigma) ** 2)
-    return w / w.sum()
+@functools.lru_cache(maxsize=16)
+def _burst_envelope(material: MaterialParams, params: SimParams):
+    """Sample times and decay envelope (impact plus rebound echo) of one
+    impact burst; cached per material and read-only."""
+    sr = params.sample_rate
+    tau = material.impact_decay_s
+    n_env = math.ceil(params.burst_decays * tau * sr)
+    d_idx = math.ceil(params.echo_delay_decays * tau * sr)
+    tt = np.arange(n_env + d_idx) / sr
+    env = np.exp(-tt / tau)
+    env[d_idx:] += material.restitution * np.exp(-(tt[d_idx:] - tt[d_idx]) / tau)
+    return _read_only(tt), _read_only(env)
 
 
 @dataclass
@@ -102,11 +147,10 @@ class SimState:
     """Mutable per-trial state; owned by exactly one trial loop."""
 
     contents_offset: float          # smoothed load direction in [-1, 1]
-    grip_normal_force: float        # N, from the last commanded torque
     slip_displacement: float        # m, monotone within a trial
     dropped: bool
     rng: np.random.Generator
-    audio_tail: np.ndarray          # synthesized audio not yet emitted
+    audio_tail: np.ndarray          # synthesized audio past the last emitted sample
     t: float = 0.0
 
 
@@ -124,124 +168,14 @@ class SimObservation:
 
 def initial_state(seed: int, material: MaterialParams,
                   params: SimParams = DEFAULT_PARAMS) -> SimState:
-    burst_len = math.ceil((params.burst_decays + params.echo_delay_decays)
-                          * material.impact_decay_s * params.sample_rate)
-    chunk = round(SIM_DT * params.sample_rate)
+    tt, _ = _burst_envelope(material, params)
     return SimState(
         contents_offset=0.0,
-        grip_normal_force=0.0,
         slip_displacement=0.0,
         dropped=False,
         rng=np.random.default_rng(seed),
-        audio_tail=np.zeros(chunk + burst_len),
+        audio_tail=np.zeros(len(tt)),
     )
-
-
-def _synth_impacts(state: SimState, material: MaterialParams, accel: float,
-                   chunk: int, dt: float, params: SimParams) -> None:
-    """Add this step's Poisson impact bursts into the pending audio tail."""
-    lam = params.impact_rate_coeff * material.particle_count * abs(accel) * dt
-    if lam <= 0.0:
-        return
-    n_events = state.rng.poisson(lam)
-    if n_events == 0:
-        return
-    sr = params.sample_rate
-    tau = material.impact_decay_s
-    n_env = math.ceil(params.burst_decays * tau * sr)
-    d_idx = math.ceil(params.echo_delay_decays * tau * sr)
-    n_burst = n_env + d_idx
-    tt = np.arange(n_burst) / sr
-    for _ in range(n_events):
-        onset = int(state.rng.integers(0, chunk))
-        freq = material.impact_centroid_hz + state.rng.uniform(
-            -0.5 * material.impact_bandwidth_hz, 0.5 * material.impact_bandwidth_hz)
-        phase = state.rng.uniform(0.0, 2.0 * np.pi)
-        env = np.exp(-tt / tau)
-        env[d_idx:] += material.restitution * np.exp(-(tt[d_idx:] - tt[d_idx]) / tau)
-        amp = params.impact_amp_coeff * abs(accel)
-        burst = amp * env * np.sin(2.0 * np.pi * freq * tt + phase)
-        state.audio_tail[onset:onset + n_burst] += burst
-
-
-def step(state: SimState, material: MaterialParams, motion_accel: float,
-         grip_torque: float, dt: float, stiffness_scale: float = 1.0,
-         params: SimParams = DEFAULT_PARAMS) -> tuple[SimState, SimObservation]:
-    """Advance the simulation by dt and return the updated state + observation."""
-    if not (np.isfinite(motion_accel) and np.isfinite(grip_torque)
-            and np.isfinite(dt) and np.isfinite(stiffness_scale)):
-        raise ValueError("non-finite simulator input")
-    if not 0.0 < dt <= 0.02:
-        raise ValueError(f"dt must be in (0, 0.02], got {dt}")
-    if not 0.0 <= grip_torque <= 1.0:
-        raise ValueError(f"grip_torque must be in [0, 1] Nm, got {grip_torque}")
-    if stiffness_scale <= 0.0:
-        raise ValueError(f"stiffness_scale must be positive, got {stiffness_scale}")
-
-    g = params.gravity
-    mass = material.total_mass
-    normal = params.torque_to_normal * grip_torque * stiffness_scale
-    state.grip_normal_force = normal
-
-    # Coulomb slip: deficit between required tangential force and friction.
-    required = mass * abs(motion_accel + g)
-    available = params.friction_mu * normal
-    slipping = (required > available) and not state.dropped
-    if slipping:
-        state.slip_displacement += params.slip_rate * ((required - available) / mass) * dt
-        if state.slip_displacement >= params.drop_threshold:
-            state.dropped = True
-
-    # Contents settle opposite the net specific force with a short lag.
-    target = float(np.clip((motion_accel + g) / params.accel_norm, -1.0, 1.0))
-    state.contents_offset += (target - state.contents_offset) * dt / params.slosh_tau
-
-    # Tactile rendering. Both patterns are grid-normalized, so the grid sum
-    # is exactly normal + load before quantization.
-    load = 0.0 if state.dropped else required
-    grid = normal * _base_pattern(params.base_sigma)
-    if load > 0.0:
-        center = (GRID_ROWS - 1) / 2.0 + params.load_shift_cells * state.contents_offset
-        grid = grid + load * _load_pattern(center, params)
-    q = params.tactile_quantum
-    grid = np.round(grid / q) * q
-    np.maximum(grid, 0.0, out=grid)
-    flat_idx = int(np.argmax(grid))
-    cell = (flat_idx // GRID_COLS, flat_idx % GRID_COLS)
-    max_force = float(grid[cell])
-
-    # Audio: emit the pending tail for this step plus fresh impacts + noise.
-    chunk = round(dt * params.sample_rate)
-    noise = state.rng.normal(0.0, params.noise_floor, chunk)
-    if not state.dropped:
-        _synth_impacts(state, material, motion_accel, chunk, dt, params)
-    audio = np.clip(state.audio_tail[:chunk] + noise, -1.0, 1.0)
-    state.audio_tail[:-chunk] = state.audio_tail[chunk:]
-    state.audio_tail[-chunk:] = 0.0
-
-    # Joint streams: grasp closing plus slip drag, with encoder jitter.
-    jq = params.joint_quantum
-    angles = (REST_POSE
-              + params.grip_closing_gain * grip_torque * CLOSE_DIR
-              + params.joint_slip_gain * state.slip_displacement * SLIP_DIR
-              + state.rng.normal(0.0, params.joint_noise, N_JOINTS))
-    angles = np.clip(np.round(angles / jq) * jq, 0.0, params.joint_angle_max)
-    torques = grip_torque * stiffness_scale * TORQUE_DIST + 0.005 * load * SLIP_DIR
-    torques = np.round(torques / jq) * jq
-
-    state.t += dt
-
-    obs = SimObservation(
-        t=state.t,
-        tactile_grid=grid,
-        joint_angles=angles,
-        joint_torques=torques,
-        audio_chunk=audio,
-        true_slip=bool(slipping),
-        true_max_force=max_force,
-        true_max_force_cell=cell,
-    )
-    return state, obs
 
 
 # The per-step arrays of a TrialRecord: (field, shape after the step axis,
@@ -256,6 +190,176 @@ TRIAL_ARRAYS = (
     ("true_cell", (2,), np.dtype("<i8")),
     ("dropped", (), np.dtype(bool)),
 )
+
+
+def step_arrays(k: int, chunk: int) -> dict[str, np.ndarray]:
+    """Empty arrays for k steps: every TRIAL_ARRAYS field plus "audio",
+    shaped (k, chunk)."""
+    arrays = {name: np.empty((k,) + shape, dtype) for name, shape, dtype in TRIAL_ARRAYS}
+    arrays["audio"] = np.empty((k, chunk))
+    return arrays
+
+
+def _add_bursts(buf: np.ndarray, events: list, material: MaterialParams,
+                params: SimParams) -> None:
+    """Add impact bursts (start sample, freq, phase, amp) into buf in event
+    order, so every sample sums its bursts in the order they were drawn."""
+    tt, env = _burst_envelope(material, params)
+    n_burst = len(tt)
+    for g in range(0, len(events), BURST_GROUP):
+        start, freq, phase, amp = zip(*events[g:g + BURST_GROUP])
+        bursts = 2.0 * np.pi * np.array(freq)[:, None] * tt
+        bursts += np.array(phase)[:, None]
+        np.sin(bursts, out=bursts)
+        bursts *= np.array(amp)[:, None] * env
+        for s, burst in zip(start, bursts):
+            buf[s:s + n_burst] += burst
+
+
+def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: float,
+         dt: float, stiffness_scale: float = 1.0, params: SimParams = DEFAULT_PARAMS,
+         out: dict[str, np.ndarray] | None = None) -> tuple[SimState, SimObservation]:
+    """Advance k steps of dt under one grip command.
+
+    motion_accel is one acceleration (k = 1) or a 1-D sequence of k, one per
+    step. The k steps are written into `out`, arrays shaped as by
+    `step_arrays(k, chunk)`, or into new ones. Returns the updated state and
+    the observation of the block's last step; its arrays are views of the
+    block's last row.
+    """
+    accels = np.asarray(motion_accel, dtype=float)
+    if accels.ndim > 1 or accels.size == 0:
+        raise ValueError("motion_accel must be one value or a 1-D block of steps")
+    accels = accels.reshape(-1).tolist()
+    if not all(map(math.isfinite, accels)):
+        bad = next(j for j, a in enumerate(accels) if not math.isfinite(a))
+        raise ValueError(f"non-finite motion_accel at step {bad} of the block")
+    if not (math.isfinite(grip_torque) and math.isfinite(dt)
+            and math.isfinite(stiffness_scale)):
+        raise ValueError("non-finite simulator input")
+    if not 0.0 < dt <= 0.02:
+        raise ValueError(f"dt must be in (0, 0.02], got {dt}")
+    if not 0.0 <= grip_torque <= 1.0:
+        raise ValueError(f"grip_torque must be in [0, 1] Nm, got {grip_torque}")
+    if not 0.0 < stiffness_scale <= MAX_STIFFNESS_SCALE:
+        raise ValueError(f"stiffness_scale must be in (0, {MAX_STIFFNESS_SCALE}], "
+                         f"got {stiffness_scale}")
+
+    k = len(accels)
+    chunk = round(dt * params.sample_rate)
+    if out is None:
+        out = step_arrays(k, chunk)
+    audio = out["audio"]
+    angles = out["joint_angles"]
+
+    g = params.gravity
+    mass = material.total_mass
+    normal = params.torque_to_normal * grip_torque * stiffness_scale
+    available = params.friction_mu * normal
+    rng = state.rng
+    rate = params.impact_rate_coeff * material.particle_count
+    half_band = 0.5 * material.impact_bandwidth_hz
+
+    # Scalar physics on Python floats and every random draw, step by step in
+    # the order audio noise, Poisson count, per-event draws, joint noise.
+    # The render inputs of each step are stored as it goes.
+    t_out, slip_out, drop_out = out["t"], out["true_slip"], out["dropped"]
+    loads, centers, load_torques, drags = np.empty((4, k))
+    events = []  # (start sample in the block, freq, phase, amp)
+    disp, dropped, offset, t = (state.slip_displacement, state.dropped,
+                                state.contents_offset, state.t)
+    slip_rate, drop_threshold = params.slip_rate, params.drop_threshold
+    accel_norm, slosh_tau = params.accel_norm, params.slosh_tau
+    noise_floor, joint_noise = params.noise_floor, params.joint_noise
+    normal_draw = rng.normal
+    for j, a in enumerate(accels):
+        # Coulomb slip: deficit between required tangential force and friction.
+        required = mass * abs(a + g)
+        slipping = required > available and not dropped
+        if slipping:
+            disp += slip_rate * ((required - available) / mass) * dt
+            if disp >= drop_threshold:
+                dropped = True
+        # Contents settle opposite the net specific force with a short lag.
+        target = min(max((a + g) / accel_norm, -1.0), 1.0)
+        offset += (target - offset) * dt / slosh_tau
+        t += dt
+        load = 0.0 if dropped else required
+        t_out[j], slip_out[j], drop_out[j] = t, slipping, dropped
+        loads[j] = load
+        centers[j] = (GRID_ROWS - 1) / 2.0 + params.load_shift_cells * offset
+        load_torques[j] = 0.005 * load
+        drags[j] = params.joint_slip_gain * disp
+
+        audio[j] = normal_draw(0.0, noise_floor, chunk)
+        lam = rate * abs(a) * dt
+        if not dropped and lam > 0.0:
+            amp = params.impact_amp_coeff * abs(a)
+            for _ in range(rng.poisson(lam)):
+                onset = int(rng.integers(0, chunk))
+                freq = material.impact_centroid_hz + rng.uniform(-half_band, half_band)
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                events.append((j * chunk + onset, freq, phase, amp))
+        angles[j] = normal_draw(0.0, joint_noise, N_JOINTS)
+    state.slip_displacement, state.dropped, state.contents_offset, state.t = \
+        disp, dropped, offset, t
+
+    # Tactile rendering. Both patterns are grid-normalized, so the grid sum
+    # is exactly normal + load before quantization.
+    grid = out["tactile"]
+    np.multiply(normal, _base_pattern(params.base_sigma), out=grid)
+    blobs = _load_patterns(centers, params.load_sigma)
+    blobs *= loads[:, None, None]
+    grid += blobs
+    q = params.tactile_quantum
+    grid /= q
+    np.rint(grid, out=grid)
+    grid *= q
+    np.maximum(grid, 0.0, out=grid)
+    flat = grid.reshape(k, GRID_ROWS * GRID_COLS)
+    np.maximum.reduce(flat, axis=1, out=out["true_max_force"])
+    cells = out["true_cell"]
+    np.divmod(flat.argmax(axis=1), GRID_COLS, out=(cells[:, 0], cells[:, 1]))
+
+    # Audio: pending tail plus this block's impacts, then noise, then clip.
+    n_tail = len(state.audio_tail)
+    buf = np.zeros(k * chunk + n_tail)
+    buf[:n_tail] = state.audio_tail
+    if events:
+        _add_bursts(buf, events, material, params)
+    audio += buf[:k * chunk].reshape(k, chunk)
+    np.maximum(audio, -1.0, out=audio)
+    np.minimum(audio, 1.0, out=audio)
+    state.audio_tail = buf[k * chunk:]
+
+    # Joint streams: grasp closing plus slip drag, with encoder jitter.
+    jq = params.joint_quantum
+    pose = REST_POSE + params.grip_closing_gain * grip_torque * CLOSE_DIR
+    angles += pose + drags[:, None] * SLIP_DIR
+    angles /= jq
+    np.rint(angles, out=angles)
+    angles *= jq
+    np.maximum(0.0, angles, out=angles)  # this order keeps np.clip's sign of zero
+    np.minimum(angles, params.joint_angle_max, out=angles)
+    torques = out["joint_torques"]
+    np.multiply(load_torques[:, None], SLIP_DIR, out=torques)
+    torques += grip_torque * stiffness_scale * TORQUE_DIST
+    torques /= jq
+    np.rint(torques, out=torques)
+    torques *= jq
+
+    cell = cells[-1]
+    obs = SimObservation(
+        t=state.t,
+        tactile_grid=grid[-1],
+        joint_angles=angles[-1],
+        joint_torques=torques[-1],
+        audio_chunk=audio[-1],
+        true_slip=slipping,
+        true_max_force=float(out["true_max_force"][-1]),
+        true_max_force_cell=(int(cell[0]), int(cell[1])),
+    )
+    return state, obs
 
 
 @dataclass
@@ -287,13 +391,16 @@ class TrialRecord:
         return len(self.t)
 
     def equals(self, other: "TrialRecord") -> bool:
+        """Same metadata, and every array equal in dtype and value."""
         if (self.trial_id, self.material, self.seed, self.sample_rate, self.dt) != \
            (other.trial_id, other.material, other.seed, other.sample_rate, other.dt):
             return False
         if self.motion != other.motion:
             return False
         arrays = ("audio",) + tuple(name for name, _, _ in TRIAL_ARRAYS)
-        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
+        return all(getattr(self, a).dtype == getattr(other, a).dtype
+                   and np.array_equal(getattr(self, a), getattr(other, a))
+                   for a in arrays)
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
@@ -310,43 +417,28 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     grip_policy is either a fixed torque (float) or a callable
     ``policy(prev_obs) -> (torque, stiffness_scale)`` invoked before every
     step with the previous step's observation (None on the first step).
-    This is the only loop over `step`.
+    A callable policy gets one `step` call per decision. A fixed torque
+    needs no observation before the trial ends, so its steps go to `step`
+    in blocks of RENDER_BLOCK. Either way `step` writes straight into the
+    record's arrays. This is the only loop over `step`.
     """
     if motion.n_steps < 1:
         raise ValueError("motion duration must cover at least one step")
     state = initial_state(seed, material, params)
-    accels = motion.accelerations()
+    accels = motion.accelerations().tolist()
     n = motion.n_steps
-    chunk = round(SIM_DT * params.sample_rate)
-
-    audio = np.empty(n * chunk)
-    t = np.empty(n)
-    tactile = np.empty((n, GRID_ROWS, GRID_COLS))
-    angles = np.empty((n, N_JOINTS))
-    torques = np.empty((n, N_JOINTS))
-    slip = np.empty(n, dtype=bool)
-    max_force = np.empty(n)
-    cells = np.empty((n, 2), dtype=np.int64)
-    dropped = np.empty(n, dtype=bool)
+    arrays = step_arrays(n, round(SIM_DT * params.sample_rate))
+    block = 1 if callable(grip_policy) else RENDER_BLOCK
 
     prev_obs = None
-    for i in range(n):
+    for i in range(0, n, block):
         if callable(grip_policy):
             torque, stiffness = grip_policy(prev_obs)
         else:
             torque, stiffness = float(grip_policy), 1.0
-        state, obs = step(state, material, float(accels[i]), torque, SIM_DT,
-                          stiffness_scale=stiffness, params=params)
-        audio[i * chunk:(i + 1) * chunk] = obs.audio_chunk
-        t[i] = obs.t
-        tactile[i] = obs.tactile_grid
-        angles[i] = obs.joint_angles
-        torques[i] = obs.joint_torques
-        slip[i] = obs.true_slip
-        max_force[i] = obs.true_max_force
-        cells[i] = obs.true_max_force_cell
-        dropped[i] = state.dropped
-        prev_obs = obs
+        rows = {name: a[i:i + block] for name, a in arrays.items()}
+        state, prev_obs = step(state, material, accels[i:i + block], torque, SIM_DT,
+                               stiffness_scale=stiffness, params=params, out=rows)
 
     meta = {
         "kind": motion.kind,
@@ -362,13 +454,6 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
         seed=seed,
         sample_rate=params.sample_rate,
         dt=SIM_DT,
-        audio=quantize_pcm16(audio),
-        t=t,
-        tactile=tactile,
-        joint_angles=angles,
-        joint_torques=torques,
-        true_slip=slip,
-        true_max_force=max_force,
-        true_cell=cells,
-        dropped=dropped,
+        audio=quantize_pcm16(arrays.pop("audio").reshape(-1)),
+        **arrays,
     )

@@ -74,25 +74,3 @@ def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
     deltas[1:] = (joint_angles[1:] - joint_angles[:-1]) / dt
     return np.column_stack([mean_nz, max_nz, com_r, com_c, grad_r, grad_c,
                             joint_angles, deltas])
-
-
-def calibrate_slip_threshold(joint_histories: list[np.ndarray],
-                             true_slip: list[np.ndarray],
-                             horizon: int = SLIP_HORIZON_STEPS,
-                             candidates: np.ndarray | None = None) -> float:
-    """Pick the threshold maximizing F1 of label_slip against ground truth."""
-    if candidates is None:
-        candidates = np.geomspace(1e-3, 0.2, 25)
-    best_thr, best_f1 = float(candidates[0]), -1.0
-    for thr in candidates:
-        tp = fp = fn = 0
-        for hist, truth in zip(joint_histories, true_slip):
-            pred = label_slip(hist, float(thr), horizon)
-            truth = np.asarray(truth, dtype=bool)
-            tp += int(np.sum(pred & truth))
-            fp += int(np.sum(pred & ~truth))
-            fn += int(np.sum(~pred & truth))
-        f1 = 2 * tp / max(2 * tp + fp + fn, 1)
-        if f1 > best_f1:
-            best_thr, best_f1 = float(thr), f1
-    return best_thr

@@ -209,3 +209,23 @@ def loop_label_slip(history, threshold: float, horizon: int):
                       for j in range(h.shape[1]))
         labels.append(biggest > threshold)
     return np.asarray(labels, dtype=bool)
+
+
+def calibrate_slip_threshold(joint_histories, true_slip, horizon: int) -> float:
+    """The threshold, of 25 log-spaced candidates in [1e-3, 0.2], whose slip
+    labels score the highest F1 against ground truth, pooled over all
+    histories."""
+    candidates = np.geomspace(1e-3, 0.2, 25)
+    best_thr, best_f1 = float(candidates[0]), -1.0
+    for thr in candidates:
+        tp = fp = fn = 0
+        for hist, truth in zip(joint_histories, true_slip):
+            pred = loop_label_slip(hist, float(thr), horizon)
+            truth = np.asarray(truth, dtype=bool)
+            tp += int(np.sum(pred & truth))
+            fp += int(np.sum(pred & ~truth))
+            fn += int(np.sum(~pred & truth))
+        f1 = 2 * tp / max(2 * tp + fp + fn, 1)
+        if f1 > best_f1:
+            best_thr, best_f1 = float(thr), f1
+    return best_thr

@@ -18,7 +18,8 @@ from gripsense.controller import run_baseline_episode, run_reactive_loop
 from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models.classifier import ClassifierConfig, MaterialClassifier, classify, train_classifier
 from gripsense.models.optim import TrainConfig
-from gripsense.models.predictor import PredictorConfig, SlipPredictor, predict, predict_batch
+from gripsense.models.predictor import (FeatureWindow, PredictorConfig, SlipPredictor, predict,
+                                       predict_batch)
 from gripsense.models.registry import select_model
 from gripsense.models import metrics as mx
 from gripsense.motion import SIM_DT
@@ -215,8 +216,14 @@ def test_criterion_7_model_switching(classifier, registry):
         # the default model on the same windows: step i's window holds the
         # features of the observations before it
         feats = tactile.features_from_arrays(rec.tactile, rec.joint_angles, SIM_DT)
-        default = np.array([predict(default_model, feats[i - W:i]).force_value
-                            for i in np.flatnonzero(valid)])
+        window = FeatureWindow(W, feats.shape[1])
+        default, pushed = [], 0
+        for i in np.flatnonzero(valid):
+            while pushed < i:
+                window.push(feats[pushed])
+                pushed += 1
+            default.append(predict(default_model, window).force_value)
+        default = np.array(default)
         material_maes.append(float(np.abs(specific[valid] - truth[valid]).mean()))
         default_maes.append(float(np.abs(default - truth[valid]).mean()))
     assert commits >= 10, f"only {commits}/20 episodes committed correctly"

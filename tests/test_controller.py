@@ -17,7 +17,7 @@ from gripsense.controller import (
     write_episode_csv,
 )
 from gripsense.materials import material_table
-from gripsense.models.predictor import Prediction, predict
+from gripsense.models.predictor import FeatureWindow, Prediction, predict
 from gripsense.motion import SIM_DT, shaking_profile
 from gripsense.simulation import DEFAULT_PARAMS
 
@@ -116,8 +116,11 @@ class TestEpisodes:
         feats = tactile.features_from_arrays(log.record.tactile,
                                              log.record.joint_angles, SIM_DT)
         replayed = np.full(len(log.pred_force), np.nan)
-        for i in range(W, len(replayed)):
-            replayed[i] = predict(default, feats[i - W:i]).force_value
+        window = FeatureWindow(W, feats.shape[1])
+        for i, frame in enumerate(feats[:-1]):
+            window.push(frame)  # step i + 1's window: feats[i + 1 - W:i + 1]
+            if window.full:
+                replayed[i + 1] = predict(default, window).force_value
         pre = np.array([a == "default" for a in log.active_material])
         assert np.isfinite(log.pred_force[pre]).any()
         assert np.array_equal(replayed[pre], log.pred_force[pre], equal_nan=True)

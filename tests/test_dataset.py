@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -229,6 +230,17 @@ class TestManifestAndSplits:
         assert len(tiny.trials) == 10
         with pytest.raises(ds.DatasetError):
             ds.build_splits(tiny)
+
+    def test_simulator_bytes_are_pinned(self, tmp_path):
+        # SHA-256 over the sorted per-file CRC32s of the seed-0 dataset at
+        # one trial per cell: any change to the simulated bytes shows here
+        manifest = ds.generate_dataset(tmp_path / "d", trials_per_cell=1,
+                                       base_seed=0)
+        lines = sorted(f"{e.trial_id}/{name}:{crc}" for e in manifest.trials
+                       for name, crc in e.checksums.items())
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("b8143112382174d067cf96bace9b60d6"
+                          "c7aa211b82565e5165ef3a9e97d0b9eb")
 
     def test_refuses_nonempty_dir(self, tmp_path):
         (tmp_path / "full").mkdir()

@@ -202,7 +202,7 @@ class TestActiveLoop:
         log = inference.run_active_loop(TABLE["gummies"], classifier,
                                         likelihoods, 0.999999999, 2, seed=41)
         assert log.segments_used == 2
-        assert log.budget_exhausted
+        assert not log.reached_confidence
 
     def test_deterministic_per_seed(self, classifier, likelihoods):
         a = inference.run_active_loop(TABLE["vitamins"], classifier,

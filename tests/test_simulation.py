@@ -5,6 +5,8 @@ from gripsense.materials import material_table
 from gripsense.motion import SIM_DT, LEVER_ARM_M, MotionProfile, rotation_profile, shaking_profile
 from gripsense.simulation import (
     DEFAULT_PARAMS,
+    MAX_STIFFNESS_SCALE,
+    RENDER_BLOCK,
     SimParams,
     _base_pattern,
     initial_state,
@@ -94,6 +96,8 @@ class TestStep:
         dict(dt=0.05),
         dict(stiffness_scale=np.inf),
         dict(stiffness_scale=-0.5),
+        dict(stiffness_scale=MAX_STIFFNESS_SCALE * 1.25),
+        dict(motion_accel=[0.0, 4.0, np.inf, 1.0]),
     ])
     def test_input_validation(self, kwargs):
         m = TABLE["rice"]
@@ -102,6 +106,31 @@ class TestStep:
         args.update(kwargs)
         with pytest.raises(ValueError):
             step(initial_state(0, m), m, **args)
+
+    def test_non_finite_block_step_is_named_and_state_untouched(self):
+        m = TABLE["rice"]
+        state = initial_state(0, m)
+        before = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match="step 3 of the block"):
+            step(state, m, [0.0, 1.0, 2.0, np.nan, 0.0], 0.5, SIM_DT)
+        assert state.t == 0.0 and state.rng.bit_generator.state == before
+
+    def test_block_step_ends_with_the_last_single_step(self):
+        m = TABLE["cereal"]
+        accels = [0.0, 15.0, -12.0, 30.0]
+        state = initial_state(6, m)
+        for a in accels:
+            state, single = step(state, m, a, 0.4, SIM_DT, stiffness_scale=2.0)
+        block_state, block = step(initial_state(6, m), m, accels, 0.4, SIM_DT,
+                                  stiffness_scale=2.0)
+        for name in ("tactile_grid", "joint_angles", "joint_torques",
+                     "audio_chunk"):
+            assert np.array_equal(getattr(block, name), getattr(single, name))
+        assert (block.t, block.true_slip, block.true_max_force,
+                block.true_max_force_cell) == \
+            (single.t, single.true_slip, single.true_max_force,
+             single.true_max_force_cell)
+        assert np.array_equal(block_state.audio_tail, state.audio_tail)
 
     def test_contact_pattern_is_shared_read_only(self):
         pattern = _base_pattern(DEFAULT_PARAMS.base_sigma)
@@ -198,6 +227,27 @@ class TestTrials:
     def test_audio_sits_on_pcm16_grid(self):
         rec = run_trial(TABLE["cereal"], fixed_shake(), 0.4, 8)
         assert np.array_equal(quantize_pcm16(rec.audio), rec.audio)
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    @pytest.mark.parametrize("motion", [fixed_shake(),
+                                        rotation_profile(0.7, 1.7, 3.0)])
+    def test_fixed_torque_blocks_equal_single_steps(self, name, motion):
+        # a fixed torque renders in blocks of RENDER_BLOCK steps, a policy
+        # one step per decision: both give the same record, dtypes included
+        assert motion.n_steps > RENDER_BLOCK
+        for seed in (0, 1):
+            blocks = run_trial(TABLE[name], motion, 0.4, seed)
+            steps = run_trial(TABLE[name], motion, lambda prev: (0.4, 1.0), seed)
+            assert blocks.equals(steps)
+
+    def test_dropping_trial_blocks_equal_single_steps(self):
+        # 247 steps: two full render blocks and a partial one
+        motion = rotation_profile(1.2, 2.5, 1.235)
+        assert motion.n_steps % RENDER_BLOCK != 0
+        blocks = run_trial(TABLE["rice"], motion, 0.0, 17)
+        steps = run_trial(TABLE["rice"], motion, lambda prev: (0.0, 1.0), 17)
+        assert blocks.dropped.any() and not blocks.dropped[0]
+        assert blocks.equals(steps)
 
     def test_custom_params_threaded_through(self):
         params = SimParams(friction_mu=5.0)

@@ -98,7 +98,8 @@ class TestSlipLabels:
                             0.4, seed)
             hists.append(rec.joint_angles)
             truths.append(rec.true_slip)
-        thr = tactile.calibrate_slip_threshold(hists, truths)
+        thr = oracles.calibrate_slip_threshold(hists, truths,
+                                               tactile.SLIP_HORIZON_STEPS)
         preds = np.concatenate([tactile.label_slip(h, thr) for h in hists])
         truth = np.concatenate(truths)
         tp = np.sum(preds & truth)
