@@ -14,7 +14,6 @@ controller's per-step command, predictions and active model.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,19 +57,12 @@ class GripState:
     active_material: str | None = None
     consecutive_stable: int = 0
     event_log: list[tuple[float, str]] = field(default_factory=list)
-    step_index: int = 0
 
 
-@dataclass(frozen=True)
-class GripCommand:
-    torque: float
-    stiffness_scale: float
-
-
-def grip_update(state: GripState, pred: Prediction,
-                cfg: ControllerConfig = CONFIG) -> tuple[GripState, GripCommand]:
-    """One reactive decision from a prediction; mutates and returns state."""
-    t = state.step_index * SIM_DT
+def grip_update(state: GripState, pred: Prediction, t: float,
+                cfg: ControllerConfig = CONFIG) -> None:
+    """One reactive decision from a prediction, taken at time t: updates
+    state's command and logs its events at t."""
     torque = state.applied_torque
     if pred.slip_prob > cfg.slip_threshold_prob:
         new = min(torque + cfg.torque_step_up, cfg.max_torque)
@@ -90,8 +82,6 @@ def grip_update(state: GripState, pred: Prediction,
             (t, "stiffen_on" if stiffness > 1.0 else "stiffen_off"))
     state.applied_torque = torque
     state.stiffness_scale = stiffness
-    state.step_index += 1
-    return state, GripCommand(torque, stiffness)
 
 
 @dataclass
@@ -120,9 +110,9 @@ class EpisodeLog:
 class _ReactivePolicy:
     """Stateful per-step policy fed to the simulator trial loop.
 
-    Ingests the previous observation (features, audio, classifier hops,
-    prediction, grip update), records step i's command and prediction at
-    index i, and emits the command.
+    Reads the trial's history (the newest feature frame, the last second of
+    audio at classifier hops), predicts, updates the grip, records step i's
+    command and prediction at index i, and emits the command.
     """
 
     def __init__(self, classifier: MaterialClassifier, registry: ModelRegistry,
@@ -134,14 +124,8 @@ class _ReactivePolicy:
         self.model = select_model(registry, motion_kind)
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
         self.seg_samples = round(dsp.SEGMENT_S * DEFAULT_PARAMS.sample_rate)
-        # newest audio chunks, trimmed to the fewest that hold seg_samples
-        self.chunks: deque[np.ndarray] = deque()
-        self.n_samples = 0
         self.window = FeatureWindow(self.model.cfg.window,
                                     self.model.cfg.input_dim)
-        self.prev_grid = None
-        self.prev_angles = None
-        self.step_count = 0  # index of the step the next call commands
         self.torque_cmd = np.empty(n_steps)
         self.stiffness = np.empty(n_steps)
         self.slip_prob = np.full(n_steps, np.nan)
@@ -149,26 +133,14 @@ class _ReactivePolicy:
         self.active_material = ["default"] * n_steps
         self.switch_time_s: float | None = None
 
-    def _ingest(self, obs) -> None:
-        self.chunks.append(obs.audio_chunk)
-        self.n_samples += len(obs.audio_chunk)
-        while self.n_samples - len(self.chunks[0]) >= self.seg_samples:
-            self.n_samples -= len(self.chunks.popleft())
-        if self.prev_grid is None:
-            grids, angles = obs.tactile_grid[None], obs.joint_angles[None]
-        else:
-            grids = np.array([self.prev_grid, obs.tactile_grid])
-            angles = np.array([self.prev_angles, obs.joint_angles])
-        self.window.push(tactile.features_from_arrays(grids, angles, SIM_DT)[-1])
-        self.prev_grid, self.prev_angles = obs.tactile_grid, obs.joint_angles
-
-    def _maybe_classify(self, t: float) -> None:
+    def _maybe_classify(self, i: int, audio: np.ndarray) -> None:
         if self.state.active_material is not None:
             return
-        if self.step_count % self.hop_steps != 0 or self.n_samples < self.seg_samples:
+        if i % self.hop_steps != 0 or audio.size < self.seg_samples:
             return
-        audio = np.concatenate(self.chunks)[-self.seg_samples:]
-        seg = dsp.AudioSegment(audio, "online", t - dsp.SEGMENT_S,
+        t = i * SIM_DT
+        seg = dsp.AudioSegment(audio.reshape(-1)[-self.seg_samples:], "online",
+                               t - dsp.SEGMENT_S,
                                sample_rate=DEFAULT_PARAMS.sample_rate)
         probs = classify(self.classifier, dsp.mfcc(seg))
         best = int(np.argmax(probs))
@@ -179,22 +151,20 @@ class _ReactivePolicy:
             self.state.event_log.append((t, f"switch:{name}"))
             self.switch_time_s = t
 
-    def __call__(self, prev_obs):
-        i = self.step_count
-        if prev_obs is not None:
-            self._ingest(prev_obs)
-            self._maybe_classify(i * SIM_DT)
+    def __call__(self, history):
+        i = len(history["t"])
+        if i:
+            self.window.push(tactile.features_from_arrays(
+                history["tactile"][-2:], history["joint_angles"][-2:], SIM_DT)[-1])
+            self._maybe_classify(i, history["audio"])
             if self.window.full:
                 pred = predict(self.model, self.window)
-                grip_update(self.state, pred)
+                grip_update(self.state, pred, i * SIM_DT)
                 self.slip_prob[i] = pred.slip_prob
                 self.pred_force[i] = pred.force_value
-            else:
-                self.state.step_index += 1
         self.active_material[i] = self.state.active_material or "default"
         self.torque_cmd[i] = self.state.applied_torque
         self.stiffness[i] = self.state.stiffness_scale
-        self.step_count += 1
         return self.state.applied_torque, self.state.stiffness_scale
 
 

@@ -1,8 +1,9 @@
 """Deterministic desk-scale simulator of a hand gripping a granular container.
 
-One simulator step advances a 1-DoF Coulomb slip model and emits a
-synchronized observation: a 16x16 tactile pressure grid, 16 joint angles
-and torques, an 80-sample audio chunk, and ground-truth slip/force labels.
+One simulator step advances a 1-DoF Coulomb slip model and writes one
+synchronized row of the trial record: a 16x16 tactile pressure grid, 16
+joint angles and torques, an 80-sample audio chunk, and ground-truth
+slip/force labels.
 `step` advances a block of k >= 1 such steps under one grip command: the
 scalar physics and every random draw run step by step, and the block's
 grids, joint streams and audio are then rendered as arrays with a leading
@@ -154,18 +155,6 @@ class SimState:
     t: float = 0.0
 
 
-@dataclass(frozen=True)
-class SimObservation:
-    t: float
-    tactile_grid: np.ndarray      # (16, 16) N per cell, >= 0
-    joint_angles: np.ndarray      # (16,) rad
-    joint_torques: np.ndarray     # (16,) Nm
-    audio_chunk: np.ndarray       # (round(dt * sample_rate),) in [-1, 1]
-    true_slip: bool
-    true_max_force: float
-    true_max_force_cell: tuple[int, int]
-
-
 def initial_state(seed: int, material: MaterialParams,
                   params: SimParams = DEFAULT_PARAMS) -> SimState:
     tt, _ = _burst_envelope(material, params)
@@ -218,14 +207,13 @@ def _add_bursts(buf: np.ndarray, events: list, material: MaterialParams,
 
 def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: float,
          dt: float, stiffness_scale: float = 1.0, params: SimParams = DEFAULT_PARAMS,
-         out: dict[str, np.ndarray] | None = None) -> tuple[SimState, SimObservation]:
-    """Advance k steps of dt under one grip command.
+         out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Advance `state` in place by k steps of dt under one grip command.
 
     motion_accel is one acceleration (k = 1) or a 1-D sequence of k, one per
     step. The k steps are written into `out`, arrays shaped as by
-    `step_arrays(k, chunk)`, or into new ones. Returns the updated state and
-    the observation of the block's last step; its arrays are views of the
-    block's last row.
+    `step_arrays(k, chunk)`, or into new ones, which are returned. Audio
+    rows are not yet quantized.
     """
     accels = np.asarray(motion_accel, dtype=float)
     if accels.ndim > 1 or accels.size == 0:
@@ -347,19 +335,7 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     torques /= jq
     np.rint(torques, out=torques)
     torques *= jq
-
-    cell = cells[-1]
-    obs = SimObservation(
-        t=state.t,
-        tactile_grid=grid[-1],
-        joint_angles=angles[-1],
-        joint_torques=torques[-1],
-        audio_chunk=audio[-1],
-        true_slip=slipping,
-        true_max_force=float(out["true_max_force"][-1]),
-        true_max_force_cell=(int(cell[0]), int(cell[1])),
-    )
-    return state, obs
+    return out
 
 
 @dataclass
@@ -415,12 +391,15 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     """Run one full trial and collect the synchronized record.
 
     grip_policy is either a fixed torque (float) or a callable
-    ``policy(prev_obs) -> (torque, stiffness_scale)`` invoked before every
-    step with the previous step's observation (None on the first step).
-    A callable policy gets one `step` call per decision. A fixed torque
-    needs no observation before the trial ends, so its steps go to `step`
-    in blocks of RENDER_BLOCK. Either way `step` writes straight into the
-    record's arrays. This is the only loop over `step`.
+    ``policy(history) -> (torque, stiffness_scale)`` invoked before every
+    step. Before step i, `history` maps every TRIAL_ARRAYS field and
+    "audio" (shape (i, chunk), not yet quantized) to its first i rows:
+    views of the arrays the trial is filling, which the policy must not
+    write. A callable policy
+    gets one `step` call per decision. A fixed torque reads nothing before
+    the trial ends, so its steps go to `step` in blocks of RENDER_BLOCK.
+    Either way `step` writes straight into the record's arrays. This is the
+    only loop over `step`.
     """
     if motion.n_steps < 1:
         raise ValueError("motion duration must cover at least one step")
@@ -430,15 +409,14 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     arrays = step_arrays(n, round(SIM_DT * params.sample_rate))
     block = 1 if callable(grip_policy) else RENDER_BLOCK
 
-    prev_obs = None
     for i in range(0, n, block):
         if callable(grip_policy):
-            torque, stiffness = grip_policy(prev_obs)
+            torque, stiffness = grip_policy({name: a[:i] for name, a in arrays.items()})
         else:
             torque, stiffness = float(grip_policy), 1.0
         rows = {name: a[i:i + block] for name, a in arrays.items()}
-        state, prev_obs = step(state, material, accels[i:i + block], torque, SIM_DT,
-                               stiffness_scale=stiffness, params=params, out=rows)
+        step(state, material, accels[i:i + block], torque, SIM_DT,
+             stiffness_scale=stiffness, params=params, out=rows)
 
     meta = {
         "kind": motion.kind,

@@ -16,12 +16,15 @@ def naive_dft(x: np.ndarray, n_fft: int) -> np.ndarray:
     padded[:len(x)] = x
     n = np.arange(n_fft)
     bins = np.arange(n_fft // 2 + 1)
+    # basis entry (k, n) is exp(-2 pi i k n / N), the root of unity number
+    # (k n) mod N: a table lookup instead of one exp per entry
+    roots = np.exp(-2j * np.pi * n / n_fft)
     out = np.empty(len(bins), dtype=complex)
     # 256 bins of the basis at a time: the whole basis of a 16000-sample
     # frame would take about 2 GB
     for lo in range(0, len(bins), 256):
         block = bins[lo:lo + 256]
-        basis = np.exp(-2j * np.pi * np.outer(block, n) / n_fft)
+        basis = roots[np.outer(block, n) % n_fft]
         out[lo:lo + 256] = basis @ padded
     return out
 

@@ -31,23 +31,23 @@ def pred(slip=0.0, force=0.1):
 class TestGripUpdate:
     def test_slip_raises_torque_one_step(self):
         state = GripState(applied_torque=0.4)
-        state, cmd = grip_update(state, pred(slip=0.9))
-        assert cmd.torque == pytest.approx(0.5)
-        assert ("torque_up" in [e for _, e in state.event_log])
+        grip_update(state, pred(slip=0.9), 0.5)
+        assert state.applied_torque == pytest.approx(0.5)
+        assert state.event_log == [(0.5, "torque_up")]
 
     def test_torque_saturates_at_max(self):
         state = GripState(applied_torque=1.0)
-        state, cmd = grip_update(state, pred(slip=0.9))
-        assert cmd.torque == 1.0
+        grip_update(state, pred(slip=0.9), 0.0)
+        assert state.applied_torque == 1.0
         assert not state.event_log  # clamped step is not an event
 
     def test_relax_decays_to_base_and_stops(self):
         cfg = ControllerConfig()
         state = GripState(applied_torque=0.8)
         torques = []
-        for _ in range(100):
-            state, cmd = grip_update(state, pred(slip=0.0), cfg)
-            torques.append(cmd.torque)
+        for i in range(100):
+            grip_update(state, pred(slip=0.0), i * SIM_DT, cfg)
+            torques.append(state.applied_torque)
         # flat while the stable counter fills, then a 0.02/step ramp down
         assert torques[:cfg.stable_steps_before_relax] == [0.8] * 20
         assert torques[-1] == pytest.approx(cfg.base_torque)
@@ -57,10 +57,10 @@ class TestGripUpdate:
 
     def test_stiffen_events_toggle(self):
         state = GripState(applied_torque=0.4)
-        state, cmd = grip_update(state, pred(force=0.5))
-        assert cmd.stiffness_scale == 2.0
-        state, cmd = grip_update(state, pred(force=0.1))
-        assert cmd.stiffness_scale == 1.0
+        grip_update(state, pred(force=0.5), 0.0)
+        assert state.stiffness_scale == 2.0
+        grip_update(state, pred(force=0.1), SIM_DT)
+        assert state.stiffness_scale == 1.0
         kinds = [e for _, e in state.event_log]
         assert kinds == ["stiffen_on", "stiffen_off"]
 
@@ -70,9 +70,11 @@ class TestGripUpdate:
     def test_response_monotone_in_slip_probability(self, p_low, p_high,
                                                    torque):
         lo, hi = sorted((p_low, p_high))
-        _, cmd_lo = grip_update(GripState(applied_torque=torque), pred(slip=lo))
-        _, cmd_hi = grip_update(GripState(applied_torque=torque), pred(slip=hi))
-        assert cmd_lo.torque <= cmd_hi.torque + 1e-12
+        state_lo = GripState(applied_torque=torque)
+        state_hi = GripState(applied_torque=torque)
+        grip_update(state_lo, pred(slip=lo), 0.0)
+        grip_update(state_hi, pred(slip=hi), 0.0)
+        assert state_lo.applied_torque <= state_hi.applied_torque + 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -147,6 +149,16 @@ class TestEpisodes:
         assert np.all(np.isnan(log.slip_prob))
         assert all(a == "default" for a in log.active_material)
 
+    def test_torque_up_events_stamp_the_raised_step(self, classifier, registry):
+        # the event of a raise is logged at the time of the first step that
+        # runs with the raised torque
+        log = run_reactive_loop(TABLE["rice"], shaking_profile(6, 18.0, 2.0),
+                                classifier, registry, seed=778)
+        ups = [t for t, kind in log.events if kind == "torque_up"]
+        raised = np.flatnonzero(np.diff(log.torque_cmd) > 0) + 1
+        assert ups
+        assert ups == [i * SIM_DT for i in raised]
+
     def test_prediction_warmup_is_nan(self, classifier, registry):
         log = run_reactive_loop(TABLE["rice"], shaking_profile(4, 18.0, 2.0),
                                 classifier, registry, seed=53)
@@ -156,17 +168,17 @@ class TestEpisodes:
 
 
 def spied_cereal_episode(monkeypatch, classifier, registry):
-    """A reactive episode that commits to cereal mid-run. Returns the
-    observations the policy ingested, in order, plus (observations ingested
+    """A reactive episode that commits to cereal mid-run. Returns copies of
+    the newest history rows the policy was given, in order, plus (rows given
     so far, input) for every predict and mfcc call of the controller."""
     seen, windows, segments = [], [], []
     run_trial, predict, mfcc = controller.run_trial, controller.predict, dsp.mfcc
 
     def spy_run_trial(material, motion, policy, seed, **kwargs):
-        def spy_policy(prev_obs):
-            if prev_obs is not None:
-                seen.append(prev_obs)
-            return policy(prev_obs)
+        def spy_policy(history):
+            if len(history["t"]):
+                seen.append({name: a[-1].copy() for name, a in history.items()})
+            return policy(history)
         return run_trial(material, motion, spy_policy, seed, **kwargs)
 
     def spy_predict(model, window):
@@ -194,8 +206,8 @@ class TestOnlineInputs:
                                                    classifier, registry):
         seen, windows, _ = spied_cereal_episode(monkeypatch, classifier, registry)
         offline = tactile.features_from_arrays(
-            np.stack([o.tactile_grid for o in seen]),
-            np.stack([o.joint_angles for o in seen]), SIM_DT)
+            np.stack([o["tactile"] for o in seen]),
+            np.stack([o["joint_angles"] for o in seen]), SIM_DT)
         W = registry.default_models["rotation"].cfg.window
         assert len(windows) == len(seen) - W + 1
         for n, window in windows:
@@ -208,7 +220,7 @@ class TestOnlineInputs:
         seg_samples = round(dsp.SEGMENT_S * DEFAULT_PARAMS.sample_rate)
         assert segments
         for n, samples in segments:
-            stream = np.concatenate([o.audio_chunk for o in seen[:n]])
+            stream = np.concatenate([o["audio"] for o in seen[:n]])
             assert np.array_equal(samples, stream[-seg_samples:])
 
 

@@ -1,5 +1,6 @@
 """Package metadata and the names the benchmark harness depends on."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import gripsense
+import gripsense.models
 from gripsense import controller, simulation
 from gripsense.materials import material_table
 from gripsense.motion import shaking_profile
@@ -20,6 +22,41 @@ def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text()
     assert gripsense.__version__ == re.search(r'^version = "([^"]+)"', text,
                                               re.M).group(1)
+
+
+def test_every_exported_name_resolves():
+    for package in (gripsense, gripsense.models):
+        missing = [name for name in package.__all__ if not hasattr(package, name)]
+        assert not missing, f"{package.__name__}.__all__ names {missing}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; a name in the module's
+    __all__ counts as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert modules
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert not unused, unused
 
 
 def test_benchmark_wrap_points_exist(monkeypatch):

@@ -7,12 +7,14 @@ from gripsense.simulation import (
     DEFAULT_PARAMS,
     MAX_STIFFNESS_SCALE,
     RENDER_BLOCK,
+    TRIAL_ARRAYS,
     SimParams,
     _base_pattern,
     initial_state,
     quantize_pcm16,
     run_trial,
     step,
+    step_arrays,
 )
 
 TABLE = material_table()
@@ -54,38 +56,37 @@ class TestStep:
         available = DEFAULT_PARAMS.friction_mu * DEFAULT_PARAMS.torque_to_normal * 0.4
         a_star = available / m.total_mass - DEFAULT_PARAMS.gravity
         for factor, expect in ((0.95, False), (1.05, True)):
-            state = initial_state(7, m)
-            _, obs = step(state, m, a_star * factor, 0.4, SIM_DT)
-            assert obs.true_slip is expect
+            out = step(initial_state(7, m), m, a_star * factor, 0.4, SIM_DT)
+            assert bool(out["true_slip"][-1]) is expect
 
     def test_stiffness_scales_normal_force(self):
         m = TABLE["rice"]
-        state = initial_state(7, m)
-        _, soft = step(state, m, 0.0, 0.4, SIM_DT, stiffness_scale=1.0)
-        state = initial_state(7, m)
-        _, stiff = step(state, m, 0.0, 0.4, SIM_DT, stiffness_scale=2.0)
-        assert stiff.tactile_grid.sum() > 1.9 * soft.tactile_grid.sum() * 0.5
+        soft = step(initial_state(7, m), m, 0.0, 0.4, SIM_DT,
+                    stiffness_scale=1.0)["tactile"][-1]
+        stiff = step(initial_state(7, m), m, 0.0, 0.4, SIM_DT,
+                     stiffness_scale=2.0)["tactile"][-1]
+        assert stiff.sum() > 1.9 * soft.sum() * 0.5
         # same torque, doubled stiffness: grid carries twice the normal force
-        ratio = (stiff.tactile_grid.sum() - m.total_mass * 9.81) / \
-                (soft.tactile_grid.sum() - m.total_mass * 9.81)
+        ratio = (stiff.sum() - m.total_mass * 9.81) / \
+                (soft.sum() - m.total_mass * 9.81)
         assert ratio == pytest.approx(2.0, rel=0.01)
 
     def test_grid_sum_equals_normal_plus_load(self):
         m = TABLE["gummies"]
         state = initial_state(3, m)
         for accel in (0.0, 8.0, -12.0):
-            _, obs = step(state, m, accel, 0.7, SIM_DT)
+            out = step(state, m, accel, 0.7, SIM_DT)
             normal = DEFAULT_PARAMS.torque_to_normal * 0.7
             load = m.total_mass * abs(accel + DEFAULT_PARAMS.gravity)
-            total = float(obs.tactile_grid.sum())
+            total = float(out["tactile"][-1].sum())
             assert total == pytest.approx(normal + load, rel=0.01)
 
     def test_full_grip_holds_static_load(self):
         m = TABLE["rice"]
         state = initial_state(11, m)
         for _ in range(100):
-            state, obs = step(state, m, 0.0, 1.0, SIM_DT)
-            assert not obs.true_slip
+            out = step(state, m, 0.0, 1.0, SIM_DT)
+            assert not out["true_slip"][-1]
         assert state.slip_displacement == 0.0
 
     @pytest.mark.parametrize("kwargs", [
@@ -120,16 +121,16 @@ class TestStep:
         accels = [0.0, 15.0, -12.0, 30.0]
         state = initial_state(6, m)
         for a in accels:
-            state, single = step(state, m, a, 0.4, SIM_DT, stiffness_scale=2.0)
-        block_state, block = step(initial_state(6, m), m, accels, 0.4, SIM_DT,
-                                  stiffness_scale=2.0)
-        for name in ("tactile_grid", "joint_angles", "joint_torques",
-                     "audio_chunk"):
-            assert np.array_equal(getattr(block, name), getattr(single, name))
-        assert (block.t, block.true_slip, block.true_max_force,
-                block.true_max_force_cell) == \
-            (single.t, single.true_slip, single.true_max_force,
-             single.true_max_force_cell)
+            single = step(state, m, a, 0.4, SIM_DT, stiffness_scale=2.0)
+        block_state = initial_state(6, m)
+        block = step(block_state, m, accels, 0.4, SIM_DT, stiffness_scale=2.0)
+        assert len(block["t"]) == len(accels) and len(single["t"]) == 1
+        for name in ("tactile", "joint_angles", "joint_torques", "audio"):
+            assert np.array_equal(block[name][-1], single[name][-1])
+        last = ("t", "true_slip", "true_max_force", "true_cell")
+        assert [block[name][-1].tolist() for name in last] == \
+            [single[name][-1].tolist() for name in last]
+        assert block_state.t == state.t
         assert np.array_equal(block_state.audio_tail, state.audio_tail)
 
     def test_contact_pattern_is_shared_read_only(self):
@@ -217,7 +218,7 @@ class TestTrials:
     def test_policy_tuple_controls_stiffness(self):
         p = fixed_shake(peak=5.0, count=2)
 
-        def policy(prev_obs):
+        def policy(history):
             return (0.4, 2.0)
 
         rec = run_trial(TABLE["rice"], p, policy, 4)
@@ -237,7 +238,7 @@ class TestTrials:
         assert motion.n_steps > RENDER_BLOCK
         for seed in (0, 1):
             blocks = run_trial(TABLE[name], motion, 0.4, seed)
-            steps = run_trial(TABLE[name], motion, lambda prev: (0.4, 1.0), seed)
+            steps = run_trial(TABLE[name], motion, lambda history: (0.4, 1.0), seed)
             assert blocks.equals(steps)
 
     def test_dropping_trial_blocks_equal_single_steps(self):
@@ -245,9 +246,30 @@ class TestTrials:
         motion = rotation_profile(1.2, 2.5, 1.235)
         assert motion.n_steps % RENDER_BLOCK != 0
         blocks = run_trial(TABLE["rice"], motion, 0.0, 17)
-        steps = run_trial(TABLE["rice"], motion, lambda prev: (0.0, 1.0), 17)
+        steps = run_trial(TABLE["rice"], motion, lambda history: (0.0, 1.0), 17)
         assert blocks.dropped.any() and not blocks.dropped[0]
         assert blocks.equals(steps)
+
+    def test_policy_sees_the_rows_written_so_far(self):
+        motion = rotation_profile(0.9, 2.0, 0.8)
+        chunk = round(SIM_DT * DEFAULT_PARAMS.sample_rate)
+        newest = []
+
+        def policy(history):
+            i = len(newest)
+            assert set(history) == set(step_arrays(0, chunk))
+            assert all(len(a) == i for a in history.values())
+            newest.append({name: a[-1].copy() for name, a in history.items()}
+                          if i else None)
+            return (0.3, 1.0)
+
+        rec = run_trial(TABLE["cereal"], motion, policy, 12)
+        assert len(newest) == rec.n_steps == motion.n_steps
+        for i, rows in enumerate(newest[1:]):
+            for name, _, _ in TRIAL_ARRAYS:
+                assert np.array_equal(rows[name], getattr(rec, name)[i]), name
+            assert np.array_equal(quantize_pcm16(rows["audio"]),
+                                  rec.audio[i * chunk:(i + 1) * chunk])
 
     def test_custom_params_threaded_through(self):
         params = SimParams(friction_mu=5.0)
