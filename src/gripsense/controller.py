@@ -120,7 +120,8 @@ class _ReactivePolicy:
         self.classifier = classifier
         self.registry = registry
         self.motion_kind = motion_kind
-        self.state = GripState(applied_torque=CONFIG.base_torque)
+        self.cfg = CONFIG  # read once, so every decision of the episode shares it
+        self.state = GripState(applied_torque=self.cfg.base_torque)
         self.model = select_model(registry, motion_kind)
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
         self.seg_samples = round(dsp.SEGMENT_S * DEFAULT_PARAMS.sample_rate)
@@ -144,7 +145,7 @@ class _ReactivePolicy:
                                sample_rate=DEFAULT_PARAMS.sample_rate)
         probs = classify(self.classifier, dsp.mfcc(seg))
         best = int(np.argmax(probs))
-        if probs[best] >= CONFIG.classifier_commit_confidence:
+        if probs[best] >= self.cfg.classifier_commit_confidence:
             name = self.classifier.cfg.classes[best]
             self.state.active_material = name
             self.model = select_model(self.registry, self.motion_kind, name)
@@ -159,7 +160,7 @@ class _ReactivePolicy:
             self._maybe_classify(i, history["audio"])
             if self.window.full:
                 pred = predict(self.model, self.window)
-                grip_update(self.state, pred, i * SIM_DT)
+                grip_update(self.state, pred, i * SIM_DT, self.cfg)
                 self.slip_prob[i] = pred.slip_prob
                 self.pred_force[i] = pred.force_value
         self.active_material[i] = self.state.active_material or "default"

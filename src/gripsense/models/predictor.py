@@ -50,6 +50,12 @@ def _gru_cell(gx, h, Uzr, Un, b):
     return (1.0 - z) * n + z * h, z, r, n
 
 
+def _heads(h, ws, bs, wf, bf, Wc, bc):
+    """(slip_logit (B,), force_norm (B,), cell_norm (B, 2)) from final
+    hidden states h (B, H) and the head weights."""
+    return h @ ws + bs[0], h @ wf + bf[0], h @ Wc.T + bc
+
+
 def _layout(cfg: PredictorConfig) -> ParamLayout:
     d, h = cfg.input_dim, cfg.hidden
     return ParamLayout([
@@ -105,12 +111,11 @@ class SlipPredictor:
                 np.concatenate([v["Uz"], v["Ur"]]).T, v["Un"].T,
                 np.concatenate([v["bz"], v["br"], v["bn"]]))
 
-    def _heads(self, h: np.ndarray):
-        """(slip_logit (B,), force_norm (B,), cell_norm (B, 2)) from final
-        hidden states h (B, H)."""
-        ws, bs, wf, bf, Wc, bc = (self.layout.view(self.theta, name) for name
-                                  in ("ws", "bs", "wf", "bf", "Wc", "bc"))
-        return h @ ws + bs[0], h @ wf + bf[0], h @ Wc.T + bc
+    def _head_weights(self):
+        """(ws, bs, wf, bf, Wc, bc): the slip, force and cell heads' weights,
+        as views of theta, for `_heads`."""
+        return tuple(self.layout.view(self.theta, name) for name
+                     in ("ws", "bs", "wf", "bf", "Wc", "bc"))
 
     def forward(self, X: np.ndarray, want_cache: bool = False):
         """X: (B, W, input_dim) raw features. Returns (outputs, cache) where
@@ -129,7 +134,7 @@ class SlipPredictor:
             if want_cache:
                 zs.append(z); rs.append(r); ns.append(n); hs.append(h)
         cache = (x, zs, rs, ns, hs) if want_cache else None
-        return self._heads(h), cache
+        return _heads(h, *self._head_weights()), cache
 
     def loss_and_grad(self, X: np.ndarray, y_slip: np.ndarray,
                       y_force: np.ndarray, y_cell: np.ndarray):
@@ -233,7 +238,7 @@ class FeatureWindow:
         self._count = 0     # frames held, at most W
         self._pending = 0   # frames pushed since the block last advanced
         self._model = None
-        self._weights = None
+        self._weights = None       # the model's (_gru_weights, _head_weights)
         self._h = None
 
     @property
@@ -256,9 +261,9 @@ class FeatureWindow:
         self._count = min(self._count + 1, W)
         self._pending = min(self._pending + 1, W)
 
-    def _advance(self, model: SlipPredictor) -> np.ndarray:
-        """Final hidden state (1, hidden) of `model` over the W frames held,
-        as a view into the block."""
+    def _outputs(self, model: SlipPredictor):
+        """`model`'s head outputs (slip_logit, force_norm, cell_norm), each
+        for a batch of one, over the final state of the W frames held."""
         W, d = self._frames.shape
         if (model.cfg.window, model.cfg.input_dim) != (W, d):
             raise ValueError(f"a ({W}, {d}) feature window cannot feed a model "
@@ -267,17 +272,18 @@ class FeatureWindow:
         if not self.full:
             raise ValueError(f"feature window holds {self._count} of {W} frames")
         if model is not self._model:
-            self._model, self._weights = model, model._gru_weights()
+            self._model = model
+            self._weights = model._gru_weights(), model._head_weights()
             # the block is _h[1:]; _h[0] stays zero, so _h[:W] is the
             # block shifted down by one row with a zero row in front
             self._h = np.zeros((W + 1, model.cfg.hidden))
             self._pending = W
-        Wx, Uzr, Un, b = self._weights
+        (Wx, Uzr, Un, b), heads = self._weights
         for frame in self._frames[W - self._pending:]:
             gx = model._normalize(frame)[None] @ Wx
             self._h[1:] = _gru_cell(gx, self._h[:W], Uzr, Un, b)[0]
         self._pending = 0
-        return self._h[W:]
+        return _heads(self._h[W:], *heads)
 
 
 def predict(model: SlipPredictor,
@@ -293,8 +299,7 @@ def predict(model: SlipPredictor,
         frames, window = window, FeatureWindow(*window.shape)
         for frame in frames:
             window.push(frame)
-    h = window._advance(model)
-    slip_prob, force, cell = _natural_units(model, *model._heads(h))
+    slip_prob, force, cell = _natural_units(model, *window._outputs(model))
     row, col = np.round(cell[0]).astype(int).tolist()
     return Prediction(slip_prob=float(slip_prob[0]),
                       force_value=float(force[0]), cell=(row, col))
@@ -310,4 +315,5 @@ def predict_batch(model: SlipPredictor, X: np.ndarray):
 def _natural_units(model: SlipPredictor, slip_logit, force, cell):
     return (_sigmoid(slip_logit),
             force * model.force_std + model.force_mean,
-            np.clip(cell * GRID_MAX, 0, GRID_MAX))
+            # maximum(0.0, x), in this order, keeps np.clip's sign of zero
+            np.minimum(np.maximum(0.0, cell * GRID_MAX), GRID_MAX))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -391,15 +391,20 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     """Run one full trial and collect the synchronized record.
 
     grip_policy is either a fixed torque (float) or a callable
-    ``policy(history) -> (torque, stiffness_scale)`` invoked before every
-    step. Before step i, `history` maps every TRIAL_ARRAYS field and
-    "audio" (shape (i, chunk), not yet quantized) to its first i rows:
-    views of the arrays the trial is filling, which the policy must not
-    write. A callable policy
-    gets one `step` call per decision. A fixed torque reads nothing before
-    the trial ends, so its steps go to `step` in blocks of RENDER_BLOCK.
-    Either way `step` writes straight into the record's arrays. This is the
-    only loop over `step`.
+    ``policy(history) -> (torque, stiffness_scale)`` invoked once before
+    every step, in order. Before step i, `history` maps every TRIAL_ARRAYS
+    field and "audio" (shape (i, chunk), not yet quantized) to its first i
+    rows: views of the arrays the trial is filling, which the policy must
+    not write. A fixed torque reads nothing before the trial ends, so its
+    steps go to `step` in blocks of RENDER_BLOCK. A policy's steps are
+    rendered ahead: a block of k steps runs under the current command, then
+    the policy decides steps i + 1 ... i + k - 1 on the rows that stand.
+    Where its command changes, the state is restored and only the steps
+    before the change are rendered again, into the same bytes, since a
+    block gives the bits of its single steps. k is 1 after a change and
+    doubles, up to RENDER_BLOCK, after each block whose command held.
+    Either way `step` writes straight into the record's arrays. This is
+    the only loop over `step`.
     """
     if motion.n_steps < 1:
         raise ValueError("motion duration must cover at least one step")
@@ -407,16 +412,39 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     accels = motion.accelerations().tolist()
     n = motion.n_steps
     arrays = step_arrays(n, round(SIM_DT * params.sample_rate))
-    block = 1 if callable(grip_policy) else RENDER_BLOCK
 
-    for i in range(0, n, block):
-        if callable(grip_policy):
-            torque, stiffness = grip_policy({name: a[:i] for name, a in arrays.items()})
-        else:
-            torque, stiffness = float(grip_policy), 1.0
-        rows = {name: a[i:i + block] for name, a in arrays.items()}
-        step(state, material, accels[i:i + block], torque, SIM_DT,
+    def render(state, i, k, torque, stiffness):
+        rows = {name: a[i:i + k] for name, a in arrays.items()}
+        step(state, material, accels[i:i + k], torque, SIM_DT,
              stiffness_scale=stiffness, params=params, out=rows)
+
+    def decide(i):
+        torque, stiffness = grip_policy({name: a[:i] for name, a in arrays.items()})
+        return torque, stiffness
+
+    if not callable(grip_policy):
+        for i in range(0, n, RENDER_BLOCK):
+            render(state, i, RENDER_BLOCK, float(grip_policy), 1.0)
+    else:
+        i, k, command = 0, 1, decide(0)
+        while i < n:
+            k = min(k, n - i)
+            if k > 1:
+                saved, rng_state = replace(state), state.rng.bit_generator.state
+            render(state, i, k, *command)
+            for j in range(1, k + 1):
+                new = decide(i + j) if i + j < n else command
+                if new != command:
+                    break
+            if j < k:
+                # step i + j runs under another command: rewind to the
+                # block's start and keep its first j steps
+                state = saved
+                state.rng.bit_generator.state = rng_state
+                render(state, i, j, *command)
+            i += j
+            k = min(2 * k, RENDER_BLOCK) if new == command else 1
+            command = new
 
     meta = {
         "kind": motion.kind,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .simulation import N_JOINTS
+
 GRID_CENTER = (7.5, 7.5)
 
 # Slip labeling defaults: max joint excursion over a 25 ms lookback.
@@ -39,7 +41,8 @@ def label_slip(joint_history: np.ndarray, threshold: float = SLIP_THRESHOLD_RAD,
 
 def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
                          dt: float) -> np.ndarray:
-    """Per-frame haptic features of a frame stream, (T, 38).
+    """Per-frame haptic features of a frame stream: grids (T, rows, cols)
+    and joint_angles (T, 16) give (T, 38).
 
     The one definition of the feature, used for training and for control.
     Row t depends only on frames t - 1 and t (gradients are zero on the
@@ -48,29 +51,35 @@ def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    grids = np.asarray(grids)
+    joint_angles = np.asarray(joint_angles)
     T = len(grids)
-    flat = grids.reshape(T, -1)
-    mask = flat > 0
-    counts = mask.sum(axis=1)
-    sums = np.where(mask, flat, 0.0).sum(axis=1)
-    mean_nz = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    max_nz = flat.max(axis=1)
-    np.maximum(max_nz, 0.0, out=max_nz)
-
+    if grids.ndim != 3 or joint_angles.shape != (T, N_JOINTS):
+        raise ValueError(f"expected grids (T, rows, cols) and joint_angles "
+                         f"(T, {N_JOINTS}) with the same T, got grids "
+                         f"{grids.shape} and joint_angles {joint_angles.shape}")
     rows, cols = grids.shape[1], grids.shape[2]
+    out = np.empty((T, FEATURE_DIM))
+    flat = grids.reshape(T, rows * cols)
+    mask = flat > 0
+    sums = np.where(mask, flat, 0.0).sum(axis=1)
+    # an empty frame sums to +0.0, so its mean is 0.0 without a where
+    np.divide(sums, np.maximum(np.count_nonzero(mask, axis=1), 1), out=out[:, 0])
+    np.maximum(flat.max(axis=1), 0.0, out=out[:, 1])
+
     total = flat.sum(axis=1)
     safe = np.maximum(total, 1e-300)
     # elementwise products and row sums: a matrix product here would round
     # differently depending on T
     row_moment = (grids.sum(axis=2) * np.arange(rows)).sum(axis=1)
     col_moment = (grids.sum(axis=1) * np.arange(cols)).sum(axis=1)
-    com_r = np.where(total > 0, row_moment / safe, GRID_CENTER[0])
-    com_c = np.where(total > 0, col_moment / safe, GRID_CENTER[1])
-    grad_r = np.zeros(T)
-    grad_c = np.zeros(T)
-    grad_r[1:] = (com_r[1:] - com_r[:-1]) / dt
-    grad_c[1:] = (com_c[1:] - com_c[:-1]) / dt
-    deltas = np.zeros_like(joint_angles)
-    deltas[1:] = (joint_angles[1:] - joint_angles[:-1]) / dt
-    return np.column_stack([mean_nz, max_nz, com_r, com_c, grad_r, grad_c,
-                            joint_angles, deltas])
+    com = out[:, 2:4]
+    com[:, 0] = np.where(total > 0, row_moment / safe, GRID_CENTER[0])
+    com[:, 1] = np.where(total > 0, col_moment / safe, GRID_CENTER[1])
+    out[:, 6:6 + N_JOINTS] = joint_angles
+    # rates of change: frame t minus frame t - 1 over dt, zero on frame 0
+    out[:1, 4:6] = 0.0
+    out[:1, 6 + N_JOINTS:] = 0.0
+    np.divide(com[1:] - com[:-1], dt, out=out[1:, 4:6])
+    np.divide(joint_angles[1:] - joint_angles[:-1], dt, out=out[1:, 6 + N_JOINTS:])
+    return out

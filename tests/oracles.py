@@ -2,12 +2,18 @@
 
 Everything here is written as directly as possible from the defining
 formulas (explicit loops, naive O(n^2) transforms, outcome enumeration)
-and deliberately shares no code with the package under test.
+and deliberately shares no code with the package under test. The one
+exception is `single_step_trial`: it checks the trial loop, not the
+simulator, so it drives the package's own `simulation.step` one step at a
+time.
 """
 
 import math
 
 import numpy as np
+
+from gripsense import simulation
+from gripsense.motion import SIM_DT
 
 
 def naive_dft(x: np.ndarray, n_fft: int) -> np.ndarray:
@@ -232,3 +238,27 @@ def calibrate_slip_threshold(joint_histories, true_slip, horizon: int) -> float:
         if f1 > best_f1:
             best_thr, best_f1 = float(thr), f1
     return best_thr
+
+
+def single_step_trial(material, motion, policy, seed, trial_id=None):
+    """`simulation.run_trial` for a callable policy as one `step` call per
+    decision: the policy decides step i on the first i rows, then step i
+    runs alone. Rendering ahead in blocks must give this record bit for
+    bit."""
+    params = simulation.DEFAULT_PARAMS
+    dt = SIM_DT
+    state = simulation.initial_state(seed, material, params)
+    accels = motion.accelerations().tolist()
+    arrays = simulation.step_arrays(motion.n_steps, round(dt * params.sample_rate))
+    for i in range(motion.n_steps):
+        torque, stiffness = policy({name: a[:i] for name, a in arrays.items()})
+        simulation.step(state, material, accels[i], torque, dt,
+                        stiffness_scale=stiffness, params=params,
+                        out={name: a[i:i + 1] for name, a in arrays.items()})
+    meta = {key: getattr(motion, key) for key in
+            ("kind", "duration", "amplitude", "frequency", "shake_count")}
+    return simulation.TrialRecord(
+        trial_id=trial_id or f"trial-{seed}", material=material.name,
+        motion=meta, seed=seed, sample_rate=params.sample_rate, dt=dt,
+        audio=simulation.quantize_pcm16(arrays.pop("audio").reshape(-1)),
+        **arrays)

@@ -159,6 +159,20 @@ class TestEpisodes:
         assert ups
         assert ups == [i * SIM_DT for i in raised]
 
+    def test_episode_runs_under_the_config_in_force(self, monkeypatch,
+                                                     classifier, registry):
+        # the policy reads controller.CONFIG when the episode starts and
+        # hands it to every grip_update, thresholds included
+        profile = shaking_profile(6, 18.0, 2.0)
+        log = run_reactive_loop(TABLE["rice"], profile, classifier, registry,
+                                seed=778)
+        assert any(kind == "torque_up" for _, kind in log.events)
+        monkeypatch.setattr(controller, "CONFIG",
+                            ControllerConfig(slip_threshold_prob=1.1))
+        log = run_reactive_loop(TABLE["rice"], profile, classifier, registry,
+                                seed=778)
+        assert not any(kind == "torque_up" for _, kind in log.events)
+
     def test_prediction_warmup_is_nan(self, classifier, registry):
         log = run_reactive_loop(TABLE["rice"], shaking_profile(4, 18.0, 2.0),
                                 classifier, registry, seed=53)

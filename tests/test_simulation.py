@@ -3,6 +3,7 @@ import pytest
 
 from gripsense.materials import material_table
 from gripsense.motion import SIM_DT, LEVER_ARM_M, MotionProfile, rotation_profile, shaking_profile
+from gripsense import simulation
 from gripsense.simulation import (
     DEFAULT_PARAMS,
     MAX_STIFFNESS_SCALE,
@@ -16,6 +17,7 @@ from gripsense.simulation import (
     step,
     step_arrays,
 )
+from oracles import single_step_trial
 
 TABLE = material_table()
 
@@ -233,12 +235,13 @@ class TestTrials:
     @pytest.mark.parametrize("motion", [fixed_shake(),
                                         rotation_profile(0.7, 1.7, 3.0)])
     def test_fixed_torque_blocks_equal_single_steps(self, name, motion):
-        # a fixed torque renders in blocks of RENDER_BLOCK steps, a policy
+        # a fixed torque renders in blocks of RENDER_BLOCK steps, the oracle
         # one step per decision: both give the same record, dtypes included
         assert motion.n_steps > RENDER_BLOCK
         for seed in (0, 1):
             blocks = run_trial(TABLE[name], motion, 0.4, seed)
-            steps = run_trial(TABLE[name], motion, lambda history: (0.4, 1.0), seed)
+            steps = single_step_trial(TABLE[name], motion,
+                                      lambda history: (0.4, 1.0), seed)
             assert blocks.equals(steps)
 
     def test_dropping_trial_blocks_equal_single_steps(self):
@@ -246,7 +249,8 @@ class TestTrials:
         motion = rotation_profile(1.2, 2.5, 1.235)
         assert motion.n_steps % RENDER_BLOCK != 0
         blocks = run_trial(TABLE["rice"], motion, 0.0, 17)
-        steps = run_trial(TABLE["rice"], motion, lambda history: (0.0, 1.0), 17)
+        steps = single_step_trial(TABLE["rice"], motion,
+                                  lambda history: (0.0, 1.0), 17)
         assert blocks.dropped.any() and not blocks.dropped[0]
         assert blocks.equals(steps)
 
@@ -276,3 +280,111 @@ class TestTrials:
         rec = run_trial(TABLE["rice"], fixed_shake(peak=20.0), 0.4, 5,
                         params=params)
         assert not rec.true_slip.any()
+
+
+def spy_step_calls(monkeypatch):
+    """Record (first step index, block length) of every `simulation.step`
+    call; the trial loop looks `step` up at each call."""
+    calls = []
+    original = simulation.step
+
+    def spy(state, material, motion_accel, *args, **kwargs):
+        calls.append((round(state.t / SIM_DT), np.size(motion_accel)))
+        return original(state, material, motion_accel, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "step", spy)
+    return calls
+
+
+def scripted_policy(changes):
+    """A policy whose command at step i is changes[i], else the last one."""
+    decided = []
+
+    def policy(history):
+        i = len(history["t"])
+        assert i == len(decided), "one call per step, in order"
+        decided.append(changes.get(i, decided[-1] if decided else None))
+        return decided[-1]
+
+    return policy
+
+
+class TestRenderAhead:
+    """A policy-driven trial renders ahead in blocks and replays from the
+    block's start where the command changes; the record must equal the
+    one-step-per-decision oracle's bit for bit."""
+
+    def test_constant_policy(self, monkeypatch):
+        motion = shaking_profile(5, 18.0, 2.0)
+        assert motion.n_steps == 500
+        calls = spy_step_calls(monkeypatch)
+        rec = run_trial(TABLE["cereal"], motion, lambda history: (0.4, 1.0), 3)
+        # blocks of 1, 2, 4, ..., 64, then 100, 100, 100 and the last 73
+        assert [k for _, k in calls] == [1, 2, 4, 8, 16, 32, 64, 100, 100, 100, 73]
+        monkeypatch.undo()
+        assert rec.equals(single_step_trial(TABLE["cereal"], motion,
+                                            lambda history: (0.4, 1.0), 3))
+
+    def test_scripted_changes(self, monkeypatch):
+        motion = rotation_profile(0.9, 2.0, 1.5)
+        n = motion.n_steps
+        # changes at steps 1, 2 and 3; at 66, where a block opens after the
+        # block 34..65 held; at 100, inside the block 97..128, whose steps
+        # 97..99 are rendered again; and at the last step, inside the final
+        # block 227..299
+        changes = {0: (0.4, 1.0), 1: (0.5, 1.0), 2: (0.5, 2.0), 3: (0.6, 1.0),
+                   66: (0.3, 2.0), 100: (0.45, 1.0), n - 1: (0.7, 1.0)}
+        calls = spy_step_calls(monkeypatch)
+        rec = run_trial(TABLE["rice"], motion, scripted_policy(changes), 5)
+        assert calls[:4] == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        assert (34, 32) in calls and (66, 1) in calls
+        assert [c for c in calls if c[0] in (97, 100)] == [(97, 32), (97, 3), (100, 1)]
+        assert calls[-3:] == [(227, 73), (227, 72), (n - 1, 1)]
+        monkeypatch.undo()
+        assert rec.equals(single_step_trial(TABLE["rice"], motion,
+                                            scripted_policy(changes), 5))
+
+    def test_policy_changing_every_step(self, monkeypatch):
+        motion = shaking_profile(5, 18.0, 2.0)
+        n = motion.n_steps
+
+        def alternating(history):
+            return (0.4 if len(history["t"]) % 2 else 0.6, 1.0)
+
+        calls = spy_step_calls(monkeypatch)
+        rec = run_trial(TABLE["gummies"], motion, alternating, 8)
+        assert calls == [(i, 1) for i in range(n)]
+        monkeypatch.undo()
+        assert rec.equals(single_step_trial(TABLE["gummies"], motion,
+                                            alternating, 8))
+
+    def test_policy_reading_history(self):
+        motion = shaking_profile(4, 25.0, 2.0)
+
+        def make_policy(seen, commands):
+            def policy(history):
+                i = len(history["t"])
+                if i:
+                    seen.append(history["tactile"][-1].copy())
+                slipped = i and history["true_slip"][-10:].any()
+                stiff = i and history["true_max_force"][-1] > 0.3
+                commands.append((0.6 if slipped else 0.25, 2.0 if stiff else 1.0))
+                return commands[-1]
+            return policy
+
+        seen, commands = [], []
+        rec = run_trial(TABLE["rice"], motion, make_policy(seen, commands), 21)
+        want = single_step_trial(TABLE["rice"], motion, make_policy([], []), 21)
+        assert rec.equals(want)
+        assert len(set(commands)) >= 3
+        assert np.array_equal(np.array(seen), rec.tactile[:-1])
+
+    def test_dropping_trial_with_changes(self):
+        motion = rotation_profile(1.2, 2.5, 1.235)
+
+        def policy(history):
+            return (0.1 * ((len(history["t"]) // 37) % 2), 1.0)
+
+        rec = run_trial(TABLE["vitamins"], motion, policy, 17)
+        assert rec.dropped.any() and not rec.dropped[0]
+        assert rec.equals(single_step_trial(TABLE["vitamins"], motion, policy, 17))

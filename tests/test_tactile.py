@@ -153,3 +153,16 @@ class TestFeatures:
         for dt in (0.0, -SIM_DT, float("nan")):
             with pytest.raises(ValueError, match="dt"):
                 tactile.features_from_arrays(grids, angles, dt)
+
+    @pytest.mark.parametrize("grid_shape,angle_shape", [
+        ((3, 256), (3, 16)),
+        ((3, 16, 16), (2, 16)),
+        ((3, 16, 16), (3, 15)),
+        ((3, 16, 16), (3,)),
+    ])
+    def test_shape_validation_names_both_shapes(self, grid_shape, angle_shape):
+        with pytest.raises(ValueError) as err:
+            tactile.features_from_arrays(np.ones(grid_shape), np.zeros(angle_shape),
+                                         SIM_DT)
+        assert str(grid_shape) in str(err.value)
+        assert str(angle_shape) in str(err.value)
