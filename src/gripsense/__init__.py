@@ -10,8 +10,7 @@ selection by expected information gain.
 
 from .materials import CONTAINER_MASS, MATERIAL_CLASSES, MaterialParams, material_table
 from .motion import SIM_DT, MotionProfile, rotation_profile, shaking_profile
-from .simulation import (DEFAULT_PARAMS, SimParams, SimState, TrialRecord,
-                         initial_state, run_trial, step)
+from .simulation import SimState, TrialRecord, initial_state, run_trial, step
 from .controller import (ControllerConfig, EpisodeLog, GripState,
                          grip_update, run_baseline_episode, run_reactive_loop)
 from .inference import (ActiveLog, MotionLikelihoodModel, Posterior,
@@ -23,8 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CONTAINER_MASS", "MATERIAL_CLASSES", "MaterialParams", "material_table",
     "SIM_DT", "MotionProfile", "rotation_profile", "shaking_profile",
-    "DEFAULT_PARAMS", "SimParams", "SimState", "TrialRecord", "initial_state",
-    "run_trial", "step",
+    "SimState", "TrialRecord", "initial_state", "run_trial", "step",
     "ControllerConfig", "EpisodeLog", "GripState", "grip_update",
     "run_baseline_episode", "run_reactive_loop",
     "ActiveLog", "MotionLikelihoodModel", "Posterior",

@@ -24,7 +24,7 @@ from .models.classifier import MaterialClassifier, classify
 from .models.predictor import FeatureWindow, Prediction, predict
 from .models.registry import ModelRegistry, select_model
 from .motion import SIM_DT, MotionProfile
-from .simulation import DEFAULT_PARAMS, TrialRecord, run_trial
+from .simulation import SAMPLE_RATE, TrialRecord, run_trial
 
 ONLINE_HOP_S = 0.25  # classifier cadence during an episode
 
@@ -124,7 +124,7 @@ class _ReactivePolicy:
         self.state = GripState(applied_torque=self.cfg.base_torque)
         self.model = select_model(registry, motion_kind)
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
-        self.seg_samples = round(dsp.SEGMENT_S * DEFAULT_PARAMS.sample_rate)
+        self.seg_samples = round(dsp.SEGMENT_S * SAMPLE_RATE)
         self.window = FeatureWindow(self.model.cfg.window,
                                     self.model.cfg.input_dim)
         self.torque_cmd = np.empty(n_steps)
@@ -142,7 +142,7 @@ class _ReactivePolicy:
         t = i * SIM_DT
         seg = dsp.AudioSegment(audio.reshape(-1)[-self.seg_samples:], "online",
                                t - dsp.SEGMENT_S,
-                               sample_rate=DEFAULT_PARAMS.sample_rate)
+                               sample_rate=SAMPLE_RATE)
         probs = classify(self.classifier, dsp.mfcc(seg))
         best = int(np.argmax(probs))
         if probs[best] >= self.cfg.classifier_commit_confidence:

@@ -30,8 +30,7 @@ import numpy as np
 from . import dsp
 from .materials import MATERIAL_CLASSES, material_table
 from .motion import MotionProfile, rotation_profile, shaking_profile
-from .simulation import (DEFAULT_PARAMS, TRIAL_ARRAYS, SimParams,
-                         TrialRecord, run_trial)
+from .simulation import TRIAL_ARRAYS, TrialRecord, run_trial
 from .tactile import features_from_arrays
 
 FORMAT_VERSION = 2
@@ -45,6 +44,7 @@ META_KEYS = ("trial_id", "material", "motion", "seed", "sample_rate", "dt",
 
 COLLECTION_TORQUE = 0.4  # Nm, fixed grip during data collection
 MOTIONS = ("shaking", "rotation")
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)  # train, val, test share of each cell
 
 # Trial motion parameter distributions (jittered per trial).
 SHAKE_COUNT = 5
@@ -275,10 +275,7 @@ def load_manifest(dataset_dir) -> DatasetManifest:
 
 
 def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
-                     materials: tuple[str, ...] = MATERIAL_CLASSES,
-                     motions: tuple[str, ...] = MOTIONS,
-                     overwrite: bool = False,
-                     params: SimParams = DEFAULT_PARAMS) -> DatasetManifest:
+                     overwrite: bool = False) -> DatasetManifest:
     """Run the full collection protocol and write it under out_dir."""
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()):
@@ -290,8 +287,8 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
 
     table = material_table()
     entries = []
-    for motion_kind in motions:
-        for material in materials:
+    for motion_kind in MOTIONS:
+        for material in MATERIAL_CLASSES:
             for index in range(trials_per_cell):
                 profile_rng = np.random.default_rng(
                     derive_seed(base_seed, material, motion_kind, index, "profile"))
@@ -299,23 +296,20 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
                 sim_seed = derive_seed(base_seed, material, motion_kind, index, "sim")
                 trial_id = f"{motion_kind}-{material}-{index:03d}"
                 record = run_trial(table[material], profile, COLLECTION_TORQUE,
-                                   sim_seed, trial_id=trial_id, params=params)
+                                   sim_seed, trial_id=trial_id)
                 rel = f"trials/{trial_id}"
                 checksums = write_trial(record, out_dir / rel)
                 entries.append(TrialEntry(trial_id, material, record.motion,
                                           sim_seed, rel, checksums))
     manifest = DatasetManifest(FORMAT_VERSION, base_seed, trials_per_cell,
-                               tuple(materials), tuple(motions), tuple(entries))
+                               MATERIAL_CLASSES, MOTIONS, tuple(entries))
     save_manifest(manifest, out_dir)
     return manifest
 
 
-def build_splits(manifest: DatasetManifest,
-                 fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
-                 seed: int = 0) -> DatasetManifest:
-    """Stratified per-(motion, material) trial split; deterministic."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
+def build_splits(manifest: DatasetManifest, seed: int = 0) -> DatasetManifest:
+    """Stratified per-(motion, material) trial split at SPLIT_FRACTIONS;
+    deterministic."""
     rng = np.random.default_rng(seed)
     splits: dict[str, list[str]] = {"train": [], "val": [], "test": []}
     cells: dict[tuple[str, str], list[str]] = {}
@@ -324,12 +318,12 @@ def build_splits(manifest: DatasetManifest,
     for key in sorted(cells):
         ids = sorted(cells[key])
         n = len(ids)
-        n_train = round(fractions[0] * n)
-        n_val = round(fractions[1] * n)
+        n_train = round(SPLIT_FRACTIONS[0] * n)
+        n_val = round(SPLIT_FRACTIONS[1] * n)
         n_test = n - n_train - n_val
         if min(n_train, n_val, n_test) < 1:
             raise DatasetError(f"cell {key} with {n} trials is too small to "
-                               f"stratify at {fractions}")
+                               f"stratify at {SPLIT_FRACTIONS}")
         order = rng.permutation(n)
         shuffled = [ids[i] for i in order]
         splits["train"] += shuffled[:n_train]
@@ -349,8 +343,7 @@ def _augment_seed(trial_id: str, offset_s: float, semitones: float) -> int:
 
 
 def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
-                        augment: bool = False,
-                        cfg: dsp.MfccConfig = dsp.MfccConfig()):
+                        augment: bool = False):
     """MFCC training items for one split: (list of (frames, label), sources).
 
     With augment=True each original segment also contributes four variants
@@ -360,8 +353,7 @@ def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
     items, sources = [], []
     for e in manifest.split_entries(split):
         meta, w = read_trial_audio(dataset_dir / e.path, e.checksums)
-        for seg in dsp.segment(w, dsp.SEGMENT_S, source_trial=e.trial_id,
-                               label=e.material):
+        for seg in dsp.segment(w, dsp.SEGMENT_S, source_trial=e.trial_id):
             variants = [seg]
             if augment:
                 for st in AUGMENT_SEMITONES:
@@ -370,7 +362,7 @@ def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
                         shifted, AUGMENT_SNR_DB,
                         _augment_seed(e.trial_id, seg.offset_s, st)))
             for v in variants:
-                items.append((dsp.mfcc(v, cfg), e.material))
+                items.append((dsp.mfcc(v), e.material))
                 sources.append(e.trial_id)
     return items, sources
 

@@ -2,7 +2,7 @@
 
 The MFCC chain is the standard speech recipe: periodic Hann window,
 magnitude-squared spectrum, HTK-mel triangular filterbank, log with an
-additive floor, orthonormal DCT-II keeping the first n_coeffs terms.
+additive floor, orthonormal DCT-II keeping the first N_COEFFS terms.
 """
 
 from __future__ import annotations
@@ -14,6 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 SEGMENT_S = 1.0  # clip length for classification
+
+# The MFCC recipe.
+FRAME_LEN = 400      # 25 ms @ 16 kHz
+HOP = 160            # 10 ms
+N_FFT = 512
+N_MELS = 40
+N_COEFFS = 13
+FMIN = 20.0          # Hz
+FMAX = 7600.0        # Hz
+LOG_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,6 @@ class AudioSegment:
     samples: np.ndarray
     source_trial: str
     offset_s: float
-    label: str | None = None
     sample_rate: int = 16000
 
     def __post_init__(self):
@@ -48,32 +57,7 @@ class AudioSegment:
             raise ValueError(f"segment must hold {want} samples, got {len(self.samples)}")
 
 
-@dataclass(frozen=True)
-class MfccConfig:
-    frame_len: int = 400   # 25 ms @ 16 kHz
-    hop: int = 160         # 10 ms
-    n_fft: int = 512
-    n_mels: int = 40
-    n_coeffs: int = 13
-    fmin: float = 20.0
-    fmax: float = 7600.0
-    log_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_coeffs > self.n_mels:
-            raise ValueError("n_coeffs must not exceed n_mels")
-        if self.frame_len > self.n_fft:
-            raise ValueError("frame_len must not exceed n_fft")
-        if not 0 <= self.fmin < self.fmax:
-            raise ValueError("need 0 <= fmin < fmax")
-        if min(self.frame_len, self.hop, self.n_mels, self.n_coeffs) <= 0:
-            raise ValueError("sizes must be positive")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
-
-
-def segment(w: Waveform, hop_s: float, source_trial: str = "",
-            label: str | None = None) -> list[AudioSegment]:
+def segment(w: Waveform, hop_s: float, source_trial: str = "") -> list[AudioSegment]:
     """Cut 1-second clips at offsets 0, hop_s, 2*hop_s, ...; partial tail dropped."""
     if hop_s <= 0:
         raise ValueError(f"hop_s must be positive, got {hop_s}")
@@ -87,7 +71,7 @@ def segment(w: Waveform, hop_s: float, source_trial: str = "",
         if start + seg_len > len(w.samples):
             break
         out.append(AudioSegment(w.samples[start:start + seg_len].copy(),
-                                source_trial, k * hop_s, label, w.sample_rate))
+                                source_trial, k * hop_s, w.sample_rate))
         k += 1
     return out
 
@@ -105,7 +89,7 @@ def pitch_shift(seg: AudioSegment, semitones: float) -> AudioSegment:
     frac = pos - lo
     hi = (lo + 1) % n
     out = (1.0 - frac) * seg.samples[lo] + frac * seg.samples[hi]
-    return AudioSegment(out, seg.source_trial, seg.offset_s, seg.label, seg.sample_rate)
+    return AudioSegment(out, seg.source_trial, seg.offset_s, seg.sample_rate)
 
 
 def add_noise(seg: AudioSegment, snr_db: float, seed: int) -> AudioSegment:
@@ -119,7 +103,7 @@ def add_noise(seg: AudioSegment, snr_db: float, seed: int) -> AudioSegment:
     target = power / (10.0 ** (snr_db / 10.0))
     noise = w * np.sqrt(target / w_power)
     return AudioSegment(seg.samples + noise, seg.source_trial, seg.offset_s,
-                        seg.label, seg.sample_rate)
+                        seg.sample_rate)
 
 
 def hz_to_mel(f):
@@ -131,15 +115,15 @@ def mel_to_hz(m):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
-    """Triangular filters on the HTK mel scale, (n_mels, n_fft//2 + 1).
+def mel_filterbank(sample_rate: int) -> np.ndarray:
+    """Triangular filters on the HTK mel scale, (N_MELS, N_FFT//2 + 1).
 
-    Cached per (cfg, sample_rate); the shared array is read-only."""
-    mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
+    Cached per sample rate; the shared array is read-only."""
+    mel_pts = np.linspace(hz_to_mel(FMIN), hz_to_mel(FMAX), N_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
-    bin_hz = np.arange(cfg.n_fft // 2 + 1) * sample_rate / cfg.n_fft
-    bank = np.zeros((cfg.n_mels, len(bin_hz)))
-    for m in range(cfg.n_mels):
+    bin_hz = np.arange(N_FFT // 2 + 1) * sample_rate / N_FFT
+    bank = np.zeros((N_MELS, len(bin_hz)))
+    for m in range(N_MELS):
         left, center, right = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
         up = (bin_hz - left) / (center - left)
         down = (right - bin_hz) / (right - center)
@@ -148,36 +132,39 @@ def mel_filterbank(cfg: MfccConfig, sample_rate: int) -> np.ndarray:
     return bank
 
 
-@functools.lru_cache(maxsize=16)
 def dct_matrix(n_coeffs: int, n_mels: int) -> np.ndarray:
-    """Orthonormal DCT-II rows, (n_coeffs, n_mels); cached and read-only."""
+    """Orthonormal DCT-II rows, (n_coeffs, n_mels)."""
     m = np.arange(n_mels)
     k = np.arange(n_coeffs)[:, None]
     d = np.cos(np.pi * k * (2 * m + 1) / (2 * n_mels)) * np.sqrt(2.0 / n_mels)
     d[0] /= np.sqrt(2.0)
-    d.flags.writeable = False
     return d
 
 
-def frame_count(n_samples: int, cfg: MfccConfig) -> int:
-    return 1 + (n_samples - cfg.frame_len) // cfg.hop
+# periodic Hann window and DCT rows of the recipe, shared by every mfcc call
+_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LEN) / FRAME_LEN)
+_DCT = dct_matrix(N_COEFFS, N_MELS)
+_WINDOW.flags.writeable = _DCT.flags.writeable = False
 
 
-def mfcc(seg: AudioSegment, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
-    """(n_frames, n_coeffs) MFCC matrix of one segment."""
+def frame_count(n_samples: int) -> int:
+    return 1 + (n_samples - FRAME_LEN) // HOP
+
+
+def mfcc(seg: AudioSegment) -> np.ndarray:
+    """(n_frames, N_COEFFS) MFCC matrix of one segment."""
     x = np.asarray(seg.samples, dtype=float)
-    if len(x) < cfg.frame_len:
+    if len(x) < FRAME_LEN:
         raise ValueError("segment shorter than one analysis frame")
-    if cfg.fmax > seg.sample_rate / 2:
+    if FMAX > seg.sample_rate / 2:
         raise ValueError("fmax exceeds Nyquist")
-    n_frames = frame_count(len(x), cfg)
-    idx = np.arange(cfg.frame_len)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.frame_len) / cfg.frame_len)
-    frames = x[idx] * window
-    spectrum = np.abs(np.fft.rfft(frames, cfg.n_fft, axis=1)) ** 2
-    bank = mel_filterbank(cfg, seg.sample_rate)
-    logmel = np.log(spectrum @ bank.T + cfg.log_floor)
-    coeffs = logmel @ dct_matrix(cfg.n_coeffs, cfg.n_mels).T
+    n_frames = frame_count(len(x))
+    idx = np.arange(FRAME_LEN)[None, :] + HOP * np.arange(n_frames)[:, None]
+    frames = x[idx] * _WINDOW
+    spectrum = np.abs(np.fft.rfft(frames, N_FFT, axis=1)) ** 2
+    bank = mel_filterbank(seg.sample_rate)
+    logmel = np.log(spectrum @ bank.T + LOG_FLOOR)
+    coeffs = logmel @ _DCT.T
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("MFCC matrix contains non-finite values")
     return coeffs

@@ -18,7 +18,7 @@ from . import dsp
 from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
 from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
-from .simulation import DEFAULT_PARAMS, SimParams, run_trial
+from .simulation import run_trial
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,9 @@ class Posterior:
             raise ValueError("posterior must be non-negative and sum to 1")
 
 
-def uniform_posterior(n_classes: int = len(MATERIAL_CLASSES)) -> Posterior:
-    return Posterior(np.full(n_classes, 1.0 / n_classes))
+def uniform_posterior() -> Posterior:
+    n = len(MATERIAL_CLASSES)
+    return Posterior(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,7 @@ class ActiveLog:
 
 def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
                     L: MotionLikelihoodModel, confidence_target: float,
-                    max_segments: int, seed: int, selector: str = "eig",
-                    params: SimParams = DEFAULT_PARAMS) -> ActiveLog:
+                    max_segments: int, seed: int, selector: str = "eig") -> ActiveLog:
     """Explore with motions until the posterior commits or the budget runs out.
 
     selector "eig" picks motions by expected information gain; "random"
@@ -178,8 +178,7 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
             motion_kind = motions[int(rng.integers(len(motions)))]
         profile = sample_trial_profile(motion_kind, rng)
         trial_seed = int(rng.integers(2 ** 31))
-        record = run_trial(material, profile, COLLECTION_TORQUE, trial_seed,
-                           params=params)
+        record = run_trial(material, profile, COLLECTION_TORQUE, trial_seed)
         w = dsp.Waveform(record.audio, record.sample_rate)
         for seg in dsp.segment(w, hop_s=dsp.SEGMENT_S, source_trial=record.trial_id):
             if out.segments_used >= max_segments or \
@@ -197,10 +196,9 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
     return out
 
 
-def write_active_csv(log_: ActiveLog, path,
-                     classes: tuple[str, ...] = MATERIAL_CLASSES) -> None:
-    header = ["segment", "motion", "predicted"] + [f"p_{c}" for c in classes] \
-        + ["entropy"]
+def write_active_csv(log_: ActiveLog, path) -> None:
+    header = ["segment", "motion", "predicted"] \
+        + [f"p_{c}" for c in MATERIAL_CLASSES] + ["entropy"]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)

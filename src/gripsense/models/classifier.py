@@ -156,11 +156,10 @@ def _to_arrays(dataset, classes: tuple[str, ...]):
             np.asarray([index[label] for _, label in dataset]))
 
 
-def train_classifier(train_set, val_set, cfg: TrainConfig,
-                     model_cfg: ClassifierConfig | None = None):
+def train_classifier(train_set, val_set, cfg: TrainConfig):
     """Minibatch SGD with momentum on cross-entropy; returns the model with
     the best validation-accuracy weights plus held-out Metrics."""
-    model_cfg = model_cfg or ClassifierConfig(seed=cfg.seed)
+    model_cfg = ClassifierConfig(seed=cfg.seed)
     x_train, y_train = _to_arrays(train_set, model_cfg.classes)
     x_val, y_val = _to_arrays(val_set, model_cfg.classes)
     present = set(y_train.tolist())

@@ -30,7 +30,7 @@ class MotionProfile:
     def n_steps(self) -> int:
         return len(self.samples) - 1
 
-    def accelerations(self, lever_arm: float = LEVER_ARM_M) -> np.ndarray:
+    def accelerations(self) -> np.ndarray:
         """Tangential acceleration per step, used by the slip model.
 
         Shaking profiles carry acceleration directly. For rotation the
@@ -41,7 +41,7 @@ class MotionProfile:
         if self.kind == "shaking":
             return self.samples[:-1]
         omega = 2.0 * np.pi * self.frequency
-        return -lever_arm * omega**2 * self.samples[:-1]
+        return -LEVER_ARM_M * omega**2 * self.samples[:-1]
 
 
 def shaking_profile(shake_count: int, peak_accel: float, freq: float) -> MotionProfile:

@@ -62,34 +62,28 @@ RENDER_BLOCK = 100
 # Impact bursts synthesized per array operation (16 x 1680 samples at most).
 BURST_GROUP = 16
 
-
-@dataclass(frozen=True)
-class SimParams:
-    sample_rate: int = SAMPLE_RATE
-    gravity: float = 9.81
-    friction_mu: float = 0.6
-    torque_to_normal: float = 25.0    # N per Nm of grip torque
-    slip_rate: float = 0.02           # s; slip velocity = slip_rate * deficit / mass
-    drop_threshold: float = 0.05      # m of accumulated slip ends the grasp
-    noise_floor: float = 1e-4         # microphone noise sigma
-    impact_rate_coeff: float = 0.01   # events per particle per (m/s^2) per s
-    impact_amp_coeff: float = 0.006   # burst amplitude per (m/s^2)
-    echo_delay_decays: float = 2.0    # rebound delay, in units of the decay constant
-    burst_decays: float = 5.0         # synthesized burst length per envelope, in decay units
-    slosh_tau: float = 0.05           # s, contents-offset smoothing time constant
-    accel_norm: float = 20.0          # m/s^2 that saturates the blob shift
-    load_shift_cells: float = 3.0     # max blob row offset from grid center
-    base_sigma: float = 4.0           # cells, grip contact pattern width
-    load_sigma: float = 2.0           # cells, inertial load blob width
-    grip_closing_gain: float = 0.15   # rad per Nm
-    joint_slip_gain: float = 25.0     # rad per m of slip
-    joint_noise: float = 5e-4         # rad, per-step encoder jitter
-    joint_angle_max: float = 1.6      # rad, mechanical stop
-    tactile_quantum: float = 1e-4     # N, recorded pressure resolution
-    joint_quantum: float = 1e-6       # rad / Nm, recorded joint resolution
-
-
-DEFAULT_PARAMS = SimParams()
+# The rig's physics: one hand, one container, one microphone.
+GRAVITY = 9.81                # m/s^2
+FRICTION_MU = 0.6
+TORQUE_TO_NORMAL = 25.0       # N per Nm of grip torque
+SLIP_RATE = 0.02              # s; slip velocity = slip_rate * deficit / mass
+DROP_THRESHOLD = 0.05         # m of accumulated slip ends the grasp
+NOISE_FLOOR = 1e-4            # microphone noise sigma
+IMPACT_RATE_COEFF = 0.01      # events per particle per (m/s^2) per s
+IMPACT_AMP_COEFF = 0.006      # burst amplitude per (m/s^2)
+ECHO_DELAY_DECAYS = 2.0       # rebound delay, in units of the decay constant
+BURST_DECAYS = 5.0            # synthesized burst length per envelope, in decay units
+SLOSH_TAU = 0.05              # s, contents-offset smoothing time constant
+ACCEL_NORM = 20.0             # m/s^2 that saturates the blob shift
+LOAD_SHIFT_CELLS = 3.0        # max blob row offset from grid center
+BASE_SIGMA = 4.0              # cells, grip contact pattern width
+LOAD_SIGMA = 2.0              # cells, inertial load blob width
+GRIP_CLOSING_GAIN = 0.15      # rad per Nm
+JOINT_SLIP_GAIN = 25.0        # rad per m of slip
+JOINT_NOISE = 5e-4            # rad, per-step encoder jitter
+JOINT_ANGLE_MAX = 1.6         # rad, mechanical stop
+TACTILE_QUANTUM = 1e-4        # N, recorded pressure resolution
+JOINT_QUANTUM = 1e-6          # rad / Nm, recorded joint resolution
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -97,31 +91,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=16)
-def _base_pattern(base_sigma: float) -> np.ndarray:
-    """Normalized grip contact pattern; cached per width and read-only."""
+def _contact_pattern() -> np.ndarray:
+    """Normalized grip contact pattern, built once as _BASE_PATTERN."""
     r = np.arange(GRID_ROWS) - (GRID_ROWS - 1) / 2.0
     c = np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0
-    w = np.exp(-0.5 * (r[:, None] / base_sigma) ** 2
-               - 0.5 * (c[None, :] / base_sigma) ** 2)
+    w = np.exp(-0.5 * (r[:, None] / BASE_SIGMA) ** 2
+               - 0.5 * (c[None, :] / BASE_SIGMA) ** 2)
     return _read_only(w / w.sum())
 
 
+_BASE_PATTERN = _contact_pattern()
 _GRID_ROW_INDEX = _read_only(np.arange(GRID_ROWS))
+# column part of the load blob's exponent
+_LOAD_COL_TERM = _read_only(
+    0.5 * ((np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0) / LOAD_SIGMA) ** 2)
 
 
-@functools.lru_cache(maxsize=16)
-def _load_col_term(load_sigma: float) -> np.ndarray:
-    """Column part of the load blob's exponent; cached per width and read-only."""
-    c = np.arange(GRID_COLS) - (GRID_COLS - 1) / 2.0
-    return _read_only(0.5 * (c / load_sigma) ** 2)
-
-
-def _load_patterns(center_rows: np.ndarray, load_sigma: float) -> np.ndarray:
+def _load_patterns(center_rows: np.ndarray) -> np.ndarray:
     """(k, 16, 16) load blobs, one per center row, each normalized to sum 1."""
     r = _GRID_ROW_INDEX - center_rows[:, None]
-    r /= load_sigma
-    w = (-0.5 * r ** 2)[:, :, None] - _load_col_term(load_sigma)
+    r /= LOAD_SIGMA
+    w = (-0.5 * r ** 2)[:, :, None] - _LOAD_COL_TERM
     np.exp(w, out=w)
     # each blob's 256 cells sum in one contiguous pairwise reduction, as
     # the sum of a single (16, 16) blob does
@@ -130,14 +120,13 @@ def _load_patterns(center_rows: np.ndarray, load_sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _burst_envelope(material: MaterialParams, params: SimParams):
+def _burst_envelope(material: MaterialParams):
     """Sample times and decay envelope (impact plus rebound echo) of one
     impact burst; cached per material and read-only."""
-    sr = params.sample_rate
     tau = material.impact_decay_s
-    n_env = math.ceil(params.burst_decays * tau * sr)
-    d_idx = math.ceil(params.echo_delay_decays * tau * sr)
-    tt = np.arange(n_env + d_idx) / sr
+    n_env = math.ceil(BURST_DECAYS * tau * SAMPLE_RATE)
+    d_idx = math.ceil(ECHO_DELAY_DECAYS * tau * SAMPLE_RATE)
+    tt = np.arange(n_env + d_idx) / SAMPLE_RATE
     env = np.exp(-tt / tau)
     env[d_idx:] += material.restitution * np.exp(-(tt[d_idx:] - tt[d_idx]) / tau)
     return _read_only(tt), _read_only(env)
@@ -155,9 +144,8 @@ class SimState:
     t: float = 0.0
 
 
-def initial_state(seed: int, material: MaterialParams,
-                  params: SimParams = DEFAULT_PARAMS) -> SimState:
-    tt, _ = _burst_envelope(material, params)
+def initial_state(seed: int, material: MaterialParams) -> SimState:
+    tt, _ = _burst_envelope(material)
     return SimState(
         contents_offset=0.0,
         slip_displacement=0.0,
@@ -189,11 +177,10 @@ def step_arrays(k: int, chunk: int) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _add_bursts(buf: np.ndarray, events: list, material: MaterialParams,
-                params: SimParams) -> None:
+def _add_bursts(buf: np.ndarray, events: list, material: MaterialParams) -> None:
     """Add impact bursts (start sample, freq, phase, amp) into buf in event
     order, so every sample sums its bursts in the order they were drawn."""
-    tt, env = _burst_envelope(material, params)
+    tt, env = _burst_envelope(material)
     n_burst = len(tt)
     for g in range(0, len(events), BURST_GROUP):
         start, freq, phase, amp = zip(*events[g:g + BURST_GROUP])
@@ -206,7 +193,7 @@ def _add_bursts(buf: np.ndarray, events: list, material: MaterialParams,
 
 
 def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: float,
-         dt: float, stiffness_scale: float = 1.0, params: SimParams = DEFAULT_PARAMS,
+         dt: float, stiffness_scale: float = 1.0,
          out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Advance `state` in place by k steps of dt under one grip command.
 
@@ -234,18 +221,18 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
                          f"got {stiffness_scale}")
 
     k = len(accels)
-    chunk = round(dt * params.sample_rate)
+    chunk = round(dt * SAMPLE_RATE)
     if out is None:
         out = step_arrays(k, chunk)
     audio = out["audio"]
     angles = out["joint_angles"]
 
-    g = params.gravity
+    g = GRAVITY
     mass = material.total_mass
-    normal = params.torque_to_normal * grip_torque * stiffness_scale
-    available = params.friction_mu * normal
+    normal = TORQUE_TO_NORMAL * grip_torque * stiffness_scale
+    available = FRICTION_MU * normal
     rng = state.rng
-    rate = params.impact_rate_coeff * material.particle_count
+    rate = IMPACT_RATE_COEFF * material.particle_count
     half_band = 0.5 * material.impact_bandwidth_hz
 
     # Scalar physics on Python floats and every random draw, step by step in
@@ -256,50 +243,47 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     events = []  # (start sample in the block, freq, phase, amp)
     disp, dropped, offset, t = (state.slip_displacement, state.dropped,
                                 state.contents_offset, state.t)
-    slip_rate, drop_threshold = params.slip_rate, params.drop_threshold
-    accel_norm, slosh_tau = params.accel_norm, params.slosh_tau
-    noise_floor, joint_noise = params.noise_floor, params.joint_noise
     normal_draw = rng.normal
     for j, a in enumerate(accels):
         # Coulomb slip: deficit between required tangential force and friction.
         required = mass * abs(a + g)
         slipping = required > available and not dropped
         if slipping:
-            disp += slip_rate * ((required - available) / mass) * dt
-            if disp >= drop_threshold:
+            disp += SLIP_RATE * ((required - available) / mass) * dt
+            if disp >= DROP_THRESHOLD:
                 dropped = True
         # Contents settle opposite the net specific force with a short lag.
-        target = min(max((a + g) / accel_norm, -1.0), 1.0)
-        offset += (target - offset) * dt / slosh_tau
+        target = min(max((a + g) / ACCEL_NORM, -1.0), 1.0)
+        offset += (target - offset) * dt / SLOSH_TAU
         t += dt
         load = 0.0 if dropped else required
         t_out[j], slip_out[j], drop_out[j] = t, slipping, dropped
         loads[j] = load
-        centers[j] = (GRID_ROWS - 1) / 2.0 + params.load_shift_cells * offset
+        centers[j] = (GRID_ROWS - 1) / 2.0 + LOAD_SHIFT_CELLS * offset
         load_torques[j] = 0.005 * load
-        drags[j] = params.joint_slip_gain * disp
+        drags[j] = JOINT_SLIP_GAIN * disp
 
-        audio[j] = normal_draw(0.0, noise_floor, chunk)
+        audio[j] = normal_draw(0.0, NOISE_FLOOR, chunk)
         lam = rate * abs(a) * dt
         if not dropped and lam > 0.0:
-            amp = params.impact_amp_coeff * abs(a)
+            amp = IMPACT_AMP_COEFF * abs(a)
             for _ in range(rng.poisson(lam)):
                 onset = int(rng.integers(0, chunk))
                 freq = material.impact_centroid_hz + rng.uniform(-half_band, half_band)
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 events.append((j * chunk + onset, freq, phase, amp))
-        angles[j] = normal_draw(0.0, joint_noise, N_JOINTS)
+        angles[j] = normal_draw(0.0, JOINT_NOISE, N_JOINTS)
     state.slip_displacement, state.dropped, state.contents_offset, state.t = \
         disp, dropped, offset, t
 
     # Tactile rendering. Both patterns are grid-normalized, so the grid sum
     # is exactly normal + load before quantization.
     grid = out["tactile"]
-    np.multiply(normal, _base_pattern(params.base_sigma), out=grid)
-    blobs = _load_patterns(centers, params.load_sigma)
+    np.multiply(normal, _BASE_PATTERN, out=grid)
+    blobs = _load_patterns(centers)
     blobs *= loads[:, None, None]
     grid += blobs
-    q = params.tactile_quantum
+    q = TACTILE_QUANTUM
     grid /= q
     np.rint(grid, out=grid)
     grid *= q
@@ -314,21 +298,21 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     buf = np.zeros(k * chunk + n_tail)
     buf[:n_tail] = state.audio_tail
     if events:
-        _add_bursts(buf, events, material, params)
+        _add_bursts(buf, events, material)
     audio += buf[:k * chunk].reshape(k, chunk)
     np.maximum(audio, -1.0, out=audio)
     np.minimum(audio, 1.0, out=audio)
     state.audio_tail = buf[k * chunk:]
 
     # Joint streams: grasp closing plus slip drag, with encoder jitter.
-    jq = params.joint_quantum
-    pose = REST_POSE + params.grip_closing_gain * grip_torque * CLOSE_DIR
+    jq = JOINT_QUANTUM
+    pose = REST_POSE + GRIP_CLOSING_GAIN * grip_torque * CLOSE_DIR
     angles += pose + drags[:, None] * SLIP_DIR
     angles /= jq
     np.rint(angles, out=angles)
     angles *= jq
     np.maximum(0.0, angles, out=angles)  # this order keeps np.clip's sign of zero
-    np.minimum(angles, params.joint_angle_max, out=angles)
+    np.minimum(angles, JOINT_ANGLE_MAX, out=angles)
     torques = out["joint_torques"]
     np.multiply(load_torques[:, None], SLIP_DIR, out=torques)
     torques += grip_torque * stiffness_scale * TORQUE_DIST
@@ -386,8 +370,7 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
 
 
 def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
-              seed: int, trial_id: str | None = None,
-              params: SimParams = DEFAULT_PARAMS) -> TrialRecord:
+              seed: int, trial_id: str | None = None) -> TrialRecord:
     """Run one full trial and collect the synchronized record.
 
     grip_policy is either a fixed torque (float) or a callable
@@ -408,15 +391,15 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     """
     if motion.n_steps < 1:
         raise ValueError("motion duration must cover at least one step")
-    state = initial_state(seed, material, params)
+    state = initial_state(seed, material)
     accels = motion.accelerations().tolist()
     n = motion.n_steps
-    arrays = step_arrays(n, round(SIM_DT * params.sample_rate))
+    arrays = step_arrays(n, round(SIM_DT * SAMPLE_RATE))
 
     def render(state, i, k, torque, stiffness):
         rows = {name: a[i:i + k] for name, a in arrays.items()}
         step(state, material, accels[i:i + k], torque, SIM_DT,
-             stiffness_scale=stiffness, params=params, out=rows)
+             stiffness_scale=stiffness, out=rows)
 
     def decide(i):
         torque, stiffness = grip_policy({name: a[:i] for name, a in arrays.items()})
@@ -458,7 +441,7 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
         material=material.name,
         motion=meta,
         seed=seed,
-        sample_rate=params.sample_rate,
+        sample_rate=SAMPLE_RATE,
         dt=SIM_DT,
         audio=quantize_pcm16(arrays.pop("audio").reshape(-1)),
         **arrays,

@@ -245,20 +245,20 @@ def single_step_trial(material, motion, policy, seed, trial_id=None):
     decision: the policy decides step i on the first i rows, then step i
     runs alone. Rendering ahead in blocks must give this record bit for
     bit."""
-    params = simulation.DEFAULT_PARAMS
     dt = SIM_DT
-    state = simulation.initial_state(seed, material, params)
+    state = simulation.initial_state(seed, material)
     accels = motion.accelerations().tolist()
-    arrays = simulation.step_arrays(motion.n_steps, round(dt * params.sample_rate))
+    arrays = simulation.step_arrays(motion.n_steps,
+                                    round(dt * simulation.SAMPLE_RATE))
     for i in range(motion.n_steps):
         torque, stiffness = policy({name: a[:i] for name, a in arrays.items()})
         simulation.step(state, material, accels[i], torque, dt,
-                        stiffness_scale=stiffness, params=params,
+                        stiffness_scale=stiffness,
                         out={name: a[i:i + 1] for name, a in arrays.items()})
     meta = {key: getattr(motion, key) for key in
             ("kind", "duration", "amplitude", "frequency", "shake_count")}
     return simulation.TrialRecord(
         trial_id=trial_id or f"trial-{seed}", material=material.name,
-        motion=meta, seed=seed, sample_rate=params.sample_rate, dt=dt,
+        motion=meta, seed=seed, sample_rate=simulation.SAMPLE_RATE, dt=dt,
         audio=simulation.quantize_pcm16(arrays.pop("audio").reshape(-1)),
         **arrays)

@@ -19,7 +19,7 @@ from gripsense.controller import (
 from gripsense.materials import material_table
 from gripsense.models.predictor import FeatureWindow, Prediction, predict
 from gripsense.motion import SIM_DT, shaking_profile
-from gripsense.simulation import DEFAULT_PARAMS
+from gripsense.simulation import SAMPLE_RATE
 
 TABLE = material_table()
 
@@ -231,7 +231,7 @@ class TestOnlineInputs:
                                                        classifier, registry):
         seen, _, segments = spied_cereal_episode(monkeypatch, classifier,
                                                  registry)
-        seg_samples = round(dsp.SEGMENT_S * DEFAULT_PARAMS.sample_rate)
+        seg_samples = round(dsp.SEGMENT_S * SAMPLE_RATE)
         assert segments
         for n, samples in segments:
             stream = np.concatenate([o["audio"] for o in seen[:n]])

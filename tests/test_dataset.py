@@ -220,10 +220,6 @@ class TestManifestAndSplits:
         assert a == b
         assert a != c
 
-    def test_bad_fractions(self, manifest):
-        with pytest.raises(ValueError):
-            ds.build_splits(manifest, fractions=(0.5, 0.2, 0.2))
-
     def test_tiny_dataset_generates_but_cannot_stratify(self, tmp_path):
         tiny = ds.generate_dataset(tmp_path / "tiny", trials_per_cell=1,
                                    base_seed=0)

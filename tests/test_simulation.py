@@ -5,12 +5,16 @@ from gripsense.materials import material_table
 from gripsense.motion import SIM_DT, LEVER_ARM_M, MotionProfile, rotation_profile, shaking_profile
 from gripsense import simulation
 from gripsense.simulation import (
-    DEFAULT_PARAMS,
+    DROP_THRESHOLD,
+    FRICTION_MU,
+    GRAVITY,
     MAX_STIFFNESS_SCALE,
     RENDER_BLOCK,
+    SAMPLE_RATE,
+    SLIP_RATE,
+    TORQUE_TO_NORMAL,
     TRIAL_ARRAYS,
-    SimParams,
-    _base_pattern,
+    _BASE_PATTERN,
     initial_state,
     quantize_pcm16,
     run_trial,
@@ -55,8 +59,8 @@ class TestStep:
     def test_slip_boundary(self):
         # at torque 0.4 the grip supplies mu * 25 * 0.4 = 6 N of friction
         m = TABLE["rice"]
-        available = DEFAULT_PARAMS.friction_mu * DEFAULT_PARAMS.torque_to_normal * 0.4
-        a_star = available / m.total_mass - DEFAULT_PARAMS.gravity
+        available = FRICTION_MU * TORQUE_TO_NORMAL * 0.4
+        a_star = available / m.total_mass - GRAVITY
         for factor, expect in ((0.95, False), (1.05, True)):
             out = step(initial_state(7, m), m, a_star * factor, 0.4, SIM_DT)
             assert bool(out["true_slip"][-1]) is expect
@@ -78,8 +82,8 @@ class TestStep:
         state = initial_state(3, m)
         for accel in (0.0, 8.0, -12.0):
             out = step(state, m, accel, 0.7, SIM_DT)
-            normal = DEFAULT_PARAMS.torque_to_normal * 0.7
-            load = m.total_mass * abs(accel + DEFAULT_PARAMS.gravity)
+            normal = TORQUE_TO_NORMAL * 0.7
+            load = m.total_mass * abs(accel + GRAVITY)
             total = float(out["tactile"][-1].sum())
             assert total == pytest.approx(normal + load, rel=0.01)
 
@@ -136,8 +140,7 @@ class TestStep:
         assert np.array_equal(block_state.audio_tail, state.audio_tail)
 
     def test_contact_pattern_is_shared_read_only(self):
-        pattern = _base_pattern(DEFAULT_PARAMS.base_sigma)
-        assert _base_pattern(DEFAULT_PARAMS.base_sigma) is pattern
+        pattern = _BASE_PATTERN
         assert pattern.sum() == pytest.approx(1.0)
         with pytest.raises(ValueError):
             pattern[0, 0] = 1.0
@@ -164,9 +167,9 @@ class TestTrials:
         rec = run_trial(TABLE["rice"], p, 0.4, 5)
         accels = p.accelerations()
         m = TABLE["rice"].total_mass
-        required = m * np.abs(accels + DEFAULT_PARAMS.gravity)
-        available = (DEFAULT_PARAMS.friction_mu
-                     * DEFAULT_PARAMS.torque_to_normal * 0.4)
+        required = m * np.abs(accels + GRAVITY)
+        available = (FRICTION_MU
+                     * TORQUE_TO_NORMAL * 0.4)
         was_dropped = np.concatenate([[False], rec.dropped[:-1]])
         want = (required > available) & ~was_dropped
         assert np.array_equal(rec.true_slip, want)
@@ -185,8 +188,8 @@ class TestTrials:
     def test_zero_grip_fall_time(self):
         # slip velocity at zero grip is slip_rate * g, so the drop lands at
         # drop_threshold / (slip_rate * g) = 0.2548 s for every material
-        expect = DEFAULT_PARAMS.drop_threshold / (DEFAULT_PARAMS.slip_rate
-                                                  * DEFAULT_PARAMS.gravity)
+        expect = DROP_THRESHOLD / (SLIP_RATE
+                                                  * GRAVITY)
         p = MotionProfile("shaking", 0.5, np.zeros(101), 1.0, 2.0, 1)
         for name in ("rice", "empty"):
             rec = run_trial(TABLE[name], p, 0.0, 3)
@@ -256,7 +259,7 @@ class TestTrials:
 
     def test_policy_sees_the_rows_written_so_far(self):
         motion = rotation_profile(0.9, 2.0, 0.8)
-        chunk = round(SIM_DT * DEFAULT_PARAMS.sample_rate)
+        chunk = round(SIM_DT * SAMPLE_RATE)
         newest = []
 
         def policy(history):
@@ -274,12 +277,6 @@ class TestTrials:
                 assert np.array_equal(rows[name], getattr(rec, name)[i]), name
             assert np.array_equal(quantize_pcm16(rows["audio"]),
                                   rec.audio[i * chunk:(i + 1) * chunk])
-
-    def test_custom_params_threaded_through(self):
-        params = SimParams(friction_mu=5.0)
-        rec = run_trial(TABLE["rice"], fixed_shake(peak=20.0), 0.4, 5,
-                        params=params)
-        assert not rec.true_slip.any()
 
 
 def spy_step_calls(monkeypatch):
