@@ -24,7 +24,7 @@ from .models.classifier import MaterialClassifier, classify
 from .models.predictor import FeatureWindow, Prediction, predict
 from .models.registry import ModelRegistry, select_model
 from .motion import SIM_DT, MotionProfile
-from .simulation import SAMPLE_RATE, TrialRecord, run_trial
+from .simulation import SAMPLE_RATE, TrialRecord, quantize_pcm16, run_trial
 
 ONLINE_HOP_S = 0.25  # classifier cadence during an episode
 
@@ -111,8 +111,9 @@ class _ReactivePolicy:
     """Stateful per-step policy fed to the simulator trial loop.
 
     Reads the trial's history (the newest feature frame, the last second of
-    audio at classifier hops), predicts, updates the grip, records step i's
-    command and prediction at index i, and emits the command.
+    audio at classifier hops, on the PCM16 grid), predicts, updates the
+    grip, records step i's command and prediction at index i, and emits the
+    command.
     """
 
     def __init__(self, classifier: MaterialClassifier, registry: ModelRegistry,
@@ -140,9 +141,9 @@ class _ReactivePolicy:
         if i % self.hop_steps != 0 or audio.size < self.seg_samples:
             return
         t = i * SIM_DT
-        seg = dsp.AudioSegment(audio.reshape(-1)[-self.seg_samples:], "online",
-                               t - dsp.SEGMENT_S,
-                               sample_rate=SAMPLE_RATE)
+        # the PCM16 grid of the trial record, which training reads back
+        second = quantize_pcm16(audio.reshape(-1)[-self.seg_samples:])
+        seg = dsp.AudioSegment(second, "online", t - dsp.SEGMENT_S, SAMPLE_RATE)
         probs = classify(self.classifier, dsp.mfcc(seg))
         best = int(np.argmax(probs))
         if probs[best] >= self.cfg.classifier_commit_confidence:

@@ -183,8 +183,9 @@ class TestEpisodes:
 
 def spied_cereal_episode(monkeypatch, classifier, registry):
     """A reactive episode that commits to cereal mid-run. Returns copies of
-    the newest history rows the policy was given, in order, plus (rows given
-    so far, input) for every predict and mfcc call of the controller."""
+    the newest history rows the policy was given, in order, (rows given so
+    far, input) for every predict and mfcc call of the controller, and the
+    episode's log."""
     seen, windows, segments = [], [], []
     run_trial, predict, mfcc = controller.run_trial, controller.predict, dsp.mfcc
 
@@ -212,13 +213,14 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
     log = run_reactive_loop(TABLE["cereal"], profile, classifier, registry,
                             seed=ds.derive_seed(900, "cereal", "rotation", 0, "sim"))
     assert log.switch_time_s is not None
-    return seen, windows, segments
+    return seen, windows, segments, log
 
 
 class TestOnlineInputs:
     def test_online_windows_equal_offline_features(self, monkeypatch,
                                                    classifier, registry):
-        seen, windows, _ = spied_cereal_episode(monkeypatch, classifier, registry)
+        seen, windows, _, _ = spied_cereal_episode(monkeypatch, classifier,
+                                                   registry)
         offline = tactile.features_from_arrays(
             np.stack([o["tactile"] for o in seen]),
             np.stack([o["joint_angles"] for o in seen]), SIM_DT)
@@ -229,13 +231,15 @@ class TestOnlineInputs:
 
     def test_classifier_audio_is_last_second_of_stream(self, monkeypatch,
                                                        classifier, registry):
-        seen, _, segments = spied_cereal_episode(monkeypatch, classifier,
-                                                 registry)
+        # the classifier hears the trial's own PCM16 audio, as in training
+        _, _, segments, log = spied_cereal_episode(monkeypatch, classifier,
+                                                   registry)
         seg_samples = round(dsp.SEGMENT_S * SAMPLE_RATE)
+        chunk = round(SIM_DT * SAMPLE_RATE)
         assert segments
         for n, samples in segments:
-            stream = np.concatenate([o["audio"] for o in seen[:n]])
-            assert np.array_equal(samples, stream[-seg_samples:])
+            assert np.array_equal(
+                samples, log.record.audio[n * chunk - seg_samples:n * chunk])
 
 
 class TestEpisodeCsv:
