@@ -150,7 +150,6 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     dataset_dir = _require_dir(Path(args.dataset), "dataset")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = ds.load_manifest(dataset_dir)
     if not manifest.splits:
         raise ds.DatasetError("dataset manifest has no splits; regenerate it")
@@ -192,26 +191,33 @@ def cmd_train(args) -> int:
     Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
         dataset_dir, manifest, "test", args.motion, material,
         window=args.window, horizon=args.horizon, stride=args.stride)
-    probs, force_hat, cell_hat = predict_batch(model, Xt)
-    metrics = mx.Metrics(
-        auc=mx.auc(probs, slip_t) if 0 < slip_t.sum() < len(slip_t) else None,
-        force_mae=mx.mae(force_hat, force_t),
-        cell_distance=mx.mean_cell_distance(cell_hat, cell_t))
+    metrics = _evaluate_predictor(model, Xt, slip_t, force_t, cell_t)
     with open(out / f"metrics_{name.removesuffix('.gsm')}.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["auc", "force_mae", "cell_distance"])
         w.writerow([metrics.auc, metrics.force_mae, metrics.cell_distance])
-    auc_txt = (f"{metrics.auc:.3f}" if metrics.auc is not None
-               else "n/a" + _one_class_note(slip_t))
-    print(f"predictor {name}: test AUC {auc_txt}, force MAE "
-          f"{metrics.force_mae:.4f} N, cell distance {metrics.cell_distance:.2f}")
+    print(f"predictor {name}: test AUC {_auc_text(metrics, slip_t, 'n/a')}, "
+          f"force MAE {metrics.force_mae:.4f} N, "
+          f"cell distance {metrics.cell_distance:.2f}")
     return 0
 
 
-def _one_class_note(slip: np.ndarray) -> str:
-    """Why a test AUC is missing: the test windows hold one slip class."""
+def _evaluate_predictor(model, X, slip, force, cell) -> mx.Metrics:
+    """A predictor's test metrics over windows X; auc is None when the
+    windows hold one slip class."""
+    probs, force_hat, cell_hat = predict_batch(model, X)
+    return mx.Metrics(
+        auc=mx.auc(probs, slip) if 0 < slip.sum() < len(slip) else None,
+        force_mae=mx.mae(force_hat, force),
+        cell_distance=mx.mean_cell_distance(cell_hat, cell))
+
+
+def _auc_text(metrics: mx.Metrics, slip: np.ndarray, missing: str) -> str:
+    """The AUC as printed; a missing one reads `missing` and says why."""
+    if metrics.auc is not None:
+        return f"{metrics.auc:.3f}"
     n_slip = int(np.sum(slip))
-    return f" (test windows: {n_slip} slip, {len(slip) - n_slip} non-slip)"
+    return f"{missing} (test windows: {n_slip} slip, {len(slip) - n_slip} non-slip)"
 
 
 def _write_classifier_metrics(path, metrics) -> None:
@@ -227,9 +233,10 @@ def _write_classifier_metrics(path, metrics) -> None:
 
 
 def cmd_episode(args) -> int:
+    if args.episodes < 1:
+        raise UsageError(f"--episodes must be at least 1, got {args.episodes}")
     models_dir = _require_dir(Path(args.models), "models")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out)
     table = material_table()
     if args.material not in table:
@@ -241,7 +248,11 @@ def cmd_episode(args) -> int:
         if not args.policy.startswith("fixed:"):
             raise UsageError(f"policy must be reactive or fixed:<torque>, "
                              f"got {args.policy!r}")
-        fixed_torque = float(args.policy.split(":", 1)[1])
+        try:
+            fixed_torque = float(args.policy.split(":", 1)[1])
+        except ValueError:
+            raise UsageError(f"--policy fixed:<torque> needs a torque in Nm, "
+                             f"got {args.policy!r}") from None
         if not 0.0 <= fixed_torque <= CONFIG.max_torque:
             raise UsageError(f"fixed torque {fixed_torque} outside "
                              f"[0, {CONFIG.max_torque}] Nm")
@@ -286,9 +297,10 @@ def cmd_episode(args) -> int:
 
 
 def cmd_active(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     models_dir = _require_dir(Path(args.models), "models")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out)
     table = material_table()
     if args.material not in table:
@@ -332,7 +344,6 @@ def cmd_eval(args) -> int:
     dataset_dir = _require_dir(Path(args.dataset), "dataset")
     models_dir = _require_dir(Path(args.models), "models")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _echo_config(args, out)
     manifest = ds.load_manifest(dataset_dir)
     classifier, registry, _ = load_models(models_dir)
@@ -350,17 +361,13 @@ def cmd_eval(args) -> int:
         Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
             dataset_dir, manifest, "test", motion,
             window=model.cfg.window, horizon=model.cfg.horizon)
-        probs, force_hat, cell_hat = predict_batch(model, Xt)
-        two_classes = 0 < slip_t.sum() < len(slip_t)
-        auc = mx.auc(probs, slip_t) if two_classes else float("nan")
-        fmae = mx.mae(force_hat, force_t)
-        cdist = mx.mean_cell_distance(cell_hat, cell_t)
+        m = _evaluate_predictor(model, Xt, slip_t, force_t, cell_t)
+        auc = float("nan") if m.auc is None else m.auc
         lines += [[f"{motion}_auc", repr(float(auc))],
-                  [f"{motion}_force_mae", repr(float(fmae))],
-                  [f"{motion}_cell_distance", repr(float(cdist))]]
-        auc_txt = f"{auc:.3f}" if two_classes else "nan" + _one_class_note(slip_t)
-        print(f"default predictor [{motion}]: AUC {auc_txt}, "
-              f"force MAE {fmae:.4f} N, cell distance {cdist:.2f}")
+                  [f"{motion}_force_mae", repr(float(m.force_mae))],
+                  [f"{motion}_cell_distance", repr(float(m.cell_distance))]]
+        print(f"default predictor [{motion}]: AUC {_auc_text(m, slip_t, 'nan')}, "
+              f"force MAE {m.force_mae:.4f} N, cell distance {m.cell_distance:.2f}")
     with open(out / "eval.csv", "w", newline="") as f:
         csv.writer(f).writerows(lines)
     return 0

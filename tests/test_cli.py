@@ -136,6 +136,21 @@ class TestEpisode:
                        "--policy", "fixed:1.5"])
         assert rc == 2
 
+    def test_non_numeric_fixed_torque_exits_2(self, cli_models, tmp_path,
+                                              capsys):
+        rc = cli.main(["episode", "--models", str(cli_models),
+                       "--out", str(tmp_path), "--material", "rice",
+                       "--policy", "fixed:abc"])
+        assert rc == 2
+        assert "--policy" in capsys.readouterr().err
+
+    def test_zero_episodes_exits_2(self, cli_models, tmp_path, capsys):
+        rc = cli.main(["episode", "--models", str(cli_models),
+                       "--out", str(tmp_path), "--material", "rice",
+                       "--policy", "fixed:0.4", "--episodes", "0"])
+        assert rc == 2
+        assert "--episodes" in capsys.readouterr().err
+
     def test_unknown_material_exits_2(self, cli_models, tmp_path):
         rc = cli.main(["episode", "--models", str(cli_models),
                        "--out", str(tmp_path), "--material", "sand"])
@@ -170,6 +185,13 @@ class TestActiveAndEval:
             assert (tmp_path / name).exists()
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(summary) == 3
+
+    def test_zero_seeds_exits_2(self, cli_models, tmp_path, capsys):
+        rc = cli.main(["active", "--models", str(cli_models),
+                       "--out", str(tmp_path), "--material", "rice",
+                       "--seeds", "0"])
+        assert rc == 2
+        assert "--seeds" in capsys.readouterr().err
 
     def test_active_needs_confusions(self, cli_models, tmp_path):
         bare = tmp_path / "bare"
