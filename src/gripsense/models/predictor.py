@@ -286,19 +286,8 @@ class FeatureWindow:
         return _heads(self._h[W:], *heads)
 
 
-def predict(model: SlipPredictor,
-            window: FeatureWindow | np.ndarray) -> Prediction:
-    """One prediction from a full window of W feature frames: a
-    `FeatureWindow`, or a (W, input_dim) array replayed through a fresh
-    one, so that online and offline predictions agree bit for bit."""
-    if not isinstance(window, FeatureWindow):
-        window = np.asarray(window, dtype=float)
-        if window.shape != (model.cfg.window, model.cfg.input_dim):
-            raise ValueError(f"expected ({model.cfg.window}, "
-                             f"{model.cfg.input_dim}) window, got {window.shape}")
-        frames, window = window, FeatureWindow(*window.shape)
-        for frame in frames:
-            window.push(frame)
+def predict(model: SlipPredictor, window: FeatureWindow) -> Prediction:
+    """One prediction from a full `FeatureWindow` of W feature frames."""
     slip_prob, force, cell = _natural_units(model, *window._outputs(model))
     row, col = np.round(cell[0]).astype(int).tolist()
     return Prediction(slip_prob=float(slip_prob[0]),
