@@ -59,6 +59,83 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
+# Defaulted parameters that no call in src/ or perfbench/ passes, and why
+# each keeps its default.
+KNOBS_ONLY_TESTS_SET = {
+    "main(argv)": "the console script calls main(); tests pass argv",
+    "label_slip(threshold)": "acceptance criterion 9 sweeps the slip threshold",
+    "label_slip(horizon)": "acceptance criterion 9 sweeps the lookback",
+    "predictor_windows(cache)": "the test fixtures share one feature cache",
+    "MaterialClassifier(theta)": "serialize.load_model passes it to the class "
+                                 "it looks up by kind",
+    "SlipPredictor(theta)": "serialize.load_model passes it to the class it "
+                            "looks up by kind",
+}
+
+
+def _defaulted_params(path: Path):
+    """(callee name, positional index or None, parameter, line) for each
+    defaulted parameter of each def in a module. A class's __init__ goes by
+    the class name, as its callers write it; self and cls are not counted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            defs = [(node.name, f) for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+        elif isinstance(node, ast.FunctionDef) and node.name != "__init__":
+            defs = [(node.name, node)]
+        else:
+            continue
+        for name, f in defs:
+            args = f.args
+            positional = args.posonlyargs + args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, i, arg.arg, f.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, None, arg.arg, f.lineno
+
+
+def _passed_params(paths) -> dict[str, tuple[int, set]]:
+    """Callee name -> (most positional arguments of any call, keyword names
+    of all calls); an unpacked argument counts as passing every one."""
+    passed: dict[str, tuple[int, set]] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            n_pos, keywords = passed.get(name, (0, set()))
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                n_pos = sys.maxsize
+            keywords |= {k.arg for k in node.keywords}
+            passed[name] = (max(n_pos, len(node.args)), keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no caller in the program or the benchmark overrides is
+    # a knob with one value in use: it belongs in a constant
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    callers = sources + sorted(p for p in (ROOT / "perfbench").rglob("*.py")
+                               if "tests" not in p.relative_to(ROOT).parts)
+    passed = _passed_params(callers)
+    unset = {}
+    for path in sources:
+        for name, index, param, line in _defaulted_params(path):
+            n_pos, keywords = passed.get(name, (0, set()))
+            if not (param in keywords or None in keywords
+                    or (index is not None and n_pos > index)):
+                unset[f"{name}({param})"] = f"{path.relative_to(ROOT)}:{line}"
+    dead = {k: v for k, v in unset.items() if k not in KNOBS_ONLY_TESTS_SET}
+    assert not dead, dead
+    stale = sorted(set(KNOBS_ONLY_TESTS_SET) - set(unset))
+    assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
 def test_benchmark_wrap_points_exist(monkeypatch):
     # perfbench/spans.py wraps these attributes in every traced run; a name
     # missing from its owner's __dict__ makes each traced run fail
