@@ -61,7 +61,7 @@ def test_no_module_imports_a_name_it_never_uses():
 
 # Defaulted parameters that no call in src/ or perfbench/ passes, and why
 # each keeps its default.
-KNOBS_ONLY_TESTS_SET = {
+UNPASSED_DEFAULTS_ALLOWED = {
     "main(argv)": "the console script calls main(); tests pass argv",
     "label_slip(threshold)": "acceptance criterion 9 sweeps the slip threshold",
     "label_slip(horizon)": "acceptance criterion 9 sweeps the lookback",
@@ -130,9 +130,9 @@ def test_every_defaulted_parameter_is_passed_somewhere():
             if not (param in keywords or None in keywords
                     or (index is not None and n_pos > index)):
                 unset[f"{name}({param})"] = f"{path.relative_to(ROOT)}:{line}"
-    dead = {k: v for k, v in unset.items() if k not in KNOBS_ONLY_TESTS_SET}
+    dead = {k: v for k, v in unset.items() if k not in UNPASSED_DEFAULTS_ALLOWED}
     assert not dead, dead
-    stale = sorted(set(KNOBS_ONLY_TESTS_SET) - set(unset))
+    stale = sorted(set(UNPASSED_DEFAULTS_ALLOWED) - set(unset))
     assert not stale, f"allow-list entries no longer needed: {stale}"
 
 
