@@ -48,6 +48,14 @@ def _require_dir(path: Path, what: str) -> Path:
     return path
 
 
+def _require_counts(args: argparse.Namespace, *flags: str) -> None:
+    """Each count flag, named as on the command line, must be at least 1."""
+    for flag in flags:
+        value = getattr(args, flag.removeprefix("--").replace("-", "_"))
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def predictor_filename(scope: str, motion: str, material: str | None) -> str:
     if scope == "material":
         return f"predictor_material_{motion}_{material}.gsm"
@@ -58,12 +66,12 @@ def confusion_filename(motion: str) -> str:
     return f"confusion_{motion}.csv"
 
 
-def write_confusion_csv(path, matrix: np.ndarray,
-                        classes: tuple[str, ...] = MATERIAL_CLASSES) -> None:
+def write_confusion_csv(path, matrix: np.ndarray) -> None:
+    """A confusion matrix whose rows and columns are MATERIAL_CLASSES."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["true\\predicted"] + list(classes))
-        for i, name in enumerate(classes):
+        w.writerow(["true\\predicted"] + list(MATERIAL_CLASSES))
+        for i, name in enumerate(MATERIAL_CLASSES):
             w.writerow([name] + [repr(float(v)) for v in matrix[i]])
 
 
@@ -133,6 +141,7 @@ def load_models(models_dir):
 
 
 def cmd_generate(args) -> int:
+    _require_counts(args, "--trials")
     out = Path(args.out)
     manifest = ds.generate_dataset(out, trials_per_cell=args.trials,
                                    base_seed=args.seed, overwrite=args.overwrite)
@@ -148,6 +157,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require_counts(args, "--window", "--horizon", "--stride")
     dataset_dir = _require_dir(Path(args.dataset), "dataset")
     out = Path(args.out)
     manifest = ds.load_manifest(dataset_dir)
@@ -167,8 +177,7 @@ def cmd_train(args) -> int:
             model, val_items,
             [manifest.entry(s).motion["kind"] for s in val_sources])
         for motion, C in L.confusions.items():
-            write_confusion_csv(out / confusion_filename(motion), C,
-                                model.cfg.classes)
+            write_confusion_csv(out / confusion_filename(motion), C)
         print(f"classifier: val accuracy {metrics.accuracy:.3f} "
               f"({len(train_items)} train / {len(val_items)} val segments)")
         return 0
@@ -233,8 +242,7 @@ def _write_classifier_metrics(path, metrics) -> None:
 
 
 def cmd_episode(args) -> int:
-    if args.episodes < 1:
-        raise UsageError(f"--episodes must be at least 1, got {args.episodes}")
+    _require_counts(args, "--episodes")
     models_dir = _require_dir(Path(args.models), "models")
     out = Path(args.out)
     _echo_config(args, out)
@@ -297,8 +305,9 @@ def cmd_episode(args) -> int:
 
 
 def cmd_active(args) -> int:
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    _require_counts(args, "--seeds", "--max-segments")
+    if not 0.2 < args.confidence < 1.0:
+        raise UsageError(f"--confidence must lie in (0.2, 1), got {args.confidence}")
     models_dir = _require_dir(Path(args.models), "models")
     out = Path(args.out)
     _echo_config(args, out)

@@ -24,7 +24,7 @@ from .models.classifier import MaterialClassifier, classify
 from .models.predictor import FeatureWindow, Prediction, predict
 from .models.registry import ModelRegistry, select_model
 from .motion import SIM_DT, MotionProfile
-from .simulation import SAMPLE_RATE, TrialRecord, quantize_pcm16, run_trial
+from .simulation import TrialRecord, quantize_pcm16, run_trial
 
 ONLINE_HOP_S = 0.25  # classifier cadence during an episode
 
@@ -125,7 +125,6 @@ class _ReactivePolicy:
         self.state = GripState(applied_torque=self.cfg.base_torque)
         self.model = select_model(registry, motion_kind)
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
-        self.seg_samples = round(dsp.SEGMENT_S * SAMPLE_RATE)
         self.window = FeatureWindow(self.model.cfg.window,
                                     self.model.cfg.input_dim)
         self.torque_cmd = np.empty(n_steps)
@@ -138,13 +137,12 @@ class _ReactivePolicy:
     def _maybe_classify(self, i: int, audio: np.ndarray) -> None:
         if self.state.active_material is not None:
             return
-        if i % self.hop_steps != 0 or audio.size < self.seg_samples:
+        if i % self.hop_steps != 0 or audio.size < dsp.SEGMENT_SAMPLES:
             return
         t = i * SIM_DT
         # the PCM16 grid of the trial record, which training reads back
-        second = quantize_pcm16(audio.reshape(-1)[-self.seg_samples:])
-        seg = dsp.AudioSegment(second, "online", t - dsp.SEGMENT_S, SAMPLE_RATE)
-        probs = classify(self.classifier, dsp.mfcc(seg))
+        second = quantize_pcm16(audio.reshape(-1)[-dsp.SEGMENT_SAMPLES:])
+        probs = classify(self.classifier, dsp.mfcc(second))
         best = int(np.argmax(probs))
         if probs[best] >= self.cfg.classifier_commit_confidence:
             name = self.classifier.cfg.classes[best]
@@ -157,7 +155,7 @@ class _ReactivePolicy:
         i = len(history["t"])
         if i:
             self.window.push(tactile.features_from_arrays(
-                history["tactile"][-2:], history["joint_angles"][-2:], SIM_DT)[-1])
+                history["tactile"][-2:], history["joint_angles"][-2:])[-1])
             self._maybe_classify(i, history["audio"])
             if self.window.full:
                 pred = predict(self.model, self.window)

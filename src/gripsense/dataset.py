@@ -4,7 +4,8 @@ Collection protocol: for every (motion, material) cell, run trials at a
 fixed 0.4 Nm grip with per-trial seeds derived by hashing (base_seed,
 material, motion, index). Each trial directory holds:
 
-  meta.json    format version, ids, motion parameters, seed, step count
+  meta.json    format version, ids, motion parameters, seed, the rig's
+               clock (sample_rate 16000, dt 0.005), step count
   audio.wav    PCM 16-bit mono 16 kHz
   <name>.npy   one little-endian NumPy array per simulation.TRIAL_ARRAYS
                field (t, tactile, joints, truth), step axis first
@@ -12,7 +13,10 @@ material, motion, index). Each trial directory holds:
 The top-level manifest.json records per-file CRC32 checksums and the
 train/val/test split. The .npy files hold raw array bytes, so re-reading
 a trial reproduces it bit for bit. Older versions are regenerated, not
-read: a dataset is a pure function of (seed, trials).
+read: a dataset is a pure function of (seed, trials). The readers refuse
+a trial on another clock than the simulator's (a meta.json sample_rate or
+dt, or a WAV rate, that differs), since its features would not match the
+controller's.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import wave
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
@@ -29,8 +34,8 @@ import numpy as np
 
 from . import dsp
 from .materials import MATERIAL_CLASSES, material_table
-from .motion import MotionProfile, rotation_profile, shaking_profile
-from .simulation import TRIAL_ARRAYS, TrialRecord, run_trial
+from .motion import SIM_DT, MotionProfile, rotation_profile, shaking_profile
+from .simulation import CHUNK, SAMPLE_RATE, TRIAL_ARRAYS, TrialRecord, run_trial
 from .tactile import features_from_arrays
 
 FORMAT_VERSION = 2
@@ -135,13 +140,13 @@ def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
         "material": record.material,
         "motion": record.motion,
         "seed": record.seed,
-        "sample_rate": record.sample_rate,
-        "dt": record.dt,
+        "sample_rate": SAMPLE_RATE,
+        "dt": SIM_DT,
         "n_steps": record.n_steps,
     }
     (trial_dir / "meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=1) + "\n")
-    dsp.write_wav(trial_dir / "audio.wav", record.audio, record.sample_rate)
+    dsp.write_wav(trial_dir / "audio.wav", record.audio)
     for name, _, dtype in TRIAL_ARRAYS:
         np.save(trial_dir / f"{name}.npy",
                 np.ascontiguousarray(getattr(record, name), dtype=dtype))
@@ -180,22 +185,31 @@ def read_trial_meta(trial_dir) -> dict:
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise TruncationError(f"{meta_path} lacks {', '.join(missing)}")
+    for key, rig in (("sample_rate", SAMPLE_RATE), ("dt", SIM_DT)):
+        if meta[key] != rig:
+            raise DatasetError(f"{meta_path} has {key} {meta[key]!r}; the "
+                               f"simulator's is {rig!r}: {REGENERATE_HINT}")
     return meta
 
 
 def read_trial_audio(trial_dir, checksums: dict[str, int] | None = None):
-    """Light path for audio-only consumers: (meta, Waveform)."""
+    """Light path for audio-only consumers: (meta, 1-D samples)."""
     trial_dir = Path(trial_dir)
     if checksums:
         _verify(trial_dir, {k: v for k, v in checksums.items()
                             if k in ("meta.json", "audio.wav")})
     meta = read_trial_meta(trial_dir)
-    w = dsp.read_wav(trial_dir / "audio.wav")
-    chunk = round(meta["dt"] * meta["sample_rate"])
-    if len(w.samples) != meta["n_steps"] * chunk:
-        raise TruncationError(f"audio length {len(w.samples)} does not match "
+    wav_path = trial_dir / "audio.wav"
+    try:
+        samples = dsp.read_wav(wav_path)
+    except FileNotFoundError:
+        raise TruncationError(f"missing file {wav_path}") from None
+    except (wave.Error, EOFError) as e:
+        raise TruncationError(f"{wav_path} is not a complete WAV file") from e
+    if len(samples) != meta["n_steps"] * CHUNK:
+        raise TruncationError(f"audio length {len(samples)} does not match "
                               f"{meta['n_steps']} steps in {trial_dir}")
-    return meta, w
+    return meta, samples
 
 
 def _read_array(path: Path, shape: tuple[int, ...],
@@ -221,7 +235,7 @@ def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecor
     """Rebuild a TrialRecord; optional checksums are verified per file."""
     trial_dir = Path(trial_dir)
     _verify(trial_dir, checksums)
-    meta, w = read_trial_audio(trial_dir)
+    meta, audio = read_trial_audio(trial_dir)
     arrays = {name: _read_array(trial_dir / f"{name}.npy",
                                 (meta["n_steps"],) + trailing, dtype)
               for name, trailing, dtype in TRIAL_ARRAYS}
@@ -230,9 +244,7 @@ def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecor
         material=meta["material"],
         motion=meta["motion"],
         seed=meta["seed"],
-        sample_rate=meta["sample_rate"],
-        dt=meta["dt"],
-        audio=w.samples,
+        audio=audio,
         **arrays,
     )
 
@@ -352,15 +364,15 @@ def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
     dataset_dir = Path(dataset_dir)
     items, sources = [], []
     for e in manifest.split_entries(split):
-        meta, w = read_trial_audio(dataset_dir / e.path, e.checksums)
-        for seg in dsp.segment(w, dsp.SEGMENT_S, source_trial=e.trial_id):
+        _, samples = read_trial_audio(dataset_dir / e.path, e.checksums)
+        for k, seg in enumerate(dsp.segment(samples)):
             variants = [seg]
             if augment:
                 for st in AUGMENT_SEMITONES:
                     shifted = dsp.pitch_shift(seg, st)
                     variants.append(dsp.add_noise(
                         shifted, AUGMENT_SNR_DB,
-                        _augment_seed(e.trial_id, seg.offset_s, st)))
+                        _augment_seed(e.trial_id, k * dsp.SEGMENT_S, st)))
             for v in variants:
                 items.append((dsp.mfcc(v), e.material))
                 sources.append(e.trial_id)
@@ -371,7 +383,7 @@ def load_trial_features(dataset_dir, entry: TrialEntry):
     """Per-trial haptic features and targets:
     (features (T, 38), slip (T,), force (T,), cell (T, 2))."""
     rec = read_trial(Path(dataset_dir) / entry.path, entry.checksums)
-    feats = features_from_arrays(rec.tactile, rec.joint_angles, rec.dt)
+    feats = features_from_arrays(rec.tactile, rec.joint_angles)
     return feats, rec.true_slip, rec.true_max_force, rec.true_cell
 
 

@@ -18,6 +18,7 @@ from . import dsp
 from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
 from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
+from .models.metrics import confusion_matrix
 from .simulation import run_trial
 
 log = logging.getLogger(__name__)
@@ -53,17 +54,16 @@ class MotionLikelihoodModel:
                                  "row-stochastic")
 
 
-def estimate_confusions(observations: list[tuple[str, int, int]],
-                        n_classes: int = len(MATERIAL_CLASSES)) -> MotionLikelihoodModel:
-    """Laplace-smoothed confusion matrices from (motion, true, predicted)
-    index triples collected on held-out segments."""
-    counts: dict[str, np.ndarray] = {}
+def estimate_confusions(observations: list[tuple[str, int, int]]) -> MotionLikelihoodModel:
+    """Laplace-smoothed confusion matrices over MATERIAL_CLASSES from
+    (motion, true, predicted) index triples collected on held-out segments."""
+    pairs: dict[str, list[tuple[int, int]]] = {}
     for motion, true_idx, pred_idx in observations:
-        counts.setdefault(motion, np.zeros((n_classes, n_classes)))
-        counts[motion][true_idx, pred_idx] += 1.0
+        pairs.setdefault(motion, []).append((true_idx, pred_idx))
     confusions = {}
-    for motion, c in counts.items():
-        c = c + 1.0
+    for motion, motion_pairs in pairs.items():
+        truth, pred = zip(*motion_pairs)
+        c = confusion_matrix(pred, truth, len(MATERIAL_CLASSES)) + 1.0
         confusions[motion] = c / c.sum(axis=1, keepdims=True)
     return MotionLikelihoodModel(confusions)
 
@@ -80,7 +80,7 @@ def confusions_from_segments(model: MaterialClassifier, items,
     probs, _ = model.forward(np.stack([frames for frames, _ in items]))
     obs = [(motion, index[label], int(pred)) for (_, label), motion, pred
            in zip(items, motions, probs.argmax(axis=1))]
-    return estimate_confusions(obs, len(model.cfg.classes))
+    return estimate_confusions(obs)
 
 
 def entropy_bits(probs: np.ndarray) -> float:
@@ -179,8 +179,7 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
         profile = sample_trial_profile(motion_kind, rng)
         trial_seed = int(rng.integers(2 ** 31))
         record = run_trial(material, profile, COLLECTION_TORQUE, trial_seed)
-        w = dsp.Waveform(record.audio, record.sample_rate)
-        for seg in dsp.segment(w, hop_s=dsp.SEGMENT_S, source_trial=record.trial_id):
+        for seg in dsp.segment(record.audio):
             if out.segments_used >= max_segments or \
                     float(p.probs.max()) >= confidence_target:
                 break

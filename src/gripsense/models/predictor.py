@@ -12,16 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..simulation import GRID_ROWS
+from ..tactile import FEATURE_DIM
 from .optim import TrainConfig, fit_standardizer, sgd_epochs
 from .params import ParamLayout
 
-GRID_MAX = 15  # highest row/col index of the tactile grid
+GRID_MAX = GRID_ROWS - 1  # highest row/col index of the square tactile grid
 BATCH = 64     # windows per SGD step
 
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    input_dim: int = 38
+    input_dim: int = FEATURE_DIM
     hidden: int = 32
     window: int = 20        # feature frames per prediction
     horizon: int = 10       # steps ahead the targets sit (50 ms at sim dt)
@@ -32,7 +34,6 @@ class PredictorConfig:
 class Prediction:
     slip_prob: float
     force_value: float          # N
-    cell: tuple[int, int]
 
 
 def _sigmoid(x):
@@ -288,10 +289,8 @@ class FeatureWindow:
 
 def predict(model: SlipPredictor, window: FeatureWindow) -> Prediction:
     """One prediction from a full `FeatureWindow` of W feature frames."""
-    slip_prob, force, cell = _natural_units(model, *window._outputs(model))
-    row, col = np.round(cell[0]).astype(int).tolist()
-    return Prediction(slip_prob=float(slip_prob[0]),
-                      force_value=float(force[0]), cell=(row, col))
+    slip_prob, force, _ = _natural_units(model, *window._outputs(model))
+    return Prediction(slip_prob=float(slip_prob[0]), force_value=float(force[0]))
 
 
 def predict_batch(model: SlipPredictor, X: np.ndarray):

@@ -1,9 +1,10 @@
 """Deterministic desk-scale simulator of a hand gripping a granular container.
 
-One simulator step advances a 1-DoF Coulomb slip model and writes one
-synchronized row of the trial record: a 16x16 tactile pressure grid, 16
-joint angles and torques, an 80-sample audio chunk, and ground-truth
-slip/force labels.
+One simulator step of SIM_DT (5 ms) advances a 1-DoF Coulomb slip model
+and writes one synchronized row of the trial record: a 16x16 tactile
+pressure grid, 16 joint angles and torques, a CHUNK of 80 audio samples at
+SAMPLE_RATE (16 kHz), and ground-truth slip/force labels. The rig has this
+one clock; trial storage refuses data recorded on another.
 `step` advances a block of k >= 1 such steps under one grip command: the
 scalar physics and every random draw run step by step, and the block's
 grids, joint streams and audio are then rendered as arrays with a leading
@@ -40,7 +41,8 @@ import numpy as np
 from .materials import MaterialParams
 from .motion import MotionProfile, SIM_DT
 
-SAMPLE_RATE = 16000
+SAMPLE_RATE = 16000  # Hz, the microphone's rate
+CHUNK = round(SIM_DT * SAMPLE_RATE)  # audio samples per simulator step
 GRID_ROWS = 16
 GRID_COLS = 16
 N_JOINTS = 16
@@ -169,11 +171,11 @@ TRIAL_ARRAYS = (
 )
 
 
-def step_arrays(k: int, chunk: int) -> dict[str, np.ndarray]:
+def step_arrays(k: int) -> dict[str, np.ndarray]:
     """Empty arrays for k steps: every TRIAL_ARRAYS field plus "audio",
-    shaped (k, chunk)."""
+    shaped (k, CHUNK)."""
     arrays = {name: np.empty((k,) + shape, dtype) for name, shape, dtype in TRIAL_ARRAYS}
-    arrays["audio"] = np.empty((k, chunk))
+    arrays["audio"] = np.empty((k, CHUNK))
     return arrays
 
 
@@ -193,14 +195,14 @@ def _add_bursts(buf: np.ndarray, events: list, material: MaterialParams) -> None
 
 
 def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: float,
-         dt: float, stiffness_scale: float = 1.0,
+         stiffness_scale: float = 1.0,
          out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Advance `state` in place by k steps of dt under one grip command.
+    """Advance `state` in place by k steps of SIM_DT under one grip command.
 
     motion_accel is one acceleration (k = 1) or a 1-D sequence of k, one per
     step. The k steps are written into `out`, arrays shaped as by
-    `step_arrays(k, chunk)`, or into new ones, which are returned. Audio
-    rows are not yet quantized.
+    `step_arrays(k)`, or into new ones, which are returned. Audio rows are
+    not yet quantized.
     """
     accels = np.asarray(motion_accel, dtype=float)
     if accels.ndim > 1 or accels.size == 0:
@@ -209,11 +211,8 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     if not all(map(math.isfinite, accels)):
         bad = next(j for j, a in enumerate(accels) if not math.isfinite(a))
         raise ValueError(f"non-finite motion_accel at step {bad} of the block")
-    if not (math.isfinite(grip_torque) and math.isfinite(dt)
-            and math.isfinite(stiffness_scale)):
+    if not (math.isfinite(grip_torque) and math.isfinite(stiffness_scale)):
         raise ValueError("non-finite simulator input")
-    if not 0.0 < dt <= 0.02:
-        raise ValueError(f"dt must be in (0, 0.02], got {dt}")
     if not 0.0 <= grip_torque <= 1.0:
         raise ValueError(f"grip_torque must be in [0, 1] Nm, got {grip_torque}")
     if not 0.0 < stiffness_scale <= MAX_STIFFNESS_SCALE:
@@ -221,9 +220,9 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
                          f"got {stiffness_scale}")
 
     k = len(accels)
-    chunk = round(dt * SAMPLE_RATE)
+    dt, chunk = SIM_DT, CHUNK
     if out is None:
-        out = step_arrays(k, chunk)
+        out = step_arrays(k)
     audio = out["audio"]
     angles = out["joint_angles"]
 
@@ -334,9 +333,7 @@ class TrialRecord:
     material: str
     motion: dict
     seed: int
-    sample_rate: int
-    dt: float
-    audio: np.ndarray          # (n_steps * chunk,) float64 on the PCM16 grid
+    audio: np.ndarray          # (n_steps * CHUNK,) float64 on the PCM16 grid
     t: np.ndarray              # (n_steps,)
     tactile: np.ndarray        # (n_steps, 16, 16)
     joint_angles: np.ndarray   # (n_steps, 16)
@@ -350,17 +347,15 @@ class TrialRecord:
     def n_steps(self) -> int:
         return len(self.t)
 
-    def equals(self, other: "TrialRecord") -> bool:
-        """Same metadata, and every array equal in dtype and value."""
-        if (self.trial_id, self.material, self.seed, self.sample_rate, self.dt) != \
-           (other.trial_id, other.material, other.seed, other.sample_rate, other.dt):
-            return False
-        if self.motion != other.motion:
-            return False
-        arrays = ("audio",) + tuple(name for name, _, _ in TRIAL_ARRAYS)
-        return all(getattr(self, a).dtype == getattr(other, a).dtype
-                   and np.array_equal(getattr(self, a), getattr(other, a))
-                   for a in arrays)
+    # every record is on the rig's one clock; these read-only views of it
+    # serve readers of a record such as perfbench's shape check
+    @property
+    def sample_rate(self) -> int:
+        return SAMPLE_RATE
+
+    @property
+    def dt(self) -> float:
+        return SIM_DT
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
@@ -376,7 +371,7 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     grip_policy is either a fixed torque (float) or a callable
     ``policy(history) -> (torque, stiffness_scale)`` invoked once before
     every step, in order. Before step i, `history` maps every TRIAL_ARRAYS
-    field and "audio" (shape (i, chunk), not yet quantized) to its first i
+    field and "audio" (shape (i, CHUNK), not yet quantized) to its first i
     rows: views of the arrays the trial is filling, which the policy must
     not write. A fixed torque reads nothing before the trial ends, so its
     steps go to `step` in blocks of RENDER_BLOCK. A policy's steps are
@@ -394,11 +389,11 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     state = initial_state(seed, material)
     accels = motion.accelerations().tolist()
     n = motion.n_steps
-    arrays = step_arrays(n, round(SIM_DT * SAMPLE_RATE))
+    arrays = step_arrays(n)
 
     def render(state, i, k, torque, stiffness):
         rows = {name: a[i:i + k] for name, a in arrays.items()}
-        step(state, material, accels[i:i + k], torque, SIM_DT,
+        step(state, material, accels[i:i + k], torque,
              stiffness_scale=stiffness, out=rows)
 
     def decide(i):
@@ -441,8 +436,6 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
         material=material.name,
         motion=meta,
         seed=seed,
-        sample_rate=SAMPLE_RATE,
-        dt=SIM_DT,
         audio=quantize_pcm16(arrays.pop("audio").reshape(-1)),
         **arrays,
     )

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simulation import N_JOINTS
+from .motion import SIM_DT
+from .simulation import GRID_COLS, GRID_ROWS, N_JOINTS
 
-GRID_CENTER = (7.5, 7.5)
+# the center of mass reported for an empty grid
+GRID_CENTER = ((GRID_ROWS - 1) / 2.0, (GRID_COLS - 1) / 2.0)
 
 # Slip labeling defaults: max joint excursion over a 25 ms lookback.
 SLIP_THRESHOLD_RAD = 0.02
@@ -39,8 +41,7 @@ def label_slip(joint_history: np.ndarray, threshold: float = SLIP_THRESHOLD_RAD,
     return out
 
 
-def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
-                         dt: float) -> np.ndarray:
+def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray) -> np.ndarray:
     """Per-frame haptic features of a frame stream: grids (T, rows, cols)
     and joint_angles (T, 16) give (T, 38).
 
@@ -48,9 +49,8 @@ def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
     Row t depends only on frames t - 1 and t (gradients are zero on the
     first frame), and it is bit-identical however many frames the call
     holds: every reduction runs within a frame, never across frames.
+    Frames are SIM_DT apart.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     grids = np.asarray(grids)
     joint_angles = np.asarray(joint_angles)
     T = len(grids)
@@ -77,9 +77,10 @@ def features_from_arrays(grids: np.ndarray, joint_angles: np.ndarray,
     com[:, 0] = np.where(total > 0, row_moment / safe, GRID_CENTER[0])
     com[:, 1] = np.where(total > 0, col_moment / safe, GRID_CENTER[1])
     out[:, 6:6 + N_JOINTS] = joint_angles
-    # rates of change: frame t minus frame t - 1 over dt, zero on frame 0
+    # rates of change: frame t minus frame t - 1 over SIM_DT, zero on frame 0
     out[:1, 4:6] = 0.0
     out[:1, 6 + N_JOINTS:] = 0.0
-    np.divide(com[1:] - com[:-1], dt, out=out[1:, 4:6])
-    np.divide(joint_angles[1:] - joint_angles[:-1], dt, out=out[1:, 6 + N_JOINTS:])
+    np.divide(com[1:] - com[:-1], SIM_DT, out=out[1:, 4:6])
+    np.divide(joint_angles[1:] - joint_angles[:-1], SIM_DT,
+              out=out[1:, 6 + N_JOINTS:])
     return out

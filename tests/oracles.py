@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from gripsense import simulation
-from gripsense.motion import SIM_DT
 
 
 def naive_dft(x: np.ndarray, n_fft: int) -> np.ndarray:
@@ -245,20 +244,30 @@ def single_step_trial(material, motion, policy, seed, trial_id=None):
     decision: the policy decides step i on the first i rows, then step i
     runs alone. Rendering ahead in blocks must give this record bit for
     bit."""
-    dt = SIM_DT
     state = simulation.initial_state(seed, material)
     accels = motion.accelerations().tolist()
-    arrays = simulation.step_arrays(motion.n_steps,
-                                    round(dt * simulation.SAMPLE_RATE))
+    arrays = simulation.step_arrays(motion.n_steps)
     for i in range(motion.n_steps):
         torque, stiffness = policy({name: a[:i] for name, a in arrays.items()})
-        simulation.step(state, material, accels[i], torque, dt,
+        simulation.step(state, material, accels[i], torque,
                         stiffness_scale=stiffness,
                         out={name: a[i:i + 1] for name, a in arrays.items()})
     meta = {key: getattr(motion, key) for key in
             ("kind", "duration", "amplitude", "frequency", "shake_count")}
     return simulation.TrialRecord(
         trial_id=trial_id or f"trial-{seed}", material=material.name,
-        motion=meta, seed=seed, sample_rate=simulation.SAMPLE_RATE, dt=dt,
+        motion=meta, seed=seed,
         audio=simulation.quantize_pcm16(arrays.pop("audio").reshape(-1)),
         **arrays)
+
+
+def records_equal(a, b) -> bool:
+    """Two trial records with the same metadata, and every array equal in
+    dtype and value."""
+    if (a.trial_id, a.material, a.seed, a.motion) != \
+       (b.trial_id, b.material, b.seed, b.motion):
+        return False
+    arrays = ("audio",) + tuple(name for name, _, _ in simulation.TRIAL_ARRAYS)
+    return all(getattr(a, name).dtype == getattr(b, name).dtype
+               and np.array_equal(getattr(a, name), getattr(b, name))
+               for name in arrays)

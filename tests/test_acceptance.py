@@ -22,7 +22,7 @@ from gripsense.models.predictor import (FeatureWindow, PredictorConfig, SlipPred
                                        predict_batch)
 from gripsense.models.registry import select_model
 from gripsense.models import metrics as mx
-from gripsense.motion import SIM_DT
+from gripsense.simulation import SAMPLE_RATE
 
 RESULTS = []
 ATTEMPTED = set()
@@ -52,9 +52,8 @@ def test_criterion_1_mfcc_oracle_equivalence():
     worst = 0.0
     for i in range(100):
         samples = rng.uniform(-1.0, 1.0, 16000)
-        seg = dsp.AudioSegment(samples, f"oracle_{i}", 0.0)
-        ours = dsp.mfcc(seg)
-        ref = oracles.naive_mfcc(samples, seg.sample_rate)
+        ours = dsp.mfcc(samples)
+        ref = oracles.naive_mfcc(samples, SAMPLE_RATE)
         worst = max(worst, float(np.max(np.abs(ours - ref))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-6, f"max abs error {worst:.2e} exceeds 1e-6"
@@ -215,7 +214,7 @@ def test_criterion_7_model_switching(classifier, registry):
         assert valid.sum() > 0
         # the default model on the same windows: step i's window holds the
         # features of the observations before it
-        feats = tactile.features_from_arrays(rec.tactile, rec.joint_angles, SIM_DT)
+        feats = tactile.features_from_arrays(rec.tactile, rec.joint_angles)
         window = FeatureWindow(W, feats.shape[1])
         default, pushed = [], 0
         for i in np.flatnonzero(valid):
@@ -273,7 +272,7 @@ def test_criterion_9_invariant_suites(manifest):
     cases = {"posterior": 0, "tactile": 0, "slip": 0, "splits": 0}
 
     def one_frame(grid):
-        return tactile.features_from_arrays(grid[None], np.zeros((1, 16)), 1.0)[0]
+        return tactile.features_from_arrays(grid[None], np.zeros((1, 16)))[0]
 
     def nonzero_stats(grid):
         return tuple(one_frame(grid)[0:2])

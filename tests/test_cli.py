@@ -60,6 +60,12 @@ class TestGenerate:
         assert len(manifest.trials) == 10
         assert manifest.splits is None
 
+    def test_zero_trials_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["generate", "--out", str(tmp_path / "d"), "--trials", "0"])
+        assert rc == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["generate"])
@@ -109,6 +115,16 @@ class TestTrain:
                        "--out", str(tmp_path), "--task", "predictor",
                        "--scope", "material", "--epochs", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--window", "--horizon", "--stride"])
+    def test_zero_window_count_exits_2(self, cli_dataset, tmp_path, capsys,
+                                       flag):
+        rc = cli.main(["train", "--dataset", str(cli_dataset),
+                       "--out", str(tmp_path / "m"), "--task", "predictor",
+                       "--epochs", "1", flag, "0"])
+        assert rc == 2
+        assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     def test_missing_dataset_dir_exits_2(self, tmp_path):
         rc = cli.main(["train", "--dataset", str(tmp_path / "nothing"),
@@ -192,6 +208,21 @@ class TestActiveAndEval:
                        "--seeds", "0"])
         assert rc == 2
         assert "--seeds" in capsys.readouterr().err
+
+    def test_zero_max_segments_exits_2(self, cli_models, tmp_path, capsys):
+        rc = cli.main(["active", "--models", str(cli_models),
+                       "--out", str(tmp_path), "--material", "rice",
+                       "--max-segments", "0", "--seeds", "1"])
+        assert rc == 2
+        assert "--max-segments" in capsys.readouterr().err
+
+    def test_confidence_outside_range_exits_2(self, cli_models, tmp_path,
+                                              capsys):
+        rc = cli.main(["active", "--models", str(cli_models),
+                       "--out", str(tmp_path), "--material", "rice",
+                       "--confidence", "1.5", "--seeds", "1"])
+        assert rc == 2
+        assert "--confidence" in capsys.readouterr().err
 
     def test_active_needs_confusions(self, cli_models, tmp_path):
         bare = tmp_path / "bare"

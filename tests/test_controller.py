@@ -25,7 +25,7 @@ TABLE = material_table()
 
 
 def pred(slip=0.0, force=0.1):
-    return Prediction(slip_prob=slip, force_value=force, cell=(7, 7))
+    return Prediction(slip_prob=slip, force_value=force)
 
 
 class TestGripUpdate:
@@ -116,7 +116,7 @@ class TestEpisodes:
         default = registry.default_models["rotation"]
         W = default.cfg.window
         feats = tactile.features_from_arrays(log.record.tactile,
-                                             log.record.joint_angles, SIM_DT)
+                                             log.record.joint_angles)
         replayed = np.full(len(log.pred_force), np.nan)
         window = FeatureWindow(W, feats.shape[1])
         for i, frame in enumerate(feats[:-1]):
@@ -200,9 +200,9 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
         windows.append((len(seen), np.array(window.frames)))
         return predict(model, window)
 
-    def spy_mfcc(seg, *args, **kwargs):
-        segments.append((len(seen), seg.samples.copy()))
-        return mfcc(seg, *args, **kwargs)
+    def spy_mfcc(samples):
+        segments.append((len(seen), samples.copy()))
+        return mfcc(samples)
 
     monkeypatch.setattr(controller, "run_trial", spy_run_trial)
     monkeypatch.setattr(controller, "predict", spy_predict)
@@ -223,7 +223,7 @@ class TestOnlineInputs:
                                                    registry)
         offline = tactile.features_from_arrays(
             np.stack([o["tactile"] for o in seen]),
-            np.stack([o["joint_angles"] for o in seen]), SIM_DT)
+            np.stack([o["joint_angles"] for o in seen]))
         W = registry.default_models["rotation"].cfg.window
         assert len(windows) == len(seen) - W + 1
         for n, window in windows:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import wave
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gripsense import dataset as ds
 from gripsense.materials import material_table
 from gripsense.simulation import run_trial
+from oracles import records_equal
 
 
 def small_record(trial_id="t0", seed=3):
@@ -67,7 +69,7 @@ class TestTrialStorage:
                                   "dropped.npy"}
         assert set(checksums) == set(ds.TRIAL_FILES)
         back = ds.read_trial(tmp_path / "t0", checksums)
-        assert back.equals(rec)
+        assert records_equal(back, rec)
         for name in ("audio", "t", "tactile", "joint_angles", "joint_torques",
                      "true_slip", "true_max_force", "true_cell", "dropped"):
             assert getattr(back, name).dtype == getattr(rec, name).dtype, name
@@ -177,9 +179,65 @@ class TestTrialStorage:
     def test_audio_only_reader(self, tmp_path):
         rec = small_record()
         checksums = ds.write_trial(rec, tmp_path / "t0")
-        meta, w = ds.read_trial_audio(tmp_path / "t0", checksums)
+        meta, samples = ds.read_trial_audio(tmp_path / "t0", checksums)
         assert meta["trial_id"] == "t0"
-        assert np.array_equal(w.samples, rec.audio)
+        assert np.array_equal(samples, rec.audio)
+
+    def test_missing_audio_names_file(self, tmp_path):
+        ds.write_trial(small_record(), tmp_path / "t0")
+        (tmp_path / "t0" / "audio.wav").unlink()
+        for read in (ds.read_trial, ds.read_trial_audio):
+            with pytest.raises(ds.TruncationError, match="missing file .*audio.wav"):
+                read(tmp_path / "t0")
+
+    def test_corrupt_audio_names_file(self, tmp_path):
+        ds.write_trial(small_record(), tmp_path / "t0")
+        path = tmp_path / "t0" / "audio.wav"
+        for junk in (b"", b"not a wave file at all\n" * 10,
+                     path.read_bytes()[:20]):
+            path.write_bytes(junk)
+            for read in (ds.read_trial, ds.read_trial_audio):
+                with pytest.raises(ds.TruncationError,
+                                   match="audio.wav is not a complete WAV"):
+                    read(tmp_path / "t0")
+
+    def rewrite_meta(self, trial_dir, **changes):
+        path = trial_dir / "meta.json"
+        meta = json.loads(path.read_text())
+        meta.update(changes)
+        path.write_text(json.dumps(meta))
+
+    def test_foreign_sample_rate_is_refused(self, tmp_path):
+        # 8 kHz at a 10 ms step still gives the 80-sample chunks on disk,
+        # so only the check on the clock can tell
+        ds.write_trial(small_record(), tmp_path / "t0")
+        self.rewrite_meta(tmp_path / "t0", sample_rate=8000, dt=0.01)
+        for read in (ds.read_trial, ds.read_trial_audio):
+            with pytest.raises(ds.DatasetError,
+                               match="meta.json has sample_rate 8000"):
+                read(tmp_path / "t0")
+
+    def test_foreign_dt_is_refused(self, tmp_path):
+        ds.write_trial(small_record(), tmp_path / "t0")
+        self.rewrite_meta(tmp_path / "t0", dt=0.01)
+        for read in (ds.read_trial, ds.read_trial_audio):
+            with pytest.raises(ds.DatasetError, match="meta.json has dt 0.01"):
+                read(tmp_path / "t0")
+
+    def test_foreign_wav_rate_is_refused(self, tmp_path):
+        ds.write_trial(small_record(), tmp_path / "t0")
+        path = tmp_path / "t0" / "audio.wav"
+        with wave.open(str(path), "rb") as f:
+            frames = f.readframes(f.getnframes())
+        with wave.open(str(path), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(22050)
+            f.writeframes(frames)
+        for read in (ds.read_trial, ds.read_trial_audio):
+            with pytest.raises(ValueError,
+                               match="audio.wav has sample rate 22050 Hz"):
+                read(tmp_path / "t0")
 
 
 class TestManifestAndSplits:

@@ -184,7 +184,7 @@ class TestEstimateConfusions:
         index = {c: i for i, c in enumerate(model.cfg.classes)}
         obs = [(motion, index[label], int(np.argmax(classify(model, frames))))
                for (frames, label), motion in zip(val_items, motions)]
-        want = inference.estimate_confusions(obs, len(model.cfg.classes))
+        want = inference.estimate_confusions(obs)
         got = inference.confusions_from_segments(model, val_items, motions)
         assert got.confusions.keys() == want.confusions.keys()
         for motion, C in want.confusions.items():

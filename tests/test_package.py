@@ -136,6 +136,24 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert not stale, f"allow-list entries no longer needed: {stale}"
 
 
+def test_the_rig_clock_is_no_parameter():
+    # the step length, audio rate and segment hop are the rig's constants
+    # (motion.SIM_DT, simulation.SAMPLE_RATE, dsp.SEGMENT_SAMPLES); a
+    # parameter for one would let features run on another clock
+    clock = {"dt", "sample_rate", "hop_s"}
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                found += [f"{path.name}:{node.lineno} {node.name}({n})"
+                          for n in sorted(names & clock)]
+    fields = set(simulation.TrialRecord.__dataclass_fields__)
+    found += [f"TrialRecord({n})" for n in sorted(fields & clock)]
+    assert not found, found
+
+
 def test_benchmark_wrap_points_exist(monkeypatch):
     # perfbench/spans.py wraps these attributes in every traced run; a name
     # missing from its owner's __dict__ makes each traced run fail

@@ -18,7 +18,7 @@ def grid_with(values: dict[tuple[int, int], float]) -> np.ndarray:
 def frame_features(grid: np.ndarray) -> np.ndarray:
     """Feature row of a one-frame call; columns 0-1 are the non-zero stats,
     2-3 the center of mass."""
-    return tactile.features_from_arrays(grid[None], np.zeros((1, 16)), SIM_DT)[0]
+    return tactile.features_from_arrays(grid[None], np.zeros((1, 16)))[0]
 
 
 class TestGridStats:
@@ -52,10 +52,9 @@ class TestGridStats:
 
     def test_com_gradient(self):
         grids = np.stack([grid_with({(1, 2): 1.0}), grid_with({(2, 0): 1.0})])
-        feats = tactile.features_from_arrays(grids, np.zeros((2, 16)), 0.5)
-        assert tuple(feats[1, 4:6]) == (2.0, -4.0)
-        with pytest.raises(ValueError, match="dt"):
-            tactile.features_from_arrays(grids, np.zeros((2, 16)), 0.0)
+        feats = tactile.features_from_arrays(grids, np.zeros((2, 16)))
+        # one row down and two columns left in one SIM_DT step
+        assert tuple(feats[1, 4:6]) == (1.0 / SIM_DT, -2.0 / SIM_DT)
 
 
 class TestSlipLabels:
@@ -116,7 +115,7 @@ class TestFeatures:
 
     def test_feature_vector_layout(self):
         grids, angles = self.make_frames(3)
-        arr = tactile.features_from_arrays(grids, angles, SIM_DT)[1]
+        arr = tactile.features_from_arrays(grids, angles)[1]
         assert arr.shape == (tactile.FEATURE_DIM,)
         assert tuple(arr[:2]) == pytest.approx(
             oracles.loop_nonzero_stats(grids[1]), rel=1e-12)
@@ -127,7 +126,7 @@ class TestFeatures:
 
     def test_first_frame_gradients_are_zero(self):
         grids, angles = self.make_frames(2)
-        first = tactile.features_from_arrays(grids, angles, SIM_DT)[0]
+        first = tactile.features_from_arrays(grids, angles)[0]
         assert not first[4:6].any()
         assert not first[22:].any()
 
@@ -135,24 +134,18 @@ class TestFeatures:
         # rows built a frame at a time, as the controller does, are
         # bit-identical to the rows of one call over the whole stream
         grids, angles = self.make_frames(40, seed=5)
-        full = tactile.features_from_arrays(grids, angles, SIM_DT)
-        rows = [tactile.features_from_arrays(grids[:1], angles[:1], SIM_DT)[-1]]
+        full = tactile.features_from_arrays(grids, angles)
+        rows = [tactile.features_from_arrays(grids[:1], angles[:1])[-1]]
         for t in range(1, len(grids)):
             rows.append(tactile.features_from_arrays(
-                grids[t - 1:t + 1], angles[t - 1:t + 1], SIM_DT)[-1])
+                grids[t - 1:t + 1], angles[t - 1:t + 1])[-1])
         assert np.array_equal(np.stack(rows), full)
 
     def test_vectorized_path_matches_object_path(self):
         grids, angles = self.make_frames(12, seed=7)
-        fast = tactile.features_from_arrays(grids, angles, SIM_DT)
+        fast = tactile.features_from_arrays(grids, angles)
         slow = oracles.loop_features(grids, angles, SIM_DT)
         assert np.allclose(fast, slow, atol=1e-12)
-
-    def test_frame_validation(self):
-        grids, angles = self.make_frames(2)
-        for dt in (0.0, -SIM_DT, float("nan")):
-            with pytest.raises(ValueError, match="dt"):
-                tactile.features_from_arrays(grids, angles, dt)
 
     @pytest.mark.parametrize("grid_shape,angle_shape", [
         ((3, 256), (3, 16)),
@@ -162,7 +155,6 @@ class TestFeatures:
     ])
     def test_shape_validation_names_both_shapes(self, grid_shape, angle_shape):
         with pytest.raises(ValueError) as err:
-            tactile.features_from_arrays(np.ones(grid_shape), np.zeros(angle_shape),
-                                         SIM_DT)
+            tactile.features_from_arrays(np.ones(grid_shape), np.zeros(angle_shape))
         assert str(grid_shape) in str(err.value)
         assert str(angle_shape) in str(err.value)
