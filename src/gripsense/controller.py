@@ -110,9 +110,11 @@ class EpisodeLog:
 class _ReactivePolicy:
     """Stateful per-step policy fed to the simulator trial loop.
 
-    Reads the trial's history (the newest feature frame, the last second of
-    audio at classifier hops, on the PCM16 grid), predicts, updates the
-    grip, records step i's command and prediction at index i, and emits the
+    Perceives each block the trial loop renders with one feature call, into
+    a per-episode array of feature rows. The decision of step i pushes row
+    i - 1 into the feature window, reads the last second of audio at
+    classifier hops (on the PCM16 grid), predicts, updates the grip,
+    records step i's command and prediction at index i, and emits the
     command.
     """
 
@@ -127,6 +129,8 @@ class _ReactivePolicy:
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
         self.window = FeatureWindow(self.model.cfg.window,
                                     self.model.cfg.input_dim)
+        # row r is the feature of frame r; nan until its block is perceived
+        self.features = np.full((n_steps, tactile.FEATURE_DIM), np.nan)
         self.torque_cmd = np.empty(n_steps)
         self.stiffness = np.empty(n_steps)
         self.slip_prob = np.full(n_steps, np.nan)
@@ -151,11 +155,19 @@ class _ReactivePolicy:
             self.state.event_log.append((t, f"switch:{name}"))
             self.switch_time_s = t
 
+    def perceive(self, history, start: int) -> None:
+        """Feature rows of the newly rendered rows start onwards, from one
+        call that also holds the row before them: row r reads frames r - 1
+        and r only, and a call gives the same bits however many frames it
+        holds."""
+        lo = max(start - 1, 0)
+        self.features[start:len(history["t"])] = tactile.features_from_arrays(
+            history["tactile"][lo:], history["joint_angles"][lo:])[start - lo:]
+
     def __call__(self, history):
         i = len(history["t"])
         if i:
-            self.window.push(tactile.features_from_arrays(
-                history["tactile"][-2:], history["joint_angles"][-2:])[-1])
+            self.window.push(self.features[i - 1])
             self._maybe_classify(i, history["audio"])
             if self.window.full:
                 pred = predict(self.model, self.window)

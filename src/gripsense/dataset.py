@@ -22,15 +22,17 @@ controller's.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 import shutil
 import wave
-import zipfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from . import dsp
 from .materials import MATERIAL_CLASSES, material_table
@@ -58,6 +60,12 @@ SHAKE_PEAK_RANGE = (16.0, 21.0)   # m/s^2
 ROTATION_RANGE_RAD = (0.6, 0.8)
 ROTATION_FREQ_HZ = 1.7
 ROTATION_DURATION_S = 3.0
+
+
+# readers of the .npy header versions np.save writes for the trial arrays
+# (version 3.0 is only for field names outside Latin-1)
+_NPY_HEADER_READERS = {(1, 0): npy_format.read_array_header_1_0,
+                       (2, 0): npy_format.read_array_header_2_0}
 
 
 class DatasetError(Exception):
@@ -153,26 +161,37 @@ def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
     return {name: _crc(trial_dir / name) for name in TRIAL_FILES}
 
 
-def _verify(trial_dir: Path, checksums: dict[str, int] | None) -> None:
-    if not checksums:
-        return
-    for name, expected in checksums.items():
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise TruncationError(f"missing file {path}") from None
+
+
+def _checked_files(trial_dir: Path,
+                   checksums: dict[str, int] | None) -> dict[str, bytes]:
+    """The bytes of every file that has a checksum, each read once and all
+    checked before any is parsed, so a checksum error wins over a parse
+    error."""
+    files = {}
+    for name, expected in (checksums or {}).items():
         path = trial_dir / name
-        if not path.exists():
-            raise TruncationError(f"missing file {path}")
-        actual = _crc(path)
+        files[name] = _read_bytes(path)
+        actual = zlib.crc32(files[name])
         if actual != expected:
             raise ChecksumError(f"checksum mismatch for {path}: "
                                 f"expected {expected}, got {actual}")
+    return files
 
 
-def read_trial_meta(trial_dir) -> dict:
-    trial_dir = Path(trial_dir)
-    meta_path = trial_dir / "meta.json"
+def _take(files: dict[str, bytes], path: Path) -> bytes:
+    """The bytes of `path`: its checked copy, released, or else read now."""
+    return files.pop(path.name) if path.name in files else _read_bytes(path)
+
+
+def _parse_meta(meta_path: Path, raw: bytes) -> dict:
     try:
-        meta = json.loads(meta_path.read_text())
-    except FileNotFoundError:
-        raise TruncationError(f"missing file {meta_path}") from None
+        meta = json.loads(raw)
     except json.JSONDecodeError as e:
         raise TruncationError(f"{meta_path} is not complete JSON") from e
     if not isinstance(meta, dict):
@@ -192,18 +211,13 @@ def read_trial_meta(trial_dir) -> dict:
     return meta
 
 
-def read_trial_audio(trial_dir, checksums: dict[str, int] | None = None):
-    """Light path for audio-only consumers: (meta, 1-D samples)."""
-    trial_dir = Path(trial_dir)
-    if checksums:
-        _verify(trial_dir, {k: v for k, v in checksums.items()
-                            if k in ("meta.json", "audio.wav")})
-    meta = read_trial_meta(trial_dir)
+def _parse_audio(trial_dir: Path, files: dict[str, bytes]):
+    meta_path = trial_dir / "meta.json"
+    meta = _parse_meta(meta_path, _take(files, meta_path))
     wav_path = trial_dir / "audio.wav"
+    raw = _take(files, wav_path)
     try:
-        samples = dsp.read_wav(wav_path)
-    except FileNotFoundError:
-        raise TruncationError(f"missing file {wav_path}") from None
+        samples = dsp.read_wav(wav_path, raw)
     except (wave.Error, EOFError) as e:
         raise TruncationError(f"{wav_path} is not a complete WAV file") from e
     if len(samples) != meta["n_steps"] * CHUNK:
@@ -212,19 +226,29 @@ def read_trial_audio(trial_dir, checksums: dict[str, int] | None = None):
     return meta, samples
 
 
-def _read_array(path: Path, shape: tuple[int, ...],
-                dtype: np.dtype) -> np.ndarray:
+def read_trial_audio(trial_dir, checksums: dict[str, int] | None = None):
+    """Light path for audio-only consumers: (meta, 1-D samples)."""
+    trial_dir = Path(trial_dir)
+    files = _checked_files(trial_dir, {k: v for k, v in (checksums or {}).items()
+                                       if k in ("meta.json", "audio.wav")})
+    return _parse_audio(trial_dir, files)
+
+
+def _parse_array(path: Path, raw: bytes, shape: tuple[int, ...],
+                 dtype: np.dtype) -> np.ndarray:
+    """The array stored in the .npy bytes `raw`, as a read-only view of
+    them, so a trial's data is held once."""
+    fp = io.BytesIO(raw)
     try:
-        arr = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise TruncationError(f"missing file {path}") from None
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as e:
-        # np.load reads a file without the .npy magic as a pickle (refused)
-        # or, after a zip magic, as an .npz archive
+        header = _NPY_HEADER_READERS[npy_format.read_magic(fp)]
+        stored_shape, fortran_order, stored_dtype = header(fp)
+        arr = np.frombuffer(raw, stored_dtype, math.prod(stored_shape), fp.tell())
+    except (KeyError, ValueError) as e:
+        # bytes without the .npy magic (a pickle or an .npz archive, say),
+        # a header that does not parse, or fewer data bytes than it declares
         raise TruncationError(f"{path} is not a complete .npy file") from e
-    if not isinstance(arr, np.ndarray):  # a zip archive loads as NpzFile
-        arr.close()
-        raise TruncationError(f"{path} is not a complete .npy file")
+    arr = (arr.reshape(stored_shape[::-1]).T if fortran_order
+           else arr.reshape(stored_shape))
     if (arr.shape, arr.dtype) != (shape, dtype):
         raise TruncationError(f"{path} holds {arr.dtype} {arr.shape}, "
                               f"expected {dtype} {shape}")
@@ -232,13 +256,17 @@ def _read_array(path: Path, shape: tuple[int, ...],
 
 
 def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecord:
-    """Rebuild a TrialRecord; optional checksums are verified per file."""
+    """Rebuild a TrialRecord; optional checksums are verified per file.
+    Each file is read once, and every array but the audio is a read-only
+    view of its file's bytes."""
     trial_dir = Path(trial_dir)
-    _verify(trial_dir, checksums)
-    meta, audio = read_trial_audio(trial_dir)
-    arrays = {name: _read_array(trial_dir / f"{name}.npy",
-                                (meta["n_steps"],) + trailing, dtype)
-              for name, trailing, dtype in TRIAL_ARRAYS}
+    files = _checked_files(trial_dir, checksums)
+    meta, audio = _parse_audio(trial_dir, files)
+    arrays = {}
+    for name, trailing, dtype in TRIAL_ARRAYS:
+        path = trial_dir / f"{name}.npy"
+        arrays[name] = _parse_array(path, _take(files, path),
+                                    (meta["n_steps"],) + trailing, dtype)
     return TrialRecord(
         trial_id=meta["trial_id"],
         material=meta["material"],

@@ -9,6 +9,7 @@ orthonormal DCT-II keeping the first N_COEFFS terms.
 
 from __future__ import annotations
 
+import io
 import wave
 
 import numpy as np
@@ -137,9 +138,10 @@ def write_wav(path, samples: np.ndarray) -> None:
         f.writeframes(pcm.tobytes())
 
 
-def read_wav(path) -> np.ndarray:
-    """Samples of a mono PCM16 WAV recorded at SAMPLE_RATE, in [-1, 1]."""
-    with wave.open(str(path), "rb") as f:
+def read_wav(path, data: bytes) -> np.ndarray:
+    """Samples of a mono PCM16 WAV recorded at SAMPLE_RATE, in [-1, 1],
+    from `data`, the bytes of the file at `path` (which errors name)."""
+    with wave.open(io.BytesIO(data), "rb") as f:
         channels, width = f.getnchannels(), f.getsampwidth()
         if (channels, width) != (1, 2):
             raise ValueError(f"{path} has {channels} channel(s) of "

@@ -381,8 +381,15 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     before the change are rendered again, into the same bytes, since a
     block gives the bits of its single steps. k is 1 after a change and
     doubles, up to RENDER_BLOCK, after each block whose command held.
-    Either way `step` writes straight into the record's arrays. This is
-    the only loop over `step`.
+    A policy may also have a method ``perceive(history, start)``. It is
+    then passed each block once, after the block is rendered and before
+    any decision over it: `history` holds the first i + k rows, and rows
+    start = i onwards are new. Rows past a change of command stay in
+    these views until the next block overwrites them, so the decision of
+    step j may use only what was perceived of the rows before j. A replay
+    is not passed again: it rewrites the rows it keeps with the same
+    bytes. For a fixed torque and a policy alike, `step` writes straight
+    into the record's arrays. This is the only loop over `step`.
     """
     if motion.n_steps < 1:
         raise ValueError("motion duration must cover at least one step")
@@ -404,12 +411,15 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
         for i in range(0, n, RENDER_BLOCK):
             render(state, i, RENDER_BLOCK, float(grip_policy), 1.0)
     else:
+        perceive = getattr(grip_policy, "perceive", None)
         i, k, command = 0, 1, decide(0)
         while i < n:
             k = min(k, n - i)
             if k > 1:
                 saved, rng_state = replace(state), state.rng.bit_generator.state
             render(state, i, k, *command)
+            if perceive is not None:
+                perceive({name: a[:i + k] for name, a in arrays.items()}, i)
             for j in range(1, k + 1):
                 new = decide(i + j) if i + j < n else command
                 if new != command:

@@ -242,16 +242,24 @@ def calibrate_slip_threshold(joint_histories, true_slip, horizon: int) -> float:
 def single_step_trial(material, motion, policy, seed, trial_id=None):
     """`simulation.run_trial` for a callable policy as one `step` call per
     decision: the policy decides step i on the first i rows, then step i
-    runs alone. Rendering ahead in blocks must give this record bit for
-    bit."""
+    runs alone and, if the policy has a `perceive` method, is passed to it
+    as a block of one row. Rendering ahead in blocks must give this record
+    bit for bit. Float rows hold nan until they are stepped, so a policy
+    that reads a row it may not see yet shows it."""
     state = simulation.initial_state(seed, material)
     accels = motion.accelerations().tolist()
     arrays = simulation.step_arrays(motion.n_steps)
+    for a in arrays.values():
+        if a.dtype.kind == "f":
+            a.fill(np.nan)
+    perceive = getattr(policy, "perceive", None)
     for i in range(motion.n_steps):
         torque, stiffness = policy({name: a[:i] for name, a in arrays.items()})
         simulation.step(state, material, accels[i], torque,
                         stiffness_scale=stiffness,
                         out={name: a[i:i + 1] for name, a in arrays.items()})
+        if perceive is not None:
+            perceive({name: a[:i + 1] for name, a in arrays.items()}, i)
     meta = {key: getattr(motion, key) for key in
             ("kind", "duration", "amplitude", "frequency", "shake_count")}
     return simulation.TrialRecord(

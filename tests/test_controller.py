@@ -20,6 +20,7 @@ from gripsense.materials import material_table
 from gripsense.models.predictor import FeatureWindow, Prediction, predict
 from gripsense.motion import SIM_DT, shaking_profile
 from gripsense.simulation import SAMPLE_RATE
+from oracles import records_equal, single_step_trial
 
 TABLE = material_table()
 
@@ -99,11 +100,8 @@ class TestEpisodes:
                    if b)
 
     def test_commit_switches_and_latches(self, classifier, registry):
-        prof_rng = np.random.default_rng(ds.derive_seed(900, "cereal",
-                                                        "rotation", 0, "profile"))
-        profile = ds.sample_trial_profile("rotation", prof_rng)
-        sim_seed = ds.derive_seed(900, "cereal", "rotation", 0, "sim")
-        log = run_reactive_loop(TABLE["cereal"], profile, classifier, registry,
+        material, profile, sim_seed = cereal_rotation_trial()
+        log = run_reactive_loop(material, profile, classifier, registry,
                                 seed=sim_seed)
         assert log.active_material[-1] == "cereal"
         assert log.switch_time_s is not None
@@ -181,6 +179,15 @@ class TestEpisodes:
         assert np.isfinite(log.slip_prob[w:]).all()
 
 
+def cereal_rotation_trial():
+    """(material, profile, seed) of the rotation/cereal trial in which the
+    classifier commits mid-run."""
+    prof_rng = np.random.default_rng(ds.derive_seed(900, "cereal", "rotation",
+                                                    0, "profile"))
+    return (TABLE["cereal"], ds.sample_trial_profile("rotation", prof_rng),
+            ds.derive_seed(900, "cereal", "rotation", 0, "sim"))
+
+
 def spied_cereal_episode(monkeypatch, classifier, registry):
     """A reactive episode that commits to cereal mid-run. Returns copies of
     the newest history rows the policy was given, in order, (rows given so
@@ -194,6 +201,7 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
             if len(history["t"]):
                 seen.append({name: a[-1].copy() for name, a in history.items()})
             return policy(history)
+        spy_policy.perceive = policy.perceive  # the trial loop's block hook
         return run_trial(material, motion, spy_policy, seed, **kwargs)
 
     def spy_predict(model, window):
@@ -207,13 +215,36 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
     monkeypatch.setattr(controller, "run_trial", spy_run_trial)
     monkeypatch.setattr(controller, "predict", spy_predict)
     monkeypatch.setattr(dsp, "mfcc", spy_mfcc)
-    prof_rng = np.random.default_rng(ds.derive_seed(900, "cereal", "rotation",
-                                                    0, "profile"))
-    profile = ds.sample_trial_profile("rotation", prof_rng)
-    log = run_reactive_loop(TABLE["cereal"], profile, classifier, registry,
-                            seed=ds.derive_seed(900, "cereal", "rotation", 0, "sim"))
+    material, profile, seed = cereal_rotation_trial()
+    log = run_reactive_loop(material, profile, classifier, registry, seed=seed)
     assert log.switch_time_s is not None
     return seen, windows, segments, log
+
+
+class TestBlockPerception:
+    """The reactive policy driven by the trial loop, which renders ahead
+    and perceives whole blocks, and by the one-step oracle, which perceives
+    each step alone on rows that hold nan until stepped, must give the same
+    record and the same controller log."""
+
+    @pytest.mark.parametrize("cell", ["shaking-rice", "rotation-cereal"])
+    def test_blocks_equal_single_steps(self, cell, classifier, registry):
+        if cell == "shaking-rice":  # the command changes often
+            material, motion, seed = TABLE["rice"], shaking_profile(6, 18.0, 2.0), 778
+        else:  # the classifier commits inside a render block
+            material, motion, seed = cereal_rotation_trial()
+        log = run_reactive_loop(material, motion, classifier, registry, seed=seed)
+        policy = controller._ReactivePolicy(classifier, registry, motion.kind,
+                                            motion.n_steps)
+        rec = single_step_trial(material, motion, policy, seed,
+                                trial_id=f"episode-{seed}")
+        assert records_equal(log.record, rec)
+        for name in ("torque_cmd", "stiffness", "slip_prob", "pred_force"):
+            assert np.array_equal(getattr(log, name), getattr(policy, name),
+                                  equal_nan=True), name
+        assert log.active_material == policy.active_material
+        assert log.events == policy.state.event_log
+        assert log.events and np.isfinite(log.slip_prob).any()
 
 
 class TestOnlineInputs:

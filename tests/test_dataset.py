@@ -1,6 +1,10 @@
 import hashlib
 import json
+import sys
 import wave
+from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,32 @@ def small_record(trial_id="t0", seed=3):
     profile = ds.sample_trial_profile("shaking", rng)
     return run_trial(table["rice"], profile, ds.COLLECTION_TORQUE, seed,
                      trial_id=trial_id)
+
+
+_opened: list | None = None  # paths of `open` audit events, while counting
+_hooked = False
+
+
+def _audit(event, args):
+    if event == "open" and _opened is not None and isinstance(args[0], str):
+        _opened.append(Path(args[0]))
+
+
+@contextmanager
+def counting_opens():
+    """Counter of the file names opened inside the block, by directory and
+    name. An audit hook stays for the life of the process, so the one hook
+    is installed once and records only inside such a block."""
+    global _opened, _hooked
+    if not _hooked:
+        sys.addaudithook(_audit)
+        _hooked = True
+    counts, _opened = Counter(), []
+    try:
+        yield counts
+    finally:
+        counts.update((p.parent, p.name) for p in _opened)
+        _opened = None
 
 
 class TestSeeds:
@@ -73,6 +103,8 @@ class TestTrialStorage:
         for name in ("audio", "t", "tactile", "joint_angles", "joint_torques",
                      "true_slip", "true_max_force", "true_cell", "dropped"):
             assert getattr(back, name).dtype == getattr(rec, name).dtype, name
+            # the .npy arrays are read-only views of the bytes read
+            assert getattr(back, name).flags.writeable == (name == "audio"), name
 
     def test_write_is_byte_deterministic(self, tmp_path):
         rec = small_record()
@@ -182,6 +214,16 @@ class TestTrialStorage:
         meta, samples = ds.read_trial_audio(tmp_path / "t0", checksums)
         assert meta["trial_id"] == "t0"
         assert np.array_equal(samples, rec.audio)
+
+    def test_checksummed_read_opens_each_file_once(self, tmp_path):
+        trial_dir = tmp_path / "t0"
+        checksums = ds.write_trial(small_record(), trial_dir)
+        for read, names in ((ds.read_trial, ds.TRIAL_FILES),
+                            (ds.read_trial_audio, ("meta.json", "audio.wav"))):
+            with counting_opens() as opens:
+                read(trial_dir, checksums)
+            assert {name: n for (folder, name), n in opens.items()
+                    if folder == trial_dir} == dict.fromkeys(names, 1)
 
     def test_missing_audio_names_file(self, tmp_path):
         ds.write_trial(small_record(), tmp_path / "t0")

@@ -164,7 +164,7 @@ class TestWavIO:
         dsp.write_wav(path, samples)
         with wave.open(str(path), "rb") as f:
             assert f.getframerate() == SAMPLE_RATE
-        assert np.array_equal(dsp.read_wav(path), samples)
+        assert np.array_equal(dsp.read_wav(path, path.read_bytes()), samples)
 
     @staticmethod
     def write_raw(path, channels=1, width=2, rate=16000):
@@ -178,13 +178,13 @@ class TestWavIO:
         path = tmp_path / "s.wav"
         self.write_raw(path, channels=2)
         with pytest.raises(ValueError, match="s.wav has 2 channel"):
-            dsp.read_wav(path)
+            dsp.read_wav(path, path.read_bytes())
         self.write_raw(path, width=1)
         with pytest.raises(ValueError, match="s.wav has 1 channel.* 8-bit"):
-            dsp.read_wav(path)
+            dsp.read_wav(path, path.read_bytes())
 
     def test_read_rejects_another_sample_rate(self, tmp_path):
         path = tmp_path / "r.wav"
         self.write_raw(path, rate=22050)
         with pytest.raises(ValueError, match="r.wav has sample rate 22050 Hz"):
-            dsp.read_wav(path)
+            dsp.read_wav(path, path.read_bytes())

@@ -340,6 +340,37 @@ class TestRenderAhead:
         assert records_equal(rec, single_step_trial(
             TABLE["rice"], motion, scripted_policy(changes), 5))
 
+    def test_perceive_gets_each_rendered_block_once(self, monkeypatch):
+        # the scripted changes of test_scripted_changes; a replay rewrites
+        # rows already perceived, so it is not passed again
+        motion = rotation_profile(0.9, 2.0, 1.5)
+        changes = {0: (0.4, 1.0), 1: (0.5, 1.0), 66: (0.3, 2.0),
+                   100: (0.45, 1.0), motion.n_steps - 1: (0.7, 1.0)}
+        policy = scripted_policy(changes)
+        decided, perceived, rows = [], [], {}
+
+        def perceive(history, start):
+            stop = len(history["t"])
+            assert len(decided) == start + 1  # before deciding over it
+            perceived.append((start, stop - start))
+            for i in range(start, stop):
+                rows[i] = history["tactile"][i].copy()
+
+        def decide(history):
+            i = len(history["t"])
+            # the row before the step has been perceived, as it now stands
+            assert i == 0 or np.array_equal(rows[i - 1], history["tactile"][-1])
+            decided.append(i)
+            return policy(history)
+
+        decide.perceive = perceive
+        calls = spy_step_calls(monkeypatch)
+        rec = run_trial(TABLE["rice"], motion, decide, 5)
+        replays = [c for prev, c in zip(calls, calls[1:]) if prev[0] == c[0]]
+        assert replays and perceived == [c for c in calls if c not in replays]
+        assert np.array_equal(np.stack([rows[i] for i in range(rec.n_steps)]),
+                              rec.tactile)
+
     def test_policy_changing_every_step(self, monkeypatch):
         motion = shaking_profile(5, 18.0, 2.0)
         n = motion.n_steps

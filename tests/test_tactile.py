@@ -130,16 +130,24 @@ class TestFeatures:
         assert not first[4:6].any()
         assert not first[22:].any()
 
-    def test_window_matrix_equals_stacked_vectors(self):
-        # rows built a frame at a time, as the controller does, are
-        # bit-identical to the rows of one call over the whole stream
-        grids, angles = self.make_frames(40, seed=5)
+    @pytest.mark.parametrize("blocks", [
+        [1] * 40,
+        # the trial loop's render schedule, ending in a partial block
+        [1, 2, 4, 8, 16, 32, 64, 100, 100, 37],
+    ], ids=["frame_at_a_time", "render_blocks"])
+    def test_window_matrix_equals_stacked_vectors(self, blocks):
+        # rows built a block at a time, each block's call also holding the
+        # frame before it, as the controller does, are bit-identical to the
+        # rows of one call over the whole stream
+        grids, angles = self.make_frames(sum(blocks), seed=5)
         full = tactile.features_from_arrays(grids, angles)
-        rows = [tactile.features_from_arrays(grids[:1], angles[:1])[-1]]
-        for t in range(1, len(grids)):
-            rows.append(tactile.features_from_arrays(
-                grids[t - 1:t + 1], angles[t - 1:t + 1])[-1])
-        assert np.array_equal(np.stack(rows), full)
+        parts, start = [], 0
+        for k in blocks:
+            lo = max(start - 1, 0)
+            parts.append(tactile.features_from_arrays(
+                grids[lo:start + k], angles[lo:start + k])[start - lo:])
+            start += k
+        assert np.array_equal(np.concatenate(parts), full)
 
     def test_vectorized_path_matches_object_path(self):
         grids, angles = self.make_frames(12, seed=7)
