@@ -121,9 +121,8 @@ def load_models(models_dir):
                 registry.register_material(model.motion, model.material, model)
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from e
-            # the controller's feature window outlives the switch from the
-            # default model to a material model, and both predict the same
-            # step ahead, so window and horizon must agree
+            # a motion's default and material models are compared on the
+            # same windows and horizon (criterion 7), so both must agree
             default = registry.default_models[model.motion].cfg
             if ((model.cfg.window, model.cfg.horizon)
                     != (default.window, default.horizon)):
@@ -134,7 +133,11 @@ def load_models(models_dir):
                     f"{default.horizon}")
     confusions = {}
     for path in sorted(models_dir.glob("confusion_*.csv")):
-        confusions[path.stem.removeprefix("confusion_")] = read_confusion_csv(path)
+        motion = path.stem.removeprefix("confusion_")
+        if motion not in ds.MOTIONS:
+            raise ValueError(f"{path} is for unknown motion {motion!r}; "
+                             f"expected one of {ds.MOTIONS}")
+        confusions[motion] = read_confusion_csv(path)
     likelihoods = (inference.MotionLikelihoodModel(confusions)
                    if confusions else None)
     return classifier, registry, likelihoods

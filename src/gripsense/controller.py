@@ -95,8 +95,13 @@ class EpisodeLog:
     slip_prob: np.ndarray       # nan before the first full feature window
     pred_force: np.ndarray      # nan before the first full feature window
     active_material: list[str]  # "default" until the classifier commits
-    switch_time_s: float | None = None
     events: list[tuple[float, str]] = field(default_factory=list)
+
+    @property
+    def switch_time_s(self) -> float | None:
+        """When the classifier committed (its `switch:` event), else None."""
+        return next((t for t, kind in self.events
+                     if kind.startswith("switch:")), None)
 
     @property
     def mean_torque(self) -> float:
@@ -112,10 +117,12 @@ class _ReactivePolicy:
 
     Perceives each block the trial loop renders with one feature call, into
     a per-episode array of feature rows. The decision of step i pushes row
-    i - 1 into the feature window, reads the last second of audio at
-    classifier hops (on the PCM16 grid), predicts, updates the grip,
-    records step i's command and prediction at index i, and emits the
-    command.
+    i - 1 into the active model's feature window, reads the last second of
+    audio at classifier hops (on the PCM16 grid), predicts, updates the
+    grip, records step i's command and prediction at index i, and emits the
+    command. A commit gives the material model a window of its own, pushed
+    the last W rows, so the decision that commits already predicts with
+    the new model.
     """
 
     def __init__(self, classifier: MaterialClassifier, registry: ModelRegistry,
@@ -125,10 +132,8 @@ class _ReactivePolicy:
         self.motion_kind = motion_kind
         self.cfg = CONFIG  # read once, so every decision of the episode shares it
         self.state = GripState(applied_torque=self.cfg.base_torque)
-        self.model = select_model(registry, motion_kind)
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
-        self.window = FeatureWindow(self.model.cfg.window,
-                                    self.model.cfg.input_dim)
+        self.window = FeatureWindow(select_model(registry, motion_kind))
         # row r is the feature of frame r; nan until its block is perceived
         self.features = np.full((n_steps, tactile.FEATURE_DIM), np.nan)
         self.torque_cmd = np.empty(n_steps)
@@ -136,7 +141,6 @@ class _ReactivePolicy:
         self.slip_prob = np.full(n_steps, np.nan)
         self.pred_force = np.full(n_steps, np.nan)
         self.active_material = ["default"] * n_steps
-        self.switch_time_s: float | None = None
 
     def _maybe_classify(self, i: int, audio: np.ndarray) -> None:
         if self.state.active_material is not None:
@@ -151,9 +155,11 @@ class _ReactivePolicy:
         if probs[best] >= self.cfg.classifier_commit_confidence:
             name = self.classifier.cfg.classes[best]
             self.state.active_material = name
-            self.model = select_model(self.registry, self.motion_kind, name)
+            model = select_model(self.registry, self.motion_kind, name)
+            self.window = FeatureWindow(model)
+            for row in self.features[max(i - model.cfg.window, 0):i]:
+                self.window.push(row)
             self.state.event_log.append((t, f"switch:{name}"))
-            self.switch_time_s = t
 
     def perceive(self, history, start: int) -> None:
         """Feature rows of the newly rendered rows start onwards, from one
@@ -170,7 +176,7 @@ class _ReactivePolicy:
             self.window.push(self.features[i - 1])
             self._maybe_classify(i, history["audio"])
             if self.window.full:
-                pred = predict(self.model, self.window)
+                pred = predict(self.window)
                 grip_update(self.state, pred, i * SIM_DT, self.cfg)
                 self.slip_prob[i] = pred.slip_prob
                 self.pred_force[i] = pred.force_value
@@ -188,8 +194,7 @@ def run_reactive_loop(material: MaterialParams, motion: MotionProfile,
     record = run_trial(material, motion, policy, seed, trial_id=f"episode-{seed}")
     return EpisodeLog(record, policy.torque_cmd, policy.stiffness,
                       policy.slip_prob, policy.pred_force,
-                      policy.active_material, policy.switch_time_s,
-                      policy.state.event_log)
+                      policy.active_material, policy.state.event_log)
 
 
 def run_baseline_episode(material: MaterialParams, motion: MotionProfile,

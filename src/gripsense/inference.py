@@ -122,18 +122,13 @@ def expected_information_gain(p: Posterior, motion: str,
     return float(total)
 
 
-def _motion_order(m: str) -> tuple:
-    """Sort key: dataset.MOTIONS order first, unknown motions after by name."""
-    return (MOTIONS.index(m) if m in MOTIONS else len(MOTIONS), m)
-
-
 def select_motion(p: Posterior, motions: list[str],
                   L: MotionLikelihoodModel) -> str:
-    """Highest-EIG motion; exact ties fall back to the canonical order."""
+    """Highest-EIG motion; exact ties fall back to dataset.MOTIONS order."""
     if not motions:
         raise ValueError("no motions to select from")
     best, best_eig = None, -np.inf
-    for m in sorted(motions, key=_motion_order):
+    for m in sorted(motions, key=MOTIONS.index):
         eig = expected_information_gain(p, m, L)
         if eig > best_eig:
             best, best_eig = m, eig
@@ -149,9 +144,15 @@ class ActiveLog:
     motions: list[str] = field(default_factory=list)
     predicted: list[str] = field(default_factory=list)
     posteriors: list[np.ndarray] = field(default_factory=list)
-    entropies: list[float] = field(default_factory=list)
-    segments_used: int = 0
     reached_confidence: bool = False
+
+    @property
+    def segments_used(self) -> int:
+        return len(self.motions)
+
+    @property
+    def entropies(self) -> list[float]:
+        return [entropy_bits(p) for p in self.posteriors]
 
 
 def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
@@ -166,7 +167,7 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
         raise ValueError("confidence_target must lie in (0.2, 1)")
     if selector not in ("eig", "random"):
         raise ValueError(f"unknown selector {selector!r}")
-    motions = sorted(L.confusions, key=_motion_order)
+    motions = sorted(L.confusions, key=MOTIONS.index)
     rng = np.random.default_rng(seed)
     p = uniform_posterior()
     out = ActiveLog(material.name, selector, seed, confidence_target)
@@ -186,11 +187,9 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
             probs = classify(classifier, dsp.mfcc(seg))
             pred_idx = int(np.argmax(probs))
             p = update_posterior(p, motion_kind, pred_idx, L)
-            out.segments_used += 1
             out.motions.append(motion_kind)
             out.predicted.append(classifier.cfg.classes[pred_idx])
             out.posteriors.append(p.probs.copy())
-            out.entropies.append(entropy_bits(p.probs))
     out.reached_confidence = float(p.probs.max()) >= confidence_target
     return out
 
@@ -201,7 +200,8 @@ def write_active_csv(log_: ActiveLog, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for i in range(log_.segments_used):
-            w.writerow([i + 1, log_.motions[i], log_.predicted[i]]
-                       + [repr(float(v)) for v in log_.posteriors[i]]
-                       + [repr(float(log_.entropies[i]))])
+        for i, (motion, predicted, probs) in enumerate(
+                zip(log_.motions, log_.predicted, log_.posteriors)):
+            w.writerow([i + 1, motion, predicted]
+                       + [repr(float(v)) for v in probs]
+                       + [repr(entropy_bits(probs))])

@@ -221,75 +221,50 @@ def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
 
 
 class FeatureWindow:
-    """The newest W feature frames of a stream, plus the GRU states of
-    every window in flight for the model that last read it.
+    """The GRU states of every window in flight over one model's stream of
+    feature frames.
 
     The state block holds one row per window in flight: row k has seen the
     k + 1 newest frames, so row W - 1 is the final state of the window of
-    all W frames. Reading the window advances the block by the frames
-    pushed since the last read: each frame is normalized and projected
-    once, then one batched cell step shifts in a zero row and advances all
-    W windows. A read by a different model replays the stored frames from
-    a zero block, so the block always belongs to one model, whose
-    parameters must not change between reads.
+    the W newest frames. A push normalizes and projects the frame once,
+    then one batched cell step shifts in a zero row and advances all W
+    windows. The frames are not kept: another model's view of the stream
+    is a new window for that model, pushed the W newest frames. The
+    model's parameters must not change while its window is in use.
     """
 
-    def __init__(self, window: int, input_dim: int):
-        self._frames = np.zeros((window, input_dim))
-        self._count = 0     # frames held, at most W
-        self._pending = 0   # frames pushed since the block last advanced
-        self._model = None
-        self._weights = None       # the model's (_gru_weights, _head_weights)
-        self._h = None
+    def __init__(self, model: SlipPredictor):
+        self.model = model
+        self._gru = model._gru_weights()
+        self._heads = model._head_weights()
+        # the block is _h[1:]; _h[0] stays zero, so _h[:-1] is the block
+        # shifted down by one row with a zero row in front
+        self._h = np.zeros((model.cfg.window + 1, model.cfg.hidden))
+        self._count = 0     # frames pushed
 
     @property
     def full(self) -> bool:
-        return self._count == len(self._frames)
-
-    @property
-    def frames(self) -> np.ndarray:
-        """The frames held, oldest first (a view; at most W rows)."""
-        return self._frames[len(self._frames) - self._count:]
+        return self._count >= self.model.cfg.window
 
     def push(self, frame: np.ndarray) -> None:
         frame = np.asarray(frame, dtype=float)
-        if frame.shape != self._frames.shape[1:]:
-            raise ValueError(f"expected a ({self._frames.shape[1]},) feature "
-                             f"frame, got {frame.shape}")
-        self._frames[:-1] = self._frames[1:]
-        self._frames[-1] = frame
-        W = len(self._frames)
-        self._count = min(self._count + 1, W)
-        self._pending = min(self._pending + 1, W)
-
-    def _outputs(self, model: SlipPredictor):
-        """`model`'s head outputs (slip_logit, force_norm, cell_norm), each
-        for a batch of one, over the final state of the W frames held."""
-        W, d = self._frames.shape
-        if (model.cfg.window, model.cfg.input_dim) != (W, d):
-            raise ValueError(f"a ({W}, {d}) feature window cannot feed a model "
-                             f"of window {model.cfg.window} and input_dim "
-                             f"{model.cfg.input_dim}")
-        if not self.full:
-            raise ValueError(f"feature window holds {self._count} of {W} frames")
-        if model is not self._model:
-            self._model = model
-            self._weights = model._gru_weights(), model._head_weights()
-            # the block is _h[1:]; _h[0] stays zero, so _h[:W] is the
-            # block shifted down by one row with a zero row in front
-            self._h = np.zeros((W + 1, model.cfg.hidden))
-            self._pending = W
-        (Wx, Uzr, Un, b), heads = self._weights
-        for frame in self._frames[W - self._pending:]:
-            gx = model._normalize(frame)[None] @ Wx
-            self._h[1:] = _gru_cell(gx, self._h[:W], Uzr, Un, b)[0]
-        self._pending = 0
-        return _heads(self._h[W:], *heads)
+        d = self.model.cfg.input_dim
+        if frame.shape != (d,):
+            raise ValueError(f"expected a ({d},) feature frame, got {frame.shape}")
+        Wx, Uzr, Un, b = self._gru
+        gx = self.model._normalize(frame)[None] @ Wx
+        self._h[1:] = _gru_cell(gx, self._h[:-1], Uzr, Un, b)[0]
+        self._count += 1
 
 
-def predict(model: SlipPredictor, window: FeatureWindow) -> Prediction:
-    """One prediction from a full `FeatureWindow` of W feature frames."""
-    slip_prob, force, _ = _natural_units(model, *window._outputs(model))
+def predict(window: FeatureWindow) -> Prediction:
+    """One prediction of the window's model from a full `FeatureWindow`:
+    its heads over the final state of the W newest frames."""
+    W = window.model.cfg.window
+    if not window.full:
+        raise ValueError(f"feature window has {window._count} of {W} frames")
+    slip_prob, force, _ = _natural_units(
+        window.model, *_heads(window._h[W:], *window._heads))
     return Prediction(slip_prob=float(slip_prob[0]), force_value=float(force[0]))
 
 

@@ -191,7 +191,6 @@ def test_criterion_7_model_switching(classifier, registry):
     table = material_table()
     horizon = select_model(registry, "rotation", "cereal").cfg.horizon
     default_model = select_model(registry, "rotation")
-    W = default_model.cfg.window
     material_maes, default_maes = [], []
     commits = 0
     for s in range(20):
@@ -215,13 +214,13 @@ def test_criterion_7_model_switching(classifier, registry):
         # the default model on the same windows: step i's window holds the
         # features of the observations before it
         feats = tactile.features_from_arrays(rec.tactile, rec.joint_angles)
-        window = FeatureWindow(W, feats.shape[1])
+        window = FeatureWindow(default_model)
         default, pushed = [], 0
         for i in np.flatnonzero(valid):
             while pushed < i:
                 window.push(feats[pushed])
                 pushed += 1
-            default.append(predict(default_model, window).force_value)
+            default.append(predict(window).force_value)
         default = np.array(default)
         material_maes.append(float(np.abs(specific[valid] - truth[valid]).mean()))
         default_maes.append(float(np.abs(default - truth[valid]).mean()))

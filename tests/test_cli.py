@@ -381,6 +381,18 @@ class TestLoadModels:
                                        motion="shaking", material="rice"))
         cli.load_models(models)
 
+    def test_confusion_for_unknown_motion_names_file(self, cli_models,
+                                                     tmp_path, capsys):
+        models = self.copy(cli_models, tmp_path)
+        path = models / cli.confusion_filename("stirring")
+        shutil.copyfile(models / cli.confusion_filename("shaking"), path)
+        with pytest.raises(ValueError, match=f"{path} is for unknown motion"):
+            cli.load_models(models)
+        rc = cli.main(["active", "--models", str(models),
+                       "--out", str(tmp_path / "o"), "--material", "rice"])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
 
 def test_episode_csv_schema_is_stable():
     assert EPISODE_COLUMNS[0] == "t"

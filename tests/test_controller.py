@@ -18,6 +18,7 @@ from gripsense.controller import (
 )
 from gripsense.materials import material_table
 from gripsense.models.predictor import FeatureWindow, Prediction, predict
+from gripsense.models.registry import select_model
 from gripsense.motion import SIM_DT, shaking_profile
 from gripsense.simulation import SAMPLE_RATE
 from oracles import records_equal, single_step_trial
@@ -116,17 +117,28 @@ class TestEpisodes:
         feats = tactile.features_from_arrays(log.record.tactile,
                                              log.record.joint_angles)
         replayed = np.full(len(log.pred_force), np.nan)
-        window = FeatureWindow(W, feats.shape[1])
+        window = FeatureWindow(default)
         for i, frame in enumerate(feats[:-1]):
             window.push(frame)  # step i + 1's window: feats[i + 1 - W:i + 1]
             if window.full:
-                replayed[i + 1] = predict(default, window).force_value
+                replayed[i + 1] = predict(window).force_value
         pre = np.array([a == "default" for a in log.active_material])
         assert np.isfinite(log.pred_force[pre]).any()
         assert np.array_equal(replayed[pre], log.pred_force[pre], equal_nan=True)
         post = ~pre & np.isfinite(log.pred_force)
         assert post.any()
         assert not np.array_equal(replayed[post], log.pred_force[post])
+        # the committed model, on a fresh window of the features before
+        # each post-switch step, gives the logged predictions bit for bit
+        cereal = select_model(registry, "rotation", "cereal")
+        assert cereal is not default
+        for n in np.flatnonzero(post):
+            window = FeatureWindow(cereal)
+            for frame in feats[n - W:n]:
+                window.push(frame)
+            p = predict(window)
+            assert (p.slip_prob, p.force_value) == \
+                (log.slip_prob[n], log.pred_force[n]), n
 
     def test_same_seed_reproduces_log(self, classifier, registry):
         profile = shaking_profile(5, 19.0, 2.0)
@@ -196,6 +208,17 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
     seen, windows, segments = [], [], []
     run_trial, predict, mfcc = controller.run_trial, controller.predict, dsp.mfcc
 
+    class SpyWindow(FeatureWindow):
+        """A feature window that keeps copies of the frames it is pushed."""
+
+        def __init__(self, model):
+            super().__init__(model)
+            self.pushed = []
+
+        def push(self, frame):
+            self.pushed.append(np.array(frame))
+            super().push(frame)
+
     def spy_run_trial(material, motion, policy, seed, **kwargs):
         def spy_policy(history):
             if len(history["t"]):
@@ -204,9 +227,10 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
         spy_policy.perceive = policy.perceive  # the trial loop's block hook
         return run_trial(material, motion, spy_policy, seed, **kwargs)
 
-    def spy_predict(model, window):
-        windows.append((len(seen), np.array(window.frames)))
-        return predict(model, window)
+    def spy_predict(window):
+        W = window.model.cfg.window
+        windows.append((len(seen), np.array(window.pushed[-W:])))
+        return predict(window)
 
     def spy_mfcc(samples):
         segments.append((len(seen), samples.copy()))
@@ -214,6 +238,7 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
 
     monkeypatch.setattr(controller, "run_trial", spy_run_trial)
     monkeypatch.setattr(controller, "predict", spy_predict)
+    monkeypatch.setattr(controller, "FeatureWindow", SpyWindow)
     monkeypatch.setattr(dsp, "mfcc", spy_mfcc)
     material, profile, seed = cereal_rotation_trial()
     log = run_reactive_loop(material, profile, classifier, registry, seed=seed)

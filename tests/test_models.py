@@ -119,9 +119,9 @@ class TestClassifier:
             MaterialClassifier().forward(np.zeros((2, 98)))
 
 
-def fresh_window(frames):
-    """A new FeatureWindow holding `frames` (W, input_dim), oldest first."""
-    fw = FeatureWindow(*frames.shape)
+def fresh_window(model, frames):
+    """A new FeatureWindow of `model`, pushed `frames`, oldest first."""
+    fw = FeatureWindow(model)
     for frame in frames:
         fw.push(frame)
     return fw
@@ -142,7 +142,7 @@ class TestPredictor:
         assert np.all((probs >= 0) & (probs <= 1))
         assert np.all((cells >= 0) & (cells <= 15))
         assert np.all(np.isfinite(force))
-        p = predict(model, fresh_window(X[0]))
+        p = predict(fresh_window(model, X[0]))
         assert 0.0 <= p.slip_prob <= 1.0
 
     def test_training_deterministic(self):
@@ -243,15 +243,14 @@ class TestFeatureWindow:
         feats = recorded_stream()
         model = stream_model(feats, seed=4)
         W = model.cfg.window
-        fw = FeatureWindow(W, model.cfg.input_dim)
+        fw = FeatureWindow(model)
         streamed, replayed = [], []
         for i, frame in enumerate(feats):
             fw.push(frame)
             assert fw.full == (i + 1 >= W)
-            assert np.array_equal(fw.frames, feats[max(0, i + 1 - W):i + 1])
             if fw.full:
-                streamed.append(predict(model, fw))
-                replayed.append(predict(model, fresh_window(feats[i + 1 - W:i + 1])))
+                streamed.append(predict(fw))
+                replayed.append(predict(fresh_window(model, feats[i + 1 - W:i + 1])))
         assert len(streamed) == len(feats) - W + 1
         assert streamed == replayed  # bit for bit, cell included
         X = np.lib.stride_tricks.sliding_window_view(feats, W, axis=0)
@@ -262,38 +261,33 @@ class TestFeatureWindow:
                            rtol=0, atol=1e-12)
 
     def test_model_switch_replays_the_window(self):
+        # a switch, as the controller makes it: the new model's window is
+        # pushed the W newest frames, then streams on
         feats = recorded_stream()
         a, b = stream_model(feats, seed=4), stream_model(feats, seed=5)
         W = a.cfg.window
-        fw = FeatureWindow(W, a.cfg.input_dim)
-        for frame in feats[:W]:
+        fw = FeatureWindow(a)
+        for frame in feats[:W + 2]:
             fw.push(frame)
-        predict(a, fw)
-        fw.push(feats[W])
-        predict(a, fw)
-        for i, model in ((W + 1, b), (W + 2, b), (W + 3, a)):
+        before = predict(fw)
+        fw = fresh_window(b, feats[2:W + 2])
+        assert predict(fw) != before
+        for i in range(W + 2, W + 6):
             fw.push(feats[i])
-            got = predict(model, fw)
-            assert got == predict(model, fresh_window(feats[i + 1 - W:i + 1]))
-            # a read by the other model and back replays the window twice
-            assert got != predict(b if model is a else a, fw)
-            assert predict(model, fw) == got
+            assert predict(fw) == predict(fresh_window(b, feats[i + 1 - W:i + 1]))
 
     def test_bad_frames_and_windows_rejected(self):
         model = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=6))
-        fw = FeatureWindow(6, 8)
+        fw = FeatureWindow(model)
         for shape in ((7,), (9,), (1, 8), ()):
             with pytest.raises(ValueError, match="feature frame"):
                 fw.push(np.zeros(shape))
         for _ in range(5):
             fw.push(np.zeros(8))
         with pytest.raises(ValueError, match="5 of 6 frames"):
-            predict(model, fw)
+            predict(fw)
         fw.push(np.zeros(8))
-        other = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=5))
-        with pytest.raises(ValueError, match="window 5"):
-            predict(other, fw)
-        predict(model, fw)
+        predict(fw)
 
     def test_batch_outputs_are_pinned(self):
         # SHA-256 of predict_batch's outputs at B = 1, 8 and 64, as the
