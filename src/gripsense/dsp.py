@@ -111,16 +111,19 @@ def frame_count(n_samples: int) -> int:
     return 1 + (n_samples - FRAME_LEN) // HOP
 
 
+def windowed_frames(x: np.ndarray) -> np.ndarray:
+    """The (frame_count(len(x)), FRAME_LEN) Hann-windowed frames of a 1-D
+    signal, every HOP samples; read through a strided view of x."""
+    return np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)[::HOP] * _WINDOW
+
+
 def mfcc(samples: np.ndarray) -> np.ndarray:
     """(n_frames, N_COEFFS) MFCC matrix of a 1-D segment at SAMPLE_RATE."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or len(x) < FRAME_LEN:
         raise ValueError(f"expected a 1-D segment of at least {FRAME_LEN} "
                          f"samples, got shape {x.shape}")
-    n_frames = frame_count(len(x))
-    idx = np.arange(FRAME_LEN)[None, :] + HOP * np.arange(n_frames)[:, None]
-    frames = x[idx] * _WINDOW
-    spectrum = np.abs(np.fft.rfft(frames, N_FFT, axis=1)) ** 2
+    spectrum = np.abs(np.fft.rfft(windowed_frames(x), N_FFT, axis=1)) ** 2
     logmel = np.log(spectrum @ _MEL_BANK.T + LOG_FLOOR)
     coeffs = logmel @ _DCT.T
     if not np.all(np.isfinite(coeffs)):

@@ -19,11 +19,13 @@ from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
 from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
 from .models.metrics import confusion_matrix
-from .simulation import run_trial
+from .simulation import CHUNK, fixed_grip_blocks, quantize_pcm16
 
 log = logging.getLogger(__name__)
 
 DEGENERACY_EPS = 1e-12
+# simulator steps that render one classifier segment
+SEGMENT_STEPS = dsp.SEGMENT_SAMPLES // CHUNK
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,22 @@ def expected_information_gain(p: Posterior, motion: str,
     return float(total)
 
 
+def _in_motion_order(motions) -> list[str]:
+    """`motions` sorted in dataset.MOTIONS order; any other name is refused."""
+    unknown = sorted(set(motions) - set(MOTIONS))
+    if unknown:
+        raise ValueError(f"unknown motion(s) {unknown}: the rig performs "
+                         f"only {list(MOTIONS)}")
+    return sorted(motions, key=MOTIONS.index)
+
+
 def select_motion(p: Posterior, motions: list[str],
                   L: MotionLikelihoodModel) -> str:
     """Highest-EIG motion; exact ties fall back to dataset.MOTIONS order."""
     if not motions:
         raise ValueError("no motions to select from")
     best, best_eig = None, -np.inf
-    for m in sorted(motions, key=MOTIONS.index):
+    for m in _in_motion_order(motions):
         eig = expected_information_gain(p, m, L)
         if eig > best_eig:
             best, best_eig = m, eig
@@ -155,41 +166,60 @@ class ActiveLog:
         return [entropy_bits(p) for p in self.posteriors]
 
 
+def _trial_segments(material: MaterialParams, profile, seed: int):
+    """The whole one-second segments of a fixed-grip collection trial, in
+    order and on the PCM16 grid; each is rendered only when asked for, so
+    a trial abandoned after s segments renders s * SEGMENT_STEPS steps."""
+    blocks = fixed_grip_blocks(material, profile, COLLECTION_TORQUE, seed)
+    rendered = 0
+    for end in range(SEGMENT_STEPS, profile.n_steps + 1, SEGMENT_STEPS):
+        while rendered < end:
+            rows = next(blocks)
+            rendered = len(rows["t"])
+        yield quantize_pcm16(rows["audio"][end - SEGMENT_STEPS:end].reshape(-1))
+
+
 def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
                     L: MotionLikelihoodModel, confidence_target: float,
                     max_segments: int, seed: int, selector: str = "eig") -> ActiveLog:
     """Explore with motions until the posterior commits or the budget runs out.
 
     selector "eig" picks motions by expected information gain; "random"
-    draws uniformly (the acceptance baseline).
+    draws uniformly (the acceptance baseline). Each motion runs as a
+    fixed-grip collection trial whose whole seconds are classified in
+    order. The trial is rendered one segment at a time and the stop is
+    checked before each: rendering ends where the loop ends, and the
+    segments used are those of the whole trial, since a trial's first
+    seconds do not depend on how far it runs.
     """
     if not 0.2 < confidence_target < 1.0:
         raise ValueError("confidence_target must lie in (0.2, 1)")
     if selector not in ("eig", "random"):
         raise ValueError(f"unknown selector {selector!r}")
-    motions = sorted(L.confusions, key=MOTIONS.index)
+    motions = _in_motion_order(L.confusions)
     rng = np.random.default_rng(seed)
     p = uniform_posterior()
     out = ActiveLog(material.name, selector, seed, confidence_target)
+    segments = iter(())
     while out.segments_used < max_segments and \
             float(p.probs.max()) < confidence_target:
-        if selector == "eig":
-            motion_kind = select_motion(p, motions, L)
-        else:
-            motion_kind = motions[int(rng.integers(len(motions)))]
-        profile = sample_trial_profile(motion_kind, rng)
-        trial_seed = int(rng.integers(2 ** 31))
-        record = run_trial(material, profile, COLLECTION_TORQUE, trial_seed)
-        for seg in dsp.segment(record.audio):
-            if out.segments_used >= max_segments or \
-                    float(p.probs.max()) >= confidence_target:
-                break
-            probs = classify(classifier, dsp.mfcc(seg))
-            pred_idx = int(np.argmax(probs))
-            p = update_posterior(p, motion_kind, pred_idx, L)
-            out.motions.append(motion_kind)
-            out.predicted.append(classifier.cfg.classes[pred_idx])
-            out.posteriors.append(p.probs.copy())
+        seg = next(segments, None)
+        if seg is None:
+            # this motion's trial is used up: pick the next motion
+            if selector == "eig":
+                motion_kind = select_motion(p, motions, L)
+            else:
+                motion_kind = motions[int(rng.integers(len(motions)))]
+            profile = sample_trial_profile(motion_kind, rng)
+            trial_seed = int(rng.integers(2 ** 31))
+            segments = _trial_segments(material, profile, trial_seed)
+            continue
+        probs = classify(classifier, dsp.mfcc(seg))
+        pred_idx = int(np.argmax(probs))
+        p = update_posterior(p, motion_kind, pred_idx, L)
+        out.motions.append(motion_kind)
+        out.predicted.append(classifier.cfg.classes[pred_idx])
+        out.posteriors.append(p.probs.copy())
     out.reached_confidence = float(p.probs.max()) >= confidence_target
     return out
 

@@ -117,7 +117,8 @@ def _conv1d(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     To = x.shape[2] - K + 1
     y = np.broadcast_to(b[None, :, None], (x.shape[0], W.shape[0], To)).copy()
     for k in range(K):
-        y += np.einsum("bct,oc->bot", x[:, :, k:k + To], W[:, :, k], optimize=True)
+        # (Cout, Cin) @ (B, Cin, To): one GEMM per segment of the batch
+        y += np.matmul(W[:, :, k], x[:, :, k:k + To])
     return y
 
 

@@ -364,6 +364,30 @@ def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     return ints / 32767.0
 
 
+def fixed_grip_blocks(material: MaterialParams, motion: MotionProfile,
+                      torque: float, seed: int):
+    """Render a trial under a fixed grip torque, RENDER_BLOCK steps at a time.
+
+    A block is rendered only when it is asked for. After each, the
+    generator yields the trial's first i + k rows: every TRIAL_ARRAYS
+    field and "audio" (shape (i + k, CHUNK), not yet quantized), as views
+    of the arrays the trial fills, which the caller must not write. The
+    last yield holds the whole trial. A block gives the bits of its single
+    steps and the random draws run in step order, so the first rows do not
+    depend on how many blocks are pulled: a caller that needs only the
+    start of a trial may stop early.
+    """
+    state = initial_state(seed, material)
+    accels = motion.accelerations().tolist()
+    n = motion.n_steps
+    arrays = step_arrays(n)
+    for i in range(0, n, RENDER_BLOCK):
+        end = min(i + RENDER_BLOCK, n)
+        step(state, material, accels[i:end], torque,
+             out={name: a[i:end] for name, a in arrays.items()})
+        yield {name: a[:end] for name, a in arrays.items()}
+
+
 def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
               seed: int, trial_id: str | None = None) -> TrialRecord:
     """Run one full trial and collect the synchronized record.
@@ -374,13 +398,14 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     field and "audio" (shape (i, CHUNK), not yet quantized) to its first i
     rows: views of the arrays the trial is filling, which the policy must
     not write. A fixed torque reads nothing before the trial ends, so its
-    steps go to `step` in blocks of RENDER_BLOCK. A policy's steps are
-    rendered ahead: a block of k steps runs under the current command, then
-    the policy decides steps i + 1 ... i + k - 1 on the rows that stand.
-    Where its command changes, the state is restored and only the steps
-    before the change are rendered again, into the same bytes, since a
-    block gives the bits of its single steps. k is 1 after a change and
-    doubles, up to RENDER_BLOCK, after each block whose command held.
+    blocks come from `fixed_grip_blocks`, drained here to the last. A
+    policy's steps are rendered ahead: a block of k steps runs under the
+    current command, then the policy decides steps i + 1 ... i + k - 1 on
+    the rows that stand. Where its command changes, the state is restored
+    and only the steps before the change are rendered again, into the same
+    bytes, since a block gives the bits of its single steps. k is 1 after
+    a change and doubles, up to RENDER_BLOCK, after each block whose
+    command held.
     A policy may also have a method ``perceive(history, start)``. It is
     then passed each block once, after the block is rendered and before
     any decision over it: `history` holds the first i + k rows, and rows
@@ -389,28 +414,29 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     step j may use only what was perceived of the rows before j. A replay
     is not passed again: it rewrites the rows it keeps with the same
     bytes. For a fixed torque and a policy alike, `step` writes straight
-    into the record's arrays. This is the only loop over `step`.
+    into the record's arrays. The policy loop here and the block loop of
+    `fixed_grip_blocks` are the only loops over `step`.
     """
     if motion.n_steps < 1:
         raise ValueError("motion duration must cover at least one step")
-    state = initial_state(seed, material)
-    accels = motion.accelerations().tolist()
-    n = motion.n_steps
-    arrays = step_arrays(n)
-
-    def render(state, i, k, torque, stiffness):
-        rows = {name: a[i:i + k] for name, a in arrays.items()}
-        step(state, material, accels[i:i + k], torque,
-             stiffness_scale=stiffness, out=rows)
-
-    def decide(i):
-        torque, stiffness = grip_policy({name: a[:i] for name, a in arrays.items()})
-        return torque, stiffness
-
     if not callable(grip_policy):
-        for i in range(0, n, RENDER_BLOCK):
-            render(state, i, RENDER_BLOCK, float(grip_policy), 1.0)
+        for arrays in fixed_grip_blocks(material, motion, float(grip_policy), seed):
+            pass  # the last block's rows are the whole trial
     else:
+        state = initial_state(seed, material)
+        accels = motion.accelerations().tolist()
+        n = motion.n_steps
+        arrays = step_arrays(n)
+
+        def render(state, i, k, torque, stiffness):
+            rows = {name: a[i:i + k] for name, a in arrays.items()}
+            step(state, material, accels[i:i + k], torque,
+                 stiffness_scale=stiffness, out=rows)
+
+        def decide(i):
+            torque, stiffness = grip_policy({name: a[:i] for name, a in arrays.items()})
+            return torque, stiffness
+
         perceive = getattr(grip_policy, "perceive", None)
         i, k, command = 0, 1, decide(0)
         while i < n:

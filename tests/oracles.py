@@ -2,10 +2,11 @@
 
 Everything here is written as directly as possible from the defining
 formulas (explicit loops, naive O(n^2) transforms, outcome enumeration)
-and deliberately shares no code with the package under test. The one
-exception is `single_step_trial`: it checks the trial loop, not the
-simulator, so it drives the package's own `simulation.step` one step at a
-time.
+and deliberately shares no code with the package under test. Two
+exceptions check loops, not the pieces they call: `single_step_trial`
+drives the package's own `simulation.step` one step at a time, and
+`whole_trial_active_loop` runs the package's trials, classifier and
+posterior updates on whole trials.
 """
 
 import math
@@ -279,3 +280,44 @@ def records_equal(a, b) -> bool:
     return all(getattr(a, name).dtype == getattr(b, name).dtype
                and np.array_equal(getattr(a, name), getattr(b, name))
                for name in arrays)
+
+
+def whole_trial_active_loop(material, classifier, L, confidence_target,
+                            max_segments, seed, selector):
+    """`inference.run_active_loop` on whole trials: each motion's trial runs
+    to its end through `simulation.run_trial` and is cut by `dsp.segment`,
+    then its segments are classified in order until the posterior commits
+    or the budget runs out. Returns the log and the steps rendered."""
+    from gripsense import dataset, dsp, inference
+    from gripsense.models.classifier import classify
+
+    motions = sorted(L.confusions, key=dataset.MOTIONS.index)
+    rng = np.random.default_rng(seed)
+    p = inference.uniform_posterior()
+    log = inference.ActiveLog(material.name, selector, seed, confidence_target)
+    rendered = 0
+
+    def done():
+        return log.segments_used >= max_segments or \
+            float(p.probs.max()) >= confidence_target
+
+    while not done():
+        if selector == "eig":
+            motion = inference.select_motion(p, motions, L)
+        else:
+            motion = motions[int(rng.integers(len(motions)))]
+        profile = dataset.sample_trial_profile(motion, rng)
+        trial_seed = int(rng.integers(2 ** 31))
+        record = simulation.run_trial(material, profile,
+                                      dataset.COLLECTION_TORQUE, trial_seed)
+        rendered += record.n_steps
+        for seg in dsp.segment(record.audio):
+            if done():
+                break
+            pred = int(np.argmax(classify(classifier, dsp.mfcc(seg))))
+            p = inference.update_posterior(p, motion, pred, L)
+            log.motions.append(motion)
+            log.predicted.append(classifier.cfg.classes[pred])
+            log.posteriors.append(p.probs.copy())
+    log.reached_confidence = float(p.probs.max()) >= confidence_target
+    return log, rendered

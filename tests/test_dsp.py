@@ -108,6 +108,18 @@ class TestMfcc:
         m = dsp.mfcc(tone())
         assert m.shape == (98, 13)
 
+    @pytest.mark.parametrize("n", [400, 401, 559, 560, 16000])
+    def test_windowed_frames_equal_index_gather(self, n):
+        # the strided framing reads the same samples as gathering each
+        # frame's indices, one frame every HOP samples
+        x = np.random.default_rng(n).standard_normal(n)
+        n_frames = dsp.frame_count(n)
+        idx = np.arange(dsp.FRAME_LEN)[None, :] \
+            + dsp.HOP * np.arange(n_frames)[:, None]
+        frames = dsp.windowed_frames(x)
+        assert frames.shape == (n_frames, dsp.FRAME_LEN)
+        assert np.array_equal(frames, x[idx] * dsp._WINDOW)
+
     def test_silence_is_flat(self):
         m = dsp.mfcc(np.zeros(16000))
         # every frame of digital silence produces the identical coefficient row

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gripsense import inference
+from gripsense import inference, simulation
 from gripsense.materials import material_table
 from gripsense.models.classifier import classify
 
@@ -161,6 +161,13 @@ class TestSelectMotion:
             inference.select_motion(inference.uniform_posterior(), [],
                                     inference.MotionLikelihoodModel({}))
 
+    def test_unknown_motion_is_named(self):
+        # a likelihood model takes any motion name; selecting among motions
+        # the rig cannot perform names them and the rig's motions
+        L = inference.MotionLikelihoodModel({"probe": np.eye(5)})
+        with pytest.raises(ValueError, match=r"'probe'.*'shaking', 'rotation'"):
+            inference.select_motion(inference.uniform_posterior(), ["probe"], L)
+
 
 class TestEstimateConfusions:
     def test_laplace_smoothed_counts(self):
@@ -229,6 +236,70 @@ class TestActiveLoop:
         with pytest.raises(ValueError):
             inference.run_active_loop(TABLE["rice"], classifier, likelihoods,
                                       0.95, 5, seed=0, selector="greedy")
+
+    @pytest.mark.parametrize("selector", ["eig", "random"])
+    def test_unknown_motion_is_named(self, classifier, selector):
+        L = inference.MotionLikelihoodModel({"shaking": SHARP_C,
+                                             "probe": np.eye(5)})
+        with pytest.raises(ValueError, match=r"'probe'.*'shaking', 'rotation'"):
+            inference.run_active_loop(TABLE["rice"], classifier, L, 0.95, 5,
+                                      seed=0, selector=selector)
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    @pytest.mark.parametrize("selector", ["eig", "random"])
+    def test_equals_whole_trial_loop_and_renders_only_used_segments(
+            self, monkeypatch, classifier, likelihoods, name, selector):
+        # the loop renders each trial one segment at a time and stops with
+        # the posterior; the oracle renders every trial whole. Both must
+        # classify the same segments, and the loop must render and
+        # classify nothing it does not use. The counts wrap the module
+        # attributes the benchmark's spans wrap
+        steps, calls = [], []
+
+        def counting(owner, attr, log, size):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                log.append(size(args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counting(simulation, "step", steps, lambda args: len(args[2]))
+        counting(inference, "classify", calls, lambda args: 1)
+        for seed in (60, 61):
+            del steps[:], calls[:]
+            got = inference.run_active_loop(TABLE[name], classifier, likelihoods,
+                                            0.95, 8, seed=seed, selector=selector)
+            assert sum(steps) == inference.SEGMENT_STEPS * got.segments_used
+            assert len(calls) == got.segments_used
+            want, _ = oracles.whole_trial_active_loop(
+                TABLE[name], classifier, likelihoods, 0.95, 8, seed, selector)
+            assert got.motions == want.motions
+            assert got.predicted == want.predicted
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.posteriors, want.posteriors))
+            assert got.reached_confidence == want.reached_confidence
+
+    @pytest.mark.parametrize("target, budget, reached",
+                             [(0.21, 10, True), (0.999999999, 4, False)])
+    def test_stop_mid_trial(self, classifier, likelihoods, target, budget,
+                            reached):
+        # the confidence stop and the budget stop both fall inside a trial:
+        # the whole-trial oracle renders seconds the loop never does
+        for selector in ("eig", "random"):
+            got = inference.run_active_loop(TABLE["rice"], classifier,
+                                            likelihoods, target, budget,
+                                            seed=40, selector=selector)
+            want, rendered = oracles.whole_trial_active_loop(
+                TABLE["rice"], classifier, likelihoods, target, budget, 40,
+                selector)
+            assert got.reached_confidence == want.reached_confidence == reached
+            assert rendered > inference.SEGMENT_STEPS * got.segments_used
+            assert got.motions == want.motions
+            assert got.predicted == want.predicted
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got.posteriors, want.posteriors))
 
     def test_csv_layout(self, tmp_path, classifier, likelihoods):
         log = inference.run_active_loop(TABLE["rice"], classifier, likelihoods,

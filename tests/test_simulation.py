@@ -256,6 +256,37 @@ class TestTrials:
         assert blocks.dropped.any() and not blocks.dropped[0]
         assert records_equal(blocks, steps)
 
+    def test_fixed_grip_blocks_render_lazily_and_keep_the_prefix(self, monkeypatch):
+        # 506 steps: five full render blocks and a partial one
+        motion = rotation_profile(0.7, 1.7, 2.53)
+        assert motion.n_steps % RENDER_BLOCK != 0
+        rec = run_trial(TABLE["gummies"], motion, 0.4, 21)
+        rendered = []
+        original = simulation.step
+
+        def counting(*args, **kwargs):
+            rendered.append(len(args[2]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "step", counting)
+        blocks = simulation.fixed_grip_blocks(TABLE["gummies"], motion, 0.4, 21)
+        assert rendered == []
+        for b in range(1, 3):
+            rows = next(blocks)
+            # a block is rendered only when it is pulled
+            assert rendered == [RENDER_BLOCK] * b
+            end = b * RENDER_BLOCK
+            assert set(rows) == set(step_arrays(0))
+            for name, _, _ in TRIAL_ARRAYS:
+                assert rows[name].dtype == getattr(rec, name).dtype
+                assert np.array_equal(rows[name], getattr(rec, name)[:end])
+            assert np.array_equal(quantize_pcm16(rows["audio"].reshape(-1)),
+                                  rec.audio[:end * simulation.CHUNK])
+        *_, last = blocks
+        assert sum(rendered) == motion.n_steps
+        assert all(len(a) == motion.n_steps for a in last.values())
+        assert np.array_equal(quantize_pcm16(last["audio"].reshape(-1)), rec.audio)
+
     def test_policy_sees_the_rows_written_so_far(self):
         motion = rotation_profile(0.9, 2.0, 0.8)
         chunk = round(SIM_DT * SAMPLE_RATE)
