@@ -138,6 +138,10 @@ def load_models(models_dir):
             raise ValueError(f"{path} is for unknown motion {motion!r}; "
                              f"expected one of {ds.MOTIONS}")
         confusions[motion] = read_confusion_csv(path)
+        try:
+            inference.MotionLikelihoodModel({motion: confusions[motion]})
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
     likelihoods = (inference.MotionLikelihoodModel(confusions)
                    if confusions else None)
     return classifier, registry, likelihoods

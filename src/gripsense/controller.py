@@ -24,7 +24,7 @@ from .models.classifier import MaterialClassifier, classify
 from .models.predictor import FeatureWindow, Prediction, predict
 from .models.registry import ModelRegistry, select_model
 from .motion import SIM_DT, MotionProfile
-from .simulation import TrialRecord, quantize_pcm16, run_trial
+from .simulation import TrialRecord, run_trial
 
 ONLINE_HOP_S = 0.25  # classifier cadence during an episode
 
@@ -118,11 +118,10 @@ class _ReactivePolicy:
     Perceives each block the trial loop renders with one feature call, into
     a per-episode array of feature rows. The decision of step i pushes row
     i - 1 into the active model's feature window, reads the last second of
-    audio at classifier hops (on the PCM16 grid), predicts, updates the
-    grip, records step i's command and prediction at index i, and emits the
-    command. A commit gives the material model a window of its own, pushed
-    the last W rows, so the decision that commits already predicts with
-    the new model.
+    audio at classifier hops, predicts, updates the grip, records step i's
+    command and prediction at index i, and emits the command. A commit
+    gives the material model a window of its own, pushed the last W rows,
+    so the decision that commits already predicts with the new model.
     """
 
     def __init__(self, classifier: MaterialClassifier, registry: ModelRegistry,
@@ -148,8 +147,7 @@ class _ReactivePolicy:
         if i % self.hop_steps != 0 or audio.size < dsp.SEGMENT_SAMPLES:
             return
         t = i * SIM_DT
-        # the PCM16 grid of the trial record, which training reads back
-        second = quantize_pcm16(audio.reshape(-1)[-dsp.SEGMENT_SAMPLES:])
+        second = audio.reshape(-1)[-dsp.SEGMENT_SAMPLES:]
         probs = classify(self.classifier, dsp.mfcc(second))
         best = int(np.argmax(probs))
         if probs[best] >= self.cfg.classifier_commit_confidence:

@@ -14,7 +14,7 @@ import wave
 
 import numpy as np
 
-from .simulation import SAMPLE_RATE
+from .simulation import PCM16_FULL_SCALE, SAMPLE_RATE
 
 SEGMENT_S = 1.0  # clip length for classification; clips do not overlap
 SEGMENT_SAMPLES = round(SEGMENT_S * SAMPLE_RATE)
@@ -133,7 +133,7 @@ def mfcc(samples: np.ndarray) -> np.ndarray:
 
 def write_wav(path, samples: np.ndarray) -> None:
     """Write mono PCM 16-bit little-endian WAV at SAMPLE_RATE."""
-    pcm = np.round(np.clip(samples, -1.0, 1.0) * 32767.0).astype("<i2")
+    pcm = np.round(np.clip(samples, -1.0, 1.0) * PCM16_FULL_SCALE).astype("<i2")
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
@@ -154,7 +154,7 @@ def read_wav(path, data: bytes) -> np.ndarray:
             raise ValueError(f"{path} has sample rate {rate} Hz; the rig "
                              f"records at {SAMPLE_RATE} Hz")
         raw = f.readframes(f.getnframes())
-    return np.frombuffer(raw, dtype="<i2").astype(float) / 32767.0
+    return np.frombuffer(raw, dtype="<i2").astype(float) / PCM16_FULL_SCALE
 
 
 def AudioSegment(samples, *_) -> np.ndarray:

@@ -19,7 +19,7 @@ from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
 from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
 from .models.metrics import confusion_matrix
-from .simulation import CHUNK, fixed_grip_blocks, quantize_pcm16
+from .simulation import CHUNK, fixed_grip_blocks
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +34,7 @@ class Posterior:
 
     def __post_init__(self):
         p = self.probs
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):
             raise ValueError("posterior must be non-negative and sum to 1")
 
 
@@ -51,7 +51,7 @@ class MotionLikelihoodModel:
 
     def __post_init__(self):
         for motion, C in self.confusions.items():
-            if np.any(C < 0) or np.any(np.abs(C.sum(axis=1) - 1.0) > 1e-9):
+            if not (np.all(C >= 0) and np.all(np.abs(C.sum(axis=1) - 1.0) <= 1e-9)):
                 raise ValueError(f"confusion matrix for {motion!r} is not "
                                  "row-stochastic")
 
@@ -168,7 +168,7 @@ class ActiveLog:
 
 def _trial_segments(material: MaterialParams, profile, seed: int):
     """The whole one-second segments of a fixed-grip collection trial, in
-    order and on the PCM16 grid; each is rendered only when asked for, so
+    order, as views of its audio; each is rendered only when asked for, so
     a trial abandoned after s segments renders s * SEGMENT_STEPS steps."""
     blocks = fixed_grip_blocks(material, profile, COLLECTION_TORQUE, seed)
     rendered = 0
@@ -176,7 +176,7 @@ def _trial_segments(material: MaterialParams, profile, seed: int):
         while rendered < end:
             rows = next(blocks)
             rendered = len(rows["t"])
-        yield quantize_pcm16(rows["audio"][end - SEGMENT_STEPS:end].reshape(-1))
+        yield rows["audio"][end - SEGMENT_STEPS:end].reshape(-1)
 
 
 def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,

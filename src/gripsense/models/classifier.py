@@ -104,10 +104,13 @@ class MaterialClassifier:
         dp2 = np.repeat(dg[:, :, None] / p2.shape[2], p2.shape[2], axis=2)
         da2 = _maxpool2_back(dp2, arg2, a2.shape)
         dz2 = da2 * (z2 > 0)
-        dp1 = _conv1d_back(dz2, p1, v["W2"], gv["W2"], gv["b2"])
+        _conv1d_param_grads(dz2, p1, gv["W2"], gv["b2"])
+        dp1 = np.zeros_like(p1)
+        for k in range(self.cfg.kernel):  # (C1, C2) @ (B, C2, To) per tap
+            dp1[:, :, k:k + dz2.shape[2]] += np.matmul(v["W2"][:, :, k].T, dz2)
         da1 = _maxpool2_back(dp1, arg1, a1.shape)
         dz1 = da1 * (z1 > 0)
-        _conv1d_back(dz1, h0, v["W1"], gv["W1"], gv["b1"])
+        _conv1d_param_grads(dz1, h0, gv["W1"], gv["b1"])
         return loss, grad
 
 
@@ -122,16 +125,13 @@ def _conv1d(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _conv1d_back(dy: np.ndarray, x: np.ndarray, W: np.ndarray,
-                 dW: np.ndarray, db: np.ndarray) -> np.ndarray:
-    K = W.shape[2]
+def _conv1d_param_grads(dy: np.ndarray, x: np.ndarray,
+                        dW: np.ndarray, db: np.ndarray) -> None:
+    """Gradients of _conv1d's weights and bias, written into dW and db."""
     To = dy.shape[2]
     db[...] = dy.sum(axis=(0, 2))
-    dx = np.zeros_like(x)
-    for k in range(K):
-        dW[:, :, k] = np.einsum("bot,bct->oc", dy, x[:, :, k:k + To], optimize=True)
-        dx[:, :, k:k + To] += np.einsum("bot,oc->bct", dy, W[:, :, k], optimize=True)
-    return dx
+    for k in range(dW.shape[2]):
+        dW[:, :, k] = np.tensordot(dy, x[:, :, k:k + To], axes=([0, 2], [0, 2]))
 
 
 def _maxpool2(x: np.ndarray):

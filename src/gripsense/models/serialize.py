@@ -103,6 +103,8 @@ def load_model(path, kind: str):
     missing = sorted({"input_mean", "input_std", *extras} - set(descriptor))
     if missing:
         raise ModelFormatError(f"{path}: descriptor lacks {missing}")
+    if not np.all(np.isfinite(params)):
+        raise ModelFormatError(f"{path}: {kind} parameters are not all finite")
     try:
         cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v
                          for k, v in config.items()})
@@ -113,8 +115,16 @@ def load_model(path, kind: str):
                 raise ValueError(f"{name} has shape {stats.shape}, expected "
                                  f"{getattr(model, name).shape}")
             setattr(model, name, stats)
+        for name in extras:
+            setattr(model, name, descriptor[name])
+        # a model divides by each std, which training floors at 1e-6
+        for name in ("input_mean", "input_std", "force_mean", "force_std"):
+            if hasattr(model, name):
+                stats = np.asarray(getattr(model, name), dtype=float)
+                if not np.all(np.isfinite(stats)):
+                    raise ValueError(f"{name} is not all finite")
+                if name.endswith("_std") and not np.all(stats > 0):
+                    raise ValueError(f"{name} is not all positive")
     except (TypeError, ValueError) as e:
         raise ModelFormatError(f"{path}: bad {kind} descriptor: {e}") from e
-    for name in extras:
-        setattr(model, name, descriptor[name])
     return model

@@ -86,6 +86,7 @@ JOINT_NOISE = 5e-4            # rad, per-step encoder jitter
 JOINT_ANGLE_MAX = 1.6         # rad, mechanical stop
 TACTILE_QUANTUM = 1e-4        # N, recorded pressure resolution
 JOINT_QUANTUM = 1e-6          # rad / Nm, recorded joint resolution
+PCM16_FULL_SCALE = 32767.0    # recorded audio: 16-bit PCM steps per unit amplitude
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -201,8 +202,8 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
 
     motion_accel is one acceleration (k = 1) or a 1-D sequence of k, one per
     step. The k steps are written into `out`, arrays shaped as by
-    `step_arrays(k)`, or into new ones, which are returned. Audio rows are
-    not yet quantized.
+    `step_arrays(k)`, or into new ones, which are returned. Every stream is
+    rendered at its recorded resolution, audio on the 16-bit PCM grid.
     """
     accels = np.asarray(motion_accel, dtype=float)
     if accels.ndim > 1 or accels.size == 0:
@@ -292,7 +293,8 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     cells = out["true_cell"]
     np.divmod(flat.argmax(axis=1), GRID_COLS, out=(cells[:, 0], cells[:, 1]))
 
-    # Audio: pending tail plus this block's impacts, then noise, then clip.
+    # Audio: pending tail plus this block's impacts, then noise, then clip
+    # onto the PCM16 grid that trial storage writes.
     n_tail = len(state.audio_tail)
     buf = np.zeros(k * chunk + n_tail)
     buf[:n_tail] = state.audio_tail
@@ -301,6 +303,9 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     audio += buf[:k * chunk].reshape(k, chunk)
     np.maximum(audio, -1.0, out=audio)
     np.minimum(audio, 1.0, out=audio)
+    audio *= PCM16_FULL_SCALE
+    np.rint(audio, out=audio)
+    audio /= PCM16_FULL_SCALE
     state.audio_tail = buf[k * chunk:]
 
     # Joint streams: grasp closing plus slip drag, with encoder jitter.
@@ -358,24 +363,18 @@ class TrialRecord:
         return SIM_DT
 
 
-def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
-    """Snap samples onto the 16-bit PCM grid used by trial storage."""
-    ints = np.round(np.clip(samples, -1.0, 1.0) * 32767.0)
-    return ints / 32767.0
-
-
 def fixed_grip_blocks(material: MaterialParams, motion: MotionProfile,
                       torque: float, seed: int):
     """Render a trial under a fixed grip torque, RENDER_BLOCK steps at a time.
 
     A block is rendered only when it is asked for. After each, the
     generator yields the trial's first i + k rows: every TRIAL_ARRAYS
-    field and "audio" (shape (i + k, CHUNK), not yet quantized), as views
-    of the arrays the trial fills, which the caller must not write. The
-    last yield holds the whole trial. A block gives the bits of its single
-    steps and the random draws run in step order, so the first rows do not
-    depend on how many blocks are pulled: a caller that needs only the
-    start of a trial may stop early.
+    field and "audio" (shape (i + k, CHUNK)), as views of the arrays the
+    trial fills, which the caller must not write. The last yield holds the
+    whole trial. A block gives the bits of its single steps and the random
+    draws run in step order, so the first rows do not depend on how many
+    blocks are pulled: a caller that needs only the start of a trial may
+    stop early.
     """
     state = initial_state(seed, material)
     accels = motion.accelerations().tolist()
@@ -395,17 +394,16 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     grip_policy is either a fixed torque (float) or a callable
     ``policy(history) -> (torque, stiffness_scale)`` invoked once before
     every step, in order. Before step i, `history` maps every TRIAL_ARRAYS
-    field and "audio" (shape (i, CHUNK), not yet quantized) to its first i
-    rows: views of the arrays the trial is filling, which the policy must
-    not write. A fixed torque reads nothing before the trial ends, so its
-    blocks come from `fixed_grip_blocks`, drained here to the last. A
-    policy's steps are rendered ahead: a block of k steps runs under the
-    current command, then the policy decides steps i + 1 ... i + k - 1 on
-    the rows that stand. Where its command changes, the state is restored
-    and only the steps before the change are rendered again, into the same
-    bytes, since a block gives the bits of its single steps. k is 1 after
-    a change and doubles, up to RENDER_BLOCK, after each block whose
-    command held.
+    field and "audio" (shape (i, CHUNK)) to its first i rows: views of the
+    arrays the trial is filling, which the policy must not write. A fixed
+    torque reads nothing before the trial ends, so its blocks come from
+    `fixed_grip_blocks`, drained here to the last. A policy's steps are
+    rendered ahead: a block of k steps runs under the current command,
+    then the policy decides steps i + 1 ... i + k - 1 on the rows that
+    stand. Where its command changes, the state is restored and only the
+    steps before the change are rendered again, into the same bytes, since
+    a block gives the bits of its single steps. k is 1 after a change and
+    doubles, up to RENDER_BLOCK, after each block whose command held.
     A policy may also have a method ``perceive(history, start)``. It is
     then passed each block once, after the block is rendered and before
     any decision over it: `history` holds the first i + k rows, and rows
@@ -472,6 +470,6 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
         material=material.name,
         motion=meta,
         seed=seed,
-        audio=quantize_pcm16(arrays.pop("audio").reshape(-1)),
+        audio=arrays.pop("audio").reshape(-1),
         **arrays,
     )

@@ -266,8 +266,16 @@ def single_step_trial(material, motion, policy, seed, trial_id=None):
     return simulation.TrialRecord(
         trial_id=trial_id or f"trial-{seed}", material=material.name,
         motion=meta, seed=seed,
-        audio=simulation.quantize_pcm16(arrays.pop("audio").reshape(-1)),
+        audio=arrays.pop("audio").reshape(-1),
         **arrays)
+
+
+def on_pcm16_grid(samples) -> bool:
+    """Every sample is k / 32767 for an integer k in [-32767, 32767]: the
+    values a 16-bit PCM WAV reads back as."""
+    x = np.asarray(samples, dtype=float)
+    k = np.rint(x * 32767.0)
+    return bool(np.all(np.abs(k) <= 32767) and np.array_equal(k / 32767.0, x))
 
 
 def records_equal(a, b) -> bool:

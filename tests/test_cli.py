@@ -393,6 +393,25 @@ class TestLoadModels:
         assert rc == 1
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["nan", "0.9"])
+    def test_bad_confusion_entries_name_file(self, cli_models, tmp_path,
+                                             capsys, entry):
+        # a nan, or a row that no longer sums to 1
+        models = self.copy(cli_models, tmp_path)
+        path = models / cli.confusion_filename("shaking")
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        rows[2][3] = entry
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        with pytest.raises(ValueError, match=f"{path}: confusion matrix for "
+                           "'shaking' is not row-stochastic"):
+            cli.load_models(models)
+        rc = cli.main(["active", "--models", str(models),
+                       "--out", str(tmp_path / "o"), "--material", "rice"])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
 
 def test_episode_csv_schema_is_stable():
     assert EPISODE_COLUMNS[0] == "t"

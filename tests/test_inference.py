@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from gripsense import inference, simulation
+from gripsense import dsp, inference, simulation
+from gripsense.dataset import COLLECTION_TORQUE, sample_trial_profile
 from gripsense.materials import material_table
 from gripsense.models.classifier import classify
 
@@ -30,6 +31,18 @@ class TestPosterior:
             inference.Posterior(np.array([0.5, 0.6, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             inference.Posterior(np.array([0.5, 0.6, -0.1, 0.0, 0.0]))
+
+    def test_nan_rejected(self):
+        # nan fails every comparison, so each check must be one nan fails
+        with pytest.raises(ValueError, match="posterior"):
+            inference.Posterior(np.array([np.nan, 0.25, 0.25, 0.25, 0.25]))
+        C = SHARP_C.copy()
+        C[1, 2] = np.nan
+        with pytest.raises(ValueError, match="'shaking' is not row-stochastic"):
+            model(C)
+        C[1, 2] = np.inf
+        with pytest.raises(ValueError, match="'shaking' is not row-stochastic"):
+            model(C)
 
     def test_uninformative_likelihood_keeps_prior(self):
         p = inference.uniform_posterior()
@@ -228,6 +241,19 @@ class TestActiveLoop:
         for probs in log.posteriors:
             assert abs(float(probs.sum()) - 1.0) <= 1e-9
             assert np.all(probs >= 0)
+
+    @pytest.mark.parametrize("motion", ["shaking", "rotation"])
+    def test_trial_segments_are_the_record_audio(self, motion):
+        # the loop classifies the recorded PCM16 samples as they stand,
+        # the seconds training reads back from the trial's audio.wav
+        profile = sample_trial_profile(motion, np.random.default_rng(3))
+        rec = simulation.run_trial(TABLE["cereal"], profile,
+                                   COLLECTION_TORQUE, 77)
+        segments = list(inference._trial_segments(TABLE["cereal"], profile, 77))
+        want = dsp.segment(rec.audio)
+        assert len(segments) == len(want)
+        for got, row in zip(segments, want):
+            assert got.dtype == row.dtype and np.array_equal(got, row)
 
     def test_validation(self, classifier, likelihoods):
         with pytest.raises(ValueError):

@@ -442,6 +442,28 @@ class TestSerialization:
             load_model(path, "classifier")
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("parameters", np.nan), ("input_mean", np.inf),
+        ("input_std", np.nan), ("input_std", 0.0), ("input_std", -1.0),
+        ("force_mean", np.nan), ("force_std", 0.0), ("force_std", np.inf),
+    ])
+    def test_non_finite_or_zero_statistics_name_the_file(self, tmp_path,
+                                                          field, value):
+        model = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=6,
+                                              horizon=3, seed=2))
+        model.force_mean, model.force_std = 0.4, 0.2
+        if field == "parameters":
+            model.theta[5] = value
+        elif field.startswith("input_"):
+            getattr(model, field)[3] = value
+        else:
+            setattr(model, field, value)
+        path = tmp_path / "odd.gsm"
+        save_model(path, model)
+        with pytest.raises(ModelFormatError, match=f"odd.gsm: .*{field}"):
+            load_model(path, "predictor")
+
+
 class TestMetrics:
     def test_auc_known_values(self):
         assert mx.auc(np.array([0.9, 0.8, 0.2, 0.1]),

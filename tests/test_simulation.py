@@ -16,12 +16,11 @@ from gripsense.simulation import (
     TRIAL_ARRAYS,
     _BASE_PATTERN,
     initial_state,
-    quantize_pcm16,
     run_trial,
     step,
     step_arrays,
 )
-from oracles import records_equal, single_step_trial
+from oracles import on_pcm16_grid, records_equal, single_step_trial
 
 TABLE = material_table()
 
@@ -138,6 +137,16 @@ class TestStep:
         assert block_state.t == state.t
         assert np.array_equal(block_state.audio_tail, state.audio_tail)
 
+    def test_audio_rows_sit_on_pcm16_grid(self):
+        # loud enough to clip: the grid includes full scale
+        m = TABLE["rice"]
+        accels = [0.0, 40.0, -60.0, 80.0, 25.0]
+        state = initial_state(4, m)
+        singles = [step(state, m, a, 0.2)["audio"] for a in accels]
+        block = step(initial_state(4, m), m, accels, 0.2)["audio"]
+        assert np.array_equal(np.concatenate(singles), block)
+        assert on_pcm16_grid(block) and block.any()
+
     def test_contact_pattern_is_shared_read_only(self):
         pattern = _BASE_PATTERN
         assert pattern.sum() == pytest.approx(1.0)
@@ -231,7 +240,7 @@ class TestTrials:
 
     def test_audio_sits_on_pcm16_grid(self):
         rec = run_trial(TABLE["cereal"], fixed_shake(), 0.4, 8)
-        assert np.array_equal(quantize_pcm16(rec.audio), rec.audio)
+        assert on_pcm16_grid(rec.audio)
 
     @pytest.mark.parametrize("name", sorted(TABLE))
     @pytest.mark.parametrize("motion", [fixed_shake(),
@@ -280,12 +289,12 @@ class TestTrials:
             for name, _, _ in TRIAL_ARRAYS:
                 assert rows[name].dtype == getattr(rec, name).dtype
                 assert np.array_equal(rows[name], getattr(rec, name)[:end])
-            assert np.array_equal(quantize_pcm16(rows["audio"].reshape(-1)),
+            assert np.array_equal(rows["audio"].reshape(-1),
                                   rec.audio[:end * simulation.CHUNK])
         *_, last = blocks
         assert sum(rendered) == motion.n_steps
         assert all(len(a) == motion.n_steps for a in last.values())
-        assert np.array_equal(quantize_pcm16(last["audio"].reshape(-1)), rec.audio)
+        assert np.array_equal(last["audio"].reshape(-1), rec.audio)
 
     def test_policy_sees_the_rows_written_so_far(self):
         motion = rotation_profile(0.9, 2.0, 0.8)
@@ -305,7 +314,7 @@ class TestTrials:
         for i, rows in enumerate(newest[1:]):
             for name, _, _ in TRIAL_ARRAYS:
                 assert np.array_equal(rows[name], getattr(rec, name)[i]), name
-            assert np.array_equal(quantize_pcm16(rows["audio"]),
+            assert np.array_equal(rows["audio"],
                                   rec.audio[i * chunk:(i + 1) * chunk])
 
 
@@ -401,6 +410,30 @@ class TestRenderAhead:
         assert replays and perceived == [c for c in calls if c not in replays]
         assert np.array_equal(np.stack([rows[i] for i in range(rec.n_steps)]),
                               rec.tactile)
+
+    def test_replayed_rows_sit_on_pcm16_grid(self, monkeypatch):
+        # every block `step` renders is on the grid, replays included, and
+        # its rows that the trial keeps are the record's bytes
+        motion = rotation_profile(0.9, 2.0, 1.5)
+        changes = {0: (0.4, 1.0), 66: (0.3, 2.0), 100: (0.45, 1.0)}
+        rendered = []
+        original = simulation.step
+
+        def spy(state, *args, **kwargs):
+            start = round(state.t / SIM_DT)
+            out = original(state, *args, **kwargs)
+            rendered.append((start, out["audio"].copy()))
+            return out
+
+        monkeypatch.setattr(simulation, "step", spy)
+        rec = run_trial(TABLE["rice"], motion, scripted_policy(changes), 5)
+        audio = rec.audio.reshape(-1, simulation.CHUNK)
+        kept = dict(rendered)  # the last block rendered from each start
+        assert len(kept) < len(rendered)  # some blocks were replayed
+        for start, rows in rendered:
+            assert on_pcm16_grid(rows)
+            n = len(kept[start])
+            assert np.array_equal(rows[:n], audio[start:start + n])
 
     def test_policy_changing_every_step(self, monkeypatch):
         motion = shaking_profile(5, 18.0, 2.0)
