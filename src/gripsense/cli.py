@@ -304,10 +304,6 @@ def cmd_episode(args) -> int:
     drops = sum(int(r[5]) for r in rows)
     print(f"{args.episodes} episodes ({args.policy}): mean torque "
           f"{mean_all:.3f} Nm, drops {drops}")
-    if args.summary:
-        for r in rows:
-            print(f"  episode {r[0]:>3}: mean {float(r[2]):.3f} Nm "
-                  f"dropped={r[5]} material={r[7] or '-'}")
     return 0
 
 
@@ -349,10 +345,6 @@ def cmd_active(args) -> int:
     med_rand = float(np.median([r[4] for r in rows]))
     print(f"active inference over {args.seeds} seeds: median segments "
           f"eig {med_eig:.1f} vs random {med_rand:.1f}")
-    if args.summary:
-        for r in rows:
-            print(f"  run {r[0]:>3}: eig {r[2]} (reached={r[3]}) "
-                  f"random {r[4]} (reached={r[5]})")
     return 0
 
 
@@ -430,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reactive or fixed:<torque Nm>")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--episodes", type=int, default=1)
-    p.add_argument("--summary", action="store_true")
     p.set_defaults(func=cmd_episode)
 
     p = sub.add_parser("active", help="active-inference material identification")
@@ -441,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-segments", type=int, default=12)
     p.add_argument("--seeds", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--summary", action="store_true")
     p.set_defaults(func=cmd_active)
 
     p = sub.add_parser("eval", help="evaluate saved models on the test split")

@@ -48,6 +48,8 @@ REGENERATE_HINT = "regenerate the dataset with `gripsense generate`"
 # meta.json keys the readers use, besides format_version
 META_KEYS = ("trial_id", "material", "motion", "seed", "sample_rate", "dt",
              "n_steps")
+# manifest.json keys the readers use, besides format_version and splits
+MANIFEST_KEYS = ("base_seed", "trials_per_cell", "materials", "motions", "trials")
 
 COLLECTION_TORQUE = 0.4  # Nm, fixed grip during data collection
 MOTIONS = ("shaking", "rotation")
@@ -189,21 +191,28 @@ def _take(files: dict[str, bytes], path: Path) -> bytes:
     return files.pop(path.name) if path.name in files else _read_bytes(path)
 
 
-def _parse_meta(meta_path: Path, raw: bytes) -> dict:
+def _parse_json(path: Path, raw, kind: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in `raw`, the bytes of `path`: a `kind` document of
+    this FORMAT_VERSION holding every one of `keys`."""
     try:
-        meta = json.loads(raw)
+        doc = json.loads(raw)
     except json.JSONDecodeError as e:
-        raise TruncationError(f"{meta_path} is not complete JSON") from e
-    if not isinstance(meta, dict):
-        raise TruncationError(f"{meta_path} does not hold a JSON object")
-    version = meta.get("format_version")
+        raise TruncationError(f"{path} is not complete JSON") from e
+    if not isinstance(doc, dict):
+        raise TruncationError(f"{path} does not hold a JSON object")
+    version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise VersionError(f"trial format version {version!r} in {meta_path}; "
+        raise VersionError(f"{kind} format version {version!r} in {path}; "
                            f"this reader handles version {FORMAT_VERSION}: "
                            f"{REGENERATE_HINT}")
-    missing = [k for k in META_KEYS if k not in meta]
+    missing = [k for k in keys if k not in doc]
     if missing:
-        raise TruncationError(f"{meta_path} lacks {', '.join(missing)}")
+        raise TruncationError(f"{path} lacks {', '.join(missing)}")
+    return doc
+
+
+def _parse_meta(meta_path: Path, raw: bytes) -> dict:
+    meta = _parse_json(meta_path, raw, "trial", META_KEYS)
     for key, rig in (("sample_rate", SAMPLE_RATE), ("dt", SIM_DT)):
         if meta[key] != rig:
             raise DatasetError(f"{meta_path} has {key} {meta[key]!r}; the "
@@ -301,17 +310,20 @@ def load_manifest(dataset_dir) -> DatasetManifest:
     path = Path(dataset_dir) / MANIFEST_NAME
     if not path.exists():
         raise DatasetError(f"no {MANIFEST_NAME} in {dataset_dir}")
-    doc = json.loads(path.read_text())
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise VersionError(f"manifest format version {doc.get('format_version')!r} "
-                           f"in {path}; this reader handles version "
-                           f"{FORMAT_VERSION}: {REGENERATE_HINT}")
-    trials = tuple(TrialEntry(t["trial_id"], t["material"], t["motion"],
-                              t["seed"], t["path"], t["checksums"])
-                   for t in doc["trials"])
-    return DatasetManifest(doc["format_version"], doc["base_seed"],
-                           doc["trials_per_cell"], tuple(doc["materials"]),
-                           tuple(doc["motions"]), trials, doc.get("splits"))
+    doc = _parse_json(path, path.read_bytes(), "manifest", MANIFEST_KEYS)
+    splits = doc.get("splits")
+    if splits is not None and not (isinstance(splits, dict)
+                                   and {"train", "val", "test"} <= splits.keys()):
+        raise DatasetError(f"{path} has splits without train, val and test")
+    try:
+        trials = tuple(TrialEntry(t["trial_id"], t["material"], t["motion"],
+                                  t["seed"], t["path"], t["checksums"])
+                       for t in doc["trials"])
+        return DatasetManifest(doc["format_version"], doc["base_seed"],
+                               doc["trials_per_cell"], tuple(doc["materials"]),
+                               tuple(doc["motions"]), trials, splits)
+    except (KeyError, TypeError) as e:
+        raise DatasetError(f"{path} has a malformed field: {e!r}") from e
 
 
 def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,

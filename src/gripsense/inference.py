@@ -19,7 +19,7 @@ from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
 from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
 from .models.metrics import confusion_matrix
-from .simulation import CHUNK, fixed_grip_blocks
+from .simulation import CHUNK, trial_blocks
 
 log = logging.getLogger(__name__)
 
@@ -167,10 +167,11 @@ class ActiveLog:
 
 
 def _trial_segments(material: MaterialParams, profile, seed: int):
-    """The whole one-second segments of a fixed-grip collection trial, in
-    order, as views of its audio; each is rendered only when asked for, so
-    a trial abandoned after s segments renders s * SEGMENT_STEPS steps."""
-    blocks = fixed_grip_blocks(material, profile, COLLECTION_TORQUE, seed)
+    """The whole one-second segments of a collection trial, in order, as
+    views of its audio. Its blocks are pulled from `trial_blocks` only as
+    far as the segment asked for, so a trial abandoned after s segments
+    renders s * SEGMENT_STEPS steps."""
+    blocks = trial_blocks(material, profile, COLLECTION_TORQUE, seed)
     rendered = 0
     for end in range(SEGMENT_STEPS, profile.n_steps + 1, SEGMENT_STEPS):
         while rendered < end:

@@ -135,19 +135,19 @@ def _conv1d_param_grads(dy: np.ndarray, x: np.ndarray,
 
 
 def _maxpool2(x: np.ndarray):
+    """Max over adjacent time pairs, and where the odd element won: a tie
+    goes to the even one, as argmax's does."""
     Tp = x.shape[2] // 2
-    xr = x[:, :, :2 * Tp].reshape(x.shape[0], x.shape[1], Tp, 2)
-    arg = xr.argmax(axis=3)
-    return np.take_along_axis(xr, arg[..., None], axis=3)[..., 0], arg
+    even, odd = x[:, :, 0:2 * Tp:2], x[:, :, 1:2 * Tp:2]
+    arg = odd > even
+    return np.where(arg, odd, even), arg
 
 
 def _maxpool2_back(dp: np.ndarray, arg: np.ndarray, x_shape: tuple) -> np.ndarray:
-    B, C, T = x_shape
     Tp = dp.shape[2]
-    dxr = np.zeros((B, C, Tp, 2))
-    np.put_along_axis(dxr, arg[..., None], dp[..., None], axis=3)
-    dx = np.zeros((B, C, T))
-    dx[:, :, :2 * Tp] = dxr.reshape(B, C, 2 * Tp)
+    dx = np.zeros(x_shape)
+    dx[:, :, 0:2 * Tp:2] = np.where(arg, 0.0, dp)
+    dx[:, :, 1:2 * Tp:2] = np.where(arg, dp, 0.0)
     return dx
 
 

@@ -58,8 +58,8 @@ TORQUE_DIST = np.tile([0.10, 0.40, 0.30, 0.20], 4)
 # commands 1.0 or 2.0.
 MAX_STIFFNESS_SCALE = 2.0
 
-# Steps per `step` call when a trial runs at a fixed grip: bounds the
-# render temporaries (a (100, 16, 16) float64 block is 200 kB).
+# The most steps one `step` call of a trial renders: bounds the render
+# temporaries (a (100, 16, 16) float64 block is 200 kB).
 RENDER_BLOCK = 100
 # Impact bursts synthesized per array operation (16 x 1680 samples at most).
 BURST_GROUP = 16
@@ -363,47 +363,23 @@ class TrialRecord:
         return SIM_DT
 
 
-def fixed_grip_blocks(material: MaterialParams, motion: MotionProfile,
-                      torque: float, seed: int):
-    """Render a trial under a fixed grip torque, RENDER_BLOCK steps at a time.
+def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
+                 seed: int):
+    """Render one trial, yielding the rows kept so far after each block.
 
-    A block is rendered only when it is asked for. After each, the
-    generator yields the trial's first i + k rows: every TRIAL_ARRAYS
-    field and "audio" (shape (i + k, CHUNK)), as views of the arrays the
-    trial fills, which the caller must not write. The last yield holds the
-    whole trial. A block gives the bits of its single steps and the random
-    draws run in step order, so the first rows do not depend on how many
-    blocks are pulled: a caller that needs only the start of a trial may
-    stop early.
-    """
-    state = initial_state(seed, material)
-    accels = motion.accelerations().tolist()
-    n = motion.n_steps
-    arrays = step_arrays(n)
-    for i in range(0, n, RENDER_BLOCK):
-        end = min(i + RENDER_BLOCK, n)
-        step(state, material, accels[i:end], torque,
-             out={name: a[i:end] for name, a in arrays.items()})
-        yield {name: a[:end] for name, a in arrays.items()}
-
-
-def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
-              seed: int, trial_id: str | None = None) -> TrialRecord:
-    """Run one full trial and collect the synchronized record.
-
-    grip_policy is either a fixed torque (float) or a callable
-    ``policy(history) -> (torque, stiffness_scale)`` invoked once before
-    every step, in order. Before step i, `history` maps every TRIAL_ARRAYS
-    field and "audio" (shape (i, CHUNK)) to its first i rows: views of the
-    arrays the trial is filling, which the policy must not write. A fixed
-    torque reads nothing before the trial ends, so its blocks come from
-    `fixed_grip_blocks`, drained here to the last. A policy's steps are
-    rendered ahead: a block of k steps runs under the current command,
-    then the policy decides steps i + 1 ... i + k - 1 on the rows that
-    stand. Where its command changes, the state is restored and only the
-    steps before the change are rendered again, into the same bytes, since
-    a block gives the bits of its single steps. k is 1 after a change and
-    doubles, up to RENDER_BLOCK, after each block whose command held.
+    grip_policy is a fixed torque (float), the command (torque, 1.0) at
+    every step, or a callable ``policy(history) -> (torque,
+    stiffness_scale)`` invoked once before every step, in order. Before
+    step i, `history` maps every TRIAL_ARRAYS field and "audio" (shape
+    (i, CHUNK)) to its first i rows: views of the arrays the trial is
+    filling, which neither the policy nor the caller of a yield may write.
+    A block of k steps is rendered ahead under the current command, then
+    the policy decides steps i + 1 ... i + k - 1 on the rows that stand.
+    Where its command changes, the state is restored and only the steps
+    before the change are rendered again, into the same bytes, since a
+    block gives the bits of its single steps. k is 1 after a change and
+    doubles, up to RENDER_BLOCK, after each block whose command held; a
+    fixed torque starts at RENDER_BLOCK and never replays.
     A policy may also have a method ``perceive(history, start)``. It is
     then passed each block once, after the block is rendered and before
     any decision over it: `history` holds the first i + k rows, and rows
@@ -411,53 +387,68 @@ def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
     these views until the next block overwrites them, so the decision of
     step j may use only what was perceived of the rows before j. A replay
     is not passed again: it rewrites the rows it keeps with the same
-    bytes. For a fixed torque and a policy alike, `step` writes straight
-    into the record's arrays. The policy loop here and the block loop of
-    `fixed_grip_blocks` are the only loops over `step`.
+    bytes.
+    A block is rendered only when it is pulled, and the random draws run
+    in step order, so a trial's first rows do not depend on how far it is
+    pulled. `step` writes straight into the trial's arrays, and this is
+    the only loop over it.
     """
-    if motion.n_steps < 1:
+    n = motion.n_steps
+    if n < 1:
         raise ValueError("motion duration must cover at least one step")
-    if not callable(grip_policy):
-        for arrays in fixed_grip_blocks(material, motion, float(grip_policy), seed):
-            pass  # the last block's rows are the whole trial
-    else:
-        state = initial_state(seed, material)
-        accels = motion.accelerations().tolist()
-        n = motion.n_steps
-        arrays = step_arrays(n)
+    state = initial_state(seed, material)
+    accels = motion.accelerations().tolist()
+    arrays = step_arrays(n)
 
-        def render(state, i, k, torque, stiffness):
-            rows = {name: a[i:i + k] for name, a in arrays.items()}
-            step(state, material, accels[i:i + k], torque,
-                 stiffness_scale=stiffness, out=rows)
+    def rows(i):
+        return {name: a[:i] for name, a in arrays.items()}
+
+    def render(state, i, k, torque, stiffness):
+        step(state, material, accels[i:i + k], torque, stiffness_scale=stiffness,
+             out={name: a[i:i + k] for name, a in arrays.items()})
+
+    if callable(grip_policy):
+        def decide(i):
+            torque, stiffness = grip_policy(rows(i))
+            return torque, stiffness
+        k = 1
+    else:
+        fixed = (float(grip_policy), 1.0)
 
         def decide(i):
-            torque, stiffness = grip_policy({name: a[:i] for name, a in arrays.items()})
-            return torque, stiffness
+            return fixed
+        k = RENDER_BLOCK
+    perceive = getattr(grip_policy, "perceive", None)
+    i, command = 0, decide(0)
+    while i < n:
+        k = min(k, n - i)
+        if k > 1:
+            saved, rng_state = replace(state), state.rng.bit_generator.state
+        render(state, i, k, *command)
+        if perceive is not None:
+            perceive(rows(i + k), i)
+        for j in range(1, k + 1):
+            new = decide(i + j) if i + j < n else command
+            if new != command:
+                break
+        if j < k:
+            # step i + j runs under another command: rewind to the
+            # block's start and keep its first j steps
+            state = saved
+            state.rng.bit_generator.state = rng_state
+            render(state, i, j, *command)
+        i += j
+        k = min(2 * k, RENDER_BLOCK) if new == command else 1
+        command = new
+        yield rows(i)
 
-        perceive = getattr(grip_policy, "perceive", None)
-        i, k, command = 0, 1, decide(0)
-        while i < n:
-            k = min(k, n - i)
-            if k > 1:
-                saved, rng_state = replace(state), state.rng.bit_generator.state
-            render(state, i, k, *command)
-            if perceive is not None:
-                perceive({name: a[:i + k] for name, a in arrays.items()}, i)
-            for j in range(1, k + 1):
-                new = decide(i + j) if i + j < n else command
-                if new != command:
-                    break
-            if j < k:
-                # step i + j runs under another command: rewind to the
-                # block's start and keep its first j steps
-                state = saved
-                state.rng.bit_generator.state = rng_state
-                render(state, i, j, *command)
-            i += j
-            k = min(2 * k, RENDER_BLOCK) if new == command else 1
-            command = new
 
+def run_trial(material: MaterialParams, motion: MotionProfile, grip_policy,
+              seed: int, trial_id: str | None = None) -> TrialRecord:
+    """Run one full trial and collect the synchronized record: the last
+    rows of `trial_blocks(material, motion, grip_policy, seed)`."""
+    for arrays in trial_blocks(material, motion, grip_policy, seed):
+        pass  # the last yield holds the whole trial
     meta = {
         "kind": motion.kind,
         "duration": motion.duration,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 import wave
 from collections import Counter
@@ -21,6 +22,14 @@ def small_record(trial_id="t0", seed=3):
     profile = ds.sample_trial_profile("shaking", rng)
     return run_trial(table["rice"], profile, ds.COLLECTION_TORQUE, seed,
                      trial_id=trial_id)
+
+
+def manifest_text(**fields) -> str:
+    """A well-formed manifest.json with no trials, `fields` replaced."""
+    doc = {"format_version": ds.FORMAT_VERSION, "base_seed": 0,
+           "trials_per_cell": 0, "materials": [], "motions": [], "trials": [],
+           "splits": None}
+    return json.dumps({**doc, **fields})
 
 
 _opened: list | None = None  # paths of `open` audit events, while counting
@@ -298,6 +307,21 @@ class TestManifestAndSplits:
             ds.load_manifest(tmp_path)
         with pytest.raises(ds.DatasetError):
             ds.load_manifest(tmp_path / "missing")
+
+    @pytest.mark.parametrize("text", [
+        "", "[1, 2]", json.dumps({"format_version": ds.FORMAT_VERSION}),
+        manifest_text(splits={"train": [], "val": []}),
+        manifest_text(splits=[[], [], []]),
+        manifest_text(trials=[{"trial_id": "t"}]), manifest_text(materials=5),
+    ], ids=["empty", "list", "version-only", "splits-without-test",
+            "splits-list", "trial-without-fields", "materials-number"])
+    def test_malformed_manifest_names_file(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest_text())
+        assert ds.load_manifest(tmp_path).trials == ()
+        path.write_text(text)
+        with pytest.raises(ds.DatasetError, match=re.escape(str(path))):
+            ds.load_manifest(tmp_path)
 
     def test_split_sizes_and_partition(self, manifest):
         splits = manifest.splits

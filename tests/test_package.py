@@ -154,6 +154,26 @@ def test_the_rig_clock_is_no_parameter():
     assert not found, found
 
 
+def _calls_step(node) -> bool:
+    """Whether `node` calls the simulator's `step`, as `step(...)` or
+    `simulation.step(...)`."""
+    f = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(f, ast.Name) and f.id == "step") or (
+        isinstance(f, ast.Attribute) and f.attr == "step"
+        and getattr(f.value, "id", None) == "simulation")
+
+
+def test_one_function_loops_over_step():
+    # every trial, at a fixed grip or under a policy, is rendered by one
+    # loop; a second loop would be a second copy of the block schedule
+    callers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if any(_calls_step(node) for node in ast.walk(top)):
+                callers.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert callers == ["simulation.py:trial_blocks"]
+
+
 def test_benchmark_wrap_points_exist(monkeypatch):
     # perfbench/spans.py wraps these attributes in every traced run; a name
     # missing from its owner's __dict__ makes each traced run fail

@@ -270,21 +270,14 @@ class TestTrials:
         motion = rotation_profile(0.7, 1.7, 2.53)
         assert motion.n_steps % RENDER_BLOCK != 0
         rec = run_trial(TABLE["gummies"], motion, 0.4, 21)
-        rendered = []
-        original = simulation.step
-
-        def counting(*args, **kwargs):
-            rendered.append(len(args[2]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(simulation, "step", counting)
-        blocks = simulation.fixed_grip_blocks(TABLE["gummies"], motion, 0.4, 21)
-        assert rendered == []
+        calls = spy_step_calls(monkeypatch)
+        blocks = simulation.trial_blocks(TABLE["gummies"], motion, 0.4, 21)
+        assert calls == []
         for b in range(1, 3):
             rows = next(blocks)
             # a block is rendered only when it is pulled
-            assert rendered == [RENDER_BLOCK] * b
             end = b * RENDER_BLOCK
+            assert calls == [(i, RENDER_BLOCK) for i in range(0, end, RENDER_BLOCK)]
             assert set(rows) == set(step_arrays(0))
             for name, _, _ in TRIAL_ARRAYS:
                 assert rows[name].dtype == getattr(rec, name).dtype
@@ -292,7 +285,9 @@ class TestTrials:
             assert np.array_equal(rows["audio"].reshape(-1),
                                   rec.audio[:end * simulation.CHUNK])
         *_, last = blocks
-        assert sum(rendered) == motion.n_steps
+        # a constant command starts at full blocks and never replays
+        assert calls == list(zip(range(0, motion.n_steps, RENDER_BLOCK),
+                                 [RENDER_BLOCK] * 5 + [6]))
         assert all(len(a) == motion.n_steps for a in last.values())
         assert np.array_equal(last["audio"].reshape(-1), rec.audio)
 
@@ -360,6 +355,25 @@ class TestRenderAhead:
         monkeypatch.undo()
         assert records_equal(rec, single_step_trial(
             TABLE["cereal"], motion, lambda history: (0.4, 1.0), 3))
+
+    def test_policy_blocks_render_only_what_is_pulled(self, monkeypatch):
+        motion = shaking_profile(5, 18.0, 2.0)
+
+        def policy(history):
+            return (0.4, 1.0)
+
+        rec = run_trial(TABLE["cereal"], motion, policy, 3)
+        calls = spy_step_calls(monkeypatch)
+        blocks = simulation.trial_blocks(TABLE["cereal"], motion, policy, 3)
+        assert calls == []
+        for want in ([(0, 1)], [(0, 1), (1, 2)]):
+            rows = next(blocks)
+            assert calls == want
+            end = sum(k for _, k in calls)
+            assert all(len(a) == end for a in rows.values())
+            assert np.array_equal(rows["tactile"], rec.tactile[:end])
+            assert np.array_equal(rows["audio"].reshape(-1),
+                                  rec.audio[:end * simulation.CHUNK])
 
     def test_scripted_changes(self, monkeypatch):
         motion = rotation_profile(0.9, 2.0, 1.5)
