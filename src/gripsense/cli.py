@@ -277,7 +277,7 @@ def cmd_episode(args) -> int:
             raise UsageError(f"no default predictor for motion {args.motion!r} "
                              f"in {models_dir}")
 
-    rows = []
+    rows, mean_torques, drops = [], [], 0
     for i in range(args.episodes):
         profile_rng = np.random.default_rng(ds.derive_seed(args.seed, i, "profile"))
         profile = ds.sample_trial_profile(args.motion, profile_rng)
@@ -289,6 +289,8 @@ def cmd_episode(args) -> int:
             log = run_baseline_episode(material, profile, fixed_torque, sim_seed)
         tag = args.policy.replace(":", "_")
         write_episode_csv(log, out / f"episode_{tag}_{i:03d}.csv")
+        mean_torques.append(log.mean_torque)
+        drops += log.dropped_any
         rows.append([i, args.policy, repr(log.mean_torque),
                      repr(float(log.torque_cmd.min())),
                      repr(float(log.torque_cmd.max())),
@@ -300,10 +302,8 @@ def cmd_episode(args) -> int:
         w.writerow(["episode", "policy", "mean_torque", "min_torque",
                     "max_torque", "dropped", "switch_time_s", "final_material"])
         w.writerows(rows)
-    mean_all = float(np.mean([float(r[2]) for r in rows]))
-    drops = sum(int(r[5]) for r in rows)
     print(f"{args.episodes} episodes ({args.policy}): mean torque "
-          f"{mean_all:.3f} Nm, drops {drops}")
+          f"{np.mean(mean_torques):.3f} Nm, drops {drops}")
     return 0
 
 

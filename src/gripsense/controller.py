@@ -209,15 +209,14 @@ EPISODE_COLUMNS = ("t", "torque_cmd", "stiffness", "slip_prob", "pred_force",
 
 
 def write_episode_csv(log: EpisodeLog, path) -> None:
+    """One row per step, in EPISODE_COLUMNS order, written column by column:
+    floats as their repr, flags as 0/1."""
     rec = log.record
+    floats = [map(repr, a.tolist()) for a in (rec.t, log.torque_cmd, log.stiffness,
+                                              log.slip_prob, log.pred_force)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(EPISODE_COLUMNS)
-        for i in range(rec.n_steps):
-            w.writerow([
-                repr(float(rec.t[i])), repr(float(log.torque_cmd[i])),
-                repr(float(log.stiffness[i])), repr(float(log.slip_prob[i])),
-                repr(float(log.pred_force[i])), int(rec.true_slip[i]),
-                repr(float(rec.true_max_force[i])), log.active_material[i],
-                int(rec.dropped[i]),
-            ])
+        w.writerows(zip(*floats, map(int, rec.true_slip.tolist()),
+                        map(repr, rec.true_max_force.tolist()),
+                        log.active_material, map(int, rec.dropped.tolist())))

@@ -306,24 +306,63 @@ def save_manifest(m: DatasetManifest, dataset_dir) -> None:
     (Path(dataset_dir) / MANIFEST_NAME).write_text(_manifest_to_json(m))
 
 
+def _check_manifest(path: Path, m: DatasetManifest) -> None:
+    """Refuse trial entries and splits the readers cannot use, naming the
+    manifest at `path` and the trial or split."""
+    ids = set()
+    for e in m.trials:
+        for name, ok, expected in (
+                ("trial_id", isinstance(e.trial_id, str) and e.trial_id not in ids,
+                 "a string no other trial has"),
+                ("material", e.material in m.materials, f"one of {m.materials}"),
+                ("motion", isinstance(e.motion, dict)
+                 and e.motion.get("kind") in MOTIONS,
+                 f"an object whose kind is one of {MOTIONS}"),
+                ("path", isinstance(e.path, str) and not Path(e.path).is_absolute()
+                 and ".." not in Path(e.path).parts,
+                 "a relative path inside the dataset"),
+                ("checksums", isinstance(e.checksums, dict)
+                 and e.checksums.keys() == set(TRIAL_FILES)
+                 and all(type(v) is int for v in e.checksums.values()),
+                 f"an integer for each of {TRIAL_FILES} and nothing else")):
+            if not ok:
+                raise DatasetError(f"{path}: trial {e.trial_id!r} has {name} "
+                                   f"{getattr(e, name)!r}; expected {expected}")
+        ids.add(e.trial_id)
+    if m.splits is None:
+        return
+    if not (isinstance(m.splits, dict) and {"train", "val", "test"} <= m.splits.keys()):
+        raise DatasetError(f"{path} has splits without train, val and test")
+    split_of = {}
+    for split, members in m.splits.items():
+        if not isinstance(members, list):
+            raise DatasetError(f"{path}: split {split!r} is not a list of trial ids")
+        for tid in members:
+            if not (isinstance(tid, str) and tid in ids):
+                raise DatasetError(f"{path}: split {split!r} lists {tid!r}, "
+                                   "which no trial has")
+            if tid in split_of:
+                raise DatasetError(f"{path}: split {split!r} lists {tid!r}, "
+                                   f"which split {split_of[tid]!r} lists too")
+            split_of[tid] = split
+
+
 def load_manifest(dataset_dir) -> DatasetManifest:
     path = Path(dataset_dir) / MANIFEST_NAME
     if not path.exists():
         raise DatasetError(f"no {MANIFEST_NAME} in {dataset_dir}")
     doc = _parse_json(path, path.read_bytes(), "manifest", MANIFEST_KEYS)
-    splits = doc.get("splits")
-    if splits is not None and not (isinstance(splits, dict)
-                                   and {"train", "val", "test"} <= splits.keys()):
-        raise DatasetError(f"{path} has splits without train, val and test")
     try:
         trials = tuple(TrialEntry(t["trial_id"], t["material"], t["motion"],
                                   t["seed"], t["path"], t["checksums"])
                        for t in doc["trials"])
-        return DatasetManifest(doc["format_version"], doc["base_seed"],
-                               doc["trials_per_cell"], tuple(doc["materials"]),
-                               tuple(doc["motions"]), trials, splits)
+        manifest = DatasetManifest(doc["format_version"], doc["base_seed"],
+                                   doc["trials_per_cell"], tuple(doc["materials"]),
+                                   tuple(doc["motions"]), trials, doc.get("splits"))
     except (KeyError, TypeError) as e:
         raise DatasetError(f"{path} has a malformed field: {e!r}") from e
+    _check_manifest(path, manifest)
+    return manifest
 
 
 def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
@@ -429,12 +468,13 @@ def load_trial_features(dataset_dir, entry: TrialEntry):
 
 def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
                       motion: str, material: str | None = None,
-                      window: int = 20, horizon: int = 10, stride: int = 5,
-                      cache: dict | None = None):
+                      window: int = 20, horizon: int = 10, stride: int = 5):
     """Windowed features + matched future targets for one split and motion.
 
     Returns (X (N, window, 38), slip (N,), force (N,), cell (N, 2), sources).
-    cache maps trial_id -> load_trial_features output to avoid re-reading.
+    A trial of T steps gives the windows ending at window - 1, then every
+    stride steps while the target step, horizon later, is below T. Each
+    trial is read from disk by every call.
     """
     dataset_dir = Path(dataset_dir)
     xs, slips, forces, cells, sources = [], [], [], [], []
@@ -443,12 +483,7 @@ def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
             continue
         if material is not None and e.material != material:
             continue
-        if cache is not None and e.trial_id in cache:
-            feats, slip, force, cell = cache[e.trial_id]
-        else:
-            feats, slip, force, cell = load_trial_features(dataset_dir, e)
-            if cache is not None:
-                cache[e.trial_id] = (feats, slip, force, cell)
+        feats, slip, force, cell = load_trial_features(dataset_dir, e)
         T = len(feats)
         for te in range(window - 1, T - horizon, stride):
             xs.append(feats[te - window + 1:te + 1])

@@ -107,13 +107,10 @@ _DCT = dct_matrix(N_COEFFS, N_MELS)
 _WINDOW.flags.writeable = _MEL_BANK.flags.writeable = _DCT.flags.writeable = False
 
 
-def frame_count(n_samples: int) -> int:
-    return 1 + (n_samples - FRAME_LEN) // HOP
-
-
 def windowed_frames(x: np.ndarray) -> np.ndarray:
-    """The (frame_count(len(x)), FRAME_LEN) Hann-windowed frames of a 1-D
-    signal, every HOP samples; read through a strided view of x."""
+    """The Hann-windowed frames of a 1-D signal of n >= FRAME_LEN samples,
+    one every HOP samples, as a (1 + (n - FRAME_LEN) // HOP, FRAME_LEN)
+    array read through a strided view of x."""
     return np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)[::HOP] * _WINDOW
 
 

@@ -231,8 +231,8 @@ def write_active_csv(log_: ActiveLog, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for i, (motion, predicted, probs) in enumerate(
-                zip(log_.motions, log_.predicted, log_.posteriors)):
+        for i, (motion, predicted, probs, entropy) in enumerate(
+                zip(log_.motions, log_.predicted, log_.posteriors,
+                    log_.entropies)):
             w.writerow([i + 1, motion, predicted]
-                       + [repr(float(v)) for v in probs]
-                       + [repr(entropy_bits(probs))])
+                       + [repr(float(v)) for v in probs] + [repr(entropy)])

@@ -39,12 +39,6 @@ def manifest(dataset_dir):
 
 
 @pytest.fixture(scope="session")
-def window_cache():
-    """Per-trial feature cache shared by every predictor_windows call."""
-    return {}
-
-
-@pytest.fixture(scope="session")
 def clf_bundle(dataset_dir, manifest):
     """(classifier, val metrics, val items, val sources) trained once."""
     train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
@@ -68,15 +62,10 @@ def likelihoods(clf_bundle, manifest):
     return inference.confusions_from_segments(model, val_items, motions)
 
 
-def _windows(dataset_dir, manifest, split, motion, material, cache):
-    return ds.predictor_windows(dataset_dir, manifest, split, motion,
-                                material=material, cache=cache)
-
-
 @pytest.fixture(scope="session")
-def default_shaking(dataset_dir, manifest, window_cache):
-    X, slip, force, cell, _ = _windows(dataset_dir, manifest, "train",
-                                       "shaking", None, window_cache)
+def default_shaking(dataset_dir, manifest):
+    X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
+                                                   "train", "shaking")
     return train_predictor(X, slip, force, cell, scope="default",
                            motion="shaking",
                            cfg=TrainConfig(epochs=8, lr=0.05,
@@ -84,9 +73,9 @@ def default_shaking(dataset_dir, manifest, window_cache):
 
 
 @pytest.fixture(scope="session")
-def default_rotation(dataset_dir, manifest, window_cache):
-    X, slip, force, cell, _ = _windows(dataset_dir, manifest, "train",
-                                       "rotation", None, window_cache)
+def default_rotation(dataset_dir, manifest):
+    X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
+                                                   "train", "rotation")
     return train_predictor(X, slip, force, cell, scope="default",
                            motion="rotation",
                            cfg=TrainConfig(epochs=8, lr=0.05,
@@ -94,9 +83,9 @@ def default_rotation(dataset_dir, manifest, window_cache):
 
 
 @pytest.fixture(scope="session")
-def cereal_rotation_model(dataset_dir, manifest, window_cache):
-    X, slip, force, cell, _ = _windows(dataset_dir, manifest, "train",
-                                       "rotation", "cereal", window_cache)
+def cereal_rotation_model(dataset_dir, manifest):
+    X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
+                                                   "train", "rotation", "cereal")
     return train_predictor(X, slip, force, cell, scope="material",
                            motion="rotation", material="cereal",
                            cfg=TrainConfig(epochs=24, lr=0.05,

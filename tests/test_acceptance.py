@@ -108,10 +108,9 @@ def test_criterion_3_material_classification(dataset_dir, manifest):
               f"oracle {oracle:.3f}; trained in {elapsed:.0f}s")
 
 
-def test_criterion_4_slip_prediction(dataset_dir, manifest, default_shaking,
-                                     window_cache):
+def test_criterion_4_slip_prediction(dataset_dir, manifest, default_shaking):
     X, slip, force, _, _ = ds.predictor_windows(
-        dataset_dir, manifest, "test", "shaking", cache=window_cache)
+        dataset_dir, manifest, "test", "shaking")
     probs, force_hat, _ = predict_batch(default_shaking, X)
     auc_impl = mx.auc(probs, slip)
     auc_ref = oracles.pair_count_auc(list(probs), list(slip.astype(bool)))

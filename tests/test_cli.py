@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +418,25 @@ class TestLoadModels:
 def test_episode_csv_schema_is_stable():
     assert EPISODE_COLUMNS[0] == "t"
     assert len(EPISODE_COLUMNS) == 9
+
+
+def test_readme_flag_reference_names_every_flag():
+    # each subcommand's bullet under "Flag reference:" names every one of
+    # its flags, as `--flag` or `--flag {choices}`; --config is documented
+    # below the bullets
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Flag reference:", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for item in re.split(r"^- ", section, flags=re.M)[1:]:
+        name, _, text = item.split("\n\n", 1)[0].partition(":")
+        bullets[name.strip("`")] = text
+    parser = cli.build_parser()
+    documented = [(None, parser, section)] + [
+        (command, sub, bullets.get(command, ""))
+        for command, sub in parser.command_parsers.items()]
+    missing = [f"{command or 'gripsense'} {flag}"
+               for command, sub, text in documented
+               for action in sub._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"
+               and not re.search(f"`{re.escape(flag)}[` ]", text)]
+    assert not missing, missing

@@ -32,6 +32,20 @@ def manifest_text(**fields) -> str:
     return json.dumps({**doc, **fields})
 
 
+TRIAL_T0 = {"trial_id": "t0", "material": "rice", "motion": {"kind": "shaking"},
+            "seed": 0, "path": "trials/t0",
+            "checksums": dict.fromkeys(ds.TRIAL_FILES, 0)}
+
+
+def t0_manifest_text(trial=None, trials=None, **splits) -> str:
+    """A well-formed manifest.json holding trial t0 in the train split, with
+    `trial`'s fields replaced in t0, or `trials` instead, and `splits`
+    replaced."""
+    return manifest_text(materials=["rice"],
+                         trials=trials or [{**TRIAL_T0, **(trial or {})}],
+                         splits={"train": ["t0"], "val": [], "test": [], **splits})
+
+
 _opened: list | None = None  # paths of `open` audit events, while counting
 _hooked = False
 
@@ -308,20 +322,57 @@ class TestManifestAndSplits:
         with pytest.raises(ds.DatasetError):
             ds.load_manifest(tmp_path / "missing")
 
-    @pytest.mark.parametrize("text", [
-        "", "[1, 2]", json.dumps({"format_version": ds.FORMAT_VERSION}),
-        manifest_text(splits={"train": [], "val": []}),
-        manifest_text(splits=[[], [], []]),
-        manifest_text(trials=[{"trial_id": "t"}]), manifest_text(materials=5),
-    ], ids=["empty", "list", "version-only", "splits-without-test",
-            "splits-list", "trial-without-fields", "materials-number"])
-    def test_malformed_manifest_names_file(self, tmp_path, text):
+    @pytest.mark.parametrize("text, named", [
+        pytest.param("", None, id="empty"),
+        pytest.param("[1, 2]", None, id="list"),
+        pytest.param(json.dumps({"format_version": ds.FORMAT_VERSION}), None,
+                     id="version-only"),
+        pytest.param(manifest_text(splits={"train": [], "val": []}), None,
+                     id="splits-without-test"),
+        pytest.param(manifest_text(splits=[[], [], []]), None, id="splits-list"),
+        pytest.param(manifest_text(trials=[{"trial_id": "t"}]), None,
+                     id="trial-without-fields"),
+        pytest.param(manifest_text(materials=5), None, id="materials-number"),
+        pytest.param(t0_manifest_text(test=["nope"]), "split 'test'",
+                     id="unknown-id-in-split"),
+        pytest.param(t0_manifest_text(test=["t0"]), "split 'test'",
+                     id="id-in-two-splits"),
+        pytest.param(t0_manifest_text(test="t0"), "split 'test'",
+                     id="split-string"),
+        pytest.param(t0_manifest_text({"trial_id": 5}), "trial 5",
+                     id="trial-id-number"),
+        pytest.param(t0_manifest_text(trials=[TRIAL_T0, TRIAL_T0]), "trial 't0'",
+                     id="trial-id-twice"),
+        pytest.param(t0_manifest_text({"material": "sand"}), "trial 't0'",
+                     id="material-unknown"),
+        pytest.param(t0_manifest_text({"motion": "shaking"}), "trial 't0'",
+                     id="motion-string"),
+        pytest.param(t0_manifest_text({"motion": {"kind": "spinning"}}),
+                     "trial 't0'", id="motion-kind-unknown"),
+        pytest.param(t0_manifest_text({"path": 5}), "trial 't0'",
+                     id="path-number"),
+        pytest.param(t0_manifest_text({"path": "/trials/t0"}), "trial 't0'",
+                     id="path-absolute"),
+        pytest.param(t0_manifest_text({"path": "trials/../../t0"}), "trial 't0'",
+                     id="path-outside"),
+        pytest.param(t0_manifest_text({"checksums": {}}), "trial 't0'",
+                     id="checksums-empty"),
+        pytest.param(t0_manifest_text({"checksums": [1, 2]}), "trial 't0'",
+                     id="checksums-list"),
+        pytest.param(t0_manifest_text(
+            {"checksums": dict.fromkeys(ds.TRIAL_FILES, "0")}), "trial 't0'",
+            id="checksums-strings"),
+    ])
+    def test_malformed_manifest_names_file(self, tmp_path, text, named):
         path = tmp_path / "manifest.json"
         path.write_text(manifest_text())
         assert ds.load_manifest(tmp_path).trials == ()
+        path.write_text(t0_manifest_text())
+        assert ds.load_manifest(tmp_path).splits["train"] == ["t0"]
         path.write_text(text)
-        with pytest.raises(ds.DatasetError, match=re.escape(str(path))):
+        with pytest.raises(ds.DatasetError, match=re.escape(str(path))) as err:
             ds.load_manifest(tmp_path)
+        assert named is None or named in str(err.value)
 
     def test_split_sizes_and_partition(self, manifest):
         splits = manifest.splits
@@ -401,16 +452,16 @@ class TestFeatureExtraction:
         assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
 
     def test_predictor_window_counts_follow_the_law(self, dataset_dir,
-                                                    manifest, window_cache):
+                                                    manifest):
         window, horizon, stride = 20, 10, 5
         X, slip, force, cell, sources = ds.predictor_windows(
             dataset_dir, manifest, "val", "rotation", window=window,
-            horizon=horizon, stride=stride, cache=window_cache)
+            horizon=horizon, stride=stride)
         entries = [e for e in manifest.split_entries("val")
                    if e.motion["kind"] == "rotation"]
         total = 0
         for e in entries:
-            T = len(window_cache[e.trial_id][0])
+            T = len(ds.load_trial_features(dataset_dir, e)[0])
             total += len(range(window - 1, T - horizon, stride))
         assert len(X) == total
         assert X.shape[1:] == (window, 38)

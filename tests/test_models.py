@@ -183,27 +183,23 @@ class TestPredictor:
                                 cfg=TrainConfig(epochs=1, lr=0.05))
 
     def test_slip_free_training_keeps_base_rate_low(
-            self, dataset_dir, manifest, window_cache, cereal_rotation_model):
+            self, dataset_dir, manifest, cereal_rotation_model):
         _, slip_train, _, _, _ = ds.predictor_windows(
-            dataset_dir, manifest, "train", "rotation", material="cereal",
-            cache=window_cache)
+            dataset_dir, manifest, "train", "rotation", material="cereal")
         assert slip_train.sum() == 0, "training windows are not slip-free"
         X, slip, _, _, _ = ds.predictor_windows(
-            dataset_dir, manifest, "test", "rotation", material="cereal",
-            cache=window_cache)
+            dataset_dir, manifest, "test", "rotation", material="cereal")
         assert slip.sum() == 0
         probs, _, _ = predict_batch(cereal_rotation_model, X)
         assert float(probs.mean()) < 0.2
 
     def test_material_model_beats_default_on_own_holdout(
-            self, dataset_dir, manifest, window_cache, default_rotation,
+            self, dataset_dir, manifest, default_rotation,
             cereal_rotation_model):
         Xtr, str_, ftr, ctr, _ = ds.predictor_windows(
-            dataset_dir, manifest, "train", "rotation", material="cereal",
-            cache=window_cache)
+            dataset_dir, manifest, "train", "rotation", material="cereal")
         Xte, _, fte, _, _ = ds.predictor_windows(
-            dataset_dir, manifest, "test", "rotation", material="cereal",
-            cache=window_cache)
+            dataset_dir, manifest, "test", "rotation", material="cereal")
         maes = []
         for seed in range(5):
             if seed == cereal_rotation_model.cfg.seed:

@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 import gripsense
-import gripsense.models
 from gripsense import controller, simulation
 from gripsense.materials import material_table
 from gripsense.motion import shaking_profile
@@ -24,15 +23,10 @@ def test_version_matches_pyproject():
                                               re.M).group(1)
 
 
-def test_every_exported_name_resolves():
-    for package in (gripsense, gripsense.models):
-        missing = [name for name in package.__all__ if not hasattr(package, name)]
-        assert not missing, f"{package.__name__}.__all__ names {missing}"
-
-
 def _unused_imports(path: Path) -> list[str]:
-    """Names a module imports and never reads; a name in the module's
-    __all__ counts as read."""
+    """Names a module imports and never reads. A package re-export is such
+    a name: the package modules export nothing, and callers import each
+    name from the module that defines it."""
     tree = ast.parse(path.read_text(), filename=str(path))
     imported = {}
     for node in ast.walk(tree):
@@ -43,10 +37,6 @@ def _unused_imports(path: Path) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
     return [f"{path.relative_to(ROOT)}:{line} {name}"
             for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in used]
@@ -65,7 +55,6 @@ UNPASSED_DEFAULTS_ALLOWED = {
     "main(argv)": "the console script calls main(); tests pass argv",
     "label_slip(threshold)": "acceptance criterion 9 sweeps the slip threshold",
     "label_slip(horizon)": "acceptance criterion 9 sweeps the lookback",
-    "predictor_windows(cache)": "the test fixtures share one feature cache",
     "MaterialClassifier(theta)": "serialize.load_model passes it to the class "
                                  "it looks up by kind",
     "SlipPredictor(theta)": "serialize.load_model passes it to the class it "
@@ -116,13 +105,17 @@ def _passed_params(paths) -> dict[str, tuple[int, set]]:
     return passed
 
 
+def _benchmark_modules() -> list[Path]:
+    """The benchmark's own modules, its tests left out."""
+    return sorted(p for p in (ROOT / "perfbench").rglob("*.py")
+                  if "tests" not in p.relative_to(ROOT).parts)
+
+
 def test_every_defaulted_parameter_is_passed_somewhere():
     # a default that no caller in the program or the benchmark overrides is
     # a knob with one value in use: it belongs in a constant
     sources = sorted((ROOT / "src").rglob("*.py"))
-    callers = sources + sorted(p for p in (ROOT / "perfbench").rglob("*.py")
-                               if "tests" not in p.relative_to(ROOT).parts)
-    passed = _passed_params(callers)
+    passed = _passed_params(sources + _benchmark_modules())
     unset = {}
     for path in sources:
         for name, index, param, line in _defaulted_params(path):
@@ -133,6 +126,64 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     dead = {k: v for k, v in unset.items() if k not in UNPASSED_DEFAULTS_ALLOWED}
     assert not dead, dead
     stale = sorted(set(UNPASSED_DEFAULTS_ALLOWED) - set(unset))
+    assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
+# Names defined in src/ that no module of the program or the benchmark
+# reads, and why each stays.
+UNREAD_NAMES_ALLOWED = {
+    "label_slip": "acceptance criterion 9 checks the joint-excursion slip "
+                  "labeler",
+    "AudioSegment": "perfbench/tests/test_spans.py builds its clip with it",
+}
+
+
+def _defined_names(path: Path):
+    """(name, line) for each top-level def, class and assigned name of a
+    module, and each method and property of its top-level classes; dunder
+    methods, which Python calls itself, are not counted."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name):
+                        yield node.id, top.lineno
+        elif isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top.lineno
+            if isinstance(top, ast.ClassDef):
+                for f in top.body:
+                    if (isinstance(f, ast.FunctionDef)
+                            and not (f.name.startswith("__")
+                                     and f.name.endswith("__"))):
+                        yield f.name, f.lineno
+
+
+def _read_names(paths) -> set[str]:
+    """Every name the modules load, as a bare name or as an attribute."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return read
+
+
+def test_every_name_in_src_has_a_program_reader():
+    # library code that only tests read is code the program does not need;
+    # a name counts as read wherever src/ or the benchmark loads that name
+    modules = [p for p in sorted((ROOT / "src").rglob("*.py"))
+               if p.name != "__init__.py"]
+    read = _read_names(modules + _benchmark_modules())
+    unread = {name: f"{path.relative_to(ROOT)}:{line}"
+              for path in modules for name, line in _defined_names(path)
+              if name not in read}
+    dead = {k: v for k, v in unread.items() if k not in UNREAD_NAMES_ALLOWED}
+    assert not dead, dead
+    stale = sorted(set(UNREAD_NAMES_ALLOWED) - set(unread))
     assert not stale, f"allow-list entries no longer needed: {stale}"
 
 
