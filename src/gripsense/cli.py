@@ -17,15 +17,15 @@ import numpy as np
 
 from . import dataset as ds
 from . import inference, tactile
-from .controller import (CONFIG, run_baseline_episode, run_reactive_loop,
-                         write_episode_csv)
+from .controller import run_baseline_episode, run_reactive_loop, write_episode_csv
 from .materials import MATERIAL_CLASSES, material_table
 from .models.classifier import train_classifier
 from .models.optim import TrainConfig
-from .models.predictor import PredictorConfig, predict_batch, train_predictor
+from .models.predictor import HORIZON, WINDOW, predict_batch, train_predictor
 from .models import metrics as mx
 from .models.registry import ModelRegistry
 from .models.serialize import load_model, save_model
+from .simulation import MAX_GRIP_TORQUE
 
 CLASSIFIER_FILE = "classifier.gsm"
 
@@ -56,8 +56,8 @@ def _require_counts(args: argparse.Namespace, *flags: str) -> None:
             raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
-def predictor_filename(scope: str, motion: str, material: str | None) -> str:
-    if scope == "material":
+def predictor_filename(motion: str, material: str | None) -> str:
+    if material:
         return f"predictor_material_{motion}_{material}.gsm"
     return f"predictor_default_{motion}.gsm"
 
@@ -107,8 +107,7 @@ def load_models(models_dir):
             if model.cfg.input_dim != tactile.FEATURE_DIM:
                 raise ValueError(f"{path} has input_dim {model.cfg.input_dim}, "
                                  f"expected {tactile.FEATURE_DIM}")
-            expected = predictor_filename(model.scope, model.motion,
-                                          model.material)
+            expected = predictor_filename(model.motion, model.material)
             if path.name != expected:
                 raise ValueError(
                     f"{path} holds a {model.scope} predictor for motion "
@@ -164,7 +163,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_counts(args, "--window", "--horizon", "--stride")
+    _require_counts(args, "--epochs", "--window", "--horizon", "--stride")
+    if not (np.isfinite(args.lr) and args.lr > 0):
+        raise UsageError(f"--lr must be a positive finite number, got {args.lr}")
+    if (args.scope == "material") != bool(args.material):
+        raise UsageError("--material is given with --scope material, and "
+                         "only with it")
     dataset_dir = _require_dir(Path(args.dataset), "dataset")
     out = Path(args.out)
     manifest = ds.load_manifest(dataset_dir)
@@ -190,22 +194,16 @@ def cmd_train(args) -> int:
         return 0
 
     # predictor
-    if args.scope == "material" and not args.material:
-        raise UsageError("--scope material requires --material")
-    material = args.material if args.scope == "material" else None
     X, slip, force, cell, _ = ds.predictor_windows(
-        dataset_dir, manifest, "train", args.motion, material,
+        dataset_dir, manifest, "train", args.motion, args.material,
         window=args.window, horizon=args.horizon, stride=args.stride)
-    model_cfg = PredictorConfig(input_dim=X.shape[2], window=args.window,
-                                horizon=args.horizon, seed=args.seed)
-    model = train_predictor(X, slip, force, cell, cfg, scope=args.scope,
-                            motion=args.motion, material=material,
-                            model_cfg=model_cfg)
-    name = predictor_filename(args.scope, args.motion, material)
+    model = train_predictor(X, slip, force, cell, cfg, args.horizon,
+                            motion=args.motion, material=args.material)
+    name = predictor_filename(args.motion, args.material)
     save_model(out / name, model)
 
     Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
-        dataset_dir, manifest, "test", args.motion, material,
+        dataset_dir, manifest, "test", args.motion, args.material,
         window=args.window, horizon=args.horizon, stride=args.stride)
     metrics = _evaluate_predictor(model, Xt, slip_t, force_t, cell_t)
     with open(out / f"metrics_{name.removesuffix('.gsm')}.csv", "w", newline="") as f:
@@ -268,9 +266,9 @@ def cmd_episode(args) -> int:
         except ValueError:
             raise UsageError(f"--policy fixed:<torque> needs a torque in Nm, "
                              f"got {args.policy!r}") from None
-        if not 0.0 <= fixed_torque <= CONFIG.max_torque:
+        if not 0.0 <= fixed_torque <= MAX_GRIP_TORQUE:
             raise UsageError(f"fixed torque {fixed_torque} outside "
-                             f"[0, {CONFIG.max_torque}] Nm")
+                             f"[0, {MAX_GRIP_TORQUE}] Nm")
     else:
         classifier, registry, _ = load_models(models_dir)
         if args.motion not in registry.default_models:
@@ -408,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--window", type=int, default=20)
-    p.add_argument("--horizon", type=int, default=10)
-    p.add_argument("--stride", type=int, default=5)
+    p.add_argument("--window", type=int, default=WINDOW)
+    p.add_argument("--horizon", type=int, default=HORIZON)
+    p.add_argument("--stride", type=int, default=ds.STRIDE)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("episode", help="run closed-loop grip episodes")

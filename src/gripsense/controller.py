@@ -24,7 +24,7 @@ from .models.classifier import MaterialClassifier, classify
 from .models.predictor import FeatureWindow, Prediction, predict
 from .models.registry import ModelRegistry, select_model
 from .motion import SIM_DT, MotionProfile
-from .simulation import TrialRecord, run_trial
+from .simulation import MAX_GRIP_TORQUE, MAX_STIFFNESS_SCALE, TrialRecord, run_trial
 
 ONLINE_HOP_S = 0.25  # classifier cadence during an episode
 
@@ -32,7 +32,7 @@ ONLINE_HOP_S = 0.25  # classifier cadence during an episode
 @dataclass(frozen=True)
 class ControllerConfig:
     base_torque: float = 0.4           # Nm
-    max_torque: float = 1.0            # Nm
+    max_torque: float = MAX_GRIP_TORQUE  # Nm
     slip_threshold_prob: float = 0.5
     torque_step_up: float = 0.1        # Nm per decision
     relax_step: float = 0.02           # Nm per decision
@@ -41,8 +41,9 @@ class ControllerConfig:
     classifier_commit_confidence: float = 0.8
 
     def __post_init__(self):
-        if not self.base_torque < self.max_torque:
-            raise ValueError("base_torque must be below max_torque")
+        if not self.base_torque < self.max_torque <= MAX_GRIP_TORQUE:
+            raise ValueError("base_torque must be below max_torque, and "
+                             f"max_torque at most {MAX_GRIP_TORQUE} Nm")
         if self.stable_steps_before_relax <= 0:
             raise ValueError("stable window must be positive")
 
@@ -59,10 +60,10 @@ class GripState:
     event_log: list[tuple[float, str]] = field(default_factory=list)
 
 
-def grip_update(state: GripState, pred: Prediction, t: float,
-                cfg: ControllerConfig = CONFIG) -> None:
-    """One reactive decision from a prediction, taken at time t: updates
-    state's command and logs its events at t."""
+def grip_update(state: GripState, pred: Prediction, t: float) -> None:
+    """One reactive decision from a prediction, taken at time t under
+    CONFIG: updates state's command and logs its events at t."""
+    cfg = CONFIG
     torque = state.applied_torque
     if pred.slip_prob > cfg.slip_threshold_prob:
         new = min(torque + cfg.torque_step_up, cfg.max_torque)
@@ -76,7 +77,8 @@ def grip_update(state: GripState, pred: Prediction, t: float,
                 and torque > cfg.base_torque:
             torque = max(torque - cfg.relax_step, cfg.base_torque)
             state.event_log.append((t, "relax"))
-    stiffness = 2.0 if pred.force_value > cfg.force_stiffen_threshold else 1.0
+    stiffen = pred.force_value > cfg.force_stiffen_threshold
+    stiffness = MAX_STIFFNESS_SCALE if stiffen else 1.0
     if stiffness != state.stiffness_scale:
         state.event_log.append(
             (t, "stiffen_on" if stiffness > 1.0 else "stiffen_off"))
@@ -129,8 +131,7 @@ class _ReactivePolicy:
         self.classifier = classifier
         self.registry = registry
         self.motion_kind = motion_kind
-        self.cfg = CONFIG  # read once, so every decision of the episode shares it
-        self.state = GripState(applied_torque=self.cfg.base_torque)
+        self.state = GripState(applied_torque=CONFIG.base_torque)
         self.hop_steps = round(ONLINE_HOP_S / SIM_DT)
         self.window = FeatureWindow(select_model(registry, motion_kind))
         # row r is the feature of frame r; nan until its block is perceived
@@ -150,7 +151,7 @@ class _ReactivePolicy:
         second = audio.reshape(-1)[-dsp.SEGMENT_SAMPLES:]
         probs = classify(self.classifier, dsp.mfcc(second))
         best = int(np.argmax(probs))
-        if probs[best] >= self.cfg.classifier_commit_confidence:
+        if probs[best] >= CONFIG.classifier_commit_confidence:
             name = self.classifier.cfg.classes[best]
             self.state.active_material = name
             model = select_model(self.registry, self.motion_kind, name)
@@ -175,7 +176,7 @@ class _ReactivePolicy:
             self._maybe_classify(i, history["audio"])
             if self.window.full:
                 pred = predict(self.window)
-                grip_update(self.state, pred, i * SIM_DT, self.cfg)
+                grip_update(self.state, pred, i * SIM_DT)
                 self.slip_prob[i] = pred.slip_prob
                 self.pred_force[i] = pred.force_value
         self.active_material[i] = self.state.active_material or "default"

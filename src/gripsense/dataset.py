@@ -36,6 +36,7 @@ from numpy.lib import format as npy_format
 
 from . import dsp
 from .materials import MATERIAL_CLASSES, material_table
+from .models.predictor import HORIZON, WINDOW
 from .motion import SIM_DT, MotionProfile, rotation_profile, shaking_profile
 from .simulation import CHUNK, SAMPLE_RATE, TRIAL_ARRAYS, TrialRecord, run_trial
 from .tactile import features_from_arrays
@@ -466,9 +467,13 @@ def load_trial_features(dataset_dir, entry: TrialEntry):
     return feats, rec.true_slip, rec.true_max_force, rec.true_cell
 
 
+STRIDE = 5  # steps between the ends of a trial's consecutive predictor windows
+
+
 def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
                       motion: str, material: str | None = None,
-                      window: int = 20, horizon: int = 10, stride: int = 5):
+                      window: int = WINDOW, horizon: int = HORIZON,
+                      stride: int = STRIDE):
     """Windowed features + matched future targets for one split and motion.
 
     Returns (X (N, window, 38), slip (N,), force (N,), cell (N, 2), sources).

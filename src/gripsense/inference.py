@@ -111,17 +111,10 @@ def expected_information_gain(p: Posterior, motion: str,
     """Mutual information (bits) between material and the motion's predicted
     class: sum_i sum_o p_i C[i,o] log2(C[i,o] / P(o))."""
     C = L.confusions[motion]
-    probs = p.probs
-    p_obs = probs @ C
-    total = 0.0
-    for i in range(C.shape[0]):
-        if probs[i] <= 0:
-            continue
-        for o in range(C.shape[1]):
-            if C[i, o] <= 0 or p_obs[o] <= 0:
-                continue
-            total += probs[i] * C[i, o] * np.log2(C[i, o] / p_obs[o])
-    return float(total)
+    p_obs = np.broadcast_to(p.probs @ C, C.shape)
+    joint = p.probs[:, None] * C
+    nz = joint > 0  # p_obs > 0 wherever the joint is
+    return float((joint[nz] * np.log2(C[nz] / p_obs[nz])).sum())
 
 
 def _in_motion_order(motions) -> list[str]:
@@ -148,10 +141,6 @@ def select_motion(p: Posterior, motions: list[str],
 
 @dataclass
 class ActiveLog:
-    true_material: str
-    selector: str
-    seed: int
-    confidence_target: float
     motions: list[str] = field(default_factory=list)
     predicted: list[str] = field(default_factory=list)
     posteriors: list[np.ndarray] = field(default_factory=list)
@@ -200,7 +189,7 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
     motions = _in_motion_order(L.confusions)
     rng = np.random.default_rng(seed)
     p = uniform_posterior()
-    out = ActiveLog(material.name, selector, seed, confidence_target)
+    out = ActiveLog()
     segments = iter(())
     while out.segments_used < max_segments and \
             float(p.probs.max()) < confidence_target:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..dsp import N_COEFFS
 from ..materials import MATERIAL_CLASSES
 from .optim import TrainConfig, fit_standardizer, sgd_epochs
 from .params import ParamLayout
@@ -19,7 +20,7 @@ from . import metrics as _metrics
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    n_coeffs: int = 13
+    n_coeffs: int = N_COEFFS
     channels: tuple[int, int] = (16, 32)
     kernel: int = 3
     classes: tuple[str, ...] = MATERIAL_CLASSES

@@ -24,8 +24,7 @@ def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def confusion_matrix(pred: np.ndarray, truth: np.ndarray, n_classes: int) -> np.ndarray:
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(np.asarray(truth), np.asarray(pred)):
-        cm[t, p] += 1
+    np.add.at(cm, (np.asarray(truth), np.asarray(pred)), 1)
     return cm
 
 
@@ -46,16 +45,11 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative examples")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tied scores share the mean of the 1-based ranks they span
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)  # the rank of each run of ties' last score
+    ranks = (0.5 * (2 * ends - counts + 1))[inverse]
     rank_sum = float(ranks[labels].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

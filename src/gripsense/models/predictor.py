@@ -19,14 +19,16 @@ from .params import ParamLayout
 
 GRID_MAX = GRID_ROWS - 1  # highest row/col index of the square tactile grid
 BATCH = 64     # windows per SGD step
+WINDOW = 20    # feature frames per prediction
+HORIZON = 10   # steps ahead the targets sit (50 ms at sim dt)
 
 
 @dataclass(frozen=True)
 class PredictorConfig:
     input_dim: int = FEATURE_DIM
     hidden: int = 32
-    window: int = 20        # feature frames per prediction
-    horizon: int = 10       # steps ahead the targets sit (50 ms at sim dt)
+    window: int = WINDOW
+    horizon: int = HORIZON
     seed: int = 0
 
 
@@ -197,21 +199,18 @@ class SlipPredictor:
 
 
 def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
-                    y_cell: np.ndarray, cfg: TrainConfig,
-                    scope: str = "default", motion: str = "shaking",
-                    material: str | None = None,
-                    model_cfg: PredictorConfig | None = None) -> SlipPredictor:
-    """Fit a predictor on windowed features with matched-step-count targets."""
-    if scope not in ("default", "material"):
-        raise ValueError(f"scope must be default or material, got {scope!r}")
-    if scope == "material" and not material:
-        raise ValueError("material scope requires a material name")
+                    y_cell: np.ndarray, cfg: TrainConfig, horizon: int,
+                    motion: str = "shaking",
+                    material: str | None = None) -> SlipPredictor:
+    """Fit a predictor on windowed features whose targets sit `horizon`
+    steps past each window's end. Its config comes from X's shape, the
+    horizon and cfg's seed; naming a material makes it a material model."""
     if len(X) == 0:
         raise ValueError("empty predictor training set")
-    model_cfg = model_cfg or PredictorConfig(window=X.shape[1],
-                                             input_dim=X.shape[2], seed=cfg.seed)
-    model = SlipPredictor(model_cfg, scope=scope, motion=motion,
-                          material=material if scope == "material" else None)
+    model_cfg = PredictorConfig(input_dim=X.shape[2], window=X.shape[1],
+                                horizon=horizon, seed=cfg.seed)
+    model = SlipPredictor(model_cfg, scope="material" if material else "default",
+                          motion=motion, material=material)
     fit_standardizer(model, X)
     model.force_mean = float(np.mean(y_force))
     model.force_std = float(max(np.std(y_force), 1e-6))

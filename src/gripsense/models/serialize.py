@@ -117,6 +117,10 @@ def load_model(path, kind: str):
             setattr(model, name, stats)
         for name in extras:
             setattr(model, name, descriptor[name])
+        if kind == "predictor" and model.scope != (
+                "material" if model.material else "default"):
+            raise ValueError(f"scope {model.scope!r} does not fit material "
+                             f"{model.material!r}")
         # a model divides by each std, which training floors at 1e-6
         for name in ("input_mean", "input_std", "force_mean", "force_std"):
             if hasattr(model, name):

@@ -54,8 +54,9 @@ CLOSE_DIR = np.tile([0.20, 1.00, 0.80, 0.50], 4)   # joints that tighten with gr
 SLIP_DIR = np.tile([0.10, 0.50, 0.80, 1.00], 4)    # joints dragged open by container slip
 TORQUE_DIST = np.tile([0.10, 0.40, 0.30, 0.20], 4)
 
-# The stiffest grip the hand can be commanded to; the reactive controller
-# commands 1.0 or 2.0.
+# The strongest grip the hand can be commanded to: torque in Nm, and the
+# stiffness scale, which the reactive controller sets to 1.0 or this.
+MAX_GRIP_TORQUE = 1.0
 MAX_STIFFNESS_SCALE = 2.0
 
 # The most steps one `step` call of a trial renders: bounds the render
@@ -214,8 +215,9 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
         raise ValueError(f"non-finite motion_accel at step {bad} of the block")
     if not (math.isfinite(grip_torque) and math.isfinite(stiffness_scale)):
         raise ValueError("non-finite simulator input")
-    if not 0.0 <= grip_torque <= 1.0:
-        raise ValueError(f"grip_torque must be in [0, 1] Nm, got {grip_torque}")
+    if not 0.0 <= grip_torque <= MAX_GRIP_TORQUE:
+        raise ValueError(f"grip_torque must be in [0, {MAX_GRIP_TORQUE}] Nm, "
+                         f"got {grip_torque}")
     if not 0.0 < stiffness_scale <= MAX_STIFFNESS_SCALE:
         raise ValueError(f"stiffness_scale must be in (0, {MAX_STIFFNESS_SCALE}], "
                          f"got {stiffness_scale}")

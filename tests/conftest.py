@@ -10,7 +10,7 @@ from gripsense import dataset as ds
 from gripsense import inference
 from gripsense.models.classifier import train_classifier
 from gripsense.models.optim import TrainConfig
-from gripsense.models.predictor import train_predictor
+from gripsense.models.predictor import HORIZON, train_predictor
 from gripsense.models.registry import ModelRegistry
 
 settings.register_profile(
@@ -66,7 +66,7 @@ def likelihoods(clf_bundle, manifest):
 def default_shaking(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "shaking")
-    return train_predictor(X, slip, force, cell, scope="default",
+    return train_predictor(X, slip, force, cell, horizon=HORIZON,
                            motion="shaking",
                            cfg=TrainConfig(epochs=8, lr=0.05,
                                            seed=BASE_SEED))
@@ -76,7 +76,7 @@ def default_shaking(dataset_dir, manifest):
 def default_rotation(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation")
-    return train_predictor(X, slip, force, cell, scope="default",
+    return train_predictor(X, slip, force, cell, horizon=HORIZON,
                            motion="rotation",
                            cfg=TrainConfig(epochs=8, lr=0.05,
                                            seed=BASE_SEED))
@@ -86,7 +86,7 @@ def default_rotation(dataset_dir, manifest):
 def cereal_rotation_model(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation", "cereal")
-    return train_predictor(X, slip, force, cell, scope="material",
+    return train_predictor(X, slip, force, cell, horizon=HORIZON,
                            motion="rotation", material="cereal",
                            cfg=TrainConfig(epochs=24, lr=0.05,
                                            seed=BASE_SEED))

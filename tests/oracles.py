@@ -302,7 +302,7 @@ def whole_trial_active_loop(material, classifier, L, confidence_target,
     motions = sorted(L.confusions, key=dataset.MOTIONS.index)
     rng = np.random.default_rng(seed)
     p = inference.uniform_posterior()
-    log = inference.ActiveLog(material.name, selector, seed, confidence_target)
+    log = inference.ActiveLog()
     rendered = 0
 
     def done():

@@ -118,7 +118,8 @@ class TestTrain:
                        "--scope", "material", "--epochs", "1"])
         assert rc == 2
 
-    @pytest.mark.parametrize("flag", ["--window", "--horizon", "--stride"])
+    @pytest.mark.parametrize("flag", ["--epochs", "--window", "--horizon",
+                                      "--stride"])
     def test_zero_window_count_exits_2(self, cli_dataset, tmp_path, capsys,
                                        flag):
         rc = cli.main(["train", "--dataset", str(cli_dataset),
@@ -126,6 +127,26 @@ class TestTrain:
                        "--epochs", "1", flag, "0"])
         assert rc == 2
         assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("lr", ["0", "-0.5", "nan", "inf"])
+    def test_bad_learning_rate_exits_2(self, cli_dataset, tmp_path, capsys,
+                                       lr):
+        rc = cli.main(["train", "--dataset", str(cli_dataset),
+                       "--out", str(tmp_path / "m"), "--task", "predictor",
+                       "--epochs", "1", "--lr", lr])
+        assert rc == 2
+        assert "--lr must be a positive finite number" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_material_without_material_scope_exits_2(self, cli_dataset,
+                                                     tmp_path, capsys):
+        rc = cli.main(["train", "--dataset", str(cli_dataset),
+                       "--out", str(tmp_path / "m"), "--task", "predictor",
+                       "--epochs", "1", "--material", "rice"])
+        assert rc == 2
+        assert "--material is given with --scope material" in \
+            capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     def test_missing_dataset_dir_exits_2(self, tmp_path):
@@ -333,7 +354,7 @@ class TestLoadModels:
 
     def test_wrong_input_dim_names_file(self, cli_models, tmp_path):
         models = self.copy(cli_models, tmp_path)
-        path = models / cli.predictor_filename("default", "shaking", None)
+        path = models / cli.predictor_filename("shaking", None)
         save_model(path, SlipPredictor(PredictorConfig(input_dim=4),
                                        motion="shaking"))
         with pytest.raises(ValueError, match=f"{path} has input_dim 4"):
@@ -342,8 +363,7 @@ class TestLoadModels:
     def test_material_model_without_default_names_file(self, cli_models,
                                                        tmp_path):
         models = self.copy(cli_models, tmp_path)
-        path = models / cli.predictor_filename("material", "rotation",
-                                               "cereal")
+        path = models / cli.predictor_filename("rotation", "cereal")
         save_model(path, SlipPredictor(PredictorConfig(), scope="material",
                                        motion="rotation", material="cereal"))
         with pytest.raises(ValueError, match=str(path)):
@@ -352,10 +372,10 @@ class TestLoadModels:
 
     @pytest.mark.parametrize("saved_as, scope, motion, material", [
         # a material rice-rotation model under the shaking default's name
-        (("default", "shaking", None), "material", "rotation", "rice"),
-        (("material", "shaking", "rice"), "default", "shaking", None),
-        (("default", "shaking", None), "default", "rotation", None),
-        (("material", "shaking", "rice"), "material", "shaking", "gummies"),
+        (("shaking", None), "material", "rotation", "rice"),
+        (("shaking", "rice"), "default", "shaking", None),
+        (("shaking", None), "default", "rotation", None),
+        (("shaking", "rice"), "material", "shaking", "gummies"),
     ])
     def test_name_disagreeing_with_descriptor_names_file(
             self, cli_models, tmp_path, saved_as, scope, motion, material):
@@ -363,7 +383,7 @@ class TestLoadModels:
         path = models / cli.predictor_filename(*saved_as)
         save_model(path, SlipPredictor(PredictorConfig(), scope=scope,
                                        motion=motion, material=material))
-        expected = cli.predictor_filename(scope, motion, material)
+        expected = cli.predictor_filename(motion, material)
         with pytest.raises(ValueError,
                            match=f"{path} holds .* should be {expected}"):
             cli.load_models(models)
@@ -373,7 +393,7 @@ class TestLoadModels:
     def test_material_window_differing_from_default_names_file(
             self, cli_models, tmp_path, cfg):
         models = self.copy(cli_models, tmp_path)
-        path = models / cli.predictor_filename("material", "shaking", "rice")
+        path = models / cli.predictor_filename("shaking", "rice")
         save_model(path, SlipPredictor(cfg, scope="material", motion="shaking",
                                        material="rice"))
         with pytest.raises(ValueError, match=f"{path} has window "

@@ -44,11 +44,11 @@ class TestGripUpdate:
         assert not state.event_log  # clamped step is not an event
 
     def test_relax_decays_to_base_and_stops(self):
-        cfg = ControllerConfig()
+        cfg = controller.CONFIG
         state = GripState(applied_torque=0.8)
         torques = []
         for i in range(100):
-            grip_update(state, pred(slip=0.0), i * SIM_DT, cfg)
+            grip_update(state, pred(slip=0.0), i * SIM_DT)
             torques.append(state.applied_torque)
         # flat while the stable counter fills, then a 0.02/step ramp down
         assert torques[:cfg.stable_steps_before_relax] == [0.8] * 20
@@ -81,6 +81,8 @@ class TestGripUpdate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ControllerConfig(base_torque=1.0, max_torque=0.8)
+        with pytest.raises(ValueError, match="at most 1.0 Nm"):
+            ControllerConfig(max_torque=1.5)
         with pytest.raises(ValueError):
             ControllerConfig(stable_steps_before_relax=0)
 
@@ -171,8 +173,8 @@ class TestEpisodes:
 
     def test_episode_runs_under_the_config_in_force(self, monkeypatch,
                                                      classifier, registry):
-        # the policy reads controller.CONFIG when the episode starts and
-        # hands it to every grip_update, thresholds included
+        # the policy starts at controller.CONFIG's base torque, and every
+        # grip_update decides under controller.CONFIG, thresholds included
         profile = shaking_profile(6, 18.0, 2.0)
         log = run_reactive_loop(TABLE["rice"], profile, classifier, registry,
                                 seed=778)

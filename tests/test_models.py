@@ -19,6 +19,7 @@ from gripsense.models.classifier import (
 from gripsense import tactile
 from gripsense.models.optim import TrainConfig, fit_standardizer
 from gripsense.models.predictor import (
+    HORIZON,
     FeatureWindow,
     PredictorConfig,
     SlipPredictor,
@@ -148,14 +149,14 @@ class TestPredictor:
     def test_training_deterministic(self):
         X, ys, yf, yc = self.small_windows()
         cfg = TrainConfig(epochs=3, lr=0.05, seed=9)
-        a = train_predictor(X, ys, yf, yc, cfg)
-        b = train_predictor(X, ys, yf, yc, cfg)
+        a = train_predictor(X, ys, yf, yc, cfg, horizon=2)
+        b = train_predictor(X, ys, yf, yc, cfg, horizon=2)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         X, ys, yf, yc = self.small_windows()
         trained = train_predictor(
-            X, ys, yf, yc, cfg=TrainConfig(epochs=6, lr=0.05, seed=2))
+            X, ys, yf, yc, cfg=TrainConfig(epochs=6, lr=0.05, seed=2), horizon=2)
         init = SlipPredictor(PredictorConfig(input_dim=8, hidden=32, window=6,
                                              seed=2))
         for attr in ("input_mean", "input_std"):
@@ -168,11 +169,23 @@ class TestPredictor:
         X, ys, yf, yc = self.small_windows()
         cfg = TrainConfig(epochs=8, lr=0.05)
         with pytest.raises(ValueError):
-            train_predictor(X[:0], ys[:0], yf[:0], yc[:0], cfg)
-        with pytest.raises(ValueError):
-            train_predictor(X, ys, yf, yc, cfg, scope="material")
-        with pytest.raises(ValueError):
-            train_predictor(X, ys, yf, yc, cfg, scope="global")
+            train_predictor(X[:0], ys[:0], yf[:0], yc[:0], cfg, horizon=2)
+
+    def test_config_and_scope_come_from_the_inputs(self, dataset_dir, manifest):
+        # the windows, the horizon they were cut with and the material make
+        # the model's config and scope; nothing else is asked for
+        windows = ds.predictor_windows(dataset_dir, manifest, "train",
+                                       "rotation", "cereal", window=12,
+                                       horizon=4)
+        cfg = TrainConfig(epochs=1, lr=0.05, seed=3)
+        model = train_predictor(*windows[:4], cfg, horizon=4,
+                                motion="rotation", material="cereal")
+        assert model.cfg == PredictorConfig(input_dim=tactile.FEATURE_DIM,
+                                            window=12, horizon=4, seed=3)
+        assert (model.scope, model.motion, model.material) == \
+            ("material", "rotation", "cereal")
+        model = train_predictor(*windows[:4], cfg, horizon=4, motion="rotation")
+        assert (model.scope, model.material) == ("default", None)
 
     def test_non_finite_targets_abort(self):
         X, ys, yf, yc = self.small_windows()
@@ -180,7 +193,7 @@ class TestPredictor:
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite loss"):
                 train_predictor(X, ys, yf, yc,
-                                cfg=TrainConfig(epochs=1, lr=0.05))
+                                cfg=TrainConfig(epochs=1, lr=0.05), horizon=2)
 
     def test_slip_free_training_keeps_base_rate_low(
             self, dataset_dir, manifest, cereal_rotation_model):
@@ -206,7 +219,7 @@ class TestPredictor:
                 model = cereal_rotation_model
             else:
                 model = train_predictor(
-                    Xtr, str_, ftr, ctr, scope="material", motion="rotation",
+                    Xtr, str_, ftr, ctr, horizon=HORIZON, motion="rotation",
                     material="cereal",
                     cfg=TrainConfig(epochs=24, lr=0.05, seed=seed))
             _, fhat, _ = predict_batch(model, Xte)
@@ -457,6 +470,17 @@ class TestSerialization:
         path = tmp_path / "odd.gsm"
         save_model(path, model)
         with pytest.raises(ModelFormatError, match=f"odd.gsm: .*{field}"):
+            load_model(path, "predictor")
+
+    @pytest.mark.parametrize("scope, material", [("material", None),
+                                                 ("default", "rice")])
+    def test_scope_disagreeing_with_material_names_the_file(
+            self, tmp_path, scope, material):
+        # a material model is one that names its material
+        path = tmp_path / "odd.gsm"
+        save_model(path, SlipPredictor(PredictorConfig(), scope=scope,
+                                       motion="shaking", material=material))
+        with pytest.raises(ModelFormatError, match="odd.gsm: .*scope"):
             load_model(path, "predictor")
 
 

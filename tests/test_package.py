@@ -139,48 +139,55 @@ UNREAD_NAMES_ALLOWED = {
 
 
 def _defined_names(path: Path):
-    """(name, line) for each top-level def, class and assigned name of a
-    module, and each method and property of its top-level classes; dunder
-    methods, which Python calls itself, are not counted."""
+    """(name, line, is_field) for each top-level def, class and assigned
+    name of a module, and each method, property and annotated field of its
+    top-level classes; dunder methods, which Python calls itself, are not
+    counted."""
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(top, (ast.Assign, ast.AnnAssign)):
             targets = top.targets if isinstance(top, ast.Assign) else [top.target]
             for target in targets:
                 for node in ast.walk(target):
                     if isinstance(node, ast.Name):
-                        yield node.id, top.lineno
+                        yield node.id, top.lineno, False
         elif isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-            yield top.name, top.lineno
+            yield top.name, top.lineno, False
             if isinstance(top, ast.ClassDef):
                 for f in top.body:
                     if (isinstance(f, ast.FunctionDef)
                             and not (f.name.startswith("__")
                                      and f.name.endswith("__"))):
-                        yield f.name, f.lineno
+                        yield f.name, f.lineno, False
+                    elif (isinstance(f, ast.AnnAssign)
+                          and isinstance(f.target, ast.Name)):
+                        yield f.target.id, f.lineno, True
 
 
-def _read_names(paths) -> set[str]:
-    """Every name the modules load, as a bare name or as an attribute."""
-    read = set()
+def _read_names(paths) -> tuple[set[str], set[str]]:
+    """The names the modules load as bare names, and those they load as
+    attributes."""
+    names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
-                read.add(node.attr)
-    return read
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_name_in_src_has_a_program_reader():
     # library code that only tests read is code the program does not need;
-    # a name counts as read wherever src/ or the benchmark loads that name
+    # a name counts as read wherever src/ or the benchmark loads that name,
+    # and a class's field wherever they load it as an attribute
     modules = [p for p in sorted((ROOT / "src").rglob("*.py"))
                if p.name != "__init__.py"]
-    read = _read_names(modules + _benchmark_modules())
+    names, attributes = _read_names(modules + _benchmark_modules())
+    read = names | attributes
     unread = {name: f"{path.relative_to(ROOT)}:{line}"
-              for path in modules for name, line in _defined_names(path)
-              if name not in read}
+              for path in modules for name, line, is_field in _defined_names(path)
+              if name not in (attributes if is_field else read)}
     dead = {k: v for k, v in unread.items() if k not in UNREAD_NAMES_ALLOWED}
     assert not dead, dead
     stale = sorted(set(UNREAD_NAMES_ALLOWED) - set(unread))
