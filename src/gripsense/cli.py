@@ -169,6 +169,15 @@ def cmd_train(args) -> int:
     if (args.scope == "material") != bool(args.material):
         raise UsageError("--material is given with --scope material, and "
                          "only with it")
+    if args.task == "classifier":
+        # the classifier trains on every motion's whole recordings: it reads
+        # none of the predictor's flags, so none may be set
+        train_parser = build_parser().command_parsers["train"]
+        for dest in ("scope", "motion", "window", "horizon", "stride"):
+            value = getattr(args, dest)
+            if value != train_parser.get_default(dest):
+                raise UsageError(f"--{dest} applies only to --task predictor, "
+                                 f"got --{dest} {value} with --task classifier")
     dataset_dir = _require_dir(Path(args.dataset), "dataset")
     out = Path(args.out)
     manifest = ds.load_manifest(dataset_dir)

@@ -12,19 +12,23 @@ material, motion, index). Each trial directory holds:
 
 The top-level manifest.json records per-file CRC32 checksums and the
 train/val/test split. The .npy files hold raw array bytes, so re-reading
-a trial reproduces it bit for bit. Older versions are regenerated, not
-read: a dataset is a pure function of (seed, trials). The readers refuse
-a trial on another clock than the simulator's (a meta.json sample_rate or
-dt, or a WAV rate, that differs), since its features would not match the
-controller's.
+a trial reproduces it bit for bit. Each file kind has one header, which
+write_trial writes and the readers match byte for byte; a file they
+refuse is parsed only to name what it holds. Older versions are
+regenerated, not read: a dataset is a pure function of (seed, trials).
+The readers refuse a trial on another clock than the simulator's (a
+meta.json sample_rate or dt, or a WAV rate, that differs), since its
+features would not match the controller's.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import wave
 import zlib
@@ -63,12 +67,6 @@ SHAKE_PEAK_RANGE = (16.0, 21.0)   # m/s^2
 ROTATION_RANGE_RAD = (0.6, 0.8)
 ROTATION_FREQ_HZ = 1.7
 ROTATION_DURATION_S = 3.0
-
-
-# readers of the .npy header versions np.save writes for the trial arrays
-# (version 3.0 is only for field names outside Latin-1)
-_NPY_HEADER_READERS = {(1, 0): npy_format.read_array_header_1_0,
-                       (2, 0): npy_format.read_array_header_2_0}
 
 
 class DatasetError(Exception):
@@ -137,14 +135,42 @@ def sample_trial_profile(kind: str, rng: np.random.Generator) -> MotionProfile:
     raise ValueError(f"unknown motion kind {kind!r}")
 
 
-def _crc(path: Path) -> int:
-    return zlib.crc32(path.read_bytes())
+@functools.cache
+def _npy_header(shape: tuple[int, ...], dtype: np.dtype) -> bytes:
+    """The .npy header np.save writes for a C-order array of `shape` and
+    `dtype`: format 1.0, padded so that the data starts 64-byte aligned."""
+    fp = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        fp, {"descr": npy_format.dtype_to_descr(dtype), "fortran_order": False,
+             "shape": shape})
+    return fp.getvalue()
+
+
+def _paths(trial_dir, names) -> dict[str, str]:
+    """The path of each of a trial's files `names`, joined once."""
+    return {name: os.path.join(trial_dir, name) for name in names}
+
+
+def _write(path: str, *parts) -> int:
+    """Write the byte buffers `parts` one after another as the file at
+    `path`; returns its CRC32, taken from the buffers as they are written."""
+    crc = 0
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+    return crc
 
 
 def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
-    """Write the trial files; returns per-file CRC32 checksums."""
+    """Write the trial files; returns per-file CRC32 checksums.
+
+    Each array file is the .npy header of its shape and dtype, then the
+    array's own bytes: the file np.save writes. The checksums are taken from
+    the bytes as they are written; no file is read back."""
     trial_dir = Path(trial_dir)
     trial_dir.mkdir(parents=True, exist_ok=True)
+    paths = _paths(trial_dir, TRIAL_FILES)
     meta = {
         "format_version": FORMAT_VERSION,
         "trial_id": record.trial_id,
@@ -155,44 +181,49 @@ def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
         "dt": SIM_DT,
         "n_steps": record.n_steps,
     }
-    (trial_dir / "meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=1) + "\n")
-    dsp.write_wav(trial_dir / "audio.wav", record.audio)
+    checksums = {
+        "meta.json": _write(paths["meta.json"], (json.dumps(
+            meta, sort_keys=True, indent=1) + "\n").encode()),
+        "audio.wav": dsp.write_wav(paths["audio.wav"], record.audio),
+    }
     for name, _, dtype in TRIAL_ARRAYS:
-        np.save(trial_dir / f"{name}.npy",
-                np.ascontiguousarray(getattr(record, name), dtype=dtype))
-    return {name: _crc(trial_dir / name) for name in TRIAL_FILES}
+        arr = np.ascontiguousarray(getattr(record, name), dtype=dtype)
+        checksums[f"{name}.npy"] = _write(paths[f"{name}.npy"],
+                                          _npy_header(arr.shape, dtype), arr)
+    return checksums
 
 
-def _read_bytes(path: Path) -> bytes:
+def _read_bytes(path: str) -> bytes:
     try:
-        return path.read_bytes()
+        with open(path, "rb") as f:
+            return f.read()
     except FileNotFoundError:
         raise TruncationError(f"missing file {path}") from None
 
 
-def _checked_files(trial_dir: Path,
+def _checked_files(paths: dict[str, str],
                    checksums: dict[str, int] | None) -> dict[str, bytes]:
-    """The bytes of every file that has a checksum, each read once and all
-    checked before any is parsed, so a checksum error wins over a parse
-    error."""
+    """The bytes of every file in `paths` that has a checksum, each read once
+    and all checked before any is parsed, so a checksum error wins over a
+    parse error."""
     files = {}
     for name, expected in (checksums or {}).items():
-        path = trial_dir / name
-        files[name] = _read_bytes(path)
+        if name not in paths:
+            continue
+        files[name] = _read_bytes(paths[name])
         actual = zlib.crc32(files[name])
         if actual != expected:
-            raise ChecksumError(f"checksum mismatch for {path}: "
+            raise ChecksumError(f"checksum mismatch for {paths[name]}: "
                                 f"expected {expected}, got {actual}")
     return files
 
 
-def _take(files: dict[str, bytes], path: Path) -> bytes:
-    """The bytes of `path`: its checked copy, released, or else read now."""
-    return files.pop(path.name) if path.name in files else _read_bytes(path)
+def _take(files: dict[str, bytes], paths: dict[str, str], name: str) -> bytes:
+    """The bytes of file `name`: its checked copy, released, or else read now."""
+    return files.pop(name) if name in files else _read_bytes(paths[name])
 
 
-def _parse_json(path: Path, raw, kind: str, keys: tuple[str, ...]) -> dict:
+def _parse_json(path, raw, kind: str, keys: tuple[str, ...]) -> dict:
     """The JSON object in `raw`, the bytes of `path`: a `kind` document of
     this FORMAT_VERSION holding every one of `keys`."""
     try:
@@ -212,70 +243,87 @@ def _parse_json(path: Path, raw, kind: str, keys: tuple[str, ...]) -> dict:
     return doc
 
 
-def _parse_meta(meta_path: Path, raw: bytes) -> dict:
+def _parse_meta(meta_path: str, raw: bytes) -> dict:
     meta = _parse_json(meta_path, raw, "trial", META_KEYS)
     for key, rig in (("sample_rate", SAMPLE_RATE), ("dt", SIM_DT)):
         if meta[key] != rig:
             raise DatasetError(f"{meta_path} has {key} {meta[key]!r}; the "
                                f"simulator's is {rig!r}: {REGENERATE_HINT}")
+    if not (type(meta["n_steps"]) is int and meta["n_steps"] >= 0):
+        raise DatasetError(f"{meta_path} has n_steps {meta['n_steps']!r}; "
+                           "expected a count of steps")
     return meta
 
 
-def _parse_audio(trial_dir: Path, files: dict[str, bytes]):
-    meta_path = trial_dir / "meta.json"
-    meta = _parse_meta(meta_path, _take(files, meta_path))
-    wav_path = trial_dir / "audio.wav"
-    raw = _take(files, wav_path)
+def _parse_audio(paths: dict[str, str], files: dict[str, bytes]):
+    meta = _parse_meta(paths["meta.json"], _take(files, paths, "meta.json"))
+    wav_path = paths["audio.wav"]
     try:
-        samples = dsp.read_wav(wav_path, raw)
+        samples = dsp.read_wav(wav_path, _take(files, paths, "audio.wav"))
     except (wave.Error, EOFError) as e:
         raise TruncationError(f"{wav_path} is not a complete WAV file") from e
     if len(samples) != meta["n_steps"] * CHUNK:
         raise TruncationError(f"audio length {len(samples)} does not match "
-                              f"{meta['n_steps']} steps in {trial_dir}")
+                              f"{meta['n_steps']} steps in "
+                              f"{os.path.dirname(wav_path)}")
     return meta, samples
 
 
 def read_trial_audio(trial_dir, checksums: dict[str, int] | None = None):
     """Light path for audio-only consumers: (meta, 1-D samples)."""
-    trial_dir = Path(trial_dir)
-    files = _checked_files(trial_dir, {k: v for k, v in (checksums or {}).items()
-                                       if k in ("meta.json", "audio.wav")})
-    return _parse_audio(trial_dir, files)
+    paths = _paths(trial_dir, ("meta.json", "audio.wav"))
+    return _parse_audio(paths, _checked_files(paths, checksums))
 
 
-def _parse_array(path: Path, raw: bytes, shape: tuple[int, ...],
+def _parse_array(path: str, raw: bytes, shape: tuple[int, ...],
                  dtype: np.dtype) -> np.ndarray:
-    """The array stored in the .npy bytes `raw`, as a read-only view of
-    them, so a trial's data is held once."""
+    """The array of `shape` and `dtype` in the .npy bytes `raw`, as a
+    read-only view of them, so a trial's data is held once. The bytes must
+    be what write_trial writes: that array's header, then its data. Other
+    bytes are refused, and only then does numpy's reader parse them, to
+    name what they hold."""
+    header = _npy_header(shape, dtype)
+    count = math.prod(shape)
+    if len(raw) == len(header) + count * dtype.itemsize and raw.startswith(header):
+        return np.frombuffer(raw, dtype, count, len(header)).reshape(shape)
     fp = io.BytesIO(raw)
     try:
-        header = _NPY_HEADER_READERS[npy_format.read_magic(fp)]
-        stored_shape, fortran_order, stored_dtype = header(fp)
-        arr = np.frombuffer(raw, stored_dtype, math.prod(stored_shape), fp.tell())
-    except (KeyError, ValueError) as e:
+        version = npy_format.read_magic(fp)
+        fp.seek(0)
+        arr = npy_format.read_array(fp, allow_pickle=False)
+    except ValueError as e:
         # bytes without the .npy magic (a pickle or an .npz archive, say),
         # a header that does not parse, or fewer data bytes than it declares
         raise TruncationError(f"{path} is not a complete .npy file") from e
-    arr = (arr.reshape(stored_shape[::-1]).T if fortran_order
-           else arr.reshape(stored_shape))
     if (arr.shape, arr.dtype) != (shape, dtype):
-        raise TruncationError(f"{path} holds {arr.dtype} {arr.shape}, "
-                              f"expected {dtype} {shape}")
-    return arr
+        what = f"holds {arr.dtype} {arr.shape}, expected {dtype} {shape}"
+    elif version != (1, 0):
+        what = f"has a .npy {version[0]}.{version[1]} header; write_trial writes 1.0"
+    elif not arr.flags.c_contiguous:
+        what = "holds a Fortran-order array; write_trial writes C order"
+    elif fp.tell() < len(raw):
+        what = f"has {len(raw) - fp.tell()} bytes after its array"
+    else:
+        what = (f"has a .npy header other than the one write_trial writes "
+                f"for {dtype} {shape}")
+    raise TruncationError(f"{path} {what}")
 
 
 def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecord:
     """Rebuild a TrialRecord; optional checksums are verified per file.
-    Each file is read once, and every array but the audio is a read-only
-    view of its file's bytes."""
-    trial_dir = Path(trial_dir)
-    files = _checked_files(trial_dir, checksums)
-    meta, audio = _parse_audio(trial_dir, files)
+
+    Each file is read once. A file is accepted only as write_trial writes
+    it for meta.json's n_steps: each .npy file exactly its header and then
+    its data, audio.wav exactly as dsp.write_wav lays it out. Anything else
+    is refused with an error that names the file and what it holds. Every
+    array but the audio is a read-only view of its file's bytes."""
+    paths = _paths(trial_dir, TRIAL_FILES)
+    files = _checked_files(paths, checksums)
+    meta, audio = _parse_audio(paths, files)
     arrays = {}
     for name, trailing, dtype in TRIAL_ARRAYS:
-        path = trial_dir / f"{name}.npy"
-        arrays[name] = _parse_array(path, _take(files, path),
+        file = f"{name}.npy"
+        arrays[name] = _parse_array(paths[file], _take(files, paths, file),
                                     (meta["n_steps"],) + trailing, dtype)
     return TrialRecord(
         trial_id=meta["trial_id"],

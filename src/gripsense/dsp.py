@@ -10,7 +10,9 @@ orthonormal DCT-II keeping the first N_COEFFS terms.
 from __future__ import annotations
 
 import io
+import struct
 import wave
+import zlib
 
 import numpy as np
 
@@ -128,19 +130,48 @@ def mfcc(samples: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def write_wav(path, samples: np.ndarray) -> None:
-    """Write mono PCM 16-bit little-endian WAV at SAMPLE_RATE."""
+# The WAV header write_wav writes, as the wave module writes it: a RIFF/WAVE
+# file holding one 16-byte PCM fmt chunk (mono, 16-bit, SAMPLE_RATE) and
+# one data chunk; the fields that vary are the RIFF and data chunk sizes.
+_WAV_HEADER = struct.Struct("<4sI4s4sIHHIIHH4sI")
+
+
+def wav_header(n_samples: int) -> bytes:
+    """The 44-byte header of the WAV file write_wav writes for n_samples."""
+    data_bytes = 2 * n_samples
+    return _WAV_HEADER.pack(b"RIFF", 36 + data_bytes, b"WAVE", b"fmt ", 16, 1, 1,
+                            SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16, b"data",
+                            data_bytes)
+
+
+def write_wav(path, samples: np.ndarray) -> int:
+    """Write samples as a mono PCM 16-bit little-endian WAV file at
+    SAMPLE_RATE: wav_header, then the frames, the bytes the wave module
+    writes for them. Returns the file's CRC32, taken from the bytes as
+    they are written."""
     pcm = np.round(np.clip(samples, -1.0, 1.0) * PCM16_FULL_SCALE).astype("<i2")
-    with wave.open(str(path), "wb") as f:
-        f.setnchannels(1)
-        f.setsampwidth(2)
-        f.setframerate(SAMPLE_RATE)
-        f.writeframes(pcm.tobytes())
+    header = wav_header(len(pcm))
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(pcm)
+    return zlib.crc32(pcm, zlib.crc32(header))
 
 
 def read_wav(path, data: bytes) -> np.ndarray:
-    """Samples of a mono PCM16 WAV recorded at SAMPLE_RATE, in [-1, 1],
-    from `data`, the bytes of the file at `path` (which errors name)."""
+    """Samples in [-1, 1] of `data`, the bytes of the WAV file at `path`
+    (which errors name), laid out exactly as write_wav writes them:
+    wav_header for the samples that follow, then those samples.
+
+    Any other file is refused, and only then does the wave module parse
+    it, to name what it holds: a ValueError for channels or a sample width
+    other than mono 16-bit, another sample rate, or another layout (an
+    extra chunk, say); wave.Error or EOFError for bytes that are not a
+    complete WAV file."""
+    n = (len(data) - _WAV_HEADER.size) // 2
+    if (n >= 0 and len(data) == _WAV_HEADER.size + 2 * n
+            and data.startswith(wav_header(n))):
+        return (np.frombuffer(data, "<i2", n, _WAV_HEADER.size).astype(float)
+                / PCM16_FULL_SCALE)
     with wave.open(io.BytesIO(data), "rb") as f:
         channels, width = f.getnchannels(), f.getsampwidth()
         if (channels, width) != (1, 2):
@@ -150,8 +181,12 @@ def read_wav(path, data: bytes) -> np.ndarray:
         if rate != SAMPLE_RATE:
             raise ValueError(f"{path} has sample rate {rate} Hz; the rig "
                              f"records at {SAMPLE_RATE} Hz")
-        raw = f.readframes(f.getnframes())
-    return np.frombuffer(raw, dtype="<i2").astype(float) / PCM16_FULL_SCALE
+        n = f.getnframes()
+        if len(f.readframes(n)) < 2 * n:
+            raise EOFError(f"{path} ends inside its {n} samples")
+    raise ValueError(f"{path} holds {n} samples in {len(data)} bytes, not as "
+                     f"write_wav lays them out: its {_WAV_HEADER.size}-byte "
+                     f"header, then the samples")
 
 
 def AudioSegment(samples, *_) -> np.ndarray:

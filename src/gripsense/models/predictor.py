@@ -183,7 +183,8 @@ class SlipPredictor:
             xt = x[:, t]
             dz = dh * (h_prev - n) * z * (1.0 - z)
             dn_pre = dh * (1.0 - z) * (1.0 - n ** 2)
-            dr_pre = (dn_pre @ v["Un"]) * h_prev * r * (1.0 - r)
+            d_rh = dn_pre @ v["Un"]  # gradient at r * h_prev
+            dr_pre = d_rh * h_prev * r * (1.0 - r)
             gv["Wz"] += dz.T @ xt
             gv["Uz"] += dz.T @ h_prev
             gv["bz"] += dz.sum(axis=0)
@@ -193,8 +194,7 @@ class SlipPredictor:
             gv["Wn"] += dn_pre.T @ xt
             gv["Un"] += dn_pre.T @ (r * h_prev)
             gv["bn"] += dn_pre.sum(axis=0)
-            dh = (dh * z + dz @ v["Uz"] + dr_pre @ v["Ur"]
-                  + (dn_pre @ v["Un"]) * r)
+            dh = dh * z + dz @ v["Uz"] + dr_pre @ v["Ur"] + d_rh * r
         return loss, grad
 
 

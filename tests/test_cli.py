@@ -149,6 +149,30 @@ class TestTrain:
             capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--scope", "material"), ("--motion", "rotation"), ("--window", "3"),
+        ("--horizon", "99"), ("--stride", "7")])
+    def test_classifier_refuses_predictor_flags(self, cli_dataset, tmp_path,
+                                                capsys, flag, value):
+        extra = ["--material", "rice"] if flag == "--scope" else []
+        rc = cli.main(["train", "--dataset", str(cli_dataset),
+                       "--out", str(tmp_path / "m"), "--task", "classifier",
+                       "--epochs", "1", flag, value] + extra)
+        assert rc == 2
+        assert (f"{flag} applies only to --task predictor, got {flag} {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m").exists()
+
+    def test_classifier_accepts_predictor_flags_at_their_defaults(
+            self, cli_dataset, tmp_path):
+        rc = cli.main(["train", "--dataset", str(cli_dataset),
+                       "--out", str(tmp_path / "m"), "--task", "classifier",
+                       "--epochs", "1", "--scope", "default", "--motion",
+                       "shaking", "--window", str(cli.WINDOW), "--horizon",
+                       str(cli.HORIZON), "--stride", str(ds.STRIDE)])
+        assert rc == 0
+        assert (tmp_path / "m" / cli.CLASSIFIER_FILE).exists()
+
     def test_missing_dataset_dir_exits_2(self, tmp_path):
         rc = cli.main(["train", "--dataset", str(tmp_path / "nothing"),
                        "--out", str(tmp_path / "m"), "--task", "classifier"])

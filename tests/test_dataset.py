@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import re
 import sys
 import wave
+import zlib
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from gripsense import dataset as ds
+from gripsense import simulation
 from gripsense.materials import material_table
 from gripsense.simulation import run_trial
 from oracles import records_equal
@@ -137,6 +140,88 @@ class TestTrialStorage:
         for name in ds.TRIAL_FILES:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
+
+    def test_files_are_what_np_save_and_wave_write(self, tmp_path):
+        rec = small_record()
+        checksums = ds.write_trial(rec, tmp_path / "t0")
+        for name, _, _ in simulation.TRIAL_ARRAYS:
+            saved = io.BytesIO()
+            np.save(saved, getattr(rec, name))
+            raw = (tmp_path / "t0" / f"{name}.npy").read_bytes()
+            assert raw == saved.getvalue(), name
+        frames = np.round(rec.audio * simulation.PCM16_FULL_SCALE).astype("<i2")
+        wav = io.BytesIO()
+        with wave.open(wav, "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(simulation.SAMPLE_RATE)
+            f.writeframes(frames.tobytes())
+        assert (tmp_path / "t0" / "audio.wav").read_bytes() == wav.getvalue()
+        # the checksums taken while writing are those of the files written
+        assert checksums == {name: zlib.crc32((tmp_path / "t0" / name).read_bytes())
+                             for name in ds.TRIAL_FILES}
+
+    def test_arrays_not_laid_out_as_written_are_refused(self, tmp_path):
+        # each file holds the trial's own array, in a layout np.load reads
+        # but write_trial does not write
+        rec = small_record()
+        ds.write_trial(rec, tmp_path / "t0")
+        path = tmp_path / "t0" / "joint_angles.npy"
+        np.save(path, np.asfortranarray(rec.joint_angles))
+        assert np.array_equal(np.load(path), rec.joint_angles)
+        with pytest.raises(ds.TruncationError,
+                           match="joint_angles.npy holds a Fortran-order array"):
+            ds.read_trial(tmp_path / "t0")
+
+        ds.write_trial(rec, tmp_path / "t1")
+        path = tmp_path / "t1" / "tactile.npy"
+        with open(path, "wb") as f:
+            np.lib.format.write_array(f, rec.tactile, version=(2, 0))
+        assert np.array_equal(np.load(path), rec.tactile)
+        with pytest.raises(ds.TruncationError,
+                           match="tactile.npy has a .npy 2.0 header"):
+            ds.read_trial(tmp_path / "t1")
+
+        ds.write_trial(rec, tmp_path / "t2")
+        path = tmp_path / "t2" / "t.npy"
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(8))
+        with pytest.raises(ds.TruncationError, match="t.npy has 8 bytes after"):
+            ds.read_trial(tmp_path / "t2")
+        # the same dictionary, written without its trailing comma
+        path.write_bytes(raw.replace(b", }", b"}  ", 1))
+        assert np.array_equal(np.load(path), rec.t)
+        with pytest.raises(ds.TruncationError,
+                           match="t.npy has a .npy header other than"):
+            ds.read_trial(tmp_path / "t2")
+
+    def test_wav_with_an_extra_chunk_is_refused(self, tmp_path):
+        rec = small_record()
+        ds.write_trial(rec, tmp_path / "t0")
+        path = tmp_path / "t0" / "audio.wav"
+        raw = path.read_bytes()
+        # a LIST chunk between the fmt and data chunks, which the wave
+        # module skips
+        chunk = b"LIST" + (4).to_bytes(4, "little") + b"INFO"
+        riff_size = int.from_bytes(raw[4:8], "little") + len(chunk)
+        path.write_bytes(raw[:4] + riff_size.to_bytes(4, "little") + raw[8:36]
+                         + chunk + raw[36:])
+        with wave.open(str(path), "rb") as f:
+            frames = f.readframes(f.getnframes())
+        assert np.array_equal(np.frombuffer(frames, "<i2") / 32767.0, rec.audio)
+        for read in (ds.read_trial, ds.read_trial_audio):
+            with pytest.raises(ValueError, match=f"audio.wav holds {len(rec.audio)} "
+                                                 f"samples in {len(raw) + 12} bytes"):
+                read(tmp_path / "t0")
+
+    @pytest.mark.parametrize("n_steps", [500.0, "500", -1, None])
+    def test_n_steps_that_is_not_a_count_is_refused(self, tmp_path, n_steps):
+        ds.write_trial(small_record(), tmp_path / "t0")
+        self.rewrite_meta(tmp_path / "t0", n_steps=n_steps)
+        for read in (ds.read_trial, ds.read_trial_audio):
+            with pytest.raises(ds.DatasetError,
+                               match=f"meta.json has n_steps {re.escape(repr(n_steps))}"):
+                read(tmp_path / "t0")
 
     def test_checksum_error_names_file(self, tmp_path):
         rec = small_record()

@@ -1,4 +1,5 @@
 import wave
+import zlib
 
 import numpy as np
 import pytest
@@ -200,3 +201,29 @@ class TestWavIO:
         self.write_raw(path, rate=22050)
         with pytest.raises(ValueError, match="r.wav has sample rate 22050 Hz"):
             dsp.read_wav(path, path.read_bytes())
+
+    @pytest.mark.parametrize("n", [0, 1, 80, 16000])
+    def test_header_is_the_wave_modules(self, tmp_path, n):
+        path = tmp_path / "h.wav"
+        with wave.open(str(path), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(SAMPLE_RATE)
+            f.writeframes(b"\x01\x00" * n)
+        raw = path.read_bytes()
+        assert raw == dsp.wav_header(n) + b"\x01\x00" * n
+
+    def test_write_returns_the_files_crc32(self, tmp_path):
+        path = tmp_path / "t.wav"
+        assert dsp.write_wav(path, tone()) == zlib.crc32(path.read_bytes())
+
+    def test_read_rejects_another_layout(self, tmp_path):
+        # the wave module reads both files, but write_wav writes neither
+        path = tmp_path / "x.wav"
+        samples = np.round(tone() * 32767.0) / 32767.0
+        dsp.write_wav(path, samples)
+        raw = path.read_bytes()
+        with pytest.raises(ValueError, match="x.wav holds 16000 samples in 32046 bytes"):
+            dsp.read_wav(path, raw + b"\x00\x00")
+        with pytest.raises(EOFError, match="x.wav ends inside its 16000 samples"):
+            dsp.read_wav(path, raw[:-2])
