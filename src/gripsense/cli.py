@@ -151,11 +151,9 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     manifest = ds.generate_dataset(out, trials_per_cell=args.trials,
                                    base_seed=args.seed, overwrite=args.overwrite)
-    try:
-        manifest = ds.build_splits(manifest, seed=args.seed)
-    except ds.DatasetError as e:
-        print(f"note: no split assignment ({e})")
-    ds.save_manifest(manifest, out)
+    if manifest.splits is None:
+        print(f"note: no split assignment (cells of {args.trials} trials are "
+              f"too small to stratify at {ds.SPLIT_FRACTIONS})")
     _echo_config(args, out)
     print(f"generated {len(manifest.trials)} trials in {out} "
           f"(base seed {args.seed})")
@@ -190,9 +188,11 @@ def cmd_train(args) -> int:
         train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                                 augment=True)
         val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
-        model, metrics = train_classifier(train_items, val_items, cfg)
+        model, metrics, curve = train_classifier(train_items, val_items, cfg)
         save_model(out / CLASSIFIER_FILE, model)
         _write_classifier_metrics(out / "metrics_classifier.csv", metrics)
+        _write_curve(out / "curve_classifier.csv",
+                     ["epoch", "mean_loss", "val_accuracy"], curve)
         L = inference.confusions_from_segments(
             model, val_items,
             [manifest.entry(s).motion["kind"] for s in val_sources])
@@ -206,10 +206,12 @@ def cmd_train(args) -> int:
     X, slip, force, cell, _ = ds.predictor_windows(
         dataset_dir, manifest, "train", args.motion, args.material,
         window=args.window, horizon=args.horizon, stride=args.stride)
-    model = train_predictor(X, slip, force, cell, cfg, args.horizon,
-                            motion=args.motion, material=args.material)
+    model, curve = train_predictor(X, slip, force, cell, cfg, args.horizon,
+                                   motion=args.motion, material=args.material)
     name = predictor_filename(args.motion, args.material)
     save_model(out / name, model)
+    _write_curve(out / f"curve_{name.removesuffix('.gsm')}.csv",
+                 ["epoch", "mean_loss"], curve)
 
     Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
         dataset_dir, manifest, "test", args.motion, args.material,
@@ -243,6 +245,15 @@ def _auc_text(metrics: mx.Metrics, slip: np.ndarray, missing: str) -> str:
     return f"{missing} (test windows: {n_slip} slip, {len(slip) - n_slip} non-slip)"
 
 
+def _write_curve(path, header: list[str], curve) -> None:
+    """A training curve: one row per epoch, its index then its figures."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([epoch] + [repr(float(v)) for v in figures]
+                    for epoch, *figures in curve)
+
+
 def _write_classifier_metrics(path, metrics) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -258,8 +269,6 @@ def _write_classifier_metrics(path, metrics) -> None:
 def cmd_episode(args) -> int:
     _require_counts(args, "--episodes")
     models_dir = _require_dir(Path(args.models), "models")
-    out = Path(args.out)
-    _echo_config(args, out)
     table = material_table()
     if args.material not in table:
         raise UsageError(f"unknown material {args.material!r}")
@@ -283,6 +292,8 @@ def cmd_episode(args) -> int:
         if args.motion not in registry.default_models:
             raise UsageError(f"no default predictor for motion {args.motion!r} "
                              f"in {models_dir}")
+    out = Path(args.out)
+    _echo_config(args, out)
 
     rows, mean_torques, drops = [], [], 0
     for i in range(args.episodes):
@@ -319,8 +330,6 @@ def cmd_active(args) -> int:
     if not 0.2 < args.confidence < 1.0:
         raise UsageError(f"--confidence must lie in (0.2, 1), got {args.confidence}")
     models_dir = _require_dir(Path(args.models), "models")
-    out = Path(args.out)
-    _echo_config(args, out)
     table = material_table()
     if args.material not in table:
         raise UsageError(f"unknown material {args.material!r}")
@@ -328,6 +337,8 @@ def cmd_active(args) -> int:
     if likelihoods is None:
         raise UsageError(f"no confusion_<motion>.csv files in {models_dir}; "
                          "train the classifier first")
+    out = Path(args.out)
+    _echo_config(args, out)
 
     rows = []
     for i in range(args.seeds):

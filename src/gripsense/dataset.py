@@ -416,7 +416,9 @@ def load_manifest(dataset_dir) -> DatasetManifest:
 
 def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
                      overwrite: bool = False) -> DatasetManifest:
-    """Run the full collection protocol and write it under out_dir."""
+    """Run the full collection protocol and write it under out_dir. The
+    manifest holds the split `build_splits` makes with base_seed, or none
+    when the cells are too small to stratify."""
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()):
         if not overwrite:
@@ -443,6 +445,10 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
                                           sim_seed, rel, checksums))
     manifest = DatasetManifest(FORMAT_VERSION, base_seed, trials_per_cell,
                                MATERIAL_CLASSES, MOTIONS, tuple(entries))
+    try:
+        manifest = build_splits(manifest, seed=base_seed)
+    except DatasetError:
+        pass  # saved without splits; `split_entries` refuses to read them
     save_manifest(manifest, out_dir)
     return manifest
 

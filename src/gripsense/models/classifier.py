@@ -160,7 +160,9 @@ def _to_arrays(dataset, classes: tuple[str, ...]):
 
 def train_classifier(train_set, val_set, cfg: TrainConfig):
     """Minibatch SGD with momentum on cross-entropy; returns the model with
-    the best validation-accuracy weights plus held-out Metrics."""
+    the best validation-accuracy weights, held-out Metrics and the
+    training curve, one (epoch, mean minibatch loss, validation accuracy)
+    per epoch."""
     model_cfg = ClassifierConfig(seed=cfg.seed)
     x_train, y_train = _to_arrays(train_set, model_cfg.classes)
     x_val, y_val = _to_arrays(val_set, model_cfg.classes)
@@ -173,9 +175,11 @@ def train_classifier(train_set, val_set, cfg: TrainConfig):
     fit_standardizer(model, x_train)
     best_theta = model.theta.copy()
     best_acc = -1.0
-    for _ in sgd_epochs(model, (x_train, y_train), cfg, BATCH):
+    curve = []
+    for epoch, loss in sgd_epochs(model, (x_train, y_train), cfg, BATCH):
         probs, _ = model.forward(x_val)
         acc = _metrics.accuracy(probs.argmax(axis=1), y_val)
+        curve.append((epoch, loss, acc))
         if acc > best_acc:
             best_acc = acc
             best_theta = model.theta.copy()
@@ -186,7 +190,7 @@ def train_classifier(train_set, val_set, cfg: TrainConfig):
     prec, rec = _metrics.precision_recall(cm)
     result = _metrics.Metrics(accuracy=_metrics.accuracy(pred, y_val),
                               precision=prec, recall=rec, confusion=cm)
-    return model, result
+    return model, result, curve
 
 
 def classify(model: MaterialClassifier, frames: np.ndarray) -> np.ndarray:

@@ -29,16 +29,19 @@ def fit_standardizer(model, X: np.ndarray) -> None:
 def sgd_epochs(model, arrays: tuple[np.ndarray, ...], cfg: TrainConfig,
                batch: int):
     """Train `model.theta` in place on `model.loss_and_grad(*minibatch)`,
-    yielding the epoch index after each pass over the data.
+    yielding the epoch index and the mean of its minibatch losses after
+    each pass over the data.
 
     Each epoch draws one permutation from a generator seeded by `cfg.seed`
     and slices every array in `arrays` with the same minibatch indices."""
     velocity = np.zeros_like(model.theta)
     rng = np.random.default_rng(cfg.seed)
     n = len(arrays[0])
+    starts = range(0, n, batch)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, batch):
+        total = 0.0
+        for lo in starts:
             idx = order[lo:lo + batch]
             loss, grad = model.loss_and_grad(*(a[idx] for a in arrays))
             if not np.isfinite(loss):
@@ -50,4 +53,5 @@ def sgd_epochs(model, arrays: tuple[np.ndarray, ...], cfg: TrainConfig,
             velocity *= MOMENTUM
             velocity -= cfg.lr * grad
             model.theta += velocity
-        yield epoch
+            total += float(loss)
+        yield epoch, total / len(starts)

@@ -201,10 +201,12 @@ class SlipPredictor:
 def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
                     y_cell: np.ndarray, cfg: TrainConfig, horizon: int,
                     motion: str = "shaking",
-                    material: str | None = None) -> SlipPredictor:
+                    material: str | None = None) -> tuple[SlipPredictor, list]:
     """Fit a predictor on windowed features whose targets sit `horizon`
     steps past each window's end. Its config comes from X's shape, the
-    horizon and cfg's seed; naming a material makes it a material model."""
+    horizon and cfg's seed; naming a material makes it a material model.
+    Returns the model and its training curve, one (epoch, mean minibatch
+    loss) per epoch."""
     if len(X) == 0:
         raise ValueError("empty predictor training set")
     model_cfg = PredictorConfig(input_dim=X.shape[2], window=X.shape[1],
@@ -214,9 +216,8 @@ def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
     fit_standardizer(model, X)
     model.force_mean = float(np.mean(y_force))
     model.force_std = float(max(np.std(y_force), 1e-6))
-    for _ in sgd_epochs(model, (X, y_slip, y_force, y_cell), cfg, BATCH):
-        pass
-    return model
+    curve = list(sgd_epochs(model, (X, y_slip, y_force, y_cell), cfg, BATCH))
+    return model, curve
 
 
 class FeatureWindow:

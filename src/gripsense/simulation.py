@@ -6,9 +6,14 @@ pressure grid, 16 joint angles and torques, a CHUNK of 80 audio samples at
 SAMPLE_RATE (16 kHz), and ground-truth slip/force labels. The rig has this
 one clock; trial storage refuses data recorded on another.
 `step` advances a block of k >= 1 such steps under one grip command: the
-scalar physics and every random draw run step by step, and the block's
-grids, joint streams and audio are then rendered as arrays with a leading
-step axis. A block gives the same bits as k single steps.
+scalar physics runs step by step, and the block's grids, joint streams and
+audio are then rendered as arrays with a leading step axis. The random
+draws keep one order, step by step: audio noise, Poisson impact count,
+each impact's onset, frequency and phase, joint noise. The Gaussian noise
+is standard normals scaled per block, so a run of them that no other draw
+splits (one step's joint noise and the next step's audio noise, or a
+whole block without impacts) is one generator call. A block gives the
+same bits as k single steps.
 
 Physics, in brief:
   * The grip torque maps linearly to a normal force, N = 25 * torque (N/Nm),
@@ -105,6 +110,10 @@ def _contact_pattern() -> np.ndarray:
 
 
 _BASE_PATTERN = _contact_pattern()
+# the sigma of each column of a step's noise row: CHUNK audio samples, then
+# N_JOINTS joint angles
+_NOISE_SIGMAS = _read_only(
+    np.repeat([[NOISE_FLOOR, JOINT_NOISE]], [CHUNK, N_JOINTS], axis=1))
 _GRID_ROW_INDEX = _read_only(np.arange(GRID_ROWS))
 # column part of the load blob's exponent
 _LOAD_COL_TERM = _read_only(
@@ -237,15 +246,22 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     rate = IMPACT_RATE_COEFF * material.particle_count
     half_band = 0.5 * material.impact_bandwidth_hz
 
-    # Scalar physics on Python floats and every random draw, step by step in
-    # the order audio noise, Poisson count, per-event draws, joint noise.
-    # The render inputs of each step are stored as it goes.
+    # Scalar physics on Python floats, step by step; the render inputs of
+    # each step are stored as it goes. The draws run in the order audio
+    # noise, Poisson count, per-event draws, joint noise of each step in
+    # turn. Row j of `noise` holds step j's audio then joint noise as
+    # standard normals, scaled once after the loop: rng.normal(0, s) is
+    # 0 + s * z on the same stream, and the render's sums drop the sign a
+    # zero may differ in. So each run of normals between two other draws is
+    # one call: up to a step's audio before its Poisson draw, the rest after.
     t_out, slip_out, drop_out = out["t"], out["true_slip"], out["dropped"]
     loads, centers, load_torques, drags = np.empty((4, k))
     events = []  # (start sample in the block, freq, phase, amp)
     disp, dropped, offset, t = (state.slip_displacement, state.dropped,
                                 state.contents_offset, state.t)
-    normal_draw = rng.normal
+    noise = np.empty((k, chunk + N_JOINTS))
+    flat = noise.reshape(-1)
+    drawn = 0
     for j, a in enumerate(accels):
         # Coulomb slip: deficit between required tangential force and friction.
         required = mass * abs(a + g)
@@ -265,16 +281,21 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
         load_torques[j] = 0.005 * load
         drags[j] = JOINT_SLIP_GAIN * disp
 
-        audio[j] = normal_draw(0.0, NOISE_FLOOR, chunk)
         lam = rate * abs(a) * dt
         if not dropped and lam > 0.0:
+            end = j * (chunk + N_JOINTS) + chunk
+            rng.standard_normal(out=flat[drawn:end])
+            drawn = end
             amp = IMPACT_AMP_COEFF * abs(a)
             for _ in range(rng.poisson(lam)):
                 onset = int(rng.integers(0, chunk))
-                freq = material.impact_centroid_hz + rng.uniform(-half_band, half_band)
-                phase = rng.uniform(0.0, 2.0 * np.pi)
+                # rng.uniform(lo, hi), as numpy defines it: lo + (hi - lo) * rng.random()
+                freq = material.impact_centroid_hz + (
+                    -half_band + (half_band + half_band) * rng.random())
+                phase = 2.0 * np.pi * rng.random()
                 events.append((j * chunk + onset, freq, phase, amp))
-        angles[j] = normal_draw(0.0, JOINT_NOISE, N_JOINTS)
+    rng.standard_normal(out=flat[drawn:])
+    noise *= _NOISE_SIGMAS
     state.slip_displacement, state.dropped, state.contents_offset, state.t = \
         disp, dropped, offset, t
 
@@ -302,7 +323,7 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     buf[:n_tail] = state.audio_tail
     if events:
         _add_bursts(buf, events, material)
-    audio += buf[:k * chunk].reshape(k, chunk)
+    np.add(noise[:, :chunk], buf[:k * chunk].reshape(k, chunk), out=audio)
     np.maximum(audio, -1.0, out=audio)
     np.minimum(audio, 1.0, out=audio)
     audio *= PCM16_FULL_SCALE
@@ -313,7 +334,7 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     # Joint streams: grasp closing plus slip drag, with encoder jitter.
     jq = JOINT_QUANTUM
     pose = REST_POSE + GRIP_CLOSING_GAIN * grip_torque * CLOSE_DIR
-    angles += pose + drags[:, None] * SLIP_DIR
+    np.add(noise[:, chunk:], pose + drags[:, None] * SLIP_DIR, out=angles)
     angles /= jq
     np.rint(angles, out=angles)
     angles *= jq

@@ -27,9 +27,7 @@ BASE_SEED = 0
 @pytest.fixture(scope="session")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "full"
-    manifest = ds.generate_dataset(out, trials_per_cell=30, base_seed=BASE_SEED)
-    manifest = ds.build_splits(manifest, seed=BASE_SEED)
-    ds.save_manifest(manifest, out)
+    ds.generate_dataset(out, trials_per_cell=30, base_seed=BASE_SEED)
     return out
 
 
@@ -44,7 +42,7 @@ def clf_bundle(dataset_dir, manifest):
     train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                             augment=True)
     val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
-    model, metrics = train_classifier(
+    model, metrics, _ = train_classifier(
         train_items, val_items, TrainConfig(epochs=30, lr=0.01, seed=BASE_SEED))
     return model, metrics, val_items, val_sources
 
@@ -66,30 +64,33 @@ def likelihoods(clf_bundle, manifest):
 def default_shaking(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "shaking")
-    return train_predictor(X, slip, force, cell, horizon=HORIZON,
-                           motion="shaking",
-                           cfg=TrainConfig(epochs=8, lr=0.05,
-                                           seed=BASE_SEED))
+    model, _ = train_predictor(X, slip, force, cell, horizon=HORIZON,
+                               motion="shaking",
+                               cfg=TrainConfig(epochs=8, lr=0.05,
+                                               seed=BASE_SEED))
+    return model
 
 
 @pytest.fixture(scope="session")
 def default_rotation(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation")
-    return train_predictor(X, slip, force, cell, horizon=HORIZON,
-                           motion="rotation",
-                           cfg=TrainConfig(epochs=8, lr=0.05,
-                                           seed=BASE_SEED))
+    model, _ = train_predictor(X, slip, force, cell, horizon=HORIZON,
+                               motion="rotation",
+                               cfg=TrainConfig(epochs=8, lr=0.05,
+                                               seed=BASE_SEED))
+    return model
 
 
 @pytest.fixture(scope="session")
 def cereal_rotation_model(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation", "cereal")
-    return train_predictor(X, slip, force, cell, horizon=HORIZON,
-                           motion="rotation", material="cereal",
-                           cfg=TrainConfig(epochs=24, lr=0.05,
-                                           seed=BASE_SEED))
+    model, _ = train_predictor(X, slip, force, cell, horizon=HORIZON,
+                               motion="rotation", material="cereal",
+                               cfg=TrainConfig(epochs=24, lr=0.05,
+                                               seed=BASE_SEED))
+    return model
 
 
 @pytest.fixture(scope="session")

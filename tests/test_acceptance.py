@@ -87,8 +87,8 @@ def test_criterion_3_material_classification(dataset_dir, manifest):
                                           augment=True)
     val_items, _ = ds.classifier_segments(dataset_dir, manifest, "val")
     t0 = time.perf_counter()
-    model, _ = train_classifier(train_aug, val_items,
-                                TrainConfig(epochs=30, lr=0.01, seed=0))
+    model, _, _ = train_classifier(train_aug, val_items,
+                                   TrainConfig(epochs=30, lr=0.01, seed=0))
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"training took {elapsed:.0f}s (budget 600s)"
 

@@ -62,6 +62,22 @@ class TestGenerate:
         assert len(manifest.trials) == 10
         assert manifest.splits is None
 
+    def test_manifest_is_encoded_once_with_its_splits(self, tmp_path,
+                                                      monkeypatch):
+        encoded = []
+        encode = ds._manifest_to_json
+
+        def spy(manifest):
+            encoded.append(manifest)
+            return encode(manifest)
+        monkeypatch.setattr(ds, "_manifest_to_json", spy)
+        out = tmp_path / "d"
+        assert cli.main(["generate", "--out", str(out), "--trials", "4",
+                         "--seed", "3"]) == 0
+        assert len(encoded) == 1
+        manifest = ds.load_manifest(out)
+        assert manifest.splits == ds.build_splits(manifest, seed=3).splits
+
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         rc = cli.main(["generate", "--out", str(tmp_path / "d"), "--trials", "0"])
         assert rc == 2
@@ -111,6 +127,20 @@ class TestTrain:
     def test_predictor_artifacts(self, cli_models):
         assert (cli_models / "predictor_default_shaking.gsm").exists()
         assert (cli_models / "metrics_predictor_default_shaking.csv").exists()
+
+    def test_training_curves(self, cli_models):
+        # cli_models trains each model for 2 epochs
+        for name, header in (
+                ("classifier", ["epoch", "mean_loss", "val_accuracy"]),
+                ("predictor_default_shaking", ["epoch", "mean_loss"])):
+            with open(cli_models / f"curve_{name}.csv", newline="") as f:
+                rows = list(csv.reader(f))
+            assert rows[0] == header
+            assert [row[0] for row in rows[1:]] == ["0", "1"]
+            figures = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+            assert np.all(np.isfinite(figures)) and np.all(figures[:, 0] > 0)
+            if name == "classifier":
+                assert np.all((figures[:, 1] >= 0) & (figures[:, 1] <= 1))
 
     def test_material_scope_requires_material(self, cli_dataset, tmp_path):
         rc = cli.main(["train", "--dataset", str(cli_dataset),
@@ -236,6 +266,19 @@ class TestEpisode:
         assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["episode", "--material", "sand"],
+    ["episode", "--material", "rice", "--policy", "fixed:2"],
+    ["episode", "--material", "rice", "--motion", "rotation"],
+    ["active", "--material", "sand"],
+])
+def test_usage_error_writes_nothing(cli_models, tmp_path, argv):
+    out = tmp_path / "out"
+    rc = cli.main(argv + ["--models", str(cli_models), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
 class TestActiveAndEval:
     def test_active_loop_runs(self, cli_models, tmp_path):
         rc = cli.main(["active", "--models", str(cli_models),
@@ -279,6 +322,7 @@ class TestActiveAndEval:
         rc = cli.main(["active", "--models", str(bare),
                        "--out", str(tmp_path / "o"), "--material", "rice"])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
 
     def test_permuted_confusion_header_rejected(self, cli_models, tmp_path):
         models = tmp_path / "models"

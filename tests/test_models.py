@@ -17,7 +17,7 @@ from gripsense.models.classifier import (
     train_classifier,
 )
 from gripsense import tactile
-from gripsense.models.optim import TrainConfig, fit_standardizer
+from gripsense.models.optim import TrainConfig, fit_standardizer, sgd_epochs
 from gripsense.models.predictor import (
     HORIZON,
     FeatureWindow,
@@ -84,16 +84,16 @@ class TestClassifier:
     def test_training_deterministic(self):
         items = toy_items()
         cfg = TrainConfig(epochs=3, lr=0.01, seed=11)
-        a, _ = train_classifier(items, items[:5], cfg)
-        b, _ = train_classifier(items, items[:5], cfg)
+        a, _, _ = train_classifier(items, items[:5], cfg)
+        b, _, _ = train_classifier(items, items[:5], cfg)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         items = toy_items()
         x = np.stack([m for m, _ in items])
         y = np.asarray([MATERIAL_CLASSES.index(lab) for _, lab in items])
-        trained, _ = train_classifier(items, items[:5],
-                                      TrainConfig(epochs=5, lr=0.01, seed=4))
+        trained, _, _ = train_classifier(items, items[:5],
+                                         TrainConfig(epochs=5, lr=0.01, seed=4))
         init = MaterialClassifier(ClassifierConfig(seed=4))
         init.input_mean = trained.input_mean.copy()
         init.input_std = trained.input_std.copy()
@@ -118,6 +118,19 @@ class TestClassifier:
     def test_forward_shape_guard(self):
         with pytest.raises(ValueError):
             MaterialClassifier().forward(np.zeros((2, 98)))
+
+
+def test_sgd_epochs_yield_the_mean_minibatch_loss():
+    class BatchSize:
+        # loss = the minibatch's size, gradient zero
+        theta = np.zeros(3)
+
+        def loss_and_grad(self, x):
+            return float(len(x)), np.zeros(3)
+    # 10 rows in minibatches of 4, 4 and 2
+    curve = list(sgd_epochs(BatchSize(), (np.arange(10.0),),
+                            TrainConfig(epochs=2, lr=0.1), batch=4))
+    assert curve == [(0, 10 / 3), (1, 10 / 3)]
 
 
 def fresh_window(model, frames):
@@ -149,13 +162,13 @@ class TestPredictor:
     def test_training_deterministic(self):
         X, ys, yf, yc = self.small_windows()
         cfg = TrainConfig(epochs=3, lr=0.05, seed=9)
-        a = train_predictor(X, ys, yf, yc, cfg, horizon=2)
-        b = train_predictor(X, ys, yf, yc, cfg, horizon=2)
+        a, _ = train_predictor(X, ys, yf, yc, cfg, horizon=2)
+        b, _ = train_predictor(X, ys, yf, yc, cfg, horizon=2)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         X, ys, yf, yc = self.small_windows()
-        trained = train_predictor(
+        trained, _ = train_predictor(
             X, ys, yf, yc, cfg=TrainConfig(epochs=6, lr=0.05, seed=2), horizon=2)
         init = SlipPredictor(PredictorConfig(input_dim=8, hidden=32, window=6,
                                              seed=2))
@@ -178,13 +191,13 @@ class TestPredictor:
                                        "rotation", "cereal", window=12,
                                        horizon=4)
         cfg = TrainConfig(epochs=1, lr=0.05, seed=3)
-        model = train_predictor(*windows[:4], cfg, horizon=4,
-                                motion="rotation", material="cereal")
+        model, _ = train_predictor(*windows[:4], cfg, horizon=4,
+                                   motion="rotation", material="cereal")
         assert model.cfg == PredictorConfig(input_dim=tactile.FEATURE_DIM,
                                             window=12, horizon=4, seed=3)
         assert (model.scope, model.motion, model.material) == \
             ("material", "rotation", "cereal")
-        model = train_predictor(*windows[:4], cfg, horizon=4, motion="rotation")
+        model, _ = train_predictor(*windows[:4], cfg, horizon=4, motion="rotation")
         assert (model.scope, model.material) == ("default", None)
 
     def test_non_finite_targets_abort(self):
@@ -218,7 +231,7 @@ class TestPredictor:
             if seed == cereal_rotation_model.cfg.seed:
                 model = cereal_rotation_model
             else:
-                model = train_predictor(
+                model, _ = train_predictor(
                     Xtr, str_, ftr, ctr, horizon=HORIZON, motion="rotation",
                     material="cereal",
                     cfg=TrainConfig(epochs=24, lr=0.05, seed=seed))

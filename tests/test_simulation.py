@@ -20,7 +20,7 @@ from gripsense.simulation import (
     step,
     step_arrays,
 )
-from oracles import on_pcm16_grid, records_equal, single_step_trial
+from oracles import on_pcm16_grid, per_draw_step, records_equal, single_step_trial
 
 TABLE = material_table()
 
@@ -146,6 +146,32 @@ class TestStep:
         block = step(initial_state(4, m), m, accels, 0.2)["audio"]
         assert np.array_equal(np.concatenate(singles), block)
         assert on_pcm16_grid(block) and block.any()
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    @pytest.mark.parametrize("k", [1, 2, 7, 100])
+    @pytest.mark.parametrize("torque,stiffness", [
+        (0.0, 1.0), (0.4, 1.0), (1.0, 1.0), (0.4, 2.0)])
+    def test_blocks_match_one_draw_per_call(self, name, k, torque, stiffness):
+        # 150 steps of shaking with steps 40-59 at rest, in blocks of k: at
+        # torque 0.0 the container drops mid-trial, and some blocks hold
+        # zeros or are all zeros
+        m = TABLE[name]
+        accels = fixed_shake(peak=25.0).accelerations()[:150].tolist()
+        accels[40:60] = [0.0] * 20
+        state, oracle = initial_state(5, m), initial_state(5, m)
+        for i in range(0, len(accels), k):
+            block = accels[i:i + k]
+            got = step(state, m, block, torque, stiffness_scale=stiffness)
+            want = per_draw_step(oracle, m, block, torque, stiffness)
+            for field in want:
+                assert got[field].dtype == want[field].dtype
+                assert np.array_equal(got[field], want[field]), (field, i)
+            assert np.array_equal(state.audio_tail, oracle.audio_tail)
+            assert (state.t, state.slip_displacement, state.contents_offset,
+                    state.dropped) == (oracle.t, oracle.slip_displacement,
+                                       oracle.contents_offset, oracle.dropped)
+            assert state.rng.bit_generator.state == oracle.rng.bit_generator.state
+        assert state.dropped is (torque == 0.0)
 
     def test_contact_pattern_is_shared_read_only(self):
         pattern = _BASE_PATTERN
