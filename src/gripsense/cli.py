@@ -2,6 +2,9 @@
 
 Every run echoes its effective configuration to the output directory as
 run_config.json so results are reproducible from the file plus the seed.
+A run checks its flags and inputs first: a usage error writes nothing, and
+generate, train and eval write run_config.json beside their outputs, once
+those exist.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -167,6 +170,9 @@ def cmd_train(args) -> int:
     if (args.scope == "material") != bool(args.material):
         raise UsageError("--material is given with --scope material, and "
                          "only with it")
+    if args.material and args.material not in MATERIAL_CLASSES:
+        raise UsageError(f"unknown material {args.material!r}; expected one "
+                         f"of {MATERIAL_CLASSES}")
     if args.task == "classifier":
         # the classifier trains on every motion's whole recordings: it reads
         # none of the predictor's flags, so none may be set
@@ -181,7 +187,6 @@ def cmd_train(args) -> int:
     manifest = ds.load_manifest(dataset_dir)
     if not manifest.splits:
         raise ds.DatasetError("dataset manifest has no splits; regenerate it")
-    _echo_config(args, out)
 
     cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.task == "classifier":
@@ -189,15 +194,17 @@ def cmd_train(args) -> int:
                                                 augment=True)
         val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
         model, metrics, curve = train_classifier(train_items, val_items, cfg)
+        L = inference.confusions_from_segments(
+            model, val_items,
+            [manifest.entry(s).motion["kind"] for s in val_sources])
+        out.mkdir(parents=True, exist_ok=True)
         save_model(out / CLASSIFIER_FILE, model)
         _write_classifier_metrics(out / "metrics_classifier.csv", metrics)
         _write_curve(out / "curve_classifier.csv",
                      ["epoch", "mean_loss", "val_accuracy"], curve)
-        L = inference.confusions_from_segments(
-            model, val_items,
-            [manifest.entry(s).motion["kind"] for s in val_sources])
         for motion, C in L.confusions.items():
             write_confusion_csv(out / confusion_filename(motion), C)
+        _echo_config(args, out)
         print(f"classifier: val accuracy {metrics.accuracy:.3f} "
               f"({len(train_items)} train / {len(val_items)} val segments)")
         return 0
@@ -206,21 +213,22 @@ def cmd_train(args) -> int:
     X, slip, force, cell, _ = ds.predictor_windows(
         dataset_dir, manifest, "train", args.motion, args.material,
         window=args.window, horizon=args.horizon, stride=args.stride)
-    model, curve = train_predictor(X, slip, force, cell, cfg, args.horizon,
-                                   motion=args.motion, material=args.material)
-    name = predictor_filename(args.motion, args.material)
-    save_model(out / name, model)
-    _write_curve(out / f"curve_{name.removesuffix('.gsm')}.csv",
-                 ["epoch", "mean_loss"], curve)
-
     Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
         dataset_dir, manifest, "test", args.motion, args.material,
         window=args.window, horizon=args.horizon, stride=args.stride)
+    model, curve = train_predictor(X, slip, force, cell, cfg, args.horizon,
+                                   motion=args.motion, material=args.material)
     metrics = _evaluate_predictor(model, Xt, slip_t, force_t, cell_t)
+    name = predictor_filename(args.motion, args.material)
+    out.mkdir(parents=True, exist_ok=True)
+    save_model(out / name, model)
+    _write_curve(out / f"curve_{name.removesuffix('.gsm')}.csv",
+                 ["epoch", "mean_loss"], curve)
     with open(out / f"metrics_{name.removesuffix('.gsm')}.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["auc", "force_mae", "cell_distance"])
         w.writerow([metrics.auc, metrics.force_mae, metrics.cell_distance])
+    _echo_config(args, out)
     print(f"predictor {name}: test AUC {_auc_text(metrics, slip_t, 'n/a')}, "
           f"force MAE {metrics.force_mae:.4f} N, "
           f"cell distance {metrics.cell_distance:.2f}")
@@ -369,8 +377,6 @@ def cmd_active(args) -> int:
 def cmd_eval(args) -> int:
     dataset_dir = _require_dir(Path(args.dataset), "dataset")
     models_dir = _require_dir(Path(args.models), "models")
-    out = Path(args.out)
-    _echo_config(args, out)
     manifest = ds.load_manifest(dataset_dir)
     classifier, registry, _ = load_models(models_dir)
 
@@ -394,8 +400,11 @@ def cmd_eval(args) -> int:
                   [f"{motion}_cell_distance", repr(float(m.cell_distance))]]
         print(f"default predictor [{motion}]: AUC {_auc_text(m, slip_t, 'nan')}, "
               f"force MAE {m.force_mae:.4f} N, cell distance {m.cell_distance:.2f}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "eval.csv", "w", newline="") as f:
         csv.writer(f).writerows(lines)
+    _echo_config(args, out)
     return 0
 
 

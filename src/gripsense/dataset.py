@@ -7,12 +7,17 @@ material, motion, index). Each trial directory holds:
   meta.json    format version, ids, motion parameters, seed, the rig's
                clock (sample_rate 16000, dt 0.005), step count
   audio.wav    PCM 16-bit mono 16 kHz
-  <name>.npy   one little-endian NumPy array per simulation.TRIAL_ARRAYS
-               field (t, tactile, joints, truth), step axis first
+  <name>.npy   one little-endian NumPy array per STORED_ARRAYS entry, step
+               axis first: the tactile grid and the joint angles and
+               torques as integer counts of the grid the simulator renders
+               them on, the slip and drop flags as bool
 
 The top-level manifest.json records per-file CRC32 checksums and the
-train/val/test split. The .npy files hold raw array bytes, so re-reading
-a trial reproduces it bit for bit. Each file kind has one header, which
+train/val/test split. The rest of a TrialRecord is derived on reading:
+the step times are a running sum of SIM_DT, and the peak force and its
+cell are the max and argmax of the tactile grid. write_trial stores only
+values that decode back to the same bits, so re-reading a trial
+reproduces it bit for bit. Each file kind has one header, which
 write_trial writes and the readers match byte for byte; a file they
 refuse is parsed only to name what it holds. Older versions are
 regenerated, not read: a dataset is a pure function of (seed, trials).
@@ -42,13 +47,41 @@ from . import dsp
 from .materials import MATERIAL_CLASSES, material_table
 from .models.predictor import HORIZON, WINDOW
 from .motion import SIM_DT, MotionProfile, rotation_profile, shaking_profile
-from .simulation import CHUNK, SAMPLE_RATE, TRIAL_ARRAYS, TrialRecord, run_trial
+from .simulation import (CHUNK, GRID_COLS, GRID_ROWS, JOINT_ANGLE_MAX, JOINT_QUANTUM,
+                         SAMPLE_RATE, TACTILE_QUANTUM, TRIAL_ARRAYS, TrialRecord,
+                         run_trial)
 from .tactile import features_from_arrays
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
+
+
+@dataclass(frozen=True)
+class StoredArray:
+    """How a trial file holds one TrialRecord array: as the array itself in
+    `dtype`, or, with a `quantum`, as integer counts of it in `dtype`. A
+    count decodes to count * quantum, clamped at `stop` where the field has
+    one; the stop itself, which is off the grid, is stored as the first
+    count past it."""
+    name: str
+    dtype: np.dtype
+    quantum: float | None = None
+    stop: float | None = None
+
+
+# The TrialRecord arrays a trial stores, on the grids the simulator renders
+# them on; t, true_max_force and true_cell are derived on reading.
+STORED_ARRAYS = (
+    StoredArray("tactile", np.dtype("<u2"), TACTILE_QUANTUM),
+    StoredArray("joint_angles", np.dtype("<i4"), JOINT_QUANTUM, JOINT_ANGLE_MAX),
+    StoredArray("joint_torques", np.dtype("<i4"), JOINT_QUANTUM),
+    StoredArray("true_slip", np.dtype(bool)),
+    StoredArray("dropped", np.dtype(bool)),
+)
 TRIAL_FILES = ("meta.json", "audio.wav") + tuple(
-    f"{name}.npy" for name, _, _ in TRIAL_ARRAYS)
+    f"{a.name}.npy" for a in STORED_ARRAYS)
+# shape after the step axis of each TrialRecord array
+_TRAILING = {name: shape for name, shape, _ in TRIAL_ARRAYS}
 REGENERATE_HINT = "regenerate the dataset with `gripsense generate`"
 # meta.json keys the readers use, besides format_version
 META_KEYS = ("trial_id", "material", "motion", "seed", "sample_rate", "dt",
@@ -162,12 +195,81 @@ def _write(path: str, *parts) -> int:
     return crc
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether `a` and `b` have one dtype and shape and the same bytes;
+    unlike np.array_equal, this tells 0.0 from -0.0."""
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    return ((a.dtype, a.shape) == (b.dtype, b.shape)
+            and np.array_equal(a.view(bits), b.view(bits)))
+
+
+def _decode(stored: StoredArray, counts: np.ndarray, out=None) -> np.ndarray:
+    """The TrialRecord array of a stored one: the float64 values of
+    integer `counts`, into `out` if given, or the array as stored."""
+    if stored.quantum is None:
+        return counts
+    values = np.multiply(counts, stored.quantum, out=out)
+    if stored.stop is not None:
+        np.minimum(values, stored.stop, out=values)
+    return values
+
+
+def _derive(tactile_counts: np.ndarray) -> dict[str, np.ndarray]:
+    """The TrialRecord arrays a trial does not store: t, the running sum
+    of SIM_DT that `step` adds up, and true_max_force and true_cell, the
+    max and argmax of the tactile grid, taken from its counts."""
+    n = len(tactile_counts)
+    grid = tactile_counts.reshape(n, GRID_ROWS * GRID_COLS)
+    return {"t": np.cumsum(np.full(n, SIM_DT)),
+            "true_max_force": grid.max(axis=1) * TACTILE_QUANTUM,
+            "true_cell": np.stack(np.divmod(grid.argmax(axis=1), GRID_COLS), axis=1)}
+
+
+def _encode(record: TrialRecord, stored: StoredArray) -> np.ndarray:
+    """The array write_trial stores for `stored`'s field of `record`.
+
+    A quantized field is stored as its counts only if they decode back to
+    the same bits, sign of zero included; a value whose count `stored.dtype`
+    cannot hold, or that lies off the grid, raises DatasetError naming the
+    trial and the field. One float64 buffer serves the counts and their
+    check."""
+    values = getattr(record, stored.name)
+    if stored.quantum is None:
+        return np.ascontiguousarray(values, dtype=stored.dtype)
+    values = np.asarray(values, dtype=np.float64)
+    scaled = values / stored.quantum
+    np.rint(scaled, out=scaled)
+    if stored.stop is not None:
+        scaled[values == stored.stop] = math.floor(stored.stop / stored.quantum) + 1
+    where = f"trial {record.trial_id!r}: {stored.name}"
+    lo, hi = np.iinfo(stored.dtype).min, np.iinfo(stored.dtype).max
+    if not (lo <= scaled.min(initial=lo) and scaled.max(initial=hi) <= hi):
+        raise DatasetError(f"{where} has a value that {stored.dtype} counts of "
+                           f"{stored.quantum} cannot hold")
+    counts = scaled.astype(stored.dtype)
+    if not _same_bits(_decode(stored, counts, out=scaled), values):
+        raise DatasetError(f"{where} has a value that is not a count of "
+                           f"{stored.quantum}" + ("" if stored.stop is None else
+                                                  f" or the stop {stored.stop}"))
+    return counts
+
+
 def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
     """Write the trial files; returns per-file CRC32 checksums.
 
     Each array file is the .npy header of its shape and dtype, then the
-    array's own bytes: the file np.save writes. The checksums are taken from
-    the bytes as they are written; no file is read back."""
+    array's own bytes: the file np.save writes. The tactile grid and the
+    joint streams are written as counts of their quanta (see _encode). t,
+    true_max_force and true_cell are not written, so they must be what
+    read_trial derives. A record that would not read back bit for bit
+    raises DatasetError naming the trial and the field, before any file is
+    written. The checksums are taken from the bytes as they are written;
+    no file is read back."""
+    arrays = {stored.name: _encode(record, stored) for stored in STORED_ARRAYS}
+    for name, derived in _derive(arrays["tactile"]).items():
+        if not _same_bits(np.asarray(getattr(record, name)), derived):
+            raise DatasetError(f"trial {record.trial_id!r}: {name} is not the "
+                               f"{name} read_trial derives, and it is not stored")
     trial_dir = Path(trial_dir)
     trial_dir.mkdir(parents=True, exist_ok=True)
     paths = _paths(trial_dir, TRIAL_FILES)
@@ -186,10 +288,9 @@ def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
             meta, sort_keys=True, indent=1) + "\n").encode()),
         "audio.wav": dsp.write_wav(paths["audio.wav"], record.audio),
     }
-    for name, _, dtype in TRIAL_ARRAYS:
-        arr = np.ascontiguousarray(getattr(record, name), dtype=dtype)
+    for name, arr in arrays.items():
         checksums[f"{name}.npy"] = _write(paths[f"{name}.npy"],
-                                          _npy_header(arr.shape, dtype), arr)
+                                          _npy_header(arr.shape, arr.dtype), arr)
     return checksums
 
 
@@ -315,16 +416,24 @@ def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecor
     Each file is read once. A file is accepted only as write_trial writes
     it for meta.json's n_steps: each .npy file exactly its header and then
     its data, audio.wav exactly as dsp.write_wav lays it out. Anything else
-    is refused with an error that names the file and what it holds. Every
-    array but the audio is a read-only view of its file's bytes."""
+    is refused with an error that names the file and what it holds. The
+    counts decode to the floats the simulator rendered; t is the running
+    sum of SIM_DT that `step` adds up, and true_max_force and true_cell
+    are the max and argmax of the tactile counts, so the record is the one
+    written, bit for bit. Every array but the audio is read-only."""
     paths = _paths(trial_dir, TRIAL_FILES)
     files = _checked_files(paths, checksums)
     meta, audio = _parse_audio(paths, files)
-    arrays = {}
-    for name, trailing, dtype in TRIAL_ARRAYS:
-        file = f"{name}.npy"
-        arrays[name] = _parse_array(paths[file], _take(files, paths, file),
-                                    (meta["n_steps"],) + trailing, dtype)
+    arrays, counts = {}, {}
+    for stored in STORED_ARRAYS:
+        file = f"{stored.name}.npy"
+        counts[stored.name] = _parse_array(
+            paths[file], _take(files, paths, file),
+            (meta["n_steps"],) + _TRAILING[stored.name], stored.dtype)
+        arrays[stored.name] = _decode(stored, counts[stored.name])
+    arrays.update(_derive(counts["tactile"]))
+    for a in arrays.values():
+        a.flags.writeable = False
     return TrialRecord(
         trial_id=meta["trial_id"],
         material=meta["material"],

@@ -169,7 +169,9 @@ def initial_state(seed: int, material: MaterialParams) -> SimState:
 
 
 # The per-step arrays of a TrialRecord: (field, shape after the step axis,
-# dtype). Trial storage keeps one .npy file per entry.
+# dtype). Trial storage (dataset.STORED_ARRAYS) keeps the grid and joint
+# streams as integer counts of TACTILE_QUANTUM and JOINT_QUANTUM and the
+# flags as they are, and derives t, true_max_force and true_cell on reading.
 TRIAL_ARRAYS = (
     ("t", (), np.dtype("<f8")),
     ("tactile", (GRID_ROWS, GRID_COLS), np.dtype("<f8")),
@@ -328,6 +330,9 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     np.minimum(audio, 1.0, out=audio)
     audio *= PCM16_FULL_SCALE
     np.rint(audio, out=audio)
+    # rint gives -0.0 in (-0.5, 0), which PCM16 stores as 0: adding 0.0
+    # makes it +0.0, the bits the WAV round trip gives back
+    audio += 0.0
     audio /= PCM16_FULL_SCALE
     state.audio_tail = buf[k * chunk:]
 

@@ -2,6 +2,7 @@
 test session, so the expensive pieces are paid for once."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -38,13 +39,15 @@ def manifest(dataset_dir):
 
 @pytest.fixture(scope="session")
 def clf_bundle(dataset_dir, manifest):
-    """(classifier, val metrics, val items, val sources) trained once."""
+    """(classifier, val metrics, val items, val sources, training seconds)
+    trained once, on the augmented train split."""
     train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                             augment=True)
     val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
+    t0 = time.perf_counter()
     model, metrics, _ = train_classifier(
         train_items, val_items, TrainConfig(epochs=30, lr=0.01, seed=BASE_SEED))
-    return model, metrics, val_items, val_sources
+    return model, metrics, val_items, val_sources, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +58,7 @@ def classifier(clf_bundle):
 @pytest.fixture(scope="session")
 def likelihoods(clf_bundle, manifest):
     """Per-motion confusion matrices estimated on the validation split."""
-    model, _, val_items, val_sources = clf_bundle
+    model, _, val_items, val_sources, _ = clf_bundle
     motions = [manifest.entry(s).motion["kind"] for s in val_sources]
     return inference.confusions_from_segments(model, val_items, motions)
 

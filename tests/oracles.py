@@ -374,14 +374,14 @@ def on_pcm16_grid(samples) -> bool:
 
 def records_equal(a, b) -> bool:
     """Two trial records with the same metadata, and every array equal in
-    dtype and value."""
+    dtype, shape and bytes: bit for bit, so 0.0 and -0.0 differ, which
+    np.array_equal does not tell apart."""
     if (a.trial_id, a.material, a.seed, a.motion) != \
        (b.trial_id, b.material, b.seed, b.motion):
         return False
     arrays = ("audio",) + tuple(name for name, _, _ in simulation.TRIAL_ARRAYS)
-    return all(getattr(a, name).dtype == getattr(b, name).dtype
-               and np.array_equal(getattr(a, name), getattr(b, name))
-               for name in arrays)
+    return all((x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+               for x, y in ((getattr(a, name), getattr(b, name)) for name in arrays))
 
 
 def whole_trial_active_loop(material, classifier, L, confidence_target,

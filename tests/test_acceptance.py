@@ -16,8 +16,7 @@ from gripsense import dataset as ds
 from gripsense import dsp, inference, tactile
 from gripsense.controller import run_baseline_episode, run_reactive_loop
 from gripsense.materials import MATERIAL_CLASSES, material_table
-from gripsense.models.classifier import ClassifierConfig, MaterialClassifier, classify, train_classifier
-from gripsense.models.optim import TrainConfig
+from gripsense.models.classifier import ClassifierConfig, MaterialClassifier, classify
 from gripsense.models.predictor import (FeatureWindow, PredictorConfig, SlipPredictor, predict,
                                        predict_batch)
 from gripsense.models.registry import select_model
@@ -82,14 +81,10 @@ def test_criterion_2_dataset_protocol(dataset_dir, manifest, tmp_path):
               f"in {elapsed:.0f}s")
 
 
-def test_criterion_3_material_classification(dataset_dir, manifest):
-    train_aug, _ = ds.classifier_segments(dataset_dir, manifest, "train",
-                                          augment=True)
-    val_items, _ = ds.classifier_segments(dataset_dir, manifest, "val")
-    t0 = time.perf_counter()
-    model, _, _ = train_classifier(train_aug, val_items,
-                                   TrainConfig(epochs=30, lr=0.01, seed=0))
-    elapsed = time.perf_counter() - t0
+def test_criterion_3_material_classification(dataset_dir, manifest, clf_bundle):
+    # the clf_bundle classifier: TrainConfig(epochs=30, lr=0.01, seed=0) on
+    # the augmented train split, timed where the fixture trains it
+    model, _, _, _, elapsed = clf_bundle
     assert elapsed < 600.0, f"training took {elapsed:.0f}s (budget 600s)"
 
     train_plain, _ = ds.classifier_segments(dataset_dir, manifest, "train")

@@ -10,6 +10,7 @@ import pytest
 from gripsense import cli
 from gripsense import dataset as ds
 from gripsense.controller import EPISODE_COLUMNS
+from gripsense.materials import MATERIAL_CLASSES
 from gripsense.models.predictor import PredictorConfig, SlipPredictor
 from gripsense.models.serialize import ModelChecksumError, save_model
 
@@ -271,12 +272,18 @@ class TestEpisode:
     ["episode", "--material", "rice", "--policy", "fixed:2"],
     ["episode", "--material", "rice", "--motion", "rotation"],
     ["active", "--material", "sand"],
+    ["train", "--task", "predictor", "--scope", "material", "--material", "sand"],
 ])
-def test_usage_error_writes_nothing(cli_models, tmp_path, argv):
+def test_usage_error_writes_nothing(cli_dataset, cli_models, tmp_path, capsys,
+                                    argv):
     out = tmp_path / "out"
-    rc = cli.main(argv + ["--models", str(cli_models), "--out", str(out)])
+    inputs = (["--dataset", str(cli_dataset)] if argv[0] == "train"
+              else ["--models", str(cli_models)])
+    rc = cli.main(argv + inputs + ["--out", str(out)])
     assert rc == 2
     assert not out.exists()
+    if argv[0] == "train":
+        assert str(MATERIAL_CLASSES) in capsys.readouterr().err
 
 
 class TestActiveAndEval:
@@ -373,7 +380,18 @@ class TestActiveAndEval:
         assert lines[0].startswith("classifier_accuracy,")
         acc = float(lines[0].split(",")[1])
         assert 0.0 <= acc <= 1.0
+        assert json.loads((tmp_path / "run_config.json").read_text())["command"] == "eval"
 
+    def test_eval_of_empty_models_writes_nothing(self, cli_dataset, tmp_path,
+                                                 capsys):
+        models = tmp_path / "models"
+        models.mkdir()
+        out = tmp_path / "out"
+        rc = cli.main(["eval", "--dataset", str(cli_dataset),
+                       "--models", str(models), "--out", str(out)])
+        assert rc == 1
+        assert "classifier.gsm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_auc_gives_class_counts(self, cli_dataset, cli_models,
                                              tmp_path, capsys):

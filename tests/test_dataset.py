@@ -7,6 +7,7 @@ import wave
 import zlib
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,24 @@ from gripsense.simulation import run_trial
 from oracles import records_equal
 
 
-def small_record(trial_id="t0", seed=3):
+def small_record(trial_id="t0", seed=3, torque=ds.COLLECTION_TORQUE):
     table = material_table()
     rng = np.random.default_rng(ds.derive_seed(1, "rice", "shaking", 0, "profile"))
     profile = ds.sample_trial_profile("shaking", rng)
-    return run_trial(table["rice"], profile, ds.COLLECTION_TORQUE, seed,
-                     trial_id=trial_id)
+    return run_trial(table["rice"], profile, torque, seed, trial_id=trial_id)
+
+
+def decoded_digest(dataset_dir, manifest) -> str:
+    """SHA-256 over every array of every trial as read_trial rebuilds it:
+    the trial id, field, dtype and shape, then the array's bytes."""
+    h = hashlib.sha256()
+    for e in sorted(manifest.trials, key=lambda e: e.trial_id):
+        rec = ds.read_trial(dataset_dir / e.path, e.checksums)
+        for name in ("audio",) + tuple(n for n, _, _ in simulation.TRIAL_ARRAYS):
+            a = getattr(rec, name)
+            h.update(f"{e.trial_id}/{name}:{a.dtype.str}{a.shape}\n".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def manifest_text(**fields) -> str:
@@ -118,12 +131,11 @@ class TestTrialStorage:
     def test_round_trip_is_exact(self, tmp_path):
         rec = small_record()
         checksums = ds.write_trial(rec, tmp_path / "t0")
-        assert set(checksums) == {"meta.json", "audio.wav", "t.npy",
-                                  "tactile.npy", "joint_angles.npy",
-                                  "joint_torques.npy", "true_slip.npy",
-                                  "true_max_force.npy", "true_cell.npy",
-                                  "dropped.npy"}
+        assert set(checksums) == {"meta.json", "audio.wav", "tactile.npy",
+                                  "joint_angles.npy", "joint_torques.npy",
+                                  "true_slip.npy", "dropped.npy"}
         assert set(checksums) == set(ds.TRIAL_FILES)
+        assert {p.name for p in (tmp_path / "t0").iterdir()} == set(checksums)
         back = ds.read_trial(tmp_path / "t0", checksums)
         assert records_equal(back, rec)
         for name in ("audio", "t", "tactile", "joint_angles", "joint_torques",
@@ -131,6 +143,17 @@ class TestTrialStorage:
             assert getattr(back, name).dtype == getattr(rec, name).dtype, name
             # the .npy arrays are read-only views of the bytes read
             assert getattr(back, name).flags.writeable == (name == "audio"), name
+
+    def test_records_equal_tells_the_sign_of_zero(self):
+        # a round trip that lost the sign of a zero would pass np.array_equal
+        rec = small_record(torque=0.0)
+        tactile = rec.tactile.copy()
+        zero = np.unravel_index(np.flatnonzero(tactile == 0.0)[0], tactile.shape)
+        tactile[zero] = -0.0
+        flipped = replace(rec, tactile=tactile)
+        assert np.array_equal(flipped.tactile, rec.tactile)
+        assert records_equal(rec, replace(rec, tactile=rec.tactile.copy()))
+        assert not records_equal(rec, flipped)
 
     def test_write_is_byte_deterministic(self, tmp_path):
         rec = small_record()
@@ -144,9 +167,22 @@ class TestTrialStorage:
     def test_files_are_what_np_save_and_wave_write(self, tmp_path):
         rec = small_record()
         checksums = ds.write_trial(rec, tmp_path / "t0")
-        for name, _, _ in simulation.TRIAL_ARRAYS:
+        # the grid and joint streams as rounded counts of their quanta, the
+        # flags as they are
+        angles = np.round(rec.joint_angles / simulation.JOINT_QUANTUM).astype("<i4")
+        angles[rec.joint_angles == simulation.JOINT_ANGLE_MAX] = 1_600_001
+        stored = {
+            "tactile": np.round(rec.tactile / simulation.TACTILE_QUANTUM).astype("<u2"),
+            "joint_angles": angles,
+            "joint_torques": np.round(
+                rec.joint_torques / simulation.JOINT_QUANTUM).astype("<i4"),
+            "true_slip": rec.true_slip,
+            "dropped": rec.dropped,
+        }
+        assert [f"{name}.npy" for name in stored] == list(ds.TRIAL_FILES[2:])
+        for name, arr in stored.items():
             saved = io.BytesIO()
-            np.save(saved, getattr(rec, name))
+            np.save(saved, arr)
             raw = (tmp_path / "t0" / f"{name}.npy").read_bytes()
             assert raw == saved.getvalue(), name
         frames = np.round(rec.audio * simulation.PCM16_FULL_SCALE).astype("<i2")
@@ -167,32 +203,35 @@ class TestTrialStorage:
         rec = small_record()
         ds.write_trial(rec, tmp_path / "t0")
         path = tmp_path / "t0" / "joint_angles.npy"
-        np.save(path, np.asfortranarray(rec.joint_angles))
-        assert np.array_equal(np.load(path), rec.joint_angles)
+        counts = np.load(path)
+        np.save(path, np.asfortranarray(counts))
+        assert np.array_equal(np.load(path), counts)
         with pytest.raises(ds.TruncationError,
                            match="joint_angles.npy holds a Fortran-order array"):
             ds.read_trial(tmp_path / "t0")
 
         ds.write_trial(rec, tmp_path / "t1")
         path = tmp_path / "t1" / "tactile.npy"
+        counts = np.load(path)
         with open(path, "wb") as f:
-            np.lib.format.write_array(f, rec.tactile, version=(2, 0))
-        assert np.array_equal(np.load(path), rec.tactile)
+            np.lib.format.write_array(f, counts, version=(2, 0))
+        assert np.array_equal(np.load(path), counts)
         with pytest.raises(ds.TruncationError,
                            match="tactile.npy has a .npy 2.0 header"):
             ds.read_trial(tmp_path / "t1")
 
         ds.write_trial(rec, tmp_path / "t2")
-        path = tmp_path / "t2" / "t.npy"
+        path = tmp_path / "t2" / "true_slip.npy"
         raw = path.read_bytes()
         path.write_bytes(raw + bytes(8))
-        with pytest.raises(ds.TruncationError, match="t.npy has 8 bytes after"):
+        with pytest.raises(ds.TruncationError,
+                           match="true_slip.npy has 8 bytes after"):
             ds.read_trial(tmp_path / "t2")
         # the same dictionary, written without its trailing comma
         path.write_bytes(raw.replace(b", }", b"}  ", 1))
-        assert np.array_equal(np.load(path), rec.t)
+        assert np.array_equal(np.load(path), rec.true_slip)
         with pytest.raises(ds.TruncationError,
-                           match="t.npy has a .npy header other than"):
+                           match="true_slip.npy has a .npy header other than"):
             ds.read_trial(tmp_path / "t2")
 
     def test_wav_with_an_extra_chunk_is_refused(self, tmp_path):
@@ -233,6 +272,66 @@ class TestTrialStorage:
         with pytest.raises(ds.ChecksumError, match="tactile.npy"):
             ds.read_trial(tmp_path / "t0", checksums)
 
+    def test_joint_stop_round_trips(self, tmp_path):
+        # a grip this weak drops the container, and the slip drags joints
+        # onto the stop, which lies off the joint grid
+        rec = small_record(torque=0.05)
+        assert rec.dropped[-1]
+        stop = rec.joint_angles == simulation.JOINT_ANGLE_MAX
+        assert stop.any()
+        # the count nearest the stop decodes below it
+        assert 1_600_000 * simulation.JOINT_QUANTUM < simulation.JOINT_ANGLE_MAX
+        checksums = ds.write_trial(rec, tmp_path / "t0")
+        assert np.array_equal(np.load(tmp_path / "t0" / "joint_angles.npy")[stop],
+                              np.full(stop.sum(), 1_600_001))
+        assert records_equal(ds.read_trial(tmp_path / "t0", checksums), rec)
+
+    @pytest.mark.parametrize("name, value, what", [
+        pytest.param("tactile", 0.20005, "is not a count of 0.0001", id="tactile-off-grid"),
+        pytest.param("tactile", -0.0, "is not a count of 0.0001", id="tactile-minus-zero"),
+        pytest.param("tactile", 6.5536, "uint16 counts of 0.0001 cannot hold",
+                     id="tactile-over"),
+        pytest.param("tactile", -0.0001, "uint16 counts of 0.0001 cannot hold",
+                     id="tactile-negative"),
+        pytest.param("tactile", np.nan, "uint16 counts of 0.0001 cannot hold",
+                     id="tactile-nan"),
+        pytest.param("joint_angles", 0.5000005, "is not a count of 1e-06 or the stop 1.6",
+                     id="angle-off-grid"),
+        pytest.param("joint_angles", 1.6000001, "is not a count of 1e-06 or the stop 1.6",
+                     id="angle-past-stop"),
+        pytest.param("joint_torques", 2148.0, "int32 counts of 1e-06 cannot hold",
+                     id="torque-over"),
+        pytest.param("joint_torques", -0.0, "is not a count of 1e-06",
+                     id="torque-minus-zero"),
+    ])
+    def test_write_refuses_what_it_cannot_store_exactly(self, tmp_path, name,
+                                                        value, what):
+        rec = small_record()
+        arr = getattr(rec, name).copy()
+        arr[7, 2] = value
+        with pytest.raises(ds.DatasetError,
+                           match=f"trial 't0': {name} has a value that "
+                                 f"{re.escape(what)}"):
+            ds.write_trial(replace(rec, **{name: arr}), tmp_path / "t0")
+        assert not (tmp_path / "t0").exists()
+
+    @pytest.mark.parametrize("name, index, value", [
+        ("t", 7, 1.0),
+        ("true_max_force", 7, 0.0),
+        ("true_cell", (7, 1), 0),
+    ])
+    def test_write_refuses_derived_arrays_it_would_not_give_back(
+            self, tmp_path, name, index, value):
+        rec = small_record()
+        arr = getattr(rec, name).copy()
+        assert arr[index] != value
+        arr[index] = value
+        with pytest.raises(ds.DatasetError,
+                           match=f"trial 't0': {name} is not the {name} read_trial "
+                                 "derives"):
+            ds.write_trial(replace(rec, **{name: arr}), tmp_path / "t0")
+        assert not (tmp_path / "t0").exists()
+
     def test_version_error(self, tmp_path):
         rec = small_record()
         ds.write_trial(rec, tmp_path / "t0")
@@ -254,12 +353,21 @@ class TestTrialStorage:
                            match="version 1 .*gripsense generate"):
             ds.read_trial(tmp_path / "t0")
 
+    def test_v2_trial_is_refused(self, tmp_path):
+        # version 2 stored every array, derived ones included, as float64
+        ds.write_trial(small_record(), tmp_path / "t0")
+        self.rewrite_meta(tmp_path / "t0", format_version=2)
+        for read in (ds.read_trial, ds.read_trial_audio):
+            with pytest.raises(ds.VersionError,
+                               match="version 2 .*handles version 3"):
+                read(tmp_path / "t0")
+
     def test_truncation_errors(self, tmp_path):
         rec = small_record()
         ds.write_trial(rec, tmp_path / "t0")
-        path = tmp_path / "t0" / "true_max_force.npy"
+        path = tmp_path / "t0" / "joint_torques.npy"
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ds.TruncationError, match="true_max_force.npy"):
+        with pytest.raises(ds.TruncationError, match="joint_torques.npy"):
             ds.read_trial(tmp_path / "t0")
 
         ds.write_trial(rec, tmp_path / "t1")
@@ -268,11 +376,11 @@ class TestTrialStorage:
             ds.read_trial(tmp_path / "t1")
 
         ds.write_trial(rec, tmp_path / "t2")
-        path = tmp_path / "t2" / "t.npy"
+        path = tmp_path / "t2" / "dropped.npy"
         # an intact magic string with an unparseable header dictionary
         raw = path.read_bytes().replace(b"'descr'", b"'dexcr'", 1)
         path.write_bytes(raw)
-        with pytest.raises(ds.TruncationError, match="t.npy"):
+        with pytest.raises(ds.TruncationError, match="dropped.npy"):
             ds.read_trial(tmp_path / "t2")
 
         ds.write_trial(rec, tmp_path / "t3")
@@ -305,8 +413,8 @@ class TestTrialStorage:
     def test_wrong_row_count_rejected(self, tmp_path):
         rec = small_record()
         ds.write_trial(rec, tmp_path / "t0")
-        np.save(tmp_path / "t0" / "true_cell.npy", rec.true_cell[:-1])
-        with pytest.raises(ds.TruncationError, match="true_cell.npy"):
+        np.save(tmp_path / "t0" / "dropped.npy", rec.dropped[:-1])
+        with pytest.raises(ds.TruncationError, match="dropped.npy"):
             ds.read_trial(tmp_path / "t0")
 
     def test_wrong_dtype_rejected(self, tmp_path):
@@ -390,9 +498,16 @@ class TestTrialStorage:
                 read(tmp_path / "t0")
 
 
+@pytest.fixture(scope="module")
+def seed0_trials(tmp_path_factory):
+    """The seed-0 dataset at one trial per cell: (directory, manifest)."""
+    out = tmp_path_factory.mktemp("seed0") / "d"
+    return out, ds.generate_dataset(out, trials_per_cell=1, base_seed=0)
+
+
 class TestManifestAndSplits:
     def test_manifest_round_trip(self, dataset_dir, manifest):
-        assert manifest.format_version == ds.FORMAT_VERSION == 2
+        assert manifest.format_version == ds.FORMAT_VERSION == 3
         assert len(manifest.trials) == 300
         e = manifest.entry("shaking-rice-000")
         assert e.material == "rice"
@@ -480,23 +595,31 @@ class TestManifestAndSplits:
         assert a == b
         assert a != c
 
-    def test_tiny_dataset_generates_but_cannot_stratify(self, tmp_path):
-        tiny = ds.generate_dataset(tmp_path / "tiny", trials_per_cell=1,
-                                   base_seed=0)
+    def test_tiny_dataset_generates_but_cannot_stratify(self, seed0_trials):
+        _, tiny = seed0_trials
         assert len(tiny.trials) == 10
+        assert tiny.splits is None
         with pytest.raises(ds.DatasetError):
             ds.build_splits(tiny)
 
-    def test_simulator_bytes_are_pinned(self, tmp_path):
+    def test_simulator_bytes_are_pinned(self, seed0_trials):
         # SHA-256 over the sorted per-file CRC32s of the seed-0 dataset at
-        # one trial per cell: any change to the simulated bytes shows here
-        manifest = ds.generate_dataset(tmp_path / "d", trials_per_cell=1,
-                                       base_seed=0)
+        # one trial per cell: any change to the stored bytes shows here
+        _, manifest = seed0_trials
         lines = sorted(f"{e.trial_id}/{name}:{crc}" for e in manifest.trials
                        for name, crc in e.checksums.items())
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == ("b8143112382174d067cf96bace9b60d6"
-                          "c7aa211b82565e5165ef3a9e97d0b9eb")
+        assert digest == ("76cf879fdbc049c1ac4abffb7cf63154"
+                          "8342e92bd8764972c6ec6ad68ef319e0")
+
+    def test_decoded_records_are_pinned(self, seed0_trials):
+        # the same dataset as read_trial rebuilds it: the digest is the one
+        # format version 2 gave, whose files held every array as written, so
+        # a change to the file pin above that keeps this one changed the
+        # storage and not the records
+        assert decoded_digest(*seed0_trials) == (
+            "87b4b3972312ab08df7f79de3dc906c4"
+            "840a8eedae7c1214c49b8ccee7b03110")
 
     def test_refuses_nonempty_dir(self, tmp_path):
         (tmp_path / "full").mkdir()

@@ -199,7 +199,7 @@ class TestEstimateConfusions:
 
     def test_from_segments_matches_per_item_classify(self, clf_bundle,
                                                       manifest):
-        model, _, val_items, val_sources = clf_bundle
+        model, _, val_items, val_sources, _ = clf_bundle
         motions = [manifest.entry(s).motion["kind"] for s in val_sources]
         index = {c: i for i, c in enumerate(model.cfg.classes)}
         obs = [(motion, index[label], int(np.argmax(classify(model, frames))))
