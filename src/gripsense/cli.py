@@ -24,7 +24,7 @@ from .controller import run_baseline_episode, run_reactive_loop, write_episode_c
 from .materials import MATERIAL_CLASSES, material_table
 from .models.classifier import train_classifier
 from .models.optim import TrainConfig
-from .models.predictor import HORIZON, WINDOW, predict_batch, train_predictor
+from .models.predictor import HORIZON, predict_batch, train_predictor
 from .models import metrics as mx
 from .models.registry import ModelRegistry
 from .models.serialize import load_model, save_model
@@ -51,12 +51,13 @@ def _require_dir(path: Path, what: str) -> Path:
     return path
 
 
-def _require_counts(args: argparse.Namespace, *flags: str) -> None:
-    """Each count flag, named as on the command line, must be at least 1."""
+def _require_at_least(args: argparse.Namespace, least: int, *flags: str) -> None:
+    """Each integer flag, named as on the command line, must be at least
+    `least`."""
     for flag in flags:
         value = getattr(args, flag.removeprefix("--").replace("-", "_"))
-        if value < 1:
-            raise UsageError(f"{flag} must be at least 1, got {value}")
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
 def predictor_filename(motion: str, material: str | None) -> str:
@@ -150,7 +151,8 @@ def load_models(models_dir):
 
 
 def cmd_generate(args) -> int:
-    _require_counts(args, "--trials")
+    _require_at_least(args, 1, "--trials")
+    _require_at_least(args, 0, "--seed")
     out = Path(args.out)
     manifest = ds.generate_dataset(out, trials_per_cell=args.trials,
                                    base_seed=args.seed, overwrite=args.overwrite)
@@ -164,7 +166,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _require_counts(args, "--epochs", "--window", "--horizon", "--stride")
+    _require_at_least(args, 1, "--epochs")
+    _require_at_least(args, 0, "--seed")
     if not (np.isfinite(args.lr) and args.lr > 0):
         raise UsageError(f"--lr must be a positive finite number, got {args.lr}")
     if (args.scope == "material") != bool(args.material):
@@ -177,7 +180,7 @@ def cmd_train(args) -> int:
         # the classifier trains on every motion's whole recordings: it reads
         # none of the predictor's flags, so none may be set
         train_parser = build_parser().command_parsers["train"]
-        for dest in ("scope", "motion", "window", "horizon", "stride"):
+        for dest in ("scope", "motion"):
             value = getattr(args, dest)
             if value != train_parser.get_default(dest):
                 raise UsageError(f"--{dest} applies only to --task predictor, "
@@ -211,12 +214,10 @@ def cmd_train(args) -> int:
 
     # predictor
     X, slip, force, cell, _ = ds.predictor_windows(
-        dataset_dir, manifest, "train", args.motion, args.material,
-        window=args.window, horizon=args.horizon, stride=args.stride)
+        dataset_dir, manifest, "train", args.motion, args.material)
     Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
-        dataset_dir, manifest, "test", args.motion, args.material,
-        window=args.window, horizon=args.horizon, stride=args.stride)
-    model, curve = train_predictor(X, slip, force, cell, cfg, args.horizon,
+        dataset_dir, manifest, "test", args.motion, args.material)
+    model, curve = train_predictor(X, slip, force, cell, cfg, HORIZON,
                                    motion=args.motion, material=args.material)
     metrics = _evaluate_predictor(model, Xt, slip_t, force_t, cell_t)
     name = predictor_filename(args.motion, args.material)
@@ -275,7 +276,7 @@ def _write_classifier_metrics(path, metrics) -> None:
 
 
 def cmd_episode(args) -> int:
-    _require_counts(args, "--episodes")
+    _require_at_least(args, 1, "--episodes")
     models_dir = _require_dir(Path(args.models), "models")
     table = material_table()
     if args.material not in table:
@@ -334,7 +335,7 @@ def cmd_episode(args) -> int:
 
 
 def cmd_active(args) -> int:
-    _require_counts(args, "--seeds", "--max-segments")
+    _require_at_least(args, 1, "--seeds", "--max-segments")
     if not 0.2 < args.confidence < 1.0:
         raise UsageError(f"--confidence must lie in (0.2, 1), got {args.confidence}")
     models_dir = _require_dir(Path(args.models), "models")
@@ -435,9 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--window", type=int, default=WINDOW)
-    p.add_argument("--horizon", type=int, default=HORIZON)
-    p.add_argument("--stride", type=int, default=ds.STRIDE)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("episode", help="run closed-loop grip episodes")

@@ -165,12 +165,13 @@ class _ReactivePolicy:
         call that also holds the row before them: row r reads frames r - 1
         and r only, and a call gives the same bits however many frames it
         holds."""
+        grids = history["tactile"]
         lo = max(start - 1, 0)
-        self.features[start:len(history["t"])] = tactile.features_from_arrays(
-            history["tactile"][lo:], history["joint_angles"][lo:])[start - lo:]
+        self.features[start:len(grids)] = tactile.features_from_arrays(
+            grids[lo:], history["joint_angles"][lo:])[start - lo:]
 
     def __call__(self, history):
-        i = len(history["t"])
+        i = len(history["tactile"])
         if i:
             self.window.push(self.features[i - 1])
             self._maybe_classify(i, history["audio"])

@@ -13,13 +13,12 @@ material, motion, index). Each trial directory holds:
                them on, the slip and drop flags as bool
 
 The top-level manifest.json records per-file CRC32 checksums and the
-train/val/test split. The rest of a TrialRecord is derived on reading:
-the step times are a running sum of SIM_DT, and the peak force and its
-cell are the max and argmax of the tactile grid. write_trial stores only
-values that decode back to the same bits, so re-reading a trial
-reproduces it bit for bit. Each file kind has one header, which
-write_trial writes and the readers match byte for byte; a file they
-refuse is parsed only to name what it holds. Older versions are
+train/val/test split. A TrialRecord holds only these streams; its step
+times, peak force and peak cell are its own functions of the tactile
+grid. write_trial stores only values that decode back to the same bits,
+so re-reading a trial reproduces it bit for bit. Each file kind has one
+header, which write_trial writes and the readers match byte for byte; a
+file they refuse is parsed only to name what it holds. Older versions are
 regenerated, not read: a dataset is a pure function of (seed, trials).
 The readers refuse a trial on another clock than the simulator's (a
 meta.json sample_rate or dt, or a WAV rate, that differs), since its
@@ -47,9 +46,8 @@ from . import dsp
 from .materials import MATERIAL_CLASSES, material_table
 from .models.predictor import HORIZON, WINDOW
 from .motion import SIM_DT, MotionProfile, rotation_profile, shaking_profile
-from .simulation import (CHUNK, GRID_COLS, GRID_ROWS, JOINT_ANGLE_MAX, JOINT_QUANTUM,
-                         SAMPLE_RATE, TACTILE_QUANTUM, TRIAL_ARRAYS, TrialRecord,
-                         run_trial)
+from .simulation import (CHUNK, JOINT_ANGLE_MAX, JOINT_QUANTUM, SAMPLE_RATE,
+                         TACTILE_QUANTUM, TRIAL_ARRAYS, TrialRecord, run_trial)
 from .tactile import features_from_arrays
 
 FORMAT_VERSION = 3
@@ -69,8 +67,8 @@ class StoredArray:
     stop: float | None = None
 
 
-# The TrialRecord arrays a trial stores, on the grids the simulator renders
-# them on; t, true_max_force and true_cell are derived on reading.
+# How a trial stores each simulation.TRIAL_ARRAYS field, on the grid the
+# simulator renders it on.
 STORED_ARRAYS = (
     StoredArray("tactile", np.dtype("<u2"), TACTILE_QUANTUM),
     StoredArray("joint_angles", np.dtype("<i4"), JOINT_QUANTUM, JOINT_ANGLE_MAX),
@@ -214,17 +212,6 @@ def _decode(stored: StoredArray, counts: np.ndarray, out=None) -> np.ndarray:
     return values
 
 
-def _derive(tactile_counts: np.ndarray) -> dict[str, np.ndarray]:
-    """The TrialRecord arrays a trial does not store: t, the running sum
-    of SIM_DT that `step` adds up, and true_max_force and true_cell, the
-    max and argmax of the tactile grid, taken from its counts."""
-    n = len(tactile_counts)
-    grid = tactile_counts.reshape(n, GRID_ROWS * GRID_COLS)
-    return {"t": np.cumsum(np.full(n, SIM_DT)),
-            "true_max_force": grid.max(axis=1) * TACTILE_QUANTUM,
-            "true_cell": np.stack(np.divmod(grid.argmax(axis=1), GRID_COLS), axis=1)}
-
-
 def _encode(record: TrialRecord, stored: StoredArray) -> np.ndarray:
     """The array write_trial stores for `stored`'s field of `record`.
 
@@ -259,17 +246,11 @@ def write_trial(record: TrialRecord, trial_dir) -> dict[str, int]:
 
     Each array file is the .npy header of its shape and dtype, then the
     array's own bytes: the file np.save writes. The tactile grid and the
-    joint streams are written as counts of their quanta (see _encode). t,
-    true_max_force and true_cell are not written, so they must be what
-    read_trial derives. A record that would not read back bit for bit
-    raises DatasetError naming the trial and the field, before any file is
-    written. The checksums are taken from the bytes as they are written;
-    no file is read back."""
+    joint streams are written as counts of their quanta (see _encode). A
+    record that would not read back bit for bit raises DatasetError naming
+    the trial and the field, before any file is written. The checksums are
+    taken from the bytes as they are written; no file is read back."""
     arrays = {stored.name: _encode(record, stored) for stored in STORED_ARRAYS}
-    for name, derived in _derive(arrays["tactile"]).items():
-        if not _same_bits(np.asarray(getattr(record, name)), derived):
-            raise DatasetError(f"trial {record.trial_id!r}: {name} is not the "
-                               f"{name} read_trial derives, and it is not stored")
     trial_dir = Path(trial_dir)
     trial_dir.mkdir(parents=True, exist_ok=True)
     paths = _paths(trial_dir, TRIAL_FILES)
@@ -417,23 +398,19 @@ def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecor
     it for meta.json's n_steps: each .npy file exactly its header and then
     its data, audio.wav exactly as dsp.write_wav lays it out. Anything else
     is refused with an error that names the file and what it holds. The
-    counts decode to the floats the simulator rendered; t is the running
-    sum of SIM_DT that `step` adds up, and true_max_force and true_cell
-    are the max and argmax of the tactile counts, so the record is the one
-    written, bit for bit. Every array but the audio is read-only."""
+    counts decode to the floats the simulator rendered, so the record is
+    the one written, bit for bit. Every stored array but the audio is
+    read-only."""
     paths = _paths(trial_dir, TRIAL_FILES)
     files = _checked_files(paths, checksums)
     meta, audio = _parse_audio(paths, files)
-    arrays, counts = {}, {}
+    arrays = {}
     for stored in STORED_ARRAYS:
         file = f"{stored.name}.npy"
-        counts[stored.name] = _parse_array(
+        arrays[stored.name] = _decode(stored, _parse_array(
             paths[file], _take(files, paths, file),
-            (meta["n_steps"],) + _TRAILING[stored.name], stored.dtype)
-        arrays[stored.name] = _decode(stored, counts[stored.name])
-    arrays.update(_derive(counts["tactile"]))
-    for a in arrays.values():
-        a.flags.writeable = False
+            (meta["n_steps"],) + _TRAILING[stored.name], stored.dtype))
+        arrays[stored.name].flags.writeable = False
     return TrialRecord(
         trial_id=meta["trial_id"],
         material=meta["material"],
@@ -465,8 +442,15 @@ def save_manifest(m: DatasetManifest, dataset_dir) -> None:
 
 
 def _check_manifest(path: Path, m: DatasetManifest) -> None:
-    """Refuse trial entries and splits the readers cannot use, naming the
-    manifest at `path` and the trial or split."""
+    """Refuse materials, motions, trial entries and splits the readers
+    cannot use, naming the manifest at `path` and the field, trial or
+    split."""
+    for name, values, known in (("materials", m.materials, MATERIAL_CLASSES),
+                                ("motions", m.motions, MOTIONS)):
+        unknown = [v for v in values if v not in known]
+        if unknown:
+            raise DatasetError(f"{path} has {name} {unknown!r}; expected each "
+                               f"to be one of {known}")
     ids = set()
     for e in m.trials:
         for name, ok, expected in (
@@ -635,13 +619,12 @@ STRIDE = 5  # steps between the ends of a trial's consecutive predictor windows
 
 def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
                       motion: str, material: str | None = None,
-                      window: int = WINDOW, horizon: int = HORIZON,
-                      stride: int = STRIDE):
+                      window: int = WINDOW, horizon: int = HORIZON):
     """Windowed features + matched future targets for one split and motion.
 
     Returns (X (N, window, 38), slip (N,), force (N,), cell (N, 2), sources).
     A trial of T steps gives the windows ending at window - 1, then every
-    stride steps while the target step, horizon later, is below T. Each
+    STRIDE steps while the target step, horizon later, is below T. Each
     trial is read from disk by every call.
     """
     dataset_dir = Path(dataset_dir)
@@ -653,7 +636,7 @@ def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
             continue
         feats, slip, force, cell = load_trial_features(dataset_dir, e)
         T = len(feats)
-        for te in range(window - 1, T - horizon, stride):
+        for te in range(window - 1, T - horizon, STRIDE):
             xs.append(feats[te - window + 1:te + 1])
             slips.append(slip[te + horizon])
             forces.append(force[te + horizon])

@@ -165,7 +165,7 @@ def _trial_segments(material: MaterialParams, profile, seed: int):
     for end in range(SEGMENT_STEPS, profile.n_steps + 1, SEGMENT_STEPS):
         while rendered < end:
             rows = next(blocks)
-            rendered = len(rows["t"])
+            rendered = len(rows["tactile"])
         yield rows["audio"][end - SEGMENT_STEPS:end].reshape(-1)
 
 

@@ -3,8 +3,10 @@
 One simulator step of SIM_DT (5 ms) advances a 1-DoF Coulomb slip model
 and writes one synchronized row of the trial record: a 16x16 tactile
 pressure grid, 16 joint angles and torques, a CHUNK of 80 audio samples at
-SAMPLE_RATE (16 kHz), and ground-truth slip/force labels. The rig has this
-one clock; trial storage refuses data recorded on another.
+SAMPLE_RATE (16 kHz), and the ground-truth slip and drop flags. The rig
+has this one clock; trial storage refuses data recorded on another. A
+TrialRecord derives the rest from these rows: the step times, and the
+peak force and its cell, the labels the predictor learns.
 `step` advances a block of k >= 1 such steps under one grip command: the
 scalar physics runs step by step, and the block's grids, joint streams and
 audio are then rendered as arrays with a leading step axis. The random
@@ -154,7 +156,6 @@ class SimState:
     dropped: bool
     rng: np.random.Generator
     audio_tail: np.ndarray          # synthesized audio past the last emitted sample
-    t: float = 0.0
 
 
 def initial_state(seed: int, material: MaterialParams) -> SimState:
@@ -168,18 +169,15 @@ def initial_state(seed: int, material: MaterialParams) -> SimState:
     )
 
 
-# The per-step arrays of a TrialRecord: (field, shape after the step axis,
-# dtype). Trial storage (dataset.STORED_ARRAYS) keeps the grid and joint
-# streams as integer counts of TACTILE_QUANTUM and JOINT_QUANTUM and the
-# flags as they are, and derives t, true_max_force and true_cell on reading.
+# The per-step arrays `step` writes, besides the audio: (field, shape
+# after the step axis, dtype). Trial storage (dataset.STORED_ARRAYS) keeps
+# the grid and joint streams as integer counts of TACTILE_QUANTUM and
+# JOINT_QUANTUM and the flags as they are.
 TRIAL_ARRAYS = (
-    ("t", (), np.dtype("<f8")),
     ("tactile", (GRID_ROWS, GRID_COLS), np.dtype("<f8")),
     ("joint_angles", (N_JOINTS,), np.dtype("<f8")),
     ("joint_torques", (N_JOINTS,), np.dtype("<f8")),
     ("true_slip", (), np.dtype(bool)),
-    ("true_max_force", (), np.dtype("<f8")),
-    ("true_cell", (2,), np.dtype("<i8")),
     ("dropped", (), np.dtype(bool)),
 )
 
@@ -256,11 +254,11 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     # 0 + s * z on the same stream, and the render's sums drop the sign a
     # zero may differ in. So each run of normals between two other draws is
     # one call: up to a step's audio before its Poisson draw, the rest after.
-    t_out, slip_out, drop_out = out["t"], out["true_slip"], out["dropped"]
+    slip_out, drop_out = out["true_slip"], out["dropped"]
     loads, centers, load_torques, drags = np.empty((4, k))
     events = []  # (start sample in the block, freq, phase, amp)
-    disp, dropped, offset, t = (state.slip_displacement, state.dropped,
-                                state.contents_offset, state.t)
+    disp, dropped, offset = (state.slip_displacement, state.dropped,
+                             state.contents_offset)
     noise = np.empty((k, chunk + N_JOINTS))
     flat = noise.reshape(-1)
     drawn = 0
@@ -275,9 +273,8 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
         # Contents settle opposite the net specific force with a short lag.
         target = min(max((a + g) / ACCEL_NORM, -1.0), 1.0)
         offset += (target - offset) * dt / SLOSH_TAU
-        t += dt
         load = 0.0 if dropped else required
-        t_out[j], slip_out[j], drop_out[j] = t, slipping, dropped
+        slip_out[j], drop_out[j] = slipping, dropped
         loads[j] = load
         centers[j] = (GRID_ROWS - 1) / 2.0 + LOAD_SHIFT_CELLS * offset
         load_torques[j] = 0.005 * load
@@ -298,8 +295,8 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
                 events.append((j * chunk + onset, freq, phase, amp))
     rng.standard_normal(out=flat[drawn:])
     noise *= _NOISE_SIGMAS
-    state.slip_displacement, state.dropped, state.contents_offset, state.t = \
-        disp, dropped, offset, t
+    state.slip_displacement, state.dropped, state.contents_offset = \
+        disp, dropped, offset
 
     # Tactile rendering. Both patterns are grid-normalized, so the grid sum
     # is exactly normal + load before quantization.
@@ -313,10 +310,6 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     np.rint(grid, out=grid)
     grid *= q
     np.maximum(grid, 0.0, out=grid)
-    flat = grid.reshape(k, GRID_ROWS * GRID_COLS)
-    np.maximum.reduce(flat, axis=1, out=out["true_max_force"])
-    cells = out["true_cell"]
-    np.divmod(flat.argmax(axis=1), GRID_COLS, out=(cells[:, 0], cells[:, 1]))
 
     # Audio: pending tail plus this block's impacts, then noise, then clip
     # onto the PCM16 grid that trial storage writes.
@@ -356,10 +349,12 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
 
 @dataclass
 class TrialRecord:
-    """One manipulation trial: synchronized streams plus ground truth.
+    """One manipulation trial: the streams the rig records, step axis first.
 
     Audio samples are quantized to the 16-bit PCM grid so that the WAV
-    round trip through dataset storage is bit-exact.
+    round trip through dataset storage is bit-exact. The step times and
+    the ground-truth peak force and its cell are functions of the tactile
+    grid, computed on each access.
     """
 
     trial_id: str
@@ -367,18 +362,31 @@ class TrialRecord:
     motion: dict
     seed: int
     audio: np.ndarray          # (n_steps * CHUNK,) float64 on the PCM16 grid
-    t: np.ndarray              # (n_steps,)
     tactile: np.ndarray        # (n_steps, 16, 16)
     joint_angles: np.ndarray   # (n_steps, 16)
     joint_torques: np.ndarray  # (n_steps, 16)
     true_slip: np.ndarray      # (n_steps,) bool
-    true_max_force: np.ndarray  # (n_steps,)
-    true_cell: np.ndarray      # (n_steps, 2) int
     dropped: np.ndarray        # (n_steps,) bool
 
     @property
     def n_steps(self) -> int:
-        return len(self.t)
+        return len(self.tactile)
+
+    @property
+    def t(self) -> np.ndarray:
+        """(n_steps,) time at the end of each step: a running sum of SIM_DT."""
+        return np.cumsum(np.full(self.n_steps, SIM_DT))
+
+    @property
+    def true_max_force(self) -> np.ndarray:
+        """(n_steps,) the largest cell of each tactile grid, in N."""
+        return self.tactile.reshape(self.n_steps, GRID_ROWS * GRID_COLS).max(axis=1)
+
+    @property
+    def true_cell(self) -> np.ndarray:
+        """(n_steps, 2) int64 (row, col) of each grid's first largest cell."""
+        flat = self.tactile.reshape(self.n_steps, GRID_ROWS * GRID_COLS).argmax(axis=1)
+        return np.stack(np.divmod(flat, GRID_COLS), axis=1)
 
     # every record is on the rig's one clock; these read-only views of it
     # serve readers of a record such as perfbench's shape check
@@ -401,6 +409,8 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
     step i, `history` maps every TRIAL_ARRAYS field and "audio" (shape
     (i, CHUNK)) to its first i rows: views of the arrays the trial is
     filling, which neither the policy nor the caller of a yield may write.
+    The step index i is len(history["tactile"]); what a TrialRecord derives
+    from the grid (step times, peak force and cell) is not in `history`.
     A block of k steps is rendered ahead under the current command, then
     the policy decides steps i + 1 ... i + k - 1 on the rows that stand.
     Where its command changes, the state is restored and only the steps

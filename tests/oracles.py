@@ -259,8 +259,8 @@ def per_draw_step(state, material, accels, grip_torque, stiffness_scale=1.0):
     half_band = 0.5 * material.impact_bandwidth_hz
     loads, centers, load_torques, drags = np.empty((4, k))
     events = []
-    disp, dropped, offset, t = (state.slip_displacement, state.dropped,
-                                state.contents_offset, state.t)
+    disp, dropped, offset = (state.slip_displacement, state.dropped,
+                             state.contents_offset)
     for j, a in enumerate(accels):
         required = mass * abs(a + S.GRAVITY)
         slipping = required > available and not dropped
@@ -270,9 +270,8 @@ def per_draw_step(state, material, accels, grip_torque, stiffness_scale=1.0):
                 dropped = True
         target = min(max((a + S.GRAVITY) / S.ACCEL_NORM, -1.0), 1.0)
         offset += (target - offset) * dt / S.SLOSH_TAU
-        t += dt
         load = 0.0 if dropped else required
-        out["t"][j], out["true_slip"][j], out["dropped"][j] = t, slipping, dropped
+        out["true_slip"][j], out["dropped"][j] = slipping, dropped
         loads[j] = load
         centers[j] = (S.GRID_ROWS - 1) / 2.0 + S.LOAD_SHIFT_CELLS * offset
         load_torques[j] = 0.005 * load
@@ -287,8 +286,8 @@ def per_draw_step(state, material, accels, grip_torque, stiffness_scale=1.0):
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 events.append((j * chunk + onset, freq, phase, amp))
         angles[j] = rng.normal(0.0, S.JOINT_NOISE, S.N_JOINTS)
-    state.slip_displacement, state.dropped, state.contents_offset, state.t = \
-        disp, dropped, offset, t
+    state.slip_displacement, state.dropped, state.contents_offset = \
+        disp, dropped, offset
 
     grid = out["tactile"]
     np.multiply(normal, S._BASE_PATTERN, out=grid)
@@ -299,10 +298,6 @@ def per_draw_step(state, material, accels, grip_torque, stiffness_scale=1.0):
     np.rint(grid, out=grid)
     grid *= S.TACTILE_QUANTUM
     np.maximum(grid, 0.0, out=grid)
-    flat = grid.reshape(k, -1)
-    np.maximum.reduce(flat, axis=1, out=out["true_max_force"])
-    cells = out["true_cell"]
-    np.divmod(flat.argmax(axis=1), S.GRID_COLS, out=(cells[:, 0], cells[:, 1]))
 
     n_tail = len(state.audio_tail)
     buf = np.zeros(k * chunk + n_tail)
@@ -373,9 +368,10 @@ def on_pcm16_grid(samples) -> bool:
 
 
 def records_equal(a, b) -> bool:
-    """Two trial records with the same metadata, and every array equal in
-    dtype, shape and bytes: bit for bit, so 0.0 and -0.0 differ, which
-    np.array_equal does not tell apart."""
+    """Two trial records with the same metadata, and every recorded array
+    equal in dtype, shape and bytes: bit for bit, so 0.0 and -0.0 differ,
+    which np.array_equal does not tell apart. What a record derives from
+    its grid then agrees too."""
     if (a.trial_id, a.material, a.seed, a.motion) != \
        (b.trial_id, b.material, b.seed, b.motion):
         return False

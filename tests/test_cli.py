@@ -85,6 +85,13 @@ class TestGenerate:
         assert "--trials" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["generate", "--out", str(tmp_path / "d"), "--seed", "-1",
+                       "--trials", "1"])
+        assert rc == 2
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["generate"])
@@ -149,8 +156,7 @@ class TestTrain:
                        "--scope", "material", "--epochs", "1"])
         assert rc == 2
 
-    @pytest.mark.parametrize("flag", ["--epochs", "--window", "--horizon",
-                                      "--stride"])
+    @pytest.mark.parametrize("flag", ["--epochs"])
     def test_zero_window_count_exits_2(self, cli_dataset, tmp_path, capsys,
                                        flag):
         rc = cli.main(["train", "--dataset", str(cli_dataset),
@@ -158,6 +164,31 @@ class TestTrain:
                        "--epochs", "1", flag, "0"])
         assert rc == 2
         assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_negative_seed_exits_2(self, cli_dataset, tmp_path, capsys):
+        rc = cli.main(["train", "--dataset", str(cli_dataset),
+                       "--out", str(tmp_path / "m"), "--task", "predictor",
+                       "--epochs", "1", "--seed", "-1"])
+        assert rc == 2
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("task, flag, value", [
+        pytest.param(task, flag, value, id=f"{task}-{flag.removeprefix('--')}")
+        for task in ("predictor", "classifier")
+        for flag, value in (("--window", "3"), ("--horizon", "99"),
+                            ("--stride", "7"))])
+    def test_removed_window_flags_are_refused(self, cli_dataset, tmp_path,
+                                              capsys, task, flag, value):
+        # the window, horizon and stride are predictor.WINDOW,
+        # predictor.HORIZON and dataset.STRIDE, and no flag sets them
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--dataset", str(cli_dataset),
+                      "--out", str(tmp_path / "m"), "--task", task,
+                      "--epochs", "1", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("lr", ["0", "-0.5", "nan", "inf"])
@@ -181,8 +212,7 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--scope", "material"), ("--motion", "rotation"), ("--window", "3"),
-        ("--horizon", "99"), ("--stride", "7")])
+        ("--scope", "material"), ("--motion", "rotation")])
     def test_classifier_refuses_predictor_flags(self, cli_dataset, tmp_path,
                                                 capsys, flag, value):
         extra = ["--material", "rice"] if flag == "--scope" else []
@@ -199,8 +229,7 @@ class TestTrain:
         rc = cli.main(["train", "--dataset", str(cli_dataset),
                        "--out", str(tmp_path / "m"), "--task", "classifier",
                        "--epochs", "1", "--scope", "default", "--motion",
-                       "shaking", "--window", str(cli.WINDOW), "--horizon",
-                       str(cli.HORIZON), "--stride", str(ds.STRIDE)])
+                       "shaking"])
         assert rc == 0
         assert (tmp_path / "m" / cli.CLASSIFIER_FILE).exists()
 

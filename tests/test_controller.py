@@ -223,7 +223,7 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
 
     def spy_run_trial(material, motion, policy, seed, **kwargs):
         def spy_policy(history):
-            if len(history["t"]):
+            if len(history["tactile"]):
                 seen.append({name: a[-1].copy() for name, a in history.items()})
             return policy(history)
         spy_policy.perceive = policy.perceive  # the trial loop's block hook
