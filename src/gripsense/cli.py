@@ -481,26 +481,62 @@ def _apply_train_defaults(args) -> None:
             args.lr = 0.01 if args.task == "classifier" else 0.05
 
 
+_JSON_NUMBERS = {int: (int,), float: (int, float)}
+
+
+def _flag_value(path: Path, action: argparse.Action, value):
+    """A value the config file at `path` gives `action`'s flag, as that flag
+    holds it: a switch takes true or false, another flag a string its own
+    type parses or a JSON number where that type is int or float, within
+    its choices. Anything else raises UsageError."""
+    if action.nargs == 0:
+        if type(value) is bool:
+            return value
+    elif isinstance(value, str) or type(value) in _JSON_NUMBERS.get(action.type, ()):
+        try:
+            parsed = (action.type or str)(value)
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or parsed in action.choices:
+                return parsed
+    raise UsageError(f"config {path}: {action.option_strings[0]} cannot "
+                     f"take {json.dumps(value)}")
+
+
+def _config_defaults(path: Path, command_parser: argparse.ArgumentParser) -> dict:
+    """The flag defaults that the config file at `path` sets for one
+    subcommand: a JSON object whose keys are that subcommand's own flags,
+    named by their argparse dest, each with a value its flag takes.
+    Anything else raises UsageError naming the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise UsageError(f"cannot read config {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"config {path} does not hold a JSON object")
+    actions = {a.dest: a for a in command_parser._actions
+               if a.option_strings and a.dest != "help"}
+    unknown = sorted(set(doc) - set(actions))
+    if unknown:
+        raise UsageError(f"config {path} has keys not recognized by "
+                         f"{command_parser.prog}: {', '.join(unknown)}")
+    return {key: _flag_value(path, actions[key], value)
+            for key, value in doc.items()}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
-        try:
-            overrides = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: cannot read config {args.config}: {e}", file=sys.stderr)
-            return 2
-        unknown = sorted(set(overrides) - set(vars(args)))
-        if unknown:
-            print(f"error: config keys not recognized for "
-                  f"'{args.command}': {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        # defaults must land on the subcommand's own parser: subparsers
-        # parse into a fresh namespace, so top-level set_defaults is ignored
-        parser.command_parsers[args.command].set_defaults(**overrides)
-        args = parser.parse_args(argv)
-    _apply_train_defaults(args)
     try:
+        if args.config is not None:
+            # defaults must land on the subcommand's own parser: subparsers
+            # parse into a fresh namespace, so top-level set_defaults is ignored
+            command_parser = parser.command_parsers[args.command]
+            command_parser.set_defaults(**_config_defaults(args.config,
+                                                           command_parser))
+            args = parser.parse_args(argv)
+        _apply_train_defaults(args)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 Collection protocol: for every (motion, material) cell, run trials at a
 fixed 0.4 Nm grip with per-trial seeds derived by hashing (base_seed,
-material, motion, index). Each trial directory holds:
+material, motion, index). generate_dataset renders the trials in a pool
+of workers started by fork, one per CPU the process may run on; each
+trial is a pure function of those four values, so the bytes equal a
+serial run's. Each trial directory holds:
 
   meta.json    format version, ids, motion parameters, seed, the rig's
                clock (sample_rate 16000, dt 0.005), step count
@@ -32,6 +35,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import wave
@@ -507,11 +511,38 @@ def load_manifest(dataset_dir) -> DatasetManifest:
     return manifest
 
 
+def _render_trial(out_dir: Path, base_seed: int, trial: tuple[str, str, int]
+                  ) -> TrialEntry:
+    """Render and write the protocol's trial (motion kind, material, index)
+    under out_dir; a pure function of its arguments, which generate_dataset
+    runs in its workers."""
+    motion_kind, material, index = trial
+    profile_rng = np.random.default_rng(
+        derive_seed(base_seed, material, motion_kind, index, "profile"))
+    profile = sample_trial_profile(motion_kind, profile_rng)
+    sim_seed = derive_seed(base_seed, material, motion_kind, index, "sim")
+    trial_id = f"{motion_kind}-{material}-{index:03d}"
+    record = run_trial(material_table()[material], profile, COLLECTION_TORQUE,
+                       sim_seed, trial_id=trial_id)
+    rel = f"trials/{trial_id}"
+    checksums = write_trial(record, out_dir / rel)
+    return TrialEntry(trial_id, material, record.motion, sim_seed, rel, checksums)
+
+
 def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
                      overwrite: bool = False) -> DatasetManifest:
     """Run the full collection protocol and write it under out_dir. The
     manifest holds the split `build_splits` makes with base_seed, or none
-    when the cells are too small to stratify."""
+    when the cells are too small to stratify.
+
+    The trials render in a pool of workers started by fork, one per CPU
+    this process may run on (at most one per trial). Each trial is a pure
+    function of its seed and cell, so the files and the manifest are the
+    bytes a serial run writes. A trial's error is raised here with its
+    type and message, the trials not yet started are cancelled and no
+    manifest is written; no worker outlives the call."""
+    if trials_per_cell < 1:
+        raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()):
         if not overwrite:
@@ -520,24 +551,15 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
         shutil.rmtree(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = material_table()
-    entries = []
-    for motion_kind in MOTIONS:
-        for material in MATERIAL_CLASSES:
-            for index in range(trials_per_cell):
-                profile_rng = np.random.default_rng(
-                    derive_seed(base_seed, material, motion_kind, index, "profile"))
-                profile = sample_trial_profile(motion_kind, profile_rng)
-                sim_seed = derive_seed(base_seed, material, motion_kind, index, "sim")
-                trial_id = f"{motion_kind}-{material}-{index:03d}"
-                record = run_trial(table[material], profile, COLLECTION_TORQUE,
-                                   sim_seed, trial_id=trial_id)
-                rel = f"trials/{trial_id}"
-                checksums = write_trial(record, out_dir / rel)
-                entries.append(TrialEntry(trial_id, material, record.motion,
-                                          sim_seed, rel, checksums))
+    trials = [(motion_kind, material, index) for motion_kind in MOTIONS
+              for material in MATERIAL_CLASSES for index in range(trials_per_cell)]
+    workers = min(len(os.sched_getaffinity(0)), len(trials))
+    # leaving the block terminates and joins the workers, also on an error
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        entries = tuple(pool.imap(
+            functools.partial(_render_trial, out_dir, base_seed), trials))
     manifest = DatasetManifest(FORMAT_VERSION, base_seed, trials_per_cell,
-                               MATERIAL_CLASSES, MOTIONS, tuple(entries))
+                               MATERIAL_CLASSES, MOTIONS, entries)
     try:
         manifest = build_splits(manifest, seed=base_seed)
     except DatasetError:

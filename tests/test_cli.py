@@ -122,6 +122,42 @@ class TestGenerate:
                        "generate", "--out", str(tmp_path / "d")])
         assert rc == 2
 
+    def test_config_string_the_flag_parses_is_taken(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": "1", "seed": "2"}))
+        out = tmp_path / "data"
+        assert cli.main(["--config", str(cfg), "generate", "--out", str(out)]) == 0
+        manifest = ds.load_manifest(out)
+        assert (manifest.trials_per_cell, manifest.base_seed) == (1, 2)
+        doc = json.loads((out / "run_config.json").read_text())
+        assert (doc["trials"], doc["seed"]) == (1, 2)
+
+    @pytest.mark.parametrize("command, config, refused", [
+        ("generate", {"func": 1}, "not recognized by gripsense generate: func"),
+        ("generate", {"command": "train"}, "gripsense generate: command"),
+        ("generate", {"config": "c.json"}, "gripsense generate: config"),
+        ("generate", {"trials": 2.5}, "--trials cannot take 2.5"),
+        ("generate", {"seed": None}, "--seed cannot take null"),
+        ("generate", [1, 2], "does not hold a JSON object"),
+        ("generate", {"overwrite": "false"}, '--overwrite cannot take "false"'),
+        ("train", {"motion": "walking"}, '--motion cannot take "walking"'),
+    ], ids=["func", "command", "config", "float-count", "null", "array",
+            "string-switch", "outside-choices"])
+    def test_config_is_checked_before_anything_is_written(
+            self, tmp_path, capsys, command, config, refused):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        flags = {"generate": ["--out", str(out)],
+                 "train": ["--dataset", str(out), "--out", str(out),
+                           "--task", "predictor"]}[command]
+        assert cli.main(["--config", str(cfg), command] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"config {cfg}" in err and refused in err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
 
 class TestTrain:
     def test_classifier_artifacts(self, cli_models):

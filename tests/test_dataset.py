@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import re
 import sys
 import wave
@@ -625,6 +626,35 @@ class TestManifestAndSplits:
             ds.generate_dataset(tmp_path / "full", trials_per_cell=1)
         ds.generate_dataset(tmp_path / "full", trials_per_cell=1,
                             overwrite=True)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_refuses_fewer_than_one_trial_per_cell(self, tmp_path, trials):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "keep.txt").write_text("x")
+        with pytest.raises(ValueError, match=f"trials_per_cell must be at "
+                           f"least 1, got {trials}"):
+            ds.generate_dataset(tmp_path / "d", trials, overwrite=True)
+        assert [p.name for p in (tmp_path / "d").iterdir()] == ["keep.txt"]
+
+    def test_failing_trial_stops_generation(self, tmp_path, monkeypatch):
+        # the workers are forked, so they run the patched write_trial; the
+        # first trial fails, and the trials not yet started never run
+        write_trial = ds.write_trial
+
+        def failing(record, trial_dir):
+            if record.trial_id == "shaking-rice-000":
+                raise ds.DatasetError(f"trial {record.trial_id!r}: forced")
+            return write_trial(record, trial_dir)
+
+        monkeypatch.setattr(ds, "write_trial", failing)
+        out = tmp_path / "d"
+        with pytest.raises(ds.DatasetError,
+                           match="^trial 'shaking-rice-000': forced$"):
+            ds.generate_dataset(out, trials_per_cell=10)
+        assert multiprocessing.active_children() == []
+        assert not (out / ds.MANIFEST_NAME).exists()
+        assert len(list(out.glob("trials/*"))) < 50
 
 
 class TestFeatureExtraction:

@@ -232,6 +232,37 @@ def test_one_function_loops_over_step():
     assert callers == ["simulation.py:trial_blocks"]
 
 
+CONCURRENCY_MODULES = {"multiprocessing", "concurrent", "threading", "subprocess"}
+
+
+def _starts_workers(node) -> bool:
+    """Whether `node` uses a module that starts processes or threads, or
+    calls `os.fork`; a plain `import` of such a module only binds its name,
+    and its uses are found where they are."""
+    if isinstance(node, ast.Name):
+        return node.id in CONCURRENCY_MODULES
+    if isinstance(node, ast.Attribute):
+        return (getattr(node.value, "id", None) == "os"
+                and node.attr.startswith(("fork", "spawn", "posix_spawn")))
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] in CONCURRENCY_MODULES
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in CONCURRENCY_MODULES and a.asname
+                   for a in node.names)
+    return False
+
+
+def test_one_function_starts_workers():
+    # generate_dataset's pool is the program's one concurrency path; a
+    # second would show here
+    users = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if any(_starts_workers(node) for node in ast.walk(top)):
+                users.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert users == ["dataset.py:generate_dataset"]
+
+
 def test_benchmark_wrap_points_exist(monkeypatch):
     # perfbench/spans.py wraps these attributes in every traced run; a name
     # missing from its owner's __dict__ makes each traced run fail
