@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from .models import metrics as mx
 from .models.registry import ModelRegistry
 from .models.serialize import load_model, save_model
 from .simulation import MAX_GRIP_TORQUE
+from .workers import map_in_workers
 
 CLASSIFIER_FILE = "classifier.gsm"
 
@@ -334,7 +336,23 @@ def cmd_episode(args) -> int:
     return 0
 
 
+def _active_run(material, classifier, likelihoods, confidence: float,
+                max_segments: int, run: tuple[int, str]) -> inference.ActiveLog:
+    """One active run (seed, selector), as `cmd_active` maps it over its
+    workers. `inference.run_active_loop` is looked up at each call, so a
+    wrapper put on it before the workers fork runs in them too."""
+    seed, selector = run
+    return inference.run_active_loop(material, classifier, likelihoods,
+                                     confidence, max_segments, seed, selector)
+
+
 def cmd_active(args) -> int:
+    """Paired EIG and random identification runs, one pair per derived
+    seed. The runs go to the program's pool of forked workers
+    (`workers.map_in_workers`). Each run is a pure function of its seed and
+    selector, so the files are the bytes a serial run writes. They are
+    written once every run has finished: a failing run writes no
+    `active_*.csv` and no `summary.csv`."""
     _require_at_least(args, 1, "--seeds", "--max-segments")
     if not 0.2 < args.confidence < 1.0:
         raise UsageError(f"--confidence must lie in (0.2, 1), got {args.confidence}")
@@ -349,20 +367,19 @@ def cmd_active(args) -> int:
     out = Path(args.out)
     _echo_config(args, out)
 
+    seeds = [ds.derive_seed(args.seed, i, "active") for i in range(args.seeds)]
+    selectors = ("eig", "random")
+    logs = map_in_workers(
+        functools.partial(_active_run, table[args.material], classifier,
+                          likelihoods, args.confidence, args.max_segments),
+        [(seed, selector) for seed in seeds for selector in selectors])
     rows = []
-    for i in range(args.seeds):
-        seed = ds.derive_seed(args.seed, i, "active")
-        logs = {}
-        for selector in ("eig", "random"):
-            log = inference.run_active_loop(
-                table[args.material], classifier, likelihoods,
-                args.confidence, args.max_segments, seed, selector)
+    for i, seed in enumerate(seeds):
+        eig, rand = logs[2 * i:2 * i + 2]
+        for selector, log in zip(selectors, (eig, rand)):
             inference.write_active_csv(log, out / f"active_{selector}_{i:03d}.csv")
-            logs[selector] = log
-        rows.append([i, seed,
-                     logs["eig"].segments_used, int(logs["eig"].reached_confidence),
-                     logs["random"].segments_used,
-                     int(logs["random"].reached_confidence)])
+        rows.append([i, seed, eig.segments_used, int(eig.reached_confidence),
+                     rand.segments_used, int(rand.reached_confidence)])
     with open(out / "summary.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["run", "seed", "eig_segments", "eig_reached",
@@ -507,8 +524,9 @@ def _flag_value(path: Path, action: argparse.Action, value):
 def _config_defaults(path: Path, command_parser: argparse.ArgumentParser) -> dict:
     """The flag defaults that the config file at `path` sets for one
     subcommand: a JSON object whose keys are that subcommand's own flags,
-    named by their argparse dest, each with a value its flag takes.
-    Anything else raises UsageError naming the file."""
+    named by their argparse dest, each with a value its flag takes. A
+    required flag takes no default and stays on the command line. Anything
+    else raises UsageError naming the file."""
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as e:
@@ -521,6 +539,11 @@ def _config_defaults(path: Path, command_parser: argparse.ArgumentParser) -> dic
     if unknown:
         raise UsageError(f"config {path} has keys not recognized by "
                          f"{command_parser.prog}: {', '.join(unknown)}")
+    required = sorted(actions[key].option_strings[0] for key in doc
+                      if actions[key].required)
+    if required:
+        raise UsageError(f"config {path} sets {', '.join(required)}, which "
+                         "must be given on the command line")
     return {key: _flag_value(path, actions[key], value)
             for key, value in doc.items()}
 

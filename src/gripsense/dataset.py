@@ -2,10 +2,10 @@
 
 Collection protocol: for every (motion, material) cell, run trials at a
 fixed 0.4 Nm grip with per-trial seeds derived by hashing (base_seed,
-material, motion, index). generate_dataset renders the trials in a pool
-of workers started by fork, one per CPU the process may run on; each
-trial is a pure function of those four values, so the bytes equal a
-serial run's. Each trial directory holds:
+material, motion, index). generate_dataset renders the trials in the
+program's pool of forked workers (`workers.map_in_workers`); each trial
+is a pure function of those four values, so the bytes equal a serial
+run's. Each trial directory holds:
 
   meta.json    format version, ids, motion parameters, seed, the rig's
                clock (sample_rate 16000, dt 0.005), step count
@@ -35,7 +35,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import shutil
 import wave
@@ -53,6 +52,7 @@ from .motion import SIM_DT, MotionProfile, rotation_profile, shaking_profile
 from .simulation import (CHUNK, JOINT_ANGLE_MAX, JOINT_QUANTUM, SAMPLE_RATE,
                          TACTILE_QUANTUM, TRIAL_ARRAYS, TrialRecord, run_trial)
 from .tactile import features_from_arrays
+from .workers import map_in_workers
 
 FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
@@ -535,12 +535,12 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
     manifest holds the split `build_splits` makes with base_seed, or none
     when the cells are too small to stratify.
 
-    The trials render in a pool of workers started by fork, one per CPU
-    this process may run on (at most one per trial). Each trial is a pure
-    function of its seed and cell, so the files and the manifest are the
-    bytes a serial run writes. A trial's error is raised here with its
-    type and message, the trials not yet started are cancelled and no
-    manifest is written; no worker outlives the call."""
+    The trials render in the program's pool of forked workers
+    (`workers.map_in_workers`). Each trial is a pure function of its seed
+    and cell, so the files and the manifest are the bytes a serial run
+    writes. A trial's error is raised here with its type and message, the
+    trials not yet started are cancelled and no manifest is written; no
+    worker outlives the call."""
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
     out_dir = Path(out_dir)
@@ -553,11 +553,8 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
 
     trials = [(motion_kind, material, index) for motion_kind in MOTIONS
               for material in MATERIAL_CLASSES for index in range(trials_per_cell)]
-    workers = min(len(os.sched_getaffinity(0)), len(trials))
-    # leaving the block terminates and joins the workers, also on an error
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        entries = tuple(pool.imap(
-            functools.partial(_render_trial, out_dir, base_seed), trials))
+    entries = tuple(map_in_workers(
+        functools.partial(_render_trial, out_dir, base_seed), trials))
     manifest = DatasetManifest(FORMAT_VERSION, base_seed, trials_per_cell,
                                MATERIAL_CLASSES, MOTIONS, entries)
     try:

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import re
 import shutil
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 
 from gripsense import cli
 from gripsense import dataset as ds
+from gripsense import inference
 from gripsense.controller import EPISODE_COLUMNS
-from gripsense.materials import MATERIAL_CLASSES
+from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models.predictor import PredictorConfig, SlipPredictor
 from gripsense.models.serialize import ModelChecksumError, save_model
 
@@ -141,8 +143,10 @@ class TestGenerate:
         ("generate", [1, 2], "does not hold a JSON object"),
         ("generate", {"overwrite": "false"}, '--overwrite cannot take "false"'),
         ("train", {"motion": "walking"}, '--motion cannot take "walking"'),
+        ("generate", {"out": "e"}, "sets --out, which must be given on the "
+                                   "command line"),
     ], ids=["func", "command", "config", "float-count", "null", "array",
-            "string-switch", "outside-choices"])
+            "string-switch", "outside-choices", "required-flag"])
     def test_config_is_checked_before_anything_is_written(
             self, tmp_path, capsys, command, config, refused):
         cfg = tmp_path / "cfg.json"
@@ -363,6 +367,59 @@ class TestActiveAndEval:
             assert (tmp_path / name).exists()
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(summary) == 3
+
+    @pytest.mark.parametrize("material", ["rice", "empty"])
+    def test_active_files_equal_a_serial_run(self, cli_models, tmp_path,
+                                             material):
+        # the runs go to the worker pool; the files must be the bytes of
+        # one loop over the same derived seeds
+        out, serial = tmp_path / "pool", tmp_path / "serial"
+        rc = cli.main(["active", "--models", str(cli_models), "--out", str(out),
+                       "--material", material, "--confidence", "0.9",
+                       "--max-segments", "4", "--seeds", "3", "--seed", "7"])
+        assert rc == 0
+        classifier, _, likelihoods = cli.load_models(cli_models)
+        serial.mkdir()
+        rows = [["run", "seed", "eig_segments", "eig_reached",
+                 "random_segments", "random_reached"]]
+        for i in range(3):
+            seed = ds.derive_seed(7, i, "active")
+            rows.append([i, seed])
+            for selector in ("eig", "random"):
+                log = inference.run_active_loop(
+                    material_table()[material], classifier, likelihoods,
+                    0.9, 4, seed, selector)
+                inference.write_active_csv(
+                    log, serial / f"active_{selector}_{i:03d}.csv")
+                rows[-1] += [log.segments_used, int(log.reached_confidence)]
+        with open(serial / "summary.csv", "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        names = sorted(p.name for p in serial.iterdir())
+        assert sorted(p.name for p in out.glob("*.csv")) == names
+        for name in names:
+            assert (out / name).read_bytes() == (serial / name).read_bytes(), name
+
+    def test_failing_run_writes_no_run_files(self, cli_models, tmp_path,
+                                             capsys, monkeypatch):
+        # the workers are forked, so they run the patched loop; a serial
+        # loop would have written the first seed's files before failing
+        failing_seed = ds.derive_seed(5, 1, "active")
+        run_active_loop = inference.run_active_loop
+
+        def failing(*args):
+            if args[5] == failing_seed:
+                raise RuntimeError(f"run with seed {failing_seed}: forced")
+            return run_active_loop(*args)
+
+        monkeypatch.setattr(inference, "run_active_loop", failing)
+        rc = cli.main(["active", "--models", str(cli_models),
+                       "--out", str(tmp_path), "--material", "rice",
+                       "--max-segments", "3", "--seeds", "3", "--seed", "5"])
+        assert rc == 1
+        assert f"run with seed {failing_seed}: forced" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "summary.csv").exists()
+        assert list(tmp_path.glob("active_*.csv")) == []
 
     def test_zero_seeds_exits_2(self, cli_models, tmp_path, capsys):
         rc = cli.main(["active", "--models", str(cli_models),

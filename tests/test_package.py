@@ -253,14 +253,14 @@ def _starts_workers(node) -> bool:
 
 
 def test_one_function_starts_workers():
-    # generate_dataset's pool is the program's one concurrency path; a
-    # second would show here
+    # map_in_workers's pool is the program's one concurrency path, which
+    # generate and active share; a second would show here
     users = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             if any(_starts_workers(node) for node in ast.walk(top)):
                 users.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
-    assert users == ["dataset.py:generate_dataset"]
+    assert users == ["workers.py:map_in_workers"]
 
 
 def test_benchmark_wrap_points_exist(monkeypatch):
