@@ -596,10 +596,6 @@ AUGMENT_SEMITONES = (1.0, -1.0, 2.0, -2.0)
 AUGMENT_SNR_DB = 20.0
 
 
-def _augment_seed(trial_id: str, offset_s: float, semitones: float) -> int:
-    return zlib.crc32(f"{trial_id}|{offset_s}|{semitones}".encode()) & 0x7FFFFFFF
-
-
 def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
                         augment: bool = False):
     """MFCC training items for one split: (list of (frames, label), sources).
@@ -618,7 +614,7 @@ def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
                     shifted = dsp.pitch_shift(seg, st)
                     variants.append(dsp.add_noise(
                         shifted, AUGMENT_SNR_DB,
-                        _augment_seed(e.trial_id, k * dsp.SEGMENT_S, st)))
+                        derive_seed(e.trial_id, k * dsp.SEGMENT_S, st, "augment")))
             for v in variants:
                 items.append((dsp.mfcc(v), e.material))
                 sources.append(e.trial_id)

@@ -9,13 +9,13 @@ TrialRecord derives the rest from these rows: the step times, and the
 peak force and its cell, the labels the predictor learns.
 `step` advances a block of k >= 1 such steps under one grip command: the
 scalar physics runs step by step, and the block's grids, joint streams and
-audio are then rendered as arrays with a leading step axis. The random
-draws keep one order, step by step: audio noise, Poisson impact count,
-each impact's onset, frequency and phase, joint noise. The Gaussian noise
-is standard normals scaled per block, so a run of them that no other draw
-splits (one step's joint noise and the next step's audio noise, or a
-whole block without impacts) is one generator call. A block gives the
-same bits as k single steps.
+audio are then rendered as arrays with a leading step axis. Each kind of
+random draw has its own generator: the Gaussian noise of audio and joints
+(standard normals, one call per block), the Poisson impact counts (one
+draw per step that can have impacts) and each impact's onset, frequency
+and phase (one call per block). One call on a stream gives the values and
+the generator state of the single calls it stands for, so a block gives
+the same bits as its k single steps.
 
 Physics, in brief:
   * The grip torque maps linearly to a normal force, N = 25 * torque (N/Nm),
@@ -33,8 +33,8 @@ Physics, in brief:
     center sags opposite the current acceleration. Both patterns are
     normalized over the grid, so the grid sum equals N + load exactly.
 
-Everything is driven by one seeded generator per trial; identical inputs
-and seed reproduce trials bit for bit.
+A trial's seed spawns its three generators; identical inputs and seed
+reproduce trials bit for bit.
 """
 
 from __future__ import annotations
@@ -154,7 +154,9 @@ class SimState:
     contents_offset: float          # smoothed load direction in [-1, 1]
     slip_displacement: float        # m, monotone within a trial
     dropped: bool
-    rng: np.random.Generator
+    # one generator per kind of draw: Gaussian noise, impact counts, and
+    # each impact's onset, frequency and phase
+    rngs: tuple[np.random.Generator, np.random.Generator, np.random.Generator]
     audio_tail: np.ndarray          # synthesized audio past the last emitted sample
 
 
@@ -164,7 +166,7 @@ def initial_state(seed: int, material: MaterialParams) -> SimState:
         contents_offset=0.0,
         slip_displacement=0.0,
         dropped=False,
-        rng=np.random.default_rng(seed),
+        rngs=tuple(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))),
         audio_tail=np.zeros(len(tt)),
     )
 
@@ -190,18 +192,20 @@ def step_arrays(k: int) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _add_bursts(buf: np.ndarray, events: list, material: MaterialParams) -> None:
-    """Add impact bursts (start sample, freq, phase, amp) into buf in event
-    order, so every sample sums its bursts in the order they were drawn."""
+def _add_bursts(buf: np.ndarray, starts: np.ndarray, freqs: np.ndarray,
+                phases: np.ndarray, amps: np.ndarray, material: MaterialParams) -> None:
+    """Add one impact burst per event (start sample, freq, phase, amp) into
+    buf in event order, so every sample sums its bursts in the order they
+    were drawn."""
     tt, env = _burst_envelope(material)
     n_burst = len(tt)
-    for g in range(0, len(events), BURST_GROUP):
-        start, freq, phase, amp = zip(*events[g:g + BURST_GROUP])
-        bursts = 2.0 * np.pi * np.array(freq)[:, None] * tt
-        bursts += np.array(phase)[:, None]
+    for g in range(0, len(starts), BURST_GROUP):
+        group = slice(g, g + BURST_GROUP)
+        bursts = 2.0 * np.pi * freqs[group, None] * tt
+        bursts += phases[group, None]
         np.sin(bursts, out=bursts)
-        bursts *= np.array(amp)[:, None] * env
-        for s, burst in zip(start, bursts):
+        bursts *= amps[group, None] * env
+        for s, burst in zip(starts[group].tolist(), bursts):
             buf[s:s + n_burst] += burst
 
 
@@ -242,26 +246,18 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     mass = material.total_mass
     normal = TORQUE_TO_NORMAL * grip_torque * stiffness_scale
     available = FRICTION_MU * normal
-    rng = state.rng
+    noise_rng, count_rng, impact_rng = state.rngs
     rate = IMPACT_RATE_COEFF * material.particle_count
-    half_band = 0.5 * material.impact_bandwidth_hz
 
     # Scalar physics on Python floats, step by step; the render inputs of
-    # each step are stored as it goes. The draws run in the order audio
-    # noise, Poisson count, per-event draws, joint noise of each step in
-    # turn. Row j of `noise` holds step j's audio then joint noise as
-    # standard normals, scaled once after the loop: rng.normal(0, s) is
-    # 0 + s * z on the same stream, and the render's sums drop the sign a
-    # zero may differ in. So each run of normals between two other draws is
-    # one call: up to a step's audio before its Poisson draw, the rest after.
+    # each step are stored as it goes, and so is its Poisson impact count,
+    # drawn only where impacts can happen (no draw at rate 0 or once
+    # dropped). The other draws are one call each for the whole block.
     slip_out, drop_out = out["true_slip"], out["dropped"]
     loads, centers, load_torques, drags = np.empty((4, k))
-    events = []  # (start sample in the block, freq, phase, amp)
+    counts = [0] * k  # impacts per step
     disp, dropped, offset = (state.slip_displacement, state.dropped,
                              state.contents_offset)
-    noise = np.empty((k, chunk + N_JOINTS))
-    flat = noise.reshape(-1)
-    drawn = 0
     for j, a in enumerate(accels):
         # Coulomb slip: deficit between required tangential force and friction.
         required = mass * abs(a + g)
@@ -282,21 +278,12 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
 
         lam = rate * abs(a) * dt
         if not dropped and lam > 0.0:
-            end = j * (chunk + N_JOINTS) + chunk
-            rng.standard_normal(out=flat[drawn:end])
-            drawn = end
-            amp = IMPACT_AMP_COEFF * abs(a)
-            for _ in range(rng.poisson(lam)):
-                onset = int(rng.integers(0, chunk))
-                # rng.uniform(lo, hi), as numpy defines it: lo + (hi - lo) * rng.random()
-                freq = material.impact_centroid_hz + (
-                    -half_band + (half_band + half_band) * rng.random())
-                phase = 2.0 * np.pi * rng.random()
-                events.append((j * chunk + onset, freq, phase, amp))
-    rng.standard_normal(out=flat[drawn:])
-    noise *= _NOISE_SIGMAS
+            counts[j] = count_rng.poisson(lam)
     state.slip_displacement, state.dropped, state.contents_offset = \
         disp, dropped, offset
+    # row j: step j's audio then joint noise
+    noise = noise_rng.standard_normal((k, chunk + N_JOINTS))
+    noise *= _NOISE_SIGMAS
 
     # Tactile rendering. Both patterns are grid-normalized, so the grid sum
     # is exactly normal + load before quantization.
@@ -316,8 +303,17 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     n_tail = len(state.audio_tail)
     buf = np.zeros(k * chunk + n_tail)
     buf[:n_tail] = state.audio_tail
-    if events:
-        _add_bursts(buf, events, material)
+    n_impacts = sum(counts)
+    if n_impacts:
+        # each impact's step, then its onset in the step, frequency in the
+        # material's band, and phase
+        at = np.repeat(np.arange(k), counts)
+        u = impact_rng.random((n_impacts, 3))
+        starts = at * chunk + (u[:, 0] * chunk).astype(np.intp)
+        freqs = (material.impact_centroid_hz
+                 + material.impact_bandwidth_hz * (u[:, 1] - 0.5))
+        amps = IMPACT_AMP_COEFF * np.abs(np.asarray(accels)[at])
+        _add_bursts(buf, starts, freqs, 2.0 * np.pi * u[:, 2], amps, material)
     np.add(noise[:, :chunk], buf[:k * chunk].reshape(k, chunk), out=audio)
     np.maximum(audio, -1.0, out=audio)
     np.minimum(audio, 1.0, out=audio)
@@ -426,7 +422,7 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
     step j may use only what was perceived of the rows before j. A replay
     is not passed again: it rewrites the rows it keeps with the same
     bytes.
-    A block is rendered only when it is pulled, and the random draws run
+    A block is rendered only when it is pulled, and each generator draws
     in step order, so a trial's first rows do not depend on how far it is
     pulled. `step` writes straight into the trial's arrays, and this is
     the only loop over it.
@@ -461,7 +457,8 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
     while i < n:
         k = min(k, n - i)
         if k > 1:
-            saved, rng_state = replace(state), state.rng.bit_generator.state
+            saved = replace(state)
+            rng_states = [rng.bit_generator.state for rng in state.rngs]
         render(state, i, k, *command)
         if perceive is not None:
             perceive(rows(i + k), i)
@@ -473,7 +470,8 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
             # step i + j runs under another command: rewind to the
             # block's start and keep its first j steps
             state = saved
-            state.rng.bit_generator.state = rng_state
+            for rng, rng_state in zip(state.rngs, rng_states):
+                rng.bit_generator.state = rng_state
             render(state, i, j, *command)
         i += j
         k = min(2 * k, RENDER_BLOCK) if new == command else 1

@@ -2,12 +2,11 @@
 
 Everything here is written as directly as possible from the defining
 formulas (explicit loops, naive O(n^2) transforms, outcome enumeration)
-and deliberately shares no code with the package under test. Three
-exceptions check loops, not the pieces they call: `per_draw_step` is
-`simulation.step` with one generator call per random draw and the
-package's render helpers, `single_step_trial` drives the package's own
-`simulation.step` one step at a time, and `whole_trial_active_loop` runs
-the package's trials, classifier and posterior updates on whole trials.
+and deliberately shares no code with the package under test. Two
+exceptions check loops, not the pieces they call: `single_step_trial`
+drives the package's own `simulation.step` one step at a time, and
+`whole_trial_active_loop` runs the package's trials, classifier and
+posterior updates on whole trials.
 """
 
 import math
@@ -239,94 +238,6 @@ def calibrate_slip_threshold(joint_histories, true_slip, horizon: int) -> float:
         if f1 > best_f1:
             best_thr, best_f1 = float(thr), f1
     return best_thr
-
-
-def per_draw_step(state, material, accels, grip_torque, stiffness_scale=1.0):
-    """`simulation.step` on valid inputs with one generator call per draw,
-    in the order audio noise, Poisson count, per-event onset, frequency and
-    phase, joint noise of each step in turn. Returns new arrays shaped as
-    by `step_arrays(len(accels))`; `simulation.step` must match them, the
-    state it leaves and the generator's state bit for bit."""
-    S = simulation
-    k, dt, chunk = len(accels), S.SIM_DT, S.CHUNK
-    out = S.step_arrays(k)
-    audio, angles = out["audio"], out["joint_angles"]
-    mass = material.total_mass
-    normal = S.TORQUE_TO_NORMAL * grip_torque * stiffness_scale
-    available = S.FRICTION_MU * normal
-    rng = state.rng
-    rate = S.IMPACT_RATE_COEFF * material.particle_count
-    half_band = 0.5 * material.impact_bandwidth_hz
-    loads, centers, load_torques, drags = np.empty((4, k))
-    events = []
-    disp, dropped, offset = (state.slip_displacement, state.dropped,
-                             state.contents_offset)
-    for j, a in enumerate(accels):
-        required = mass * abs(a + S.GRAVITY)
-        slipping = required > available and not dropped
-        if slipping:
-            disp += S.SLIP_RATE * ((required - available) / mass) * dt
-            if disp >= S.DROP_THRESHOLD:
-                dropped = True
-        target = min(max((a + S.GRAVITY) / S.ACCEL_NORM, -1.0), 1.0)
-        offset += (target - offset) * dt / S.SLOSH_TAU
-        load = 0.0 if dropped else required
-        out["true_slip"][j], out["dropped"][j] = slipping, dropped
-        loads[j] = load
-        centers[j] = (S.GRID_ROWS - 1) / 2.0 + S.LOAD_SHIFT_CELLS * offset
-        load_torques[j] = 0.005 * load
-        drags[j] = S.JOINT_SLIP_GAIN * disp
-        audio[j] = rng.normal(0.0, S.NOISE_FLOOR, chunk)
-        lam = rate * abs(a) * dt
-        if not dropped and lam > 0.0:
-            amp = S.IMPACT_AMP_COEFF * abs(a)
-            for _ in range(rng.poisson(lam)):
-                onset = int(rng.integers(0, chunk))
-                freq = material.impact_centroid_hz + rng.uniform(-half_band, half_band)
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                events.append((j * chunk + onset, freq, phase, amp))
-        angles[j] = rng.normal(0.0, S.JOINT_NOISE, S.N_JOINTS)
-    state.slip_displacement, state.dropped, state.contents_offset = \
-        disp, dropped, offset
-
-    grid = out["tactile"]
-    np.multiply(normal, S._BASE_PATTERN, out=grid)
-    blobs = S._load_patterns(centers)
-    blobs *= loads[:, None, None]
-    grid += blobs
-    grid /= S.TACTILE_QUANTUM
-    np.rint(grid, out=grid)
-    grid *= S.TACTILE_QUANTUM
-    np.maximum(grid, 0.0, out=grid)
-
-    n_tail = len(state.audio_tail)
-    buf = np.zeros(k * chunk + n_tail)
-    buf[:n_tail] = state.audio_tail
-    if events:
-        S._add_bursts(buf, events, material)
-    audio += buf[:k * chunk].reshape(k, chunk)
-    np.maximum(audio, -1.0, out=audio)
-    np.minimum(audio, 1.0, out=audio)
-    audio *= S.PCM16_FULL_SCALE
-    np.rint(audio, out=audio)
-    audio /= S.PCM16_FULL_SCALE
-    state.audio_tail = buf[k * chunk:]
-
-    jq = S.JOINT_QUANTUM
-    pose = S.REST_POSE + S.GRIP_CLOSING_GAIN * grip_torque * S.CLOSE_DIR
-    angles += pose + drags[:, None] * S.SLIP_DIR
-    angles /= jq
-    np.rint(angles, out=angles)
-    angles *= jq
-    np.maximum(0.0, angles, out=angles)
-    np.minimum(angles, S.JOINT_ANGLE_MAX, out=angles)
-    torques = out["joint_torques"]
-    np.multiply(load_torques[:, None], S.SLIP_DIR, out=torques)
-    torques += grip_torque * stiffness_scale * S.TORQUE_DIST
-    torques /= jq
-    np.rint(torques, out=torques)
-    torques *= jq
-    return out
 
 
 def single_step_trial(material, motion, policy, seed, trial_id=None):

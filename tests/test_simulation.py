@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gripsense import dataset as ds
 from gripsense.materials import material_table
 from gripsense.motion import SIM_DT, LEVER_ARM_M, MotionProfile, rotation_profile, shaking_profile
 from gripsense import simulation
@@ -8,6 +9,7 @@ from gripsense.simulation import (
     DROP_THRESHOLD,
     FRICTION_MU,
     GRAVITY,
+    MAX_GRIP_TORQUE,
     MAX_STIFFNESS_SCALE,
     RENDER_BLOCK,
     SAMPLE_RATE,
@@ -20,13 +22,18 @@ from gripsense.simulation import (
     step,
     step_arrays,
 )
-from oracles import on_pcm16_grid, per_draw_step, records_equal, single_step_trial
+from oracles import on_pcm16_grid, records_equal, single_step_trial
 
 TABLE = material_table()
 
 
 def fixed_shake(peak=18.0, count=3):
     return shaking_profile(count, peak, 2.0)
+
+
+def rng_states(state):
+    """The bit-generator states of a SimState's three generators."""
+    return [rng.bit_generator.state for rng in state.rngs]
 
 
 class TestMotionProfiles:
@@ -115,11 +122,11 @@ class TestStep:
     def test_non_finite_block_step_is_named_and_state_untouched(self):
         m = TABLE["rice"]
         state = initial_state(0, m)
-        before = state.rng.bit_generator.state
+        before = rng_states(state)
         with pytest.raises(ValueError, match="step 3 of the block"):
             step(state, m, [0.0, 1.0, 2.0, np.nan, 0.0], 0.5)
         assert (state.slip_displacement, state.contents_offset) == (0.0, 0.0)
-        assert state.rng.bit_generator.state == before
+        assert len(before) == 3 and rng_states(state) == before
 
     def test_block_step_ends_with_the_last_single_step(self):
         m = TABLE["cereal"]
@@ -154,25 +161,27 @@ class TestStep:
     @pytest.mark.parametrize("torque,stiffness", [
         (0.0, 1.0), (0.4, 1.0), (1.0, 1.0), (0.4, 2.0)])
     def test_blocks_match_one_draw_per_call(self, name, k, torque, stiffness):
-        # 150 steps of shaking with steps 40-59 at rest, in blocks of k: at
-        # torque 0.0 the container drops mid-trial, and some blocks hold
-        # zeros or are all zeros
+        # 150 steps of shaking with steps 40-59 at rest, in blocks of k, each
+        # against k single steps: at torque 0.0 the container drops
+        # mid-trial, and some blocks hold zeros or are all zeros
         m = TABLE[name]
         accels = fixed_shake(peak=25.0).accelerations()[:150].tolist()
         accels[40:60] = [0.0] * 20
-        state, oracle = initial_state(5, m), initial_state(5, m)
+        state, single = initial_state(5, m), initial_state(5, m)
         for i in range(0, len(accels), k):
             block = accels[i:i + k]
             got = step(state, m, block, torque, stiffness_scale=stiffness)
-            want = per_draw_step(oracle, m, block, torque, stiffness)
-            for field in want:
-                assert got[field].dtype == want[field].dtype
-                assert np.array_equal(got[field], want[field]), (field, i)
-            assert np.array_equal(state.audio_tail, oracle.audio_tail)
+            steps = [step(single, m, a, torque, stiffness_scale=stiffness)
+                     for a in block]
+            for field in got:
+                want = np.concatenate([out[field] for out in steps])
+                assert got[field].dtype == want.dtype
+                assert got[field].tobytes() == want.tobytes(), (field, i)
+            assert state.audio_tail.tobytes() == single.audio_tail.tobytes()
             assert (state.slip_displacement, state.contents_offset,
-                    state.dropped) == (oracle.slip_displacement,
-                                       oracle.contents_offset, oracle.dropped)
-            assert state.rng.bit_generator.state == oracle.rng.bit_generator.state
+                    state.dropped) == (single.slip_displacement,
+                                       single.contents_offset, single.dropped)
+            assert rng_states(state) == rng_states(single)
         assert state.dropped is (torque == 0.0)
 
     def test_contact_pattern_is_shared_read_only(self):
@@ -197,6 +206,19 @@ class TestTrials:
         # physics is seed-independent: slip labels and forces match
         assert np.array_equal(a.true_slip, b.true_slip)
         assert np.array_equal(a.true_max_force, b.true_max_force)
+
+    def test_noise_does_not_depend_on_impacts(self):
+        # at the strongest grip nothing slips, so a trial's joint angles are
+        # its pose plus its noise stream: the same for every material,
+        # whatever impacts each one draws
+        rng = np.random.default_rng(ds.derive_seed(0, "rice", "shaking", 0, "profile"))
+        motion = ds.sample_trial_profile("shaking", rng)
+        records = [run_trial(TABLE[name], motion, MAX_GRIP_TORQUE, 7)
+                   for name in sorted(TABLE)]
+        assert len(records) == 5
+        assert not any(rec.true_slip.any() for rec in records)
+        assert len({rec.audio.tobytes() for rec in records}) == 5
+        assert len({rec.joint_angles.tobytes() for rec in records}) == 1
 
     def test_slip_flags_match_coulomb_model(self):
         p = fixed_shake(peak=20.0)
