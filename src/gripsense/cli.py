@@ -1,10 +1,13 @@
 """Command-line pipeline: generate, train, episode, active, eval.
 
-Every run echoes its effective configuration to the output directory as
-run_config.json so results are reproducible from the file plus the seed.
-A run checks its flags and inputs first: a usage error writes nothing, and
-generate, train and eval write run_config.json beside their outputs, once
-those exist.
+Every run that succeeds echoes its effective configuration to the output
+directory as run_config.json, so results are reproducible from the file
+plus the seed. A run checks its flags and inputs first: a usage error
+writes nothing, and `main` writes run_config.json once the command has
+returned, so a failing run leaves none. `train` reports the figures of
+the model file it wrote, read back as every later command reads it, and
+`train` and `eval` score the classifier through one batched scorer
+(`models.classifier.classify_items`).
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -23,7 +26,7 @@ from . import dataset as ds
 from . import inference, tactile
 from .controller import run_baseline_episode, run_reactive_loop, write_episode_csv
 from .materials import MATERIAL_CLASSES, material_table
-from .models.classifier import train_classifier
+from .models.classifier import classify_items, train_classifier
 from .models.optim import TrainConfig
 from .models.predictor import HORIZON, predict_batch, train_predictor
 from .models import metrics as mx
@@ -39,11 +42,10 @@ class UsageError(Exception):
     pass
 
 
-def _echo_config(args: argparse.Namespace, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _echo_config(args: argparse.Namespace) -> None:
     doc = {k: (str(v) if isinstance(v, Path) else v)
            for k, v in vars(args).items() if k != "func"}
-    (out_dir / "run_config.json").write_text(
+    (Path(args.out) / "run_config.json").write_text(
         json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
@@ -161,7 +163,6 @@ def cmd_generate(args) -> int:
     if manifest.splits is None:
         print(f"note: no split assignment (cells of {args.trials} trials are "
               f"too small to stratify at {ds.SPLIT_FRACTIONS})")
-    _echo_config(args, out)
     print(f"generated {len(manifest.trials)} trials in {out} "
           f"(base seed {args.seed})")
     return 0
@@ -197,20 +198,21 @@ def cmd_train(args) -> int:
     if args.task == "classifier":
         train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                                 augment=True)
-        val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
-        model, metrics, curve = train_classifier(train_items, val_items, cfg)
-        L = inference.confusions_from_segments(
-            model, val_items,
-            [manifest.entry(s).motion["kind"] for s in val_sources])
+        val_items, val_entries = ds.classifier_segments(dataset_dir, manifest, "val")
+        model, curve = train_classifier(train_items, val_items, cfg)
         out.mkdir(parents=True, exist_ok=True)
         save_model(out / CLASSIFIER_FILE, model)
-        _write_classifier_metrics(out / "metrics_classifier.csv", metrics)
+        pred, truth = classify_items(load_model(out / CLASSIFIER_FILE, "classifier"),
+                                     val_items)
+        accuracy = _write_classifier_metrics(out / "metrics_classifier.csv",
+                                             pred, truth)
         _write_curve(out / "curve_classifier.csv",
                      ["epoch", "mean_loss", "val_accuracy"], curve)
+        L = inference.estimate_confusions(
+            pred, truth, [e.motion["kind"] for e in val_entries])
         for motion, C in L.confusions.items():
             write_confusion_csv(out / confusion_filename(motion), C)
-        _echo_config(args, out)
-        print(f"classifier: val accuracy {metrics.accuracy:.3f} "
+        print(f"classifier: val accuracy {accuracy:.3f} "
               f"({len(train_items)} train / {len(val_items)} val segments)")
         return 0
 
@@ -221,17 +223,17 @@ def cmd_train(args) -> int:
         dataset_dir, manifest, "test", args.motion, args.material)
     model, curve = train_predictor(X, slip, force, cell, cfg, HORIZON,
                                    motion=args.motion, material=args.material)
-    metrics = _evaluate_predictor(model, Xt, slip_t, force_t, cell_t)
     name = predictor_filename(args.motion, args.material)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / name, model)
+    metrics = _evaluate_predictor(load_model(out / name, "predictor"),
+                                  Xt, slip_t, force_t, cell_t)
     _write_curve(out / f"curve_{name.removesuffix('.gsm')}.csv",
                  ["epoch", "mean_loss"], curve)
     with open(out / f"metrics_{name.removesuffix('.gsm')}.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["auc", "force_mae", "cell_distance"])
         w.writerow([metrics.auc, metrics.force_mae, metrics.cell_distance])
-    _echo_config(args, out)
     print(f"predictor {name}: test AUC {_auc_text(metrics, slip_t, 'n/a')}, "
           f"force MAE {metrics.force_mae:.4f} N, "
           f"cell distance {metrics.cell_distance:.2f}")
@@ -265,16 +267,21 @@ def _write_curve(path, header: list[str], curve) -> None:
                     for epoch, *figures in curve)
 
 
-def _write_classifier_metrics(path, metrics) -> None:
+def _write_classifier_metrics(path, pred, truth) -> float:
+    """The accuracy, per-class precision and recall and the raw confusion
+    counts of predicted against true class indices; returns the accuracy."""
+    accuracy = mx.accuracy(pred, truth)
+    confusion = mx.confusion_matrix(pred, truth, len(MATERIAL_CLASSES))
+    precision, recall = mx.precision_recall(confusion)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["accuracy", repr(float(metrics.accuracy))])
+        w.writerow(["accuracy", repr(float(accuracy))])
         w.writerow(["class", "precision", "recall"]
                    + [f"confusion_{c}" for c in MATERIAL_CLASSES])
         for i, c in enumerate(MATERIAL_CLASSES):
-            w.writerow([c, repr(float(metrics.precision[i])),
-                        repr(float(metrics.recall[i]))]
-                       + [int(v) for v in metrics.confusion[i]])
+            w.writerow([c, repr(float(precision[i])), repr(float(recall[i]))]
+                       + [int(v) for v in confusion[i]])
+    return accuracy
 
 
 def cmd_episode(args) -> int:
@@ -304,7 +311,7 @@ def cmd_episode(args) -> int:
             raise UsageError(f"no default predictor for motion {args.motion!r} "
                              f"in {models_dir}")
     out = Path(args.out)
-    _echo_config(args, out)
+    out.mkdir(parents=True, exist_ok=True)
 
     rows, mean_torques, drops = [], [], 0
     for i in range(args.episodes):
@@ -354,8 +361,10 @@ def cmd_active(args) -> int:
     written once every run has finished: a failing run writes no
     `active_*.csv` and no `summary.csv`."""
     _require_at_least(args, 1, "--seeds", "--max-segments")
-    if not 0.2 < args.confidence < 1.0:
-        raise UsageError(f"--confidence must lie in (0.2, 1), got {args.confidence}")
+    low, high = inference.CONFIDENCE_BOUNDS
+    if not low < args.confidence < high:
+        raise UsageError(f"--confidence must lie in ({low:g}, {high:g}), "
+                         f"got {args.confidence}")
     models_dir = _require_dir(Path(args.models), "models")
     table = material_table()
     if args.material not in table:
@@ -364,19 +373,17 @@ def cmd_active(args) -> int:
     if likelihoods is None:
         raise UsageError(f"no confusion_<motion>.csv files in {models_dir}; "
                          "train the classifier first")
-    out = Path(args.out)
-    _echo_config(args, out)
-
     seeds = [ds.derive_seed(args.seed, i, "active") for i in range(args.seeds)]
-    selectors = ("eig", "random")
     logs = map_in_workers(
         functools.partial(_active_run, table[args.material], classifier,
                           likelihoods, args.confidence, args.max_segments),
-        [(seed, selector) for seed in seeds for selector in selectors])
+        [(seed, selector) for seed in seeds for selector in inference.SELECTORS])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, seed in enumerate(seeds):
         eig, rand = logs[2 * i:2 * i + 2]
-        for selector, log in zip(selectors, (eig, rand)):
+        for selector, log in zip(inference.SELECTORS, (eig, rand)):
             inference.write_active_csv(log, out / f"active_{selector}_{i:03d}.csv")
         rows.append([i, seed, eig.segments_used, int(eig.reached_confidence),
                      rand.segments_used, int(rand.reached_confidence)])
@@ -399,11 +406,7 @@ def cmd_eval(args) -> int:
     classifier, registry, _ = load_models(models_dir)
 
     test_items, _ = ds.classifier_segments(dataset_dir, manifest, "test")
-    index = {c: i for i, c in enumerate(classifier.cfg.classes)}
-    probs, _ = classifier.forward(np.stack([frames for frames, _ in test_items]))
-    pred = probs.argmax(axis=1)
-    truth = np.array([index[label] for _, label in test_items])
-    acc = mx.accuracy(pred, truth)
+    acc = mx.accuracy(*classify_items(classifier, test_items))
     lines = [["classifier_accuracy", repr(float(acc))]]
     print(f"classifier test accuracy: {acc:.3f} over {len(test_items)} segments")
 
@@ -422,7 +425,6 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "eval.csv", "w", newline="") as f:
         csv.writer(f).writerows(lines)
-    _echo_config(args, out)
     return 0
 
 
@@ -560,7 +562,9 @@ def main(argv=None) -> int:
                                                            command_parser))
             args = parser.parse_args(argv)
         _apply_train_defaults(args)
-        return args.func(args)
+        status = args.func(args)
+        _echo_config(args)
+        return status
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -140,12 +140,6 @@ class DatasetManifest:
     trials: tuple[TrialEntry, ...]
     splits: dict[str, list[str]] | None = None
 
-    def entry(self, trial_id: str) -> TrialEntry:
-        for e in self.trials:
-            if e.trial_id == trial_id:
-                return e
-        raise KeyError(trial_id)
-
     def split_entries(self, split: str) -> list[TrialEntry]:
         if not self.splits:
             raise DatasetError("manifest has no split assignment")
@@ -598,13 +592,14 @@ AUGMENT_SNR_DB = 20.0
 
 def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
                         augment: bool = False):
-    """MFCC training items for one split: (list of (frames, label), sources).
+    """MFCC training items for one split: (list of (frames, label),
+    entries), where entries holds the TrialEntry each item was cut from.
 
     With augment=True each original segment also contributes four variants
     (pitch shift by +-1 and +-2 semitones, each with 20 dB SNR noise).
     """
     dataset_dir = Path(dataset_dir)
-    items, sources = [], []
+    items, entries = [], []
     for e in manifest.split_entries(split):
         _, samples = read_trial_audio(dataset_dir / e.path, e.checksums)
         for k, seg in enumerate(dsp.segment(samples)):
@@ -617,8 +612,8 @@ def classifier_segments(dataset_dir, manifest: DatasetManifest, split: str,
                         derive_seed(e.trial_id, k * dsp.SEGMENT_S, st, "augment")))
             for v in variants:
                 items.append((dsp.mfcc(v), e.material))
-                sources.append(e.trial_id)
-    return items, sources
+                entries.append(e)
+    return items, entries
 
 
 def load_trial_features(dataset_dir, entry: TrialEntry):

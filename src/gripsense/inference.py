@@ -1,9 +1,11 @@
 """Bayesian material identification and information-driven motion selection.
 
 The audio classifier's argmax outputs, summarized per motion by a held-out
-confusion matrix, serve as the observation model. A posterior over the
-material classes is updated per segment, and the next exploratory motion
-is the one with the highest expected information gain.
+confusion matrix, serve as the observation model. `train` scores the
+validation split once (`models.classifier.classify_items`) and
+`estimate_confusions` counts those predictions per motion. A posterior
+over the material classes is updated per segment, and the next
+exploratory motion is the one with the highest expected information gain.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .simulation import CHUNK, trial_blocks
 log = logging.getLogger(__name__)
 
 DEGENERACY_EPS = 1e-12
+# how run_active_loop may pick its motions
+SELECTORS = ("eig", "random")
+# the open interval a confidence target lies in: the uniform prior already
+# meets 1 / 5, and smoothed confusions never give a posterior of 1
+CONFIDENCE_BOUNDS = (1.0 / len(MATERIAL_CLASSES), 1.0)
 # simulator steps that render one classifier segment
 SEGMENT_STEPS = dsp.SEGMENT_SAMPLES // CHUNK
 
@@ -56,33 +63,17 @@ class MotionLikelihoodModel:
                                  "row-stochastic")
 
 
-def estimate_confusions(observations: list[tuple[str, int, int]]) -> MotionLikelihoodModel:
-    """Laplace-smoothed confusion matrices over MATERIAL_CLASSES from
-    (motion, true, predicted) index triples collected on held-out segments."""
-    pairs: dict[str, list[tuple[int, int]]] = {}
-    for motion, true_idx, pred_idx in observations:
-        pairs.setdefault(motion, []).append((true_idx, pred_idx))
+def estimate_confusions(pred, truth, motions) -> MotionLikelihoodModel:
+    """Laplace-smoothed confusion matrices over MATERIAL_CLASSES, one per
+    motion, from the predicted and true class indices of held-out segments
+    and the motion each was recorded under."""
+    pred, truth, kinds = np.asarray(pred), np.asarray(truth), np.asarray(motions)
     confusions = {}
-    for motion, motion_pairs in pairs.items():
-        truth, pred = zip(*motion_pairs)
-        c = confusion_matrix(pred, truth, len(MATERIAL_CLASSES)) + 1.0
+    for motion in dict.fromkeys(motions):
+        mine = kinds == motion
+        c = confusion_matrix(pred[mine], truth[mine], len(MATERIAL_CLASSES)) + 1.0
         confusions[motion] = c / c.sum(axis=1, keepdims=True)
     return MotionLikelihoodModel(confusions)
-
-
-def confusions_from_segments(model: MaterialClassifier, items,
-                             motions) -> MotionLikelihoodModel:
-    """Confusion matrices from labeled held-out MFCC segments.
-
-    items are (frames, label) pairs and motions the motion kind each was
-    recorded under; the predicted class is the argmax of one batched
-    classifier forward pass over all items.
-    """
-    index = {c: i for i, c in enumerate(model.cfg.classes)}
-    probs, _ = model.forward(np.stack([frames for frames, _ in items]))
-    obs = [(motion, index[label], int(pred)) for (_, label), motion, pred
-           in zip(items, motions, probs.argmax(axis=1))]
-    return estimate_confusions(obs)
 
 
 def entropy_bits(probs: np.ndarray) -> float:
@@ -182,9 +173,10 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
     segments used are those of the whole trial, since a trial's first
     seconds do not depend on how far it runs.
     """
-    if not 0.2 < confidence_target < 1.0:
-        raise ValueError("confidence_target must lie in (0.2, 1)")
-    if selector not in ("eig", "random"):
+    low, high = CONFIDENCE_BOUNDS
+    if not low < confidence_target < high:
+        raise ValueError(f"confidence_target must lie in ({low:g}, {high:g})")
+    if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     motions = _in_motion_order(L.confusions)
     rng = np.random.default_rng(seed)

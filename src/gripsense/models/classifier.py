@@ -13,9 +13,9 @@ import numpy as np
 
 from ..dsp import N_COEFFS
 from ..materials import MATERIAL_CLASSES
+from .metrics import accuracy
 from .optim import TrainConfig, fit_standardizer, sgd_epochs
 from .params import ParamLayout
-from . import metrics as _metrics
 
 
 @dataclass(frozen=True)
@@ -160,12 +160,10 @@ def _to_arrays(dataset, classes: tuple[str, ...]):
 
 def train_classifier(train_set, val_set, cfg: TrainConfig):
     """Minibatch SGD with momentum on cross-entropy; returns the model with
-    the best validation-accuracy weights, held-out Metrics and the
-    training curve, one (epoch, mean minibatch loss, validation accuracy)
-    per epoch."""
+    the best validation-accuracy weights and the training curve, one
+    (epoch, mean minibatch loss, validation accuracy) per epoch."""
     model_cfg = ClassifierConfig(seed=cfg.seed)
     x_train, y_train = _to_arrays(train_set, model_cfg.classes)
-    x_val, y_val = _to_arrays(val_set, model_cfg.classes)
     present = set(y_train.tolist())
     missing = [c for i, c in enumerate(model_cfg.classes) if i not in present]
     if missing:
@@ -177,20 +175,21 @@ def train_classifier(train_set, val_set, cfg: TrainConfig):
     best_acc = -1.0
     curve = []
     for epoch, loss in sgd_epochs(model, (x_train, y_train), cfg, BATCH):
-        probs, _ = model.forward(x_val)
-        acc = _metrics.accuracy(probs.argmax(axis=1), y_val)
+        acc = accuracy(*classify_items(model, val_set))
         curve.append((epoch, loss, acc))
         if acc > best_acc:
             best_acc = acc
             best_theta = model.theta.copy()
     model.theta = best_theta
-    probs, _ = model.forward(x_val)
-    pred = probs.argmax(axis=1)
-    cm = _metrics.confusion_matrix(pred, y_val, len(model_cfg.classes))
-    prec, rec = _metrics.precision_recall(cm)
-    result = _metrics.Metrics(accuracy=_metrics.accuracy(pred, y_val),
-                              precision=prec, recall=rec, confusion=cm)
-    return model, result, curve
+    return model, curve
+
+
+def classify_items(model: MaterialClassifier, items):
+    """(pred, truth): the predicted and the labeled class index of each
+    (frames, label) item, from one batched forward pass."""
+    x, truth = _to_arrays(items, model.cfg.classes)
+    probs, _ = model.forward(x)
+    return probs.argmax(axis=1), truth
 
 
 def classify(model: MaterialClassifier, frames: np.ndarray) -> np.ndarray:

@@ -9,13 +9,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Metrics:
-    accuracy: float | None = None
-    precision: np.ndarray | None = None   # per class
-    recall: np.ndarray | None = None      # per class
-    confusion: np.ndarray | None = None   # rows = true class
-    auc: float | None = None
-    force_mae: float | None = None
-    cell_distance: float | None = None    # mean Euclidean, grid cells
+    """A predictor's test figures; auc is None when the windows hold one
+    slip class."""
+    auc: float | None
+    force_mae: float
+    cell_distance: float  # mean Euclidean, grid cells
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:

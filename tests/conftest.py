@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 
 from gripsense import dataset as ds
 from gripsense import inference
-from gripsense.models.classifier import train_classifier
+from gripsense.models.classifier import classify_items, train_classifier
 from gripsense.models.optim import TrainConfig
 from gripsense.models.predictor import HORIZON, train_predictor
 from gripsense.models.registry import ModelRegistry
@@ -39,15 +39,15 @@ def manifest(dataset_dir):
 
 @pytest.fixture(scope="session")
 def clf_bundle(dataset_dir, manifest):
-    """(classifier, val metrics, val items, val sources, training seconds)
-    trained once, on the augmented train split."""
+    """(classifier, val items, the val items' trial entries, training
+    seconds) trained once, on the augmented train split."""
     train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                             augment=True)
-    val_items, val_sources = ds.classifier_segments(dataset_dir, manifest, "val")
+    val_items, val_entries = ds.classifier_segments(dataset_dir, manifest, "val")
     t0 = time.perf_counter()
-    model, metrics, _ = train_classifier(
+    model, _ = train_classifier(
         train_items, val_items, TrainConfig(epochs=30, lr=0.01, seed=BASE_SEED))
-    return model, metrics, val_items, val_sources, time.perf_counter() - t0
+    return model, val_items, val_entries, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -56,11 +56,12 @@ def classifier(clf_bundle):
 
 
 @pytest.fixture(scope="session")
-def likelihoods(clf_bundle, manifest):
+def likelihoods(clf_bundle):
     """Per-motion confusion matrices estimated on the validation split."""
-    model, _, val_items, val_sources, _ = clf_bundle
-    motions = [manifest.entry(s).motion["kind"] for s in val_sources]
-    return inference.confusions_from_segments(model, val_items, motions)
+    model, val_items, val_entries, _ = clf_bundle
+    pred, truth = classify_items(model, val_items)
+    return inference.estimate_confusions(
+        pred, truth, [e.motion["kind"] for e in val_entries])
 
 
 @pytest.fixture(scope="session")

@@ -420,6 +420,7 @@ class TestActiveAndEval:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "summary.csv").exists()
         assert list(tmp_path.glob("active_*.csv")) == []
+        assert not (tmp_path / "run_config.json").exists()
 
     def test_zero_seeds_exits_2(self, cli_models, tmp_path, capsys):
         rc = cli.main(["active", "--models", str(cli_models),
@@ -503,6 +504,14 @@ class TestActiveAndEval:
         acc = float(lines[0].split(",")[1])
         assert 0.0 <= acc <= 1.0
         assert json.loads((tmp_path / "run_config.json").read_text())["command"] == "eval"
+        # train scored the model file it wrote, as eval reads it, so both
+        # report the same figures to the last digit
+        with open(cli_models / "metrics_predictor_default_shaking.csv",
+                  newline="") as f:
+            names, figures = list(csv.reader(f))
+        assert figures[0] != ""
+        rows = dict(line.split(",") for line in lines)
+        assert [rows[f"shaking_{name}"] for name in names] == figures
 
     def test_eval_of_empty_models_writes_nothing(self, cli_dataset, tmp_path,
                                                  capsys):

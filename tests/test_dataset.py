@@ -503,10 +503,8 @@ class TestManifestAndSplits:
     def test_manifest_round_trip(self, dataset_dir, manifest):
         assert manifest.format_version == ds.FORMAT_VERSION == 3
         assert len(manifest.trials) == 300
-        e = manifest.entry("shaking-rice-000")
+        e = {e.trial_id: e for e in manifest.trials}["shaking-rice-000"]
         assert e.material == "rice"
-        with pytest.raises(KeyError):
-            manifest.entry("nope")
 
     def test_manifest_version_guard(self, tmp_path):
         doc = {"format_version": 1}
@@ -578,9 +576,10 @@ class TestManifestAndSplits:
         assert len(splits["val"]) == 60
         assert len(splits["test"]) == 60
         cells = {}
+        by_id = {e.trial_id: e for e in manifest.trials}
         for split in ("train", "val", "test"):
             for tid in splits[split]:
-                e = manifest.entry(tid)
+                e = by_id[tid]
                 key = (e.motion["kind"], e.material, split)
                 cells[key] = cells.get(key, 0) + 1
         for (kind, material, split), n in cells.items():
@@ -658,24 +657,26 @@ class TestManifestAndSplits:
 
 class TestFeatureExtraction:
     def test_classifier_segments_match_trials(self, dataset_dir, manifest):
-        items, sources = ds.classifier_segments(dataset_dir, manifest, "val")
-        assert len(items) == len(sources)
-        by_trial = {e.trial_id: e.material for e in manifest.trials}
-        for (frames, label), src in zip(items, sources):
+        items, entries = ds.classifier_segments(dataset_dir, manifest, "val")
+        assert len(items) == len(entries)
+        by_trial = {e.trial_id: e for e in manifest.trials}
+        for (frames, label), e in zip(items, entries):
             assert frames.shape[1] == 13
-            assert label == by_trial[src]
+            assert by_trial[e.trial_id] == e
+            assert label == by_trial[e.trial_id].material
 
     def test_no_source_leaks_across_splits(self, dataset_dir, manifest):
         _, train_src = ds.classifier_segments(dataset_dir, manifest, "train")
         _, test_src = ds.classifier_segments(dataset_dir, manifest, "test")
-        assert not set(train_src) & set(test_src)
+        assert not ({e.trial_id for e in train_src}
+                    & {e.trial_id for e in test_src})
 
     def test_augmentation_multiplies_by_five(self, dataset_dir, manifest):
         plain, _ = ds.classifier_segments(dataset_dir, manifest, "val")
         aug, aug_src = ds.classifier_segments(dataset_dir, manifest, "val",
                                               augment=True)
         assert len(aug) == 5 * len(plain)
-        assert len(set(aug_src)) == len(
+        assert len({e.trial_id for e in aug_src}) == len(
             {e.trial_id for e in manifest.split_entries("val")})
 
     def test_augmented_variants_are_deterministic(self, dataset_dir, manifest):

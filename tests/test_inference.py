@@ -7,7 +7,7 @@ import oracles
 from gripsense import dsp, inference, simulation
 from gripsense.dataset import COLLECTION_TORQUE, sample_trial_profile
 from gripsense.materials import material_table
-from gripsense.models.classifier import classify
+from gripsense.models.classifier import classify, classify_items
 
 TABLE = material_table()
 
@@ -184,7 +184,7 @@ class TestSelectMotion:
 
 class TestEstimateConfusions:
     def test_laplace_smoothed_counts(self):
-        L = inference.estimate_confusions([("shaking", 0, 0), ("shaking", 0, 1)])
+        L = inference.estimate_confusions([0, 1], [0, 0], ["shaking", "shaking"])
         row = L.confusions["shaking"][0]
         assert np.allclose(row, [2 / 7, 2 / 7, 1 / 7, 1 / 7, 1 / 7])
         # unseen true classes smooth to uniform, so no outcome locks out
@@ -192,21 +192,26 @@ class TestEstimateConfusions:
 
     def test_rows_stochastic(self):
         rng = np.random.default_rng(8)
-        obs = [("rotation", int(rng.integers(5)), int(rng.integers(5)))
-               for _ in range(100)]
-        L = inference.estimate_confusions(obs)
+        L = inference.estimate_confusions(rng.integers(5, size=100),
+                                          rng.integers(5, size=100),
+                                          ["rotation"] * 100)
         assert np.allclose(L.confusions["rotation"].sum(axis=1), 1.0)
 
-    def test_from_segments_matches_per_item_classify(self, clf_bundle,
-                                                      manifest):
-        model, _, val_items, val_sources, _ = clf_bundle
-        motions = [manifest.entry(s).motion["kind"] for s in val_sources]
+    def test_classify_items_matches_per_item_classify(self, clf_bundle):
+        # the one batched pass gives each item's own argmax, and so the
+        # confusions that per-item classification would give
+        model, val_items, val_entries, _ = clf_bundle
         index = {c: i for i, c in enumerate(model.cfg.classes)}
-        obs = [(motion, index[label], int(np.argmax(classify(model, frames))))
-               for (frames, label), motion in zip(val_items, motions)]
-        want = inference.estimate_confusions(obs)
-        got = inference.confusions_from_segments(model, val_items, motions)
-        assert got.confusions.keys() == want.confusions.keys()
+        want_pred = [int(np.argmax(classify(model, frames)))
+                     for frames, _ in val_items]
+        want_truth = [index[label] for _, label in val_items]
+        pred, truth = classify_items(model, val_items)
+        assert pred.tolist() == want_pred and truth.tolist() == want_truth
+        motions = [e.motion["kind"] for e in val_entries]
+        want = inference.estimate_confusions(want_pred, want_truth, motions)
+        got = inference.estimate_confusions(pred, truth, motions)
+        assert got.confusions.keys() == want.confusions.keys() == {
+            "shaking", "rotation"}
         for motion, C in want.confusions.items():
             assert np.array_equal(got.confusions[motion], C)
 

@@ -84,16 +84,16 @@ class TestClassifier:
     def test_training_deterministic(self):
         items = toy_items()
         cfg = TrainConfig(epochs=3, lr=0.01, seed=11)
-        a, _, _ = train_classifier(items, items[:5], cfg)
-        b, _, _ = train_classifier(items, items[:5], cfg)
+        a, _ = train_classifier(items, items[:5], cfg)
+        b, _ = train_classifier(items, items[:5], cfg)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         items = toy_items()
         x = np.stack([m for m, _ in items])
         y = np.asarray([MATERIAL_CLASSES.index(lab) for _, lab in items])
-        trained, _, _ = train_classifier(items, items[:5],
-                                         TrainConfig(epochs=5, lr=0.01, seed=4))
+        trained, _ = train_classifier(items, items[:5],
+                                      TrainConfig(epochs=5, lr=0.01, seed=4))
         init = MaterialClassifier(ClassifierConfig(seed=4))
         init.input_mean = trained.input_mean.copy()
         init.input_std = trained.input_std.copy()

@@ -232,6 +232,23 @@ def test_one_function_loops_over_step():
     assert callers == ["simulation.py:trial_blocks"]
 
 
+def test_only_the_models_call_forward():
+    # a network's forward pass is called only in models/: the rest of the
+    # program scores through classify, classify_items, predict and
+    # predict_batch, so a second scorer of the same batch would show here
+    callers = []
+    models = ROOT / "src" / "gripsense" / "models"
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.parent == models:
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "forward" for node in ast.walk(top)):
+                callers.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert callers == []
+
+
 CONCURRENCY_MODULES = {"multiprocessing", "concurrent", "threading", "subprocess"}
 
 
