@@ -21,7 +21,7 @@ from .dataset import COLLECTION_TORQUE, MOTIONS, sample_trial_profile
 from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
 from .models.metrics import confusion_matrix
-from .simulation import CHUNK, trial_blocks
+from .simulation import AUDIO_AND_FLAGS, CHUNK, trial_blocks
 
 log = logging.getLogger(__name__)
 
@@ -150,13 +150,15 @@ def _trial_segments(material: MaterialParams, profile, seed: int):
     """The whole one-second segments of a collection trial, in order, as
     views of its audio. Its blocks are pulled from `trial_blocks` only as
     far as the segment asked for, so a trial abandoned after s segments
-    renders s * SEGMENT_STEPS steps."""
-    blocks = trial_blocks(material, profile, COLLECTION_TORQUE, seed)
+    renders s * SEGMENT_STEPS steps; of each step it renders the audio
+    and the flags, not the tactile grid or joint streams."""
+    blocks = trial_blocks(material, profile, COLLECTION_TORQUE, seed,
+                          streams=AUDIO_AND_FLAGS)
     rendered = 0
     for end in range(SEGMENT_STEPS, profile.n_steps + 1, SEGMENT_STEPS):
         while rendered < end:
             rows = next(blocks)
-            rendered = len(rows["tactile"])
+            rendered = len(rows["audio"])
         yield rows["audio"][end - SEGMENT_STEPS:end].reshape(-1)
 
 

@@ -53,10 +53,10 @@ def _gru_cell(gx, h, Uzr, Un, b):
     return (1.0 - z) * n + z * h, z, r, n
 
 
-def _heads(h, ws, bs, wf, bf, Wc, bc):
-    """(slip_logit (B,), force_norm (B,), cell_norm (B, 2)) from final
-    hidden states h (B, H) and the head weights."""
-    return h @ ws + bs[0], h @ wf + bf[0], h @ Wc.T + bc
+def _heads(h, ws, bs, wf, bf):
+    """(slip_logit (B,), force_norm (B,)) from final hidden states h (B, H)
+    and the slip and force heads' weights; the cell head is `forward`'s."""
+    return h @ ws + bs[0], h @ wf + bf[0]
 
 
 def _layout(cfg: PredictorConfig) -> ParamLayout:
@@ -116,7 +116,7 @@ class SlipPredictor:
 
     def _head_weights(self):
         """(ws, bs, wf, bf, Wc, bc): the slip, force and cell heads' weights,
-        as views of theta, for `_heads`."""
+        as views of theta; the first four are `_heads`'s."""
         return tuple(self.layout.view(self.theta, name) for name
                      in ("ws", "bs", "wf", "bf", "Wc", "bc"))
 
@@ -137,7 +137,8 @@ class SlipPredictor:
             if want_cache:
                 zs.append(z); rs.append(r); ns.append(n); hs.append(h)
         cache = (x, zs, rs, ns, hs) if want_cache else None
-        return _heads(h, *self._head_weights()), cache
+        ws, bs, wf, bf, Wc, bc = self._head_weights()
+        return (*_heads(h, ws, bs, wf, bf), h @ Wc.T + bc), cache
 
     def loss_and_grad(self, X: np.ndarray, y_slip: np.ndarray,
                       y_force: np.ndarray, y_cell: np.ndarray):
@@ -236,7 +237,8 @@ class FeatureWindow:
     def __init__(self, model: SlipPredictor):
         self.model = model
         self._gru = model._gru_weights()
-        self._heads = model._head_weights()
+        # predict reads the slip and force heads alone
+        self._heads = model._head_weights()[:4]
         # the block is _h[1:]; _h[0] stays zero, so _h[:-1] is the block
         # shifted down by one row with a zero row in front
         self._h = np.zeros((model.cfg.window + 1, model.cfg.hidden))
@@ -263,7 +265,7 @@ def predict(window: FeatureWindow) -> Prediction:
     W = window.model.cfg.window
     if not window.full:
         raise ValueError(f"feature window has {window._count} of {W} frames")
-    slip_prob, force, _ = _natural_units(
+    slip_prob, force = _natural_units(
         window.model, *_heads(window._h[W:], *window._heads))
     return Prediction(slip_prob=float(slip_prob[0]), force_value=float(force[0]))
 
@@ -271,12 +273,12 @@ def predict(window: FeatureWindow) -> Prediction:
 def predict_batch(model: SlipPredictor, X: np.ndarray):
     """Vectorized predict over (N, W, input_dim); returns arrays
     (slip_prob, force_value, cell_float)."""
-    outputs, _ = model.forward(X)
-    return _natural_units(model, *outputs)
-
-
-def _natural_units(model: SlipPredictor, slip_logit, force, cell):
-    return (_sigmoid(slip_logit),
-            force * model.force_std + model.force_mean,
-            # maximum(0.0, x), in this order, keeps np.clip's sign of zero
+    (slip_logit, force, cell), _ = model.forward(X)
+    # maximum(0.0, x), in this order, keeps np.clip's sign of zero
+    return (*_natural_units(model, slip_logit, force),
             np.minimum(np.maximum(0.0, cell * GRID_MAX), GRID_MAX))
+
+
+def _natural_units(model: SlipPredictor, slip_logit, force):
+    """(slip probability, force in N) from the slip and force heads."""
+    return _sigmoid(slip_logit), force * model.force_std + model.force_mean

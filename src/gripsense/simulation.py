@@ -8,14 +8,17 @@ has this one clock; trial storage refuses data recorded on another. A
 TrialRecord derives the rest from these rows: the step times, and the
 peak force and its cell, the labels the predictor learns.
 `step` advances a block of k >= 1 such steps under one grip command: the
-scalar physics runs step by step, and the block's grids, joint streams and
-audio are then rendered as arrays with a leading step axis. Each kind of
-random draw has its own generator: the Gaussian noise of audio and joints
-(standard normals, one call per block), the Poisson impact counts (one
-draw per step that can have impacts) and each impact's onset, frequency
-and phase (one call per block). One call on a stream gives the values and
-the generator state of the single calls it stands for, so a block gives
-the same bits as its k single steps.
+scalar physics runs step by step, and the block's audio, grids and joint
+streams are then rendered as arrays with a leading step axis. The audio
+and the flags are always rendered; the grids and joint streams only for
+a caller that reads them (the active loop classifies the audio alone).
+Each kind of random draw has its own generator: the Gaussian noise of
+audio and joints (standard normals, one call per block, drawn whole
+whether or not the joint streams are rendered), the Poisson impact
+counts (one draw per step that can have impacts) and each impact's
+onset, frequency and phase (one call per block). One call on a stream
+gives the values and the generator state of the single calls it stands
+for, so a block gives the same bits as its k single steps.
 
 Physics, in brief:
   * The grip torque maps linearly to a normal force, N = 25 * torque (N/Nm),
@@ -184,6 +187,11 @@ TRIAL_ARRAYS = (
 )
 
 
+# The streams `step` renders whatever else it is asked for: the audio tail
+# and the flags come out of the physics loop, which runs in full either way.
+AUDIO_AND_FLAGS = ("audio", "true_slip", "dropped")
+
+
 def step_arrays(k: int) -> dict[str, np.ndarray]:
     """Empty arrays for k steps: every TRIAL_ARRAYS field plus "audio",
     shaped (k, CHUNK)."""
@@ -216,8 +224,11 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
 
     motion_accel is one acceleration (k = 1) or a 1-D sequence of k, one per
     step. The k steps are written into `out`, arrays shaped as by
-    `step_arrays(k)`, or into new ones, which are returned. Every stream is
-    rendered at its recorded resolution, audio on the 16-bit PCM grid.
+    `step_arrays(k)`, or into new ones, which are returned. `out` holds
+    every AUDIO_AND_FLAGS stream; the tactile grid and each joint stream
+    are rendered only where `out` holds them, and the generators draw the
+    same either way. Every stream is rendered at its recorded resolution,
+    audio on the 16-bit PCM grid.
     """
     accels = np.asarray(motion_accel, dtype=float)
     if accels.ndim > 1 or accels.size == 0:
@@ -240,7 +251,6 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
     if out is None:
         out = step_arrays(k)
     audio = out["audio"]
-    angles = out["joint_angles"]
 
     g = GRAVITY
     mass = material.total_mass
@@ -287,16 +297,17 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
 
     # Tactile rendering. Both patterns are grid-normalized, so the grid sum
     # is exactly normal + load before quantization.
-    grid = out["tactile"]
-    np.multiply(normal, _BASE_PATTERN, out=grid)
-    blobs = _load_patterns(centers)
-    blobs *= loads[:, None, None]
-    grid += blobs
-    q = TACTILE_QUANTUM
-    grid /= q
-    np.rint(grid, out=grid)
-    grid *= q
-    np.maximum(grid, 0.0, out=grid)
+    grid = out.get("tactile")
+    if grid is not None:
+        np.multiply(normal, _BASE_PATTERN, out=grid)
+        blobs = _load_patterns(centers)
+        blobs *= loads[:, None, None]
+        grid += blobs
+        q = TACTILE_QUANTUM
+        grid /= q
+        np.rint(grid, out=grid)
+        grid *= q
+        np.maximum(grid, 0.0, out=grid)
 
     # Audio: pending tail plus this block's impacts, then noise, then clip
     # onto the PCM16 grid that trial storage writes.
@@ -327,19 +338,22 @@ def step(state: SimState, material: MaterialParams, motion_accel, grip_torque: f
 
     # Joint streams: grasp closing plus slip drag, with encoder jitter.
     jq = JOINT_QUANTUM
-    pose = REST_POSE + GRIP_CLOSING_GAIN * grip_torque * CLOSE_DIR
-    np.add(noise[:, chunk:], pose + drags[:, None] * SLIP_DIR, out=angles)
-    angles /= jq
-    np.rint(angles, out=angles)
-    angles *= jq
-    np.maximum(0.0, angles, out=angles)  # this order keeps np.clip's sign of zero
-    np.minimum(angles, JOINT_ANGLE_MAX, out=angles)
-    torques = out["joint_torques"]
-    np.multiply(load_torques[:, None], SLIP_DIR, out=torques)
-    torques += grip_torque * stiffness_scale * TORQUE_DIST
-    torques /= jq
-    np.rint(torques, out=torques)
-    torques *= jq
+    angles = out.get("joint_angles")
+    if angles is not None:
+        pose = REST_POSE + GRIP_CLOSING_GAIN * grip_torque * CLOSE_DIR
+        np.add(noise[:, chunk:], pose + drags[:, None] * SLIP_DIR, out=angles)
+        angles /= jq
+        np.rint(angles, out=angles)
+        angles *= jq
+        np.maximum(0.0, angles, out=angles)  # this order keeps np.clip's sign of zero
+        np.minimum(angles, JOINT_ANGLE_MAX, out=angles)
+    torques = out.get("joint_torques")
+    if torques is not None:
+        np.multiply(load_torques[:, None], SLIP_DIR, out=torques)
+        torques += grip_torque * stiffness_scale * TORQUE_DIST
+        torques /= jq
+        np.rint(torques, out=torques)
+        torques *= jq
     return out
 
 
@@ -396,17 +410,21 @@ class TrialRecord:
 
 
 def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
-                 seed: int):
+                 seed: int, streams=None):
     """Render one trial, yielding the rows kept so far after each block.
+
+    `streams` names the streams rendered: every AUDIO_AND_FLAGS stream and
+    any of "tactile", "joint_angles" and "joint_torques"; by default every
+    stream. `history` and the yielded rows hold these streams alone.
 
     grip_policy is a fixed torque (float), the command (torque, 1.0) at
     every step, or a callable ``policy(history) -> (torque,
     stiffness_scale)`` invoked once before every step, in order. Before
-    step i, `history` maps every TRIAL_ARRAYS field and "audio" (shape
-    (i, CHUNK)) to its first i rows: views of the arrays the trial is
-    filling, which neither the policy nor the caller of a yield may write.
-    The step index i is len(history["tactile"]); what a TrialRecord derives
-    from the grid (step times, peak force and cell) is not in `history`.
+    step i, `history` maps each stream rendered ("audio" shaped (i, CHUNK))
+    to its first i rows: views of the arrays the trial is filling, which
+    neither the policy nor the caller of a yield may write. The step index
+    i is len(history["audio"]); what a TrialRecord derives from the grid
+    (step times, peak force and cell) is not in `history`.
     A block of k steps is rendered ahead under the current command, then
     the policy decides steps i + 1 ... i + k - 1 on the rows that stand.
     Where its command changes, the state is restored and only the steps
@@ -433,6 +451,11 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
     state = initial_state(seed, material)
     accels = motion.accelerations().tolist()
     arrays = step_arrays(n)
+    if streams is not None:
+        if not set(AUDIO_AND_FLAGS) <= set(streams) <= set(arrays):
+            raise ValueError(f"streams must hold {list(AUDIO_AND_FLAGS)} and "
+                             f"only names of {sorted(arrays)}, got {list(streams)}")
+        arrays = {name: arrays[name] for name in streams}
 
     def rows(i):
         return {name: a[:i] for name, a in arrays.items()}

@@ -250,15 +250,17 @@ class TestActiveLoop:
     @pytest.mark.parametrize("motion", ["shaking", "rotation"])
     def test_trial_segments_are_the_record_audio(self, motion):
         # the loop classifies the recorded PCM16 samples as they stand,
-        # the seconds training reads back from the trial's audio.wav
+        # the seconds training reads back from the trial's audio.wav,
+        # though it renders no grid or joint stream; rice's hundreds of
+        # impacts and empty's none are the edge cases
         profile = sample_trial_profile(motion, np.random.default_rng(3))
-        rec = simulation.run_trial(TABLE["cereal"], profile,
-                                   COLLECTION_TORQUE, 77)
-        segments = list(inference._trial_segments(TABLE["cereal"], profile, 77))
-        want = dsp.segment(rec.audio)
-        assert len(segments) == len(want)
-        for got, row in zip(segments, want):
-            assert got.dtype == row.dtype and np.array_equal(got, row)
+        for name, material in sorted(TABLE.items()):
+            rec = simulation.run_trial(material, profile, COLLECTION_TORQUE, 77)
+            segments = list(inference._trial_segments(material, profile, 77))
+            want = dsp.segment(rec.audio)
+            assert len(segments) == len(want), name
+            for got, row in zip(segments, want):
+                assert got.dtype == row.dtype and np.array_equal(got, row), name
 
     def test_validation(self, classifier, likelihoods):
         with pytest.raises(ValueError):
@@ -311,6 +313,23 @@ class TestActiveLoop:
             assert all(np.array_equal(a, b)
                        for a, b in zip(got.posteriors, want.posteriors))
             assert got.reached_confidence == want.reached_confidence
+
+    def test_renders_only_audio_and_flags(self, monkeypatch, classifier,
+                                          likelihoods):
+        # the loop classifies audio alone: no step it renders writes a
+        # tactile grid or a joint stream
+        streams = []
+        original = simulation.step
+
+        def spy(state, material, motion_accel, *args, **kwargs):
+            streams.append(set(kwargs["out"]))
+            return original(state, material, motion_accel, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "step", spy)
+        log = inference.run_active_loop(TABLE["empty"], classifier, likelihoods,
+                                        0.95, 8, seed=60)
+        assert log.segments_used > 1 and streams
+        assert all(s == {"audio", "true_slip", "dropped"} for s in streams)
 
     @pytest.mark.parametrize("target, budget, reached",
                              [(0.21, 10, True), (0.999999999, 4, False)])

@@ -184,6 +184,30 @@ class TestStep:
             assert rng_states(state) == rng_states(single)
         assert state.dropped is (torque == 0.0)
 
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_audio_and_flags_block_draws_as_a_full_block(self, name):
+        # a block whose `out` holds only the audio and the flags gives the
+        # full block's audio and flags and leaves the state and all three
+        # generators where the full block does, so the next block is the same
+        m = TABLE[name]
+        accels = fixed_shake(peak=25.0).accelerations()[:200]
+        full, lean = initial_state(5, m), initial_state(5, m)
+        want = step(full, m, accels[:100], 0.4)
+        out = {field: a for field, a in step_arrays(100).items()
+               if field in ("audio", "true_slip", "dropped")}
+        got = step(lean, m, accels[:100], 0.4, out=out)
+        assert got is out and set(got) == {"audio", "true_slip", "dropped"}
+        for field in got:
+            assert got[field].tobytes() == want[field].tobytes(), field
+        assert lean.audio_tail.tobytes() == full.audio_tail.tobytes()
+        assert (lean.slip_displacement, lean.contents_offset, lean.dropped) == \
+            (full.slip_displacement, full.contents_offset, full.dropped)
+        assert rng_states(lean) == rng_states(full)
+        after_full = step(full, m, accels[100:], 0.4)
+        after_lean = step(lean, m, accels[100:], 0.4)
+        for field in after_full:
+            assert after_lean[field].tobytes() == after_full[field].tobytes(), field
+
     def test_contact_pattern_is_shared_read_only(self):
         pattern = _BASE_PATTERN
         assert pattern.sum() == pytest.approx(1.0)
@@ -340,6 +364,29 @@ class TestTrials:
                                  [RENDER_BLOCK] * 5 + [6]))
         assert all(len(a) == motion.n_steps for a in last.values())
         assert np.array_equal(last["audio"].reshape(-1), rec.audio)
+
+    @pytest.mark.parametrize("streams", [
+        ("audio", "true_slip"),
+        ("audio", "true_slip", "dropped", "tactle"),
+    ])
+    def test_streams_are_checked(self, streams):
+        blocks = simulation.trial_blocks(TABLE["rice"], fixed_shake(), 0.4, 1,
+                                         streams=streams)
+        with pytest.raises(ValueError, match="streams must hold"):
+            next(blocks)
+
+    def test_audio_and_flags_trial_keeps_the_record_bytes(self):
+        # 506 steps of a dropping trial at a fixed grip, rows asked for
+        # without the grid and joint streams
+        motion = rotation_profile(1.2, 2.5, 2.53)
+        rec = run_trial(TABLE["rice"], motion, 0.0, 17)
+        *_, rows = simulation.trial_blocks(TABLE["rice"], motion, 0.0, 17,
+                                           streams=simulation.AUDIO_AND_FLAGS)
+        assert set(rows) == {"audio", "true_slip", "dropped"}
+        assert rec.dropped.any()
+        assert rows["audio"].reshape(-1).tobytes() == rec.audio.tobytes()
+        assert rows["true_slip"].tobytes() == rec.true_slip.tobytes()
+        assert rows["dropped"].tobytes() == rec.dropped.tobytes()
 
     def test_policy_sees_the_rows_written_so_far(self):
         motion = rotation_profile(0.9, 2.0, 0.8)
