@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dsp, tactile
-from .materials import MaterialParams
+from .materials import MATERIAL_CLASSES, MaterialParams
 from .models.classifier import MaterialClassifier, classify
 from .models.predictor import FeatureWindow, Prediction, predict
 from .models.registry import ModelRegistry, select_model
@@ -152,11 +152,11 @@ class _ReactivePolicy:
         probs = classify(self.classifier, dsp.mfcc(second))
         best = int(np.argmax(probs))
         if probs[best] >= CONFIG.classifier_commit_confidence:
-            name = self.classifier.cfg.classes[best]
+            name = MATERIAL_CLASSES[best]
             self.state.active_material = name
             model = select_model(self.registry, self.motion_kind, name)
             self.window = FeatureWindow(model)
-            for row in self.features[max(i - model.cfg.window, 0):i]:
+            for row in self.features[max(i - model.window, 0):i]:
                 self.window.push(row)
             self.state.event_log.append((t, f"switch:{name}"))
 

@@ -628,13 +628,12 @@ STRIDE = 5  # steps between the ends of a trial's consecutive predictor windows
 
 
 def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
-                      motion: str, material: str | None = None,
-                      window: int = WINDOW, horizon: int = HORIZON):
+                      motion: str, material: str | None = None):
     """Windowed features + matched future targets for one split and motion.
 
-    Returns (X (N, window, 38), slip (N,), force (N,), cell (N, 2), sources).
-    A trial of T steps gives the windows ending at window - 1, then every
-    STRIDE steps while the target step, horizon later, is below T. Each
+    Returns (X (N, WINDOW, 38), slip (N,), force (N,), cell (N, 2), sources).
+    A trial of T steps gives the windows ending at WINDOW - 1, then every
+    STRIDE steps while the target step, HORIZON later, is below T. Each
     trial is read from disk by every call.
     """
     dataset_dir = Path(dataset_dir)
@@ -646,11 +645,11 @@ def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
             continue
         feats, slip, force, cell = load_trial_features(dataset_dir, e)
         T = len(feats)
-        for te in range(window - 1, T - horizon, STRIDE):
-            xs.append(feats[te - window + 1:te + 1])
-            slips.append(slip[te + horizon])
-            forces.append(force[te + horizon])
-            cells.append(cell[te + horizon])
+        for te in range(WINDOW - 1, T - HORIZON, STRIDE):
+            xs.append(feats[te - WINDOW + 1:te + 1])
+            slips.append(slip[te + HORIZON])
+            forces.append(force[te + HORIZON])
+            cells.append(cell[te + HORIZON])
             sources.append(e.trial_id)
     if not xs:
         raise DatasetError(f"no {motion!r} windows in split {split!r}"

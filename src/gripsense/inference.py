@@ -202,7 +202,7 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
         pred_idx = int(np.argmax(probs))
         p = update_posterior(p, motion_kind, pred_idx, L)
         out.motions.append(motion_kind)
-        out.predicted.append(classifier.cfg.classes[pred_idx])
+        out.predicted.append(MATERIAL_CLASSES[pred_idx])
         out.posteriors.append(p.probs.copy())
     out.reached_confidence = float(p.probs.max()) >= confidence_target
     return out

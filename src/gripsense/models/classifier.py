@@ -7,8 +7,6 @@ backward passes are written out explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..dsp import N_COEFFS
@@ -18,40 +16,35 @@ from .optim import TrainConfig, fit_standardizer, sgd_epochs
 from .params import ParamLayout
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    n_coeffs: int = N_COEFFS
-    channels: tuple[int, int] = (16, 32)
-    kernel: int = 3
-    classes: tuple[str, ...] = MATERIAL_CLASSES
-    seed: int = 0
-
-BATCH = 32  # segments per SGD step
-
-
-def _layout(cfg: ClassifierConfig) -> ParamLayout:
-    c1, c2 = cfg.channels
-    return ParamLayout([
-        ("W1", (c1, cfg.n_coeffs, cfg.kernel)), ("b1", (c1,)),
-        ("W2", (c2, c1, cfg.kernel)), ("b2", (c2,)),
-        ("W3", (len(cfg.classes), c2)), ("b3", (len(cfg.classes),)),
-    ])
+BATCH = 32           # segments per SGD step
+CHANNELS = (16, 32)  # output channels of the two conv layers
+KERNEL = 3           # taps of each conv layer
 
 
 class MaterialClassifier:
-    def __init__(self, cfg: ClassifierConfig = ClassifierConfig(),
-                 theta: np.ndarray | None = None):
-        self.cfg = cfg
-        self.layout = _layout(cfg)
+    """The CNN over MATERIAL_CLASSES, in that order. Its architecture is
+    the class attributes; a model file holds the parameters and the input
+    statistics."""
+
+    n_coeffs, channels, kernel = N_COEFFS, CHANNELS, KERNEL
+
+    def __init__(self, theta: np.ndarray | None = None, seed: int = 0):
+        c1, c2 = self.channels
+        n = len(MATERIAL_CLASSES)
+        self.layout = ParamLayout([
+            ("W1", (c1, self.n_coeffs, self.kernel)), ("b1", (c1,)),
+            ("W2", (c2, c1, self.kernel)), ("b2", (c2,)),
+            ("W3", (n, c2)), ("b3", (n,)),
+        ])
         if theta is not None:
             if len(theta) != self.layout.n_params:
                 raise ValueError("parameter vector length mismatch")
             self.theta = np.asarray(theta, dtype=float).copy()
         else:
-            self.theta = self._init_params(cfg.seed)
+            self.theta = self._init_params(seed)
         # Per-coefficient standardization fitted on the training set.
-        self.input_mean = np.zeros(cfg.n_coeffs)
-        self.input_std = np.ones(cfg.n_coeffs)
+        self.input_mean = np.zeros(self.n_coeffs)
+        self.input_std = np.ones(self.n_coeffs)
 
     def _init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -67,8 +60,8 @@ class MaterialClassifier:
 
     def forward(self, x: np.ndarray, want_cache: bool = False):
         """x: (B, T, n_coeffs) raw MFCC frames. Returns (probs, cache)."""
-        if x.ndim != 3 or x.shape[2] != self.cfg.n_coeffs:
-            raise ValueError(f"expected (B, T, {self.cfg.n_coeffs}) input, got {x.shape}")
+        if x.ndim != 3 or x.shape[2] != self.n_coeffs:
+            raise ValueError(f"expected (B, T, {self.n_coeffs}) input, got {x.shape}")
         v = self.layout.views(self.theta)
         h0 = self.standardize(x).transpose(0, 2, 1)  # (B, C0, T)
         z1 = _conv1d(h0, v["W1"], v["b1"])
@@ -107,7 +100,7 @@ class MaterialClassifier:
         dz2 = da2 * (z2 > 0)
         _conv1d_param_grads(dz2, p1, gv["W2"], gv["b2"])
         dp1 = np.zeros_like(p1)
-        for k in range(self.cfg.kernel):  # (C1, C2) @ (B, C2, To) per tap
+        for k in range(self.kernel):  # (C1, C2) @ (B, C2, To) per tap
             dp1[:, :, k:k + dz2.shape[2]] += np.matmul(v["W2"][:, :, k].T, dz2)
         da1 = _maxpool2_back(dp1, arg1, a1.shape)
         dz1 = da1 * (z1 > 0)
@@ -152,8 +145,8 @@ def _maxpool2_back(dp: np.ndarray, arg: np.ndarray, x_shape: tuple) -> np.ndarra
     return dx
 
 
-def _to_arrays(dataset, classes: tuple[str, ...]):
-    index = {name: i for i, name in enumerate(classes)}
+def _to_arrays(dataset):
+    index = {name: i for i, name in enumerate(MATERIAL_CLASSES)}
     return (np.stack([frames for frames, _ in dataset]),
             np.asarray([index[label] for _, label in dataset]))
 
@@ -162,14 +155,13 @@ def train_classifier(train_set, val_set, cfg: TrainConfig):
     """Minibatch SGD with momentum on cross-entropy; returns the model with
     the best validation-accuracy weights and the training curve, one
     (epoch, mean minibatch loss, validation accuracy) per epoch."""
-    model_cfg = ClassifierConfig(seed=cfg.seed)
-    x_train, y_train = _to_arrays(train_set, model_cfg.classes)
+    x_train, y_train = _to_arrays(train_set)
     present = set(y_train.tolist())
-    missing = [c for i, c in enumerate(model_cfg.classes) if i not in present]
+    missing = [c for i, c in enumerate(MATERIAL_CLASSES) if i not in present]
     if missing:
         raise ValueError(f"training split is missing classes: {missing}")
 
-    model = MaterialClassifier(model_cfg)
+    model = MaterialClassifier(seed=cfg.seed)
     fit_standardizer(model, x_train)
     best_theta = model.theta.copy()
     best_acc = -1.0
@@ -187,16 +179,16 @@ def train_classifier(train_set, val_set, cfg: TrainConfig):
 def classify_items(model: MaterialClassifier, items):
     """(pred, truth): the predicted and the labeled class index of each
     (frames, label) item, from one batched forward pass."""
-    x, truth = _to_arrays(items, model.cfg.classes)
+    x, truth = _to_arrays(items)
     probs, _ = model.forward(x)
     return probs.argmax(axis=1), truth
 
 
 def classify(model: MaterialClassifier, frames: np.ndarray) -> np.ndarray:
-    """Probability vector over the model's classes for one (T, n_coeffs)
-    MFCC matrix."""
-    if frames.ndim != 2 or frames.shape[1] != model.cfg.n_coeffs:
-        raise ValueError(f"expected (T, {model.cfg.n_coeffs}) MFCC matrix, "
+    """Probability vector over MATERIAL_CLASSES for one (T, n_coeffs) MFCC
+    matrix."""
+    if frames.ndim != 2 or frames.shape[1] != model.n_coeffs:
+        raise ValueError(f"expected (T, {model.n_coeffs}) MFCC matrix, "
                          f"got {frames.shape}")
     probs, _ = model.forward(frames[None])
     return probs[0]

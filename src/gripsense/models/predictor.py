@@ -19,17 +19,9 @@ from .params import ParamLayout
 
 GRID_MAX = GRID_ROWS - 1  # highest row/col index of the square tactile grid
 BATCH = 64     # windows per SGD step
+HIDDEN = 32    # GRU state width
 WINDOW = 20    # feature frames per prediction
 HORIZON = 10   # steps ahead the targets sit (50 ms at sim dt)
-
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    input_dim: int = FEATURE_DIM
-    hidden: int = 32
-    window: int = WINDOW
-    horizon: int = HORIZON
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -59,25 +51,25 @@ def _heads(h, ws, bs, wf, bf):
     return h @ ws + bs[0], h @ wf + bf[0]
 
 
-def _layout(cfg: PredictorConfig) -> ParamLayout:
-    d, h = cfg.input_dim, cfg.hidden
-    return ParamLayout([
-        ("Wz", (h, d)), ("Uz", (h, h)), ("bz", (h,)),
-        ("Wr", (h, d)), ("Ur", (h, h)), ("br", (h,)),
-        ("Wn", (h, d)), ("Un", (h, h)), ("bn", (h,)),
-        ("ws", (h,)), ("bs", (1,)),
-        ("wf", (h,)), ("bf", (1,)),
-        ("Wc", (2, h)), ("bc", (2,)),
-    ])
-
-
 class SlipPredictor:
-    def __init__(self, cfg: PredictorConfig = PredictorConfig(),
-                 theta: np.ndarray | None = None, scope: str = "default",
+    """The GRU of one motion, and of one material for a material model.
+    Its architecture is the class attributes; a model file holds the
+    parameters, the input and force statistics, the motion and the
+    material. Its targets sit HORIZON steps past each window's end."""
+
+    input_dim, hidden, window = FEATURE_DIM, HIDDEN, WINDOW
+
+    def __init__(self, theta: np.ndarray | None = None, seed: int = 0,
                  motion: str = "", material: str | None = None):
-        self.cfg = cfg
-        self.layout = _layout(cfg)
-        self.scope = scope
+        d, h = self.input_dim, self.hidden
+        self.layout = ParamLayout([
+            ("Wz", (h, d)), ("Uz", (h, h)), ("bz", (h,)),
+            ("Wr", (h, d)), ("Ur", (h, h)), ("br", (h,)),
+            ("Wn", (h, d)), ("Un", (h, h)), ("bn", (h,)),
+            ("ws", (h,)), ("bs", (1,)),
+            ("wf", (h,)), ("bf", (1,)),
+            ("Wc", (2, h)), ("bc", (2,)),
+        ])
         self.motion = motion
         self.material = material
         if theta is not None:
@@ -85,11 +77,16 @@ class SlipPredictor:
                 raise ValueError("parameter vector length mismatch")
             self.theta = np.asarray(theta, dtype=float).copy()
         else:
-            self.theta = self._init_params(cfg.seed)
-        self.input_mean = np.zeros(cfg.input_dim)
-        self.input_std = np.ones(cfg.input_dim)
+            self.theta = self._init_params(seed)
+        self.input_mean = np.zeros(d)
+        self.input_std = np.ones(d)
         self.force_mean = 0.0
         self.force_std = 1.0
+
+    @property
+    def scope(self) -> str:
+        """`material` for a model that names its material, else `default`."""
+        return "material" if self.material else "default"
 
     def _init_params(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -123,14 +120,13 @@ class SlipPredictor:
     def forward(self, X: np.ndarray, want_cache: bool = False):
         """X: (B, W, input_dim) raw features. Returns (outputs, cache) where
         outputs = (slip_logit (B,), force_norm (B,), cell_norm (B, 2))."""
-        cfg = self.cfg
-        if X.ndim != 3 or X.shape[1] != cfg.window or X.shape[2] != cfg.input_dim:
-            raise ValueError(f"expected (B, {cfg.window}, {cfg.input_dim}) window "
-                             f"batch, got {X.shape}")
+        if X.ndim != 3 or X.shape[1:] != (self.window, self.input_dim):
+            raise ValueError(f"expected (B, {self.window}, {self.input_dim}) "
+                             f"window batch, got {X.shape}")
         Wx, Uzr, Un, b = self._gru_weights()
         x = self._normalize(X)
         B, W, _ = x.shape
-        h = np.zeros((B, cfg.hidden))
+        h = np.zeros((B, self.hidden))
         zs, rs, ns, hs = [], [], [], [h]
         for t in range(W):
             h, z, r, n = _gru_cell(x[:, t] @ Wx, h, Uzr, Un, b)
@@ -178,7 +174,7 @@ class SlipPredictor:
         dh = (d_logit[:, None] * v["ws"] + d_force[:, None] * v["wf"]
               + d_cell @ v["Wc"])
 
-        for t in reversed(range(self.cfg.window)):
+        for t in reversed(range(self.window)):
             z, r, n = zs[t], rs[t], ns[t]
             h_prev = hs[t]
             xt = x[:, t]
@@ -200,20 +196,16 @@ class SlipPredictor:
 
 
 def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
-                    y_cell: np.ndarray, cfg: TrainConfig, horizon: int,
+                    y_cell: np.ndarray, cfg: TrainConfig,
                     motion: str = "shaking",
                     material: str | None = None) -> tuple[SlipPredictor, list]:
-    """Fit a predictor on windowed features whose targets sit `horizon`
-    steps past each window's end. Its config comes from X's shape, the
-    horizon and cfg's seed; naming a material makes it a material model.
-    Returns the model and its training curve, one (epoch, mean minibatch
-    loss) per epoch."""
+    """Fit a predictor on windowed features (`dataset.predictor_windows`),
+    initialized from cfg's seed; naming a material makes it a material
+    model. Returns the model and its training curve, one (epoch, mean
+    minibatch loss) per epoch."""
     if len(X) == 0:
         raise ValueError("empty predictor training set")
-    model_cfg = PredictorConfig(input_dim=X.shape[2], window=X.shape[1],
-                                horizon=horizon, seed=cfg.seed)
-    model = SlipPredictor(model_cfg, scope="material" if material else "default",
-                          motion=motion, material=material)
+    model = SlipPredictor(seed=cfg.seed, motion=motion, material=material)
     fit_standardizer(model, X)
     model.force_mean = float(np.mean(y_force))
     model.force_std = float(max(np.std(y_force), 1e-6))
@@ -241,16 +233,16 @@ class FeatureWindow:
         self._heads = model._head_weights()[:4]
         # the block is _h[1:]; _h[0] stays zero, so _h[:-1] is the block
         # shifted down by one row with a zero row in front
-        self._h = np.zeros((model.cfg.window + 1, model.cfg.hidden))
+        self._h = np.zeros((model.window + 1, model.hidden))
         self._count = 0     # frames pushed
 
     @property
     def full(self) -> bool:
-        return self._count >= self.model.cfg.window
+        return self._count >= self.model.window
 
     def push(self, frame: np.ndarray) -> None:
         frame = np.asarray(frame, dtype=float)
-        d = self.model.cfg.input_dim
+        d = self.model.input_dim
         if frame.shape != (d,):
             raise ValueError(f"expected a ({d},) feature frame, got {frame.shape}")
         Wx, Uzr, Un, b = self._gru
@@ -262,7 +254,7 @@ class FeatureWindow:
 def predict(window: FeatureWindow) -> Prediction:
     """One prediction of the window's model from a full `FeatureWindow`:
     its heads over the final state of the W newest frames."""
-    W = window.model.cfg.window
+    W = window.model.window
     if not window.full:
         raise ValueError(f"feature window has {window._count} of {W} frames")
     slip_prob, force = _natural_units(

@@ -3,28 +3,32 @@
 Layout: magic ``GSM1`` | uint32 LE descriptor length | JSON descriptor
 (utf-8) | uint64 LE parameter count | float32 LE parameter block |
 uint32 LE CRC32 of everything preceding it.
+
+The architecture is the model class's, so a file holds what training
+fits and nothing else. The descriptor has exactly the keys `kind`,
+`input_mean` and `input_std`, and a predictor's adds `motion`,
+`material`, `force_mean` and `force_std`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import struct
 import zlib
 
 import numpy as np
 
-from .classifier import ClassifierConfig, MaterialClassifier
-from .predictor import PredictorConfig, SlipPredictor
+from .classifier import MaterialClassifier
+from .predictor import SlipPredictor
 
 MAGIC = b"GSM1"
 
-# kind -> (model class, config class, descriptor fields beyond the config
-# and the input statistics)
+# kind -> (model class, descriptor fields beyond the kind and the input
+# statistics)
 _KINDS = {
-    "classifier": (MaterialClassifier, ClassifierConfig, ()),
-    "predictor": (SlipPredictor, PredictorConfig,
-                  ("scope", "motion", "material", "force_mean", "force_std")),
+    "classifier": (MaterialClassifier, ()),
+    "predictor": (SlipPredictor,
+                  ("motion", "material", "force_mean", "force_std")),
 }
 
 
@@ -75,11 +79,10 @@ def _unpack(blob: bytes, path) -> tuple[dict, np.ndarray]:
 
 def save_model(path, model) -> None:
     """Write a classifier or predictor as one `.gsm` file."""
-    kind = next(k for k, (cls, _, _) in _KINDS.items() if isinstance(model, cls))
-    descriptor = {"kind": kind, "config": dataclasses.asdict(model.cfg),
-                  "input_mean": model.input_mean.tolist(),
+    kind = next(k for k, (cls, _) in _KINDS.items() if isinstance(model, cls))
+    descriptor = {"kind": kind, "input_mean": model.input_mean.tolist(),
                   "input_std": model.input_std.tolist()}
-    for name in _KINDS[kind][2]:
+    for name in _KINDS[kind][1]:
         descriptor[name] = getattr(model, name)
     with open(path, "wb") as f:
         f.write(_pack(descriptor, model.theta))
@@ -88,27 +91,24 @@ def save_model(path, model) -> None:
 def load_model(path, kind: str):
     """Read a `.gsm` file that must hold a model of `kind`; every error
     names the file."""
-    model_cls, cfg_cls, extras = _KINDS[kind]
+    model_cls, extras = _KINDS[kind]
     with open(path, "rb") as f:
         descriptor, params = _unpack(f.read(), path)
     if descriptor.get("kind") != kind:
         raise ModelFormatError(f"{path}: expected a {kind}, "
                                f"got {descriptor.get('kind')!r}")
-    config = descriptor.get("config")
-    want = {f.name for f in dataclasses.fields(cfg_cls)}
-    if not isinstance(config, dict) or set(config) != want:
-        got = sorted(config) if isinstance(config, dict) else config
-        raise ModelFormatError(f"{path}: {kind} config must have the keys "
-                               f"{sorted(want)}, got {got}")
-    missing = sorted({"input_mean", "input_std", *extras} - set(descriptor))
+    keys = {"kind", "input_mean", "input_std", *extras}
+    stray = sorted(set(descriptor) - keys)
+    if stray:
+        raise ModelFormatError(f"{path}: {kind} descriptor has unknown "
+                               f"keys {stray}")
+    missing = sorted(keys - set(descriptor))
     if missing:
         raise ModelFormatError(f"{path}: descriptor lacks {missing}")
     if not np.all(np.isfinite(params)):
         raise ModelFormatError(f"{path}: {kind} parameters are not all finite")
     try:
-        cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v
-                         for k, v in config.items()})
-        model = model_cls(cfg, theta=params)
+        model = model_cls(theta=params)
         for name in ("input_mean", "input_std"):
             stats = np.asarray(descriptor[name], dtype=float)
             if stats.shape != getattr(model, name).shape:
@@ -117,10 +117,6 @@ def load_model(path, kind: str):
             setattr(model, name, stats)
         for name in extras:
             setattr(model, name, descriptor[name])
-        if kind == "predictor" and model.scope != (
-                "material" if model.material else "default"):
-            raise ValueError(f"scope {model.scope!r} does not fit material "
-                             f"{model.material!r}")
         # a model divides by each std, which training floors at 1e-6
         for name in ("input_mean", "input_std", "force_mean", "force_std"):
             if hasattr(model, name):

@@ -11,7 +11,7 @@ from gripsense import dataset as ds
 from gripsense import inference
 from gripsense.models.classifier import classify_items, train_classifier
 from gripsense.models.optim import TrainConfig
-from gripsense.models.predictor import HORIZON, train_predictor
+from gripsense.models.predictor import train_predictor
 from gripsense.models.registry import ModelRegistry
 
 settings.register_profile(
@@ -68,8 +68,7 @@ def likelihoods(clf_bundle):
 def default_shaking(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "shaking")
-    model, _ = train_predictor(X, slip, force, cell, horizon=HORIZON,
-                               motion="shaking",
+    model, _ = train_predictor(X, slip, force, cell, motion="shaking",
                                cfg=TrainConfig(epochs=8, lr=0.05,
                                                seed=BASE_SEED))
     return model
@@ -79,8 +78,7 @@ def default_shaking(dataset_dir, manifest):
 def default_rotation(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation")
-    model, _ = train_predictor(X, slip, force, cell, horizon=HORIZON,
-                               motion="rotation",
+    model, _ = train_predictor(X, slip, force, cell, motion="rotation",
                                cfg=TrainConfig(epochs=8, lr=0.05,
                                                seed=BASE_SEED))
     return model
@@ -90,8 +88,8 @@ def default_rotation(dataset_dir, manifest):
 def cereal_rotation_model(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation", "cereal")
-    model, _ = train_predictor(X, slip, force, cell, horizon=HORIZON,
-                               motion="rotation", material="cereal",
+    model, _ = train_predictor(X, slip, force, cell, motion="rotation",
+                               material="cereal",
                                cfg=TrainConfig(epochs=24, lr=0.05,
                                                seed=BASE_SEED))
     return model

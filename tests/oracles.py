@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from gripsense import simulation
+from gripsense.materials import MATERIAL_CLASSES
 
 
 def naive_dft(x: np.ndarray, n_fft: int) -> np.ndarray:
@@ -326,7 +327,7 @@ def whole_trial_active_loop(material, classifier, L, confidence_target,
             pred = int(np.argmax(classify(classifier, dsp.mfcc(seg))))
             p = inference.update_posterior(p, motion, pred, L)
             log.motions.append(motion)
-            log.predicted.append(classifier.cfg.classes[pred])
+            log.predicted.append(MATERIAL_CLASSES[pred])
             log.posteriors.append(p.probs.copy())
     log.reached_confidence = float(p.probs.max()) >= confidence_target
     return log, rendered

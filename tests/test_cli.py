@@ -13,7 +13,7 @@ from gripsense import dataset as ds
 from gripsense import inference
 from gripsense.controller import EPISODE_COLUMNS
 from gripsense.materials import MATERIAL_CLASSES, material_table
-from gripsense.models.predictor import PredictorConfig, SlipPredictor
+from gripsense.models.predictor import SlipPredictor
 from gripsense.models.serialize import ModelChecksumError, save_model
 
 
@@ -356,7 +356,7 @@ def test_usage_error_writes_nothing(cli_dataset, cli_models, tmp_path, capsys,
 
 
 class TestActiveAndEval:
-    def test_active_loop_runs(self, cli_models, tmp_path):
+    def test_active_loop_runs(self, cli_models, tmp_path, capsys):
         rc = cli.main(["active", "--models", str(cli_models),
                        "--out", str(tmp_path), "--material", "rice",
                        "--confidence", "0.9", "--max-segments", "3",
@@ -365,8 +365,18 @@ class TestActiveAndEval:
         for name in ("active_eig_000.csv", "active_random_000.csv",
                      "active_eig_001.csv", "active_random_001.csv"):
             assert (tmp_path / name).exists()
-        summary = (tmp_path / "summary.csv").read_text().splitlines()
-        assert len(summary) == 3
+        with open(tmp_path / "summary.csv", newline="") as f:
+            summary = list(csv.DictReader(f))
+        assert len(summary) == 2
+        # the median and the mean of each selector's segments
+        used = {s: [int(row[f"{s}_segments"]) for row in summary]
+                for s in ("eig", "random")}
+        assert capsys.readouterr().out == (
+            f"active inference over 2 seeds: median segments "
+            f"eig {np.median(used['eig']):.1f} vs random "
+            f"{np.median(used['random']):.1f}; mean eig "
+            f"{np.mean(used['eig']):.2f} vs random "
+            f"{np.mean(used['random']):.2f}\n")
 
     @pytest.mark.parametrize("material", ["rice", "empty"])
     def test_active_files_equal_a_serial_run(self, cli_models, tmp_path,
@@ -570,19 +580,23 @@ class TestLoadModels:
         assert str(path) in capsys.readouterr().err
 
     def test_wrong_input_dim_names_file(self, cli_models, tmp_path):
+        # a file written from a predictor of another input width holds a
+        # parameter block of the wrong length
+        class Narrow(SlipPredictor):
+            input_dim = 4
+
         models = self.copy(cli_models, tmp_path)
         path = models / cli.predictor_filename("shaking", None)
-        save_model(path, SlipPredictor(PredictorConfig(input_dim=4),
-                                       motion="shaking"))
-        with pytest.raises(ValueError, match=f"{path} has input_dim 4"):
+        save_model(path, Narrow(motion="shaking"))
+        with pytest.raises(ValueError, match=f"{path}: bad predictor "
+                           "descriptor: parameter vector length mismatch"):
             cli.load_models(models)
 
     def test_material_model_without_default_names_file(self, cli_models,
                                                        tmp_path):
         models = self.copy(cli_models, tmp_path)
         path = models / cli.predictor_filename("rotation", "cereal")
-        save_model(path, SlipPredictor(PredictorConfig(), scope="material",
-                                       motion="rotation", material="cereal"))
+        save_model(path, SlipPredictor(motion="rotation", material="cereal"))
         with pytest.raises(ValueError, match=str(path)):
             cli.load_models(models)
 
@@ -598,27 +612,32 @@ class TestLoadModels:
             self, cli_models, tmp_path, saved_as, scope, motion, material):
         models = self.copy(cli_models, tmp_path)
         path = models / cli.predictor_filename(*saved_as)
-        save_model(path, SlipPredictor(PredictorConfig(), scope=scope,
-                                       motion=motion, material=material))
+        model = SlipPredictor(motion=motion, material=material)
+        assert model.scope == scope
+        save_model(path, model)
         expected = cli.predictor_filename(motion, material)
         with pytest.raises(ValueError,
                            match=f"{path} holds .* should be {expected}"):
             cli.load_models(models)
 
-    @pytest.mark.parametrize("cfg", [PredictorConfig(window=10),
-                                     PredictorConfig(horizon=5)])
-    def test_material_window_differing_from_default_names_file(
-            self, cli_models, tmp_path, cfg):
+    @pytest.mark.parametrize("motion, material, unknown", [
+        ("stirring", None, "motion 'stirring'"),
+        ("shaking", "plastic", "material 'plastic'")],
+        ids=["motion", "material"])
+    def test_unknown_motion_or_material_names_file(
+            self, cli_dataset, cli_models, tmp_path, capsys, motion, material,
+            unknown):
+        # its file name fits its descriptor, but no dataset holds its cell
         models = self.copy(cli_models, tmp_path)
-        path = models / cli.predictor_filename("shaking", "rice")
-        save_model(path, SlipPredictor(cfg, scope="material", motion="shaking",
-                                       material="rice"))
-        with pytest.raises(ValueError, match=f"{path} has window "
-                           f"{cfg.window} and horizon {cfg.horizon}"):
+        path = models / cli.predictor_filename(motion, material)
+        save_model(path, SlipPredictor(motion=motion, material=material))
+        with pytest.raises(ValueError,
+                           match=f"{path} holds a predictor for unknown {unknown}"):
             cli.load_models(models)
-        save_model(path, SlipPredictor(PredictorConfig(), scope="material",
-                                       motion="shaking", material="rice"))
-        cli.load_models(models)
+        rc = cli.main(["eval", "--dataset", str(cli_dataset),
+                       "--models", str(models), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
 
     def test_confusion_for_unknown_motion_names_file(self, cli_models,
                                                      tmp_path, capsys):

@@ -115,7 +115,7 @@ class TestEpisodes:
         # the default model, replayed on the recorded streams, gives the
         # logged predictions before the switch and not after it
         default = registry.default_models["rotation"]
-        W = default.cfg.window
+        W = default.window
         feats = tactile.features_from_arrays(log.record.tactile,
                                              log.record.joint_angles)
         replayed = np.full(len(log.pred_force), np.nan)
@@ -188,7 +188,7 @@ class TestEpisodes:
     def test_prediction_warmup_is_nan(self, classifier, registry):
         log = run_reactive_loop(TABLE["rice"], shaking_profile(4, 18.0, 2.0),
                                 classifier, registry, seed=53)
-        w = registry.default_models["shaking"].cfg.window
+        w = registry.default_models["shaking"].window
         assert np.isnan(log.slip_prob[:w]).all()
         assert np.isfinite(log.slip_prob[w:]).all()
 
@@ -230,7 +230,7 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
         return run_trial(material, motion, spy_policy, seed, **kwargs)
 
     def spy_predict(window):
-        W = window.model.cfg.window
+        W = window.model.window
         windows.append((len(seen), np.array(window.pushed[-W:])))
         return predict(window)
 
@@ -282,7 +282,7 @@ class TestOnlineInputs:
         offline = tactile.features_from_arrays(
             np.stack([o["tactile"] for o in seen]),
             np.stack([o["joint_angles"] for o in seen]))
-        W = registry.default_models["rotation"].cfg.window
+        W = registry.default_models["rotation"].window
         assert len(windows) == len(seen) - W + 1
         for n, window in windows:
             assert np.array_equal(window, offline[n - W:n])

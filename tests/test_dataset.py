@@ -688,10 +688,9 @@ class TestFeatureExtraction:
 
     def test_predictor_window_counts_follow_the_law(self, dataset_dir,
                                                     manifest):
-        window, horizon = 20, 10
+        window, horizon = ds.WINDOW, ds.HORIZON
         X, slip, force, cell, sources = ds.predictor_windows(
-            dataset_dir, manifest, "val", "rotation", window=window,
-            horizon=horizon)
+            dataset_dir, manifest, "val", "rotation")
         entries = [e for e in manifest.split_entries("val")
                    if e.motion["kind"] == "rotation"]
         total = 0
@@ -703,7 +702,7 @@ class TestFeatureExtraction:
         assert set(sources) == {e.trial_id for e in entries}
 
     def test_zero_horizon_degenerates_to_filtering(self, dataset_dir,
-                                                   manifest):
+                                                   manifest, monkeypatch):
         e = next(x for x in manifest.split_entries("val")
                  if x.motion["kind"] == "shaking")
         feats, slip, force, cell = ds.load_trial_features(dataset_dir, e)
@@ -712,8 +711,11 @@ class TestFeatureExtraction:
                                  manifest.motions, (e,),
                                  {"train": [], "val": [e.trial_id],
                                   "test": []})
-        X, s, f, c, _ = ds.predictor_windows(dataset_dir, one, "val",
-                                             "shaking", window=8, horizon=0)
+        # the windowing arithmetic at another window and horizon
+        monkeypatch.setattr(ds, "WINDOW", 8)
+        monkeypatch.setattr(ds, "HORIZON", 0)
+        X, s, f, c, _ = ds.predictor_windows(dataset_dir, one, "val", "shaking")
+        assert X.shape[1] == 8
         # with no lookahead, target i is the ground truth at the window end
         ends = np.arange(7, len(feats), ds.STRIDE)
         assert np.array_equal(s, slip[ends])

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from gripsense import dsp, inference, simulation
 from gripsense.dataset import COLLECTION_TORQUE, sample_trial_profile
-from gripsense.materials import material_table
+from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models.classifier import classify, classify_items
 
 TABLE = material_table()
@@ -201,7 +201,7 @@ class TestEstimateConfusions:
         # the one batched pass gives each item's own argmax, and so the
         # confusions that per-item classification would give
         model, val_items, val_entries, _ = clf_bundle
-        index = {c: i for i, c in enumerate(model.cfg.classes)}
+        index = {c: i for i, c in enumerate(MATERIAL_CLASSES)}
         want_pred = [int(np.argmax(classify(model, frames)))
                      for frames, _ in val_items]
         want_truth = [index[label] for _, label in val_items]

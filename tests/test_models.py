@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 import struct
 import zlib
 
@@ -11,7 +13,6 @@ from gripsense import dsp
 from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models import metrics as mx
 from gripsense.models.classifier import (
-    ClassifierConfig,
     MaterialClassifier,
     classify,
     train_classifier,
@@ -19,9 +20,8 @@ from gripsense.models.classifier import (
 from gripsense import tactile
 from gripsense.models.optim import TrainConfig, fit_standardizer, sgd_epochs
 from gripsense.models.predictor import (
-    HORIZON,
+    WINDOW,
     FeatureWindow,
-    PredictorConfig,
     SlipPredictor,
     predict,
     predict_batch,
@@ -37,6 +37,12 @@ from gripsense.models.serialize import (
 )
 from gripsense.motion import shaking_profile
 from gripsense.simulation import run_trial
+
+
+class SmallPredictor(SlipPredictor):
+    """A predictor cut down to keep the tests that need no trained one
+    cheap; its code is the full model's."""
+    input_dim, hidden, window = 8, 4, 6
 
 
 def toy_items(per_class=4, seed=0):
@@ -72,7 +78,7 @@ class TestClassifier:
 
     def test_silence_classifies_as_empty(self, classifier):
         table = material_table()
-        index = dict(zip(classifier.cfg.classes, range(5)))
+        index = dict(zip(MATERIAL_CLASSES, range(5)))
         hits = 0
         for seed in range(5000, 5020):
             rec = run_trial(table["empty"], shaking_profile(3, 18.0, 2.0),
@@ -94,7 +100,7 @@ class TestClassifier:
         y = np.asarray([MATERIAL_CLASSES.index(lab) for _, lab in items])
         trained, _ = train_classifier(items, items[:5],
                                       TrainConfig(epochs=5, lr=0.01, seed=4))
-        init = MaterialClassifier(ClassifierConfig(seed=4))
+        init = MaterialClassifier(seed=4)
         init.input_mean = trained.input_mean.copy()
         init.input_std = trained.input_std.copy()
         assert trained.loss_and_grad(x, y)[0] < init.loss_and_grad(x, y)[0]
@@ -144,13 +150,12 @@ def fresh_window(model, frames):
 class TestPredictor:
     def small_windows(self, n=60, seed=5):
         rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, 6, 8))
+        X = rng.standard_normal((n, WINDOW, tactile.FEATURE_DIM))
         return (X, rng.integers(0, 2, n).astype(float),
                 rng.standard_normal(n), rng.uniform(0, 15, (n, 2)))
 
     def test_outputs_in_range(self):
-        model = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=6,
-                                              horizon=2, seed=0))
+        model = SmallPredictor()
         X = np.random.default_rng(6).standard_normal((30, 6, 8)) * 10.0
         probs, force, cells = predict_batch(model, X)
         assert np.all((probs >= 0) & (probs <= 1))
@@ -162,16 +167,15 @@ class TestPredictor:
     def test_training_deterministic(self):
         X, ys, yf, yc = self.small_windows()
         cfg = TrainConfig(epochs=3, lr=0.05, seed=9)
-        a, _ = train_predictor(X, ys, yf, yc, cfg, horizon=2)
-        b, _ = train_predictor(X, ys, yf, yc, cfg, horizon=2)
+        a, _ = train_predictor(X, ys, yf, yc, cfg)
+        b, _ = train_predictor(X, ys, yf, yc, cfg)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         X, ys, yf, yc = self.small_windows()
         trained, _ = train_predictor(
-            X, ys, yf, yc, cfg=TrainConfig(epochs=6, lr=0.05, seed=2), horizon=2)
-        init = SlipPredictor(PredictorConfig(input_dim=8, hidden=32, window=6,
-                                             seed=2))
+            X, ys, yf, yc, cfg=TrainConfig(epochs=6, lr=0.05, seed=2))
+        init = SlipPredictor(seed=2)
         for attr in ("input_mean", "input_std"):
             setattr(init, attr, getattr(trained, attr).copy())
         init.force_mean, init.force_std = trained.force_mean, trained.force_std
@@ -182,23 +186,25 @@ class TestPredictor:
         X, ys, yf, yc = self.small_windows()
         cfg = TrainConfig(epochs=8, lr=0.05)
         with pytest.raises(ValueError):
-            train_predictor(X[:0], ys[:0], yf[:0], yc[:0], cfg, horizon=2)
+            train_predictor(X[:0], ys[:0], yf[:0], yc[:0], cfg)
 
-    def test_config_and_scope_come_from_the_inputs(self, dataset_dir, manifest):
-        # the windows, the horizon they were cut with and the material make
-        # the model's config and scope; nothing else is asked for
-        windows = ds.predictor_windows(dataset_dir, manifest, "train",
-                                       "rotation", "cereal", window=12,
-                                       horizon=4)
-        cfg = TrainConfig(epochs=1, lr=0.05, seed=3)
-        model, _ = train_predictor(*windows[:4], cfg, horizon=4,
-                                   motion="rotation", material="cereal")
-        assert model.cfg == PredictorConfig(input_dim=tactile.FEATURE_DIM,
-                                            window=12, horizon=4, seed=3)
+    def test_config_and_scope_come_from_the_inputs(self):
+        # the architecture is the class's; the seed, the motion and the
+        # material come from the call, and naming a material makes a
+        # material model
+        X, ys, yf, yc = self.small_windows()
+        model, curve = train_predictor(X, ys, yf, yc,
+                                       TrainConfig(epochs=0, lr=0.05, seed=3),
+                                       motion="rotation", material="cereal")
+        assert curve == []
+        assert np.array_equal(model.theta, SlipPredictor(seed=3).theta)
         assert (model.scope, model.motion, model.material) == \
             ("material", "rotation", "cereal")
-        model, _ = train_predictor(*windows[:4], cfg, horizon=4, motion="rotation")
+        cfg = TrainConfig(epochs=1, lr=0.05, seed=3)
+        model, _ = train_predictor(X, ys, yf, yc, cfg, motion="rotation")
         assert (model.scope, model.material) == ("default", None)
+        with pytest.raises(ValueError, match=r"expected \(B, 20, 38\) window"):
+            train_predictor(X[:, 1:], ys, yf, yc, cfg)
 
     def test_non_finite_targets_abort(self):
         X, ys, yf, yc = self.small_windows()
@@ -206,7 +212,7 @@ class TestPredictor:
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite loss"):
                 train_predictor(X, ys, yf, yc,
-                                cfg=TrainConfig(epochs=1, lr=0.05), horizon=2)
+                                cfg=TrainConfig(epochs=1, lr=0.05))
 
     def test_slip_free_training_keeps_base_rate_low(
             self, dataset_dir, manifest, cereal_rotation_model):
@@ -228,11 +234,11 @@ class TestPredictor:
             dataset_dir, manifest, "test", "rotation", material="cereal")
         maes = []
         for seed in range(5):
-            if seed == cereal_rotation_model.cfg.seed:
+            if seed == 0:  # the seed the fixture trained with
                 model = cereal_rotation_model
             else:
                 model, _ = train_predictor(
-                    Xtr, str_, ftr, ctr, horizon=HORIZON, motion="rotation",
+                    Xtr, str_, ftr, ctr, motion="rotation",
                     material="cereal",
                     cfg=TrainConfig(epochs=24, lr=0.05, seed=seed))
             _, fhat, _ = predict_batch(model, Xte)
@@ -254,7 +260,7 @@ def recorded_stream(seed=31):
 
 
 def stream_model(feats, seed):
-    model = SlipPredictor(PredictorConfig(seed=seed))
+    model = SlipPredictor(seed=seed)
     fit_standardizer(model, feats)
     model.force_mean, model.force_std = 0.3, 0.1
     return model
@@ -264,7 +270,7 @@ class TestFeatureWindow:
     def test_stream_equals_replay_and_batch(self):
         feats = recorded_stream()
         model = stream_model(feats, seed=4)
-        W = model.cfg.window
+        W = model.window
         fw = FeatureWindow(model)
         streamed, replayed = [], []
         for i, frame in enumerate(feats):
@@ -287,7 +293,7 @@ class TestFeatureWindow:
         # pushed the W newest frames, then streams on
         feats = recorded_stream()
         a, b = stream_model(feats, seed=4), stream_model(feats, seed=5)
-        W = a.cfg.window
+        W = a.window
         fw = FeatureWindow(a)
         for frame in feats[:W + 2]:
             fw.push(frame)
@@ -299,8 +305,7 @@ class TestFeatureWindow:
             assert predict(fw) == predict(fresh_window(b, feats[i + 1 - W:i + 1]))
 
     def test_bad_frames_and_windows_rejected(self):
-        model = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=6))
-        fw = FeatureWindow(model)
+        fw = FeatureWindow(SmallPredictor())
         for shape in ((7,), (9,), (1, 8), ()):
             with pytest.raises(ValueError, match="feature frame"):
                 fw.push(np.zeros(shape))
@@ -314,7 +319,7 @@ class TestFeatureWindow:
     def test_batch_outputs_are_pinned(self):
         # SHA-256 of predict_batch's outputs at B = 1, 8 and 64, as the
         # unstacked per-gate GRU computed them
-        model = SlipPredictor(PredictorConfig(seed=3))
+        model = SlipPredictor(seed=3)
         model.force_mean, model.force_std = 0.3, 0.1
         X = np.random.default_rng(11).standard_normal((64, 20, 38)) * 2.0
         digest = hashlib.sha256()
@@ -328,11 +333,8 @@ class TestFeatureWindow:
 class TestRegistry:
     def build(self):
         reg = ModelRegistry()
-        default = SlipPredictor(PredictorConfig(input_dim=4, hidden=3,
-                                                window=3), motion="shaking")
-        rice = SlipPredictor(PredictorConfig(input_dim=4, hidden=3, window=3),
-                             scope="material", motion="shaking",
-                             material="rice")
+        default = SmallPredictor(motion="shaking")
+        rice = SmallPredictor(motion="shaking", material="rice")
         reg.register_default("shaking", default)
         reg.register_material("shaking", "rice", rice)
         return reg, default, rice
@@ -351,20 +353,21 @@ class TestRegistry:
 
     def test_material_requires_default_first(self):
         reg = ModelRegistry()
-        model = SlipPredictor(PredictorConfig(input_dim=4, hidden=3, window=3))
+        model = SmallPredictor()
         with pytest.raises(ValueError):
             reg.register_material("rotation", "rice", model)
 
 
 class TestSerialization:
     def test_classifier_round_trip(self, tmp_path):
-        model = MaterialClassifier(ClassifierConfig(seed=5))
+        model = MaterialClassifier(seed=5)
         model.input_mean = np.random.default_rng(0).standard_normal(13)
         model.input_std = np.abs(np.random.default_rng(1).standard_normal(13)) + 0.1
         path = tmp_path / "clf.gsm"
         save_model(path, model)
         back = load_model(path, "classifier")
-        assert back.cfg == model.cfg
+        for name in ("input_mean", "input_std"):
+            assert np.array_equal(getattr(back, name), getattr(model, name))
         # parameters travel as float32; the stored values round-trip exactly
         assert np.array_equal(back.theta,
                               model.theta.astype("<f4").astype(float))
@@ -374,33 +377,31 @@ class TestSerialization:
         assert np.allclose(back.forward(x)[0], model.forward(x)[0], atol=1e-4)
 
     def test_predictor_round_trip(self, tmp_path):
-        model = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=6,
-                                              horizon=3, seed=2),
-                              scope="material", motion="rotation",
-                              material="gummies")
+        model = SlipPredictor(seed=2, motion="rotation", material="gummies")
         model.force_mean, model.force_std = 0.4, 0.2
         path = tmp_path / "pred.gsm"
         save_model(path, model)
         back = load_model(path, "predictor")
         assert (back.scope, back.motion, back.material) == \
             ("material", "rotation", "gummies")
-        assert back.cfg == model.cfg
+        assert np.array_equal(back.theta, model.theta.astype("<f4").astype(float))
         assert (back.force_mean, back.force_std) == (0.4, 0.2)
         save_model(tmp_path / "pred2.gsm", back)
         assert (tmp_path / "pred2.gsm").read_bytes() == path.read_bytes()
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # the whole file, hashed: a CRC32 of it is constant, since the
-        # file ends with the CRC32 of everything before it
-        clf = MaterialClassifier(ClassifierConfig(seed=5))
-        pred = SlipPredictor(PredictorConfig(seed=2), scope="material",
-                             motion="rotation", material="gummies")
+        # file ends with the CRC32 of everything before it. The descriptor
+        # holds no config, so the files are shorter than when it did; the
+        # parameter blocks are the same bytes
+        clf = MaterialClassifier(seed=5)
+        pred = SlipPredictor(seed=2, motion="rotation", material="gummies")
         pred.force_mean, pred.force_std = 0.4, 0.2
         golden = [
-            (clf, 9832, "21f6913289551672ee3ded4bb70d4f05"
-                        "21d5f0971ef9fa128c0871439d690df1"),
-            (pred, 28430, "311c5f9799efb56338e10d3e023195dc"
-                          "79e7f9057cbe5cf3cc5b428c849c3238"),
+            (clf, 9695, "2df3198734d3ed926bc66196253dc848"
+                        "6452d1d57280b03f4668d8c4892aaa0a"),
+            (pred, 28326, "2be2781b3537f6b31fbb875cf4b0483e"
+                          "42349b3c354d8e2c1a3d9b6f4382d98c"),
         ]
         for model, size, digest in golden:
             path = tmp_path / "m.gsm"
@@ -409,7 +410,7 @@ class TestSerialization:
             assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
 
     def test_corruption_detected(self, tmp_path):
-        model = MaterialClassifier(ClassifierConfig(seed=1))
+        model = MaterialClassifier(seed=1)
         path = tmp_path / "m.gsm"
         save_model(path, model)
         raw = bytearray(path.read_bytes())
@@ -438,7 +439,7 @@ class TestSerialization:
             load_model(bad, "classifier")
 
     def test_kind_mismatch_rejected(self, tmp_path):
-        model = MaterialClassifier(ClassifierConfig(seed=1))
+        model = MaterialClassifier(seed=1)
         path = tmp_path / "clf.gsm"
         save_model(path, model)
         with pytest.raises(ModelFormatError, match="clf.gsm"):
@@ -447,14 +448,11 @@ class TestSerialization:
     @pytest.mark.parametrize("edit", ["drop_key", "add_key", "short_stats"])
     def test_bad_descriptor_names_the_file(self, tmp_path, edit):
         descriptor = {"kind": "classifier",
-                      "config": {"n_coeffs": 13, "channels": [16, 32],
-                                 "kernel": 3, "classes": list(MATERIAL_CLASSES),
-                                 "seed": 0},
                       "input_mean": [0.0] * 13, "input_std": [1.0] * 13}
         if edit == "drop_key":
-            del descriptor["config"]["kernel"]
+            del descriptor["input_std"]
         elif edit == "add_key":
-            descriptor["config"]["dropout"] = 0.5
+            descriptor["dropout"] = 0.5
         else:
             descriptor["input_mean"] = [0.0]
         path = tmp_path / "odd.gsm"
@@ -471,8 +469,7 @@ class TestSerialization:
     ])
     def test_non_finite_or_zero_statistics_name_the_file(self, tmp_path,
                                                           field, value):
-        model = SlipPredictor(PredictorConfig(input_dim=8, hidden=4, window=6,
-                                              horizon=3, seed=2))
+        model = SlipPredictor(seed=2)
         model.force_mean, model.force_std = 0.4, 0.2
         if field == "parameters":
             model.theta[5] = value
@@ -485,16 +482,32 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=f"odd.gsm: .*{field}"):
             load_model(path, "predictor")
 
-    @pytest.mark.parametrize("scope, material", [("material", None),
-                                                 ("default", "rice")])
-    def test_scope_disagreeing_with_material_names_the_file(
-            self, tmp_path, scope, material):
-        # a material model is one that names its material
-        path = tmp_path / "odd.gsm"
-        save_model(path, SlipPredictor(PredictorConfig(), scope=scope,
-                                       motion="shaking", material=material))
-        with pytest.raises(ModelFormatError, match="odd.gsm: .*scope"):
-            load_model(path, "predictor")
+    @pytest.mark.parametrize("kind, stray", [
+        ("classifier", ["config"]), ("predictor", ["config", "scope"])],
+        ids=["classifier", "predictor"])
+    def test_file_with_a_stored_config_is_refused(self, tmp_path, kind, stray):
+        # the descriptor an earlier format wrote: the architecture as a
+        # config, and a predictor's scope beside its material
+        model = {"classifier": MaterialClassifier,
+                 "predictor": SlipPredictor}[kind]()
+        save_model(tmp_path / "new.gsm", model)
+        raw = (tmp_path / "new.gsm").read_bytes()
+        (desc_len,) = struct.unpack_from("<I", raw, 4)
+        descriptor = json.loads(raw[8:8 + desc_len])
+        if kind == "classifier":
+            descriptor["config"] = {"n_coeffs": 13, "channels": [16, 32],
+                                    "kernel": 3, "seed": 0,
+                                    "classes": list(MATERIAL_CLASSES)}
+        else:
+            descriptor["config"] = {"input_dim": 38, "hidden": 32,
+                                    "window": 20, "horizon": 10, "seed": 0}
+            descriptor["scope"] = "default"
+        path = tmp_path / "old.gsm"
+        path.write_bytes(serialize._pack(descriptor, model.theta))
+        with pytest.raises(ModelFormatError,
+                           match=re.escape(f"old.gsm: {kind} descriptor has "
+                                           f"unknown keys {stray}")):
+            load_model(path, kind)
 
 
 class TestMetrics:

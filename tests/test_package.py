@@ -49,8 +49,11 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
-# Defaulted parameters that no call in src/ or perfbench/ passes, and why
-# each keeps its default.
+# Defaulted parameters and frozen-dataclass fields that no call in src/ or
+# perfbench/ passes, and why each keeps its default.
+_CONTROLLER_CONFIG = ("perfbench/workloads.py:425 constructs ControllerConfig() "
+                      "to check episode torques; it becomes controller "
+                      "constants with ROADMAP item 8")
 UNPASSED_DEFAULTS_ALLOWED = {
     "main(argv)": "the console script calls main(); tests pass argv",
     "label_slip(threshold)": "acceptance criterion 9 sweeps the slip threshold",
@@ -59,16 +62,33 @@ UNPASSED_DEFAULTS_ALLOWED = {
                                  "it looks up by kind",
     "SlipPredictor(theta)": "serialize.load_model passes it to the class it "
                             "looks up by kind",
+    **{f"ControllerConfig({name})": _CONTROLLER_CONFIG for name in (
+        "base_torque", "max_torque", "slip_threshold_prob", "torque_step_up",
+        "relax_step", "stable_steps_before_relax", "force_stiffen_threshold",
+        "classifier_commit_confidence")},
 }
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                       for k in d.keywords)
+               for d in node.decorator_list)
 
 
 def _defaulted_params(path: Path):
     """(callee name, positional index or None, parameter, line) for each
-    defaulted parameter of each def in a module. A class's __init__ goes by
-    the class name, as its callers write it; self and cls are not counted."""
+    defaulted parameter of each def in a module, and for each defaulted
+    field of a frozen dataclass. A class's __init__ and fields go by the
+    class name, as its callers write it; self and cls are not counted."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
+            if _is_frozen_dataclass(node):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                for i, f in enumerate(fields):
+                    if f.value is not None:
+                        yield node.name, i, f.target.id, f.lineno
             defs = [(node.name, f) for f in node.body
                     if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
         elif isinstance(node, ast.FunctionDef) and node.name != "__init__":
@@ -319,7 +339,7 @@ def test_benchmark_wrap_points_see_every_call(monkeypatch, classifier, registry)
     log = controller.run_reactive_loop(material_table()["rice"], profile,
                                        classifier, registry, seed=56)
     n = profile.n_steps
-    W = registry.default_models["shaking"].cfg.window
+    W = registry.default_models["shaking"].window
     assert log.record.n_steps == n
     assert len(calls["predict"]) == len(calls["grip_update"]) == n - W
     assert len(calls["step"]) >= 1 and sum(calls["step"]) >= n
