@@ -337,8 +337,9 @@ def cmd_episode(args) -> int:
 def _active_run(material, classifier, likelihoods, confidence: float,
                 max_segments: int, run: tuple[int, str]) -> inference.ActiveLog:
     """One active run (seed, selector), as `cmd_active` maps it over its
-    workers. `inference.run_active_loop` is looked up at each call, so a
-    wrapper put on it before the workers fork runs in them too."""
+    processes. `inference.run_active_loop` is looked up at each call, so a
+    wrapper put on it before the children fork runs in them and in the
+    calling process alike."""
     seed, selector = run
     return inference.run_active_loop(material, classifier, likelihoods,
                                      confidence, max_segments, seed, selector)
@@ -346,7 +347,7 @@ def _active_run(material, classifier, likelihoods, confidence: float,
 
 def cmd_active(args) -> int:
     """Paired EIG and random identification runs, one pair per derived
-    seed. The runs go to the program's pool of forked workers
+    seed. The runs are shared between this process and children it forks
     (`workers.map_in_workers`). Each run is a pure function of its seed and
     selector, so the files are the bytes a serial run writes. They are
     written once every run has finished: a failing run writes no

@@ -2,10 +2,10 @@
 
 Collection protocol: for every (motion, material) cell, run trials at a
 fixed 0.4 Nm grip with per-trial seeds derived by hashing (base_seed,
-material, motion, index). generate_dataset renders the trials in the
-program's pool of forked workers (`workers.map_in_workers`); each trial
-is a pure function of those four values, so the bytes equal a serial
-run's. Each trial directory holds:
+material, motion, index). generate_dataset shares the trials between the
+calling process and children it forks (`workers.map_in_workers`); each
+trial is a pure function of those four values, so the bytes equal a
+serial run's. Each trial directory holds:
 
   meta.json    format version, ids, motion parameters, seed, the rig's
                clock (sample_rate 16000, dt 0.005), step count
@@ -509,7 +509,7 @@ def _render_trial(out_dir: Path, base_seed: int, trial: tuple[str, str, int]
                   ) -> TrialEntry:
     """Render and write the protocol's trial (motion kind, material, index)
     under out_dir; a pure function of its arguments, which generate_dataset
-    runs in its workers."""
+    maps over its processes."""
     motion_kind, material, index = trial
     profile_rng = np.random.default_rng(
         derive_seed(base_seed, material, motion_kind, index, "profile"))
@@ -529,12 +529,12 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
     manifest holds the split `build_splits` makes with base_seed, or none
     when the cells are too small to stratify.
 
-    The trials render in the program's pool of forked workers
-    (`workers.map_in_workers`). Each trial is a pure function of its seed
-    and cell, so the files and the manifest are the bytes a serial run
-    writes. A trial's error is raised here with its type and message, the
-    trials not yet started are cancelled and no manifest is written; no
-    worker outlives the call."""
+    The trials render in this process and in children it forks, one
+    process per CPU (`workers.map_in_workers`). Each trial is a pure
+    function of its seed and cell, so the files and the manifest are the
+    bytes a serial run writes. A trial's error is raised here with its type
+    and message, the trials not yet started are cancelled and no manifest
+    is written; no child outlives the call."""
     if trials_per_cell < 1:
         raise ValueError(f"trials_per_cell must be at least 1, got {trials_per_cell}")
     out_dir = Path(out_dir)

@@ -431,7 +431,8 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
     before the change are rendered again, into the same bytes, since a
     block gives the bits of its single steps. k is 1 after a change and
     doubles, up to RENDER_BLOCK, after each block whose command held; a
-    fixed torque starts at RENDER_BLOCK and never replays.
+    fixed torque starts at RENDER_BLOCK and never replays, so its blocks
+    save no state to restore.
     A policy may also have a method ``perceive(history, start)``. It is
     then passed each block once, after the block is rendered and before
     any decision over it: `history` holds the first i + k rows, and rows
@@ -464,7 +465,8 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
         step(state, material, accels[i:i + k], torque, stiffness_scale=stiffness,
              out={name: a[i:i + k] for name, a in arrays.items()})
 
-    if callable(grip_policy):
+    replays = callable(grip_policy)
+    if replays:
         def decide(i):
             torque, stiffness = grip_policy(rows(i))
             return torque, stiffness
@@ -479,7 +481,7 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
     i, command = 0, decide(0)
     while i < n:
         k = min(k, n - i)
-        if k > 1:
+        if k > 1 and replays:
             saved = replace(state)
             rng_states = [rng.bit_generator.state for rng in state.rngs]
         render(state, i, k, *command)

@@ -1,4 +1,4 @@
-"""The program's one pool of worker processes.
+"""The program's one way to spread work over processes.
 
 `generate` renders its trials here and `active` its runs. Each item is a
 pure function of its own arguments, so the results equal a serial loop's.
@@ -8,21 +8,109 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import traceback
+
+
+class WorkerTraceback(Exception):
+    """The formatted traceback of a failing item, set as the `__cause__` of
+    the error `map_in_workers` raises for it."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def map_in_workers(fn, items) -> list:
-    """`[fn(item) for item in items]`, computed in a pool of workers
-    started by fork, one per CPU this process may run on (at most one per
-    item); `items` must not be empty. The workers see the parent's module
-    state, a test's monkeypatch included, and `fn` and each item and
-    result are pickled.
+    """`[fn(item) for item in items]`, computed by this process and by
+    children it forks, one process per CPU this process may run on and at
+    most one per item; with one CPU or one item nothing is forked. Every
+    process takes the next item index from one shared counter. The
+    children see this process's module state, a test's monkeypatch
+    included, since `fn` and the items reach them by fork; only the
+    results the children compute are pickled, and one that does not pickle
+    is an error of its item.
 
-    The results come back in item order. An item's error is raised here
-    with its type and message (the worker's traceback as `__cause__`), and
-    the items not yet started are cancelled. No worker outlives the call,
-    whether it returns or raises."""
+    The results come back in item order. An error is raised here with its
+    type and message (its formatted traceback as `__cause__`); when more
+    than one item fails, the lowest index wins. The first error cancels
+    the items not yet started. No child outlives the call, whether it
+    returns or raises, an interrupt included."""
     items = list(items)
-    workers = min(len(os.sched_getaffinity(0)), len(items))
-    # leaving the block terminates and joins the workers, also on an error
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return list(pool.imap(fn, items))
+    counter = multiprocessing.get_context("fork").Value("q", 0)
+    pipes = {}  # child pid -> the read end of the pipe it reports through
+    try:
+        for _ in range(min(len(os.sched_getaffinity(0)), len(items)) - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                for pipe in pipes.values():  # so that only the caller reads
+                    pipe.close()
+                os.close(read_end)
+                _report(write_end, fn, items, counter)
+            os.close(write_end)
+            pipes[pid] = open(read_end, "rb")
+        results, error = _take(fn, items, counter, lambda index, result: result)
+        errors = [error]
+        for pid, pipe in pipes.items():
+            payload = pipe.read()
+            if not payload:
+                raise ChildProcessError(f"worker {pid} exited before "
+                                        "reporting its items")
+            pairs, error = pickle.loads(payload)
+            results.update((index, pickle.loads(blob)) for index, blob in pairs)
+            errors.append(error)
+    finally:
+        with counter.get_lock():
+            counter.value = len(items)
+        for pipe in pipes.values():  # a child still writing gets EPIPE
+            pipe.close()
+        for pid in pipes:
+            os.waitpid(pid, 0)
+    errors = [e for e in errors if e is not None]
+    if errors:
+        _, exc, text = min(errors, key=lambda e: e[0])
+        raise exc from WorkerTraceback(text)
+    return [results[index] for index in range(len(items))]
+
+
+def _take(fn, items, counter, encode):
+    """Compute items in the order `counter` hands them out, until none is
+    left or this process's first error. Returns {index: encode(index,
+    result)} and that error as (index, exception, formatted traceback), or
+    None; the error moves the counter past the last item."""
+    results = {}
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(items):
+            return results, None
+        try:
+            results[index] = encode(index, fn(items[index]))
+        except Exception as exc:
+            with counter.get_lock():
+                counter.value = len(items)
+            return results, (index, exc, traceback.format_exc())
+
+
+def _pickled(index, result) -> bytes:
+    try:
+        return pickle.dumps(result)
+    except Exception as exc:
+        raise pickle.PicklingError(f"item {index}: its result cannot be "
+                                   f"sent from a worker: {exc}") from exc
+
+
+def _report(write_end, fn, items, counter):
+    """A child's whole life: compute its share, write its pickled
+    ([(index, pickled result), ...], error) to `write_end` and leave
+    without returning to the caller's stack. A child whose pipe the caller
+    has closed exits at its write."""
+    code = 1
+    try:
+        results, error = _take(fn, items, counter, _pickled)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps((list(results.items()), error)))
+        code = 0
+    finally:
+        os._exit(code)

@@ -1,6 +1,7 @@
 """Shared fixtures: one full dataset and one set of trained models per
 test session, so the expensive pieces are paid for once."""
 
+import os
 import sys
 import time
 
@@ -23,6 +24,24 @@ settings.register_profile(
 settings.load_profile("repo")
 
 BASE_SEED = 0
+
+
+def assert_no_child_process():
+    """This process has no child, running or unreaped, as the OS sees it.
+    `multiprocessing.active_children()` lists only multiprocessing's own
+    Process objects, so it cannot see a child started by `os.fork`."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "running" if pid == 0 else f"pid {pid} unreaped, status {status}"
+    raise AssertionError(f"a child process is left ({state})")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_at_session_end():
+    yield
+    assert_no_child_process()
 
 
 @pytest.fixture(scope="session")

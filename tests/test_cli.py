@@ -1,6 +1,5 @@
 import csv
 import json
-import multiprocessing
 import re
 import shutil
 from pathlib import Path
@@ -15,6 +14,8 @@ from gripsense.controller import EPISODE_COLUMNS
 from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models.predictor import SlipPredictor
 from gripsense.models.serialize import ModelChecksumError, save_model
+
+from conftest import assert_no_child_process
 
 
 def episode_column(path, name):
@@ -381,8 +382,8 @@ class TestActiveAndEval:
     @pytest.mark.parametrize("material", ["rice", "empty"])
     def test_active_files_equal_a_serial_run(self, cli_models, tmp_path,
                                              material):
-        # the runs go to the worker pool; the files must be the bytes of
-        # one loop over the same derived seeds
+        # the runs are shared out over processes; the files must be the
+        # bytes of one loop over the same derived seeds
         out, serial = tmp_path / "pool", tmp_path / "serial"
         rc = cli.main(["active", "--models", str(cli_models), "--out", str(out),
                        "--material", material, "--confidence", "0.9",
@@ -427,7 +428,7 @@ class TestActiveAndEval:
                        "--max-segments", "3", "--seeds", "3", "--seed", "5"])
         assert rc == 1
         assert f"run with seed {failing_seed}: forced" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         assert not (tmp_path / "summary.csv").exists()
         assert list(tmp_path.glob("active_*.csv")) == []
         assert not (tmp_path / "run_config.json").exists()

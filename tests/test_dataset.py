@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import multiprocessing
 import re
 import sys
 import wave
@@ -18,6 +17,7 @@ from gripsense import dataset as ds
 from gripsense import simulation
 from gripsense.materials import material_table
 from gripsense.simulation import run_trial
+from conftest import assert_no_child_process
 from oracles import records_equal
 
 
@@ -624,7 +624,7 @@ class TestManifestAndSplits:
             ds.generate_dataset(tmp_path / "full", trials_per_cell=1)
         ds.generate_dataset(tmp_path / "full", trials_per_cell=1,
                             overwrite=True)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_refuses_fewer_than_one_trial_per_cell(self, tmp_path, trials):
@@ -650,7 +650,7 @@ class TestManifestAndSplits:
         with pytest.raises(ds.DatasetError,
                            match="^trial 'shaking-rice-000': forced$"):
             ds.generate_dataset(out, trials_per_cell=10)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         assert not (out / ds.MANIFEST_NAME).exists()
         assert len(list(out.glob("trials/*"))) < 50
 
