@@ -1,8 +1,10 @@
 """Command-line pipeline: generate, train, episode, active, eval.
 
-Every run that succeeds echoes its effective configuration to the output
-directory as run_config.json, so results are reproducible from the file
-plus the seed. A run checks its flags and inputs first: a usage error
+Flags are the one way to set a run. Every run that succeeds echoes the
+subcommand and each flag's value as the command used it (`train`'s
+epoch count included, the model's own when `--epochs` is unset) to the
+output directory as run_config.json, so results are reproducible from
+the file. A run checks its flags and inputs first: a usage error
 writes nothing, and `main` writes run_config.json once the command has
 returned, so a failing run leaves none. `train` reports the figures of
 the model file it wrote, read back as every later command reads it, and
@@ -25,11 +27,12 @@ import numpy as np
 from . import dataset as ds
 from . import inference
 from .controller import run_baseline_episode, run_reactive_loop, write_episode_csv
-from .materials import MATERIAL_CLASSES, material_table
+from .materials import MATERIAL_CLASSES, MaterialParams, material_table
 from .models.classifier import classify_items, train_classifier
-from .models.optim import TrainConfig
 from .models.predictor import predict_batch, train_predictor
+from .models import classifier as clf
 from .models import metrics as mx
+from .models import predictor as prd
 from .models.registry import ModelRegistry
 from .models.serialize import load_model, save_model
 from .simulation import MAX_GRIP_TORQUE
@@ -62,6 +65,14 @@ def _require_at_least(args: argparse.Namespace, least: int, *flags: str) -> None
         value = getattr(args, flag.removeprefix("--").replace("-", "_"))
         if value < least:
             raise UsageError(f"{flag} must be at least {least}, got {value}")
+
+
+def _require_material(name: str) -> MaterialParams:
+    table = material_table()
+    if name not in table:
+        raise UsageError(f"unknown material {name!r}; expected one of "
+                         f"{MATERIAL_CLASSES}")
+    return table[name]
 
 
 def predictor_filename(motion: str, material: str | None) -> str:
@@ -160,16 +171,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs is None:
+        args.epochs = (clf.EPOCHS if args.task == "classifier"
+                       else prd.MATERIAL_EPOCHS if args.material
+                       else prd.EPOCHS)
     _require_at_least(args, 1, "--epochs")
     _require_at_least(args, 0, "--seed")
-    if not (np.isfinite(args.lr) and args.lr > 0):
-        raise UsageError(f"--lr must be a positive finite number, got {args.lr}")
     if (args.scope == "material") != bool(args.material):
         raise UsageError("--material is given with --scope material, and "
                          "only with it")
-    if args.material and args.material not in MATERIAL_CLASSES:
-        raise UsageError(f"unknown material {args.material!r}; expected one "
-                         f"of {MATERIAL_CLASSES}")
+    if args.material:
+        _require_material(args.material)
     if args.task == "classifier":
         # the classifier trains on every motion's whole recordings: it reads
         # none of the predictor's flags, so none may be set
@@ -185,12 +197,12 @@ def cmd_train(args) -> int:
     if not manifest.splits:
         raise ds.DatasetError("dataset manifest has no splits; regenerate it")
 
-    cfg = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
     if args.task == "classifier":
         train_items, _ = ds.classifier_segments(dataset_dir, manifest, "train",
                                                 augment=True)
         val_items, val_entries = ds.classifier_segments(dataset_dir, manifest, "val")
-        model, curve = train_classifier(train_items, val_items, cfg)
+        model, curve = train_classifier(train_items, val_items,
+                                        epochs=args.epochs, seed=args.seed)
         out.mkdir(parents=True, exist_ok=True)
         save_model(out / CLASSIFIER_FILE, model)
         pred, truth = classify_items(load_model(out / CLASSIFIER_FILE, "classifier"),
@@ -212,8 +224,9 @@ def cmd_train(args) -> int:
         dataset_dir, manifest, "train", args.motion, args.material)
     Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
         dataset_dir, manifest, "test", args.motion, args.material)
-    model, curve = train_predictor(X, slip, force, cell, cfg,
-                                   motion=args.motion, material=args.material)
+    model, curve = train_predictor(X, slip, force, cell, epochs=args.epochs,
+                                   seed=args.seed, motion=args.motion,
+                                   material=args.material)
     name = predictor_filename(args.motion, args.material)
     out.mkdir(parents=True, exist_ok=True)
     save_model(out / name, model)
@@ -278,10 +291,7 @@ def _write_classifier_metrics(path, pred, truth) -> float:
 def cmd_episode(args) -> int:
     _require_at_least(args, 1, "--episodes")
     models_dir = _require_dir(Path(args.models), "models")
-    table = material_table()
-    if args.material not in table:
-        raise UsageError(f"unknown material {args.material!r}")
-    material = table[args.material]
+    material = _require_material(args.material)
 
     fixed_torque = None
     if args.policy != "reactive":
@@ -358,16 +368,14 @@ def cmd_active(args) -> int:
         raise UsageError(f"--confidence must lie in ({low:g}, {high:g}), "
                          f"got {args.confidence}")
     models_dir = _require_dir(Path(args.models), "models")
-    table = material_table()
-    if args.material not in table:
-        raise UsageError(f"unknown material {args.material!r}")
+    material = _require_material(args.material)
     classifier, _, likelihoods = load_models(models_dir)
     if likelihoods is None:
         raise UsageError(f"no confusion_<motion>.csv files in {models_dir}; "
                          "train the classifier first")
     seeds = [ds.derive_seed(args.seed, i, "active") for i in range(args.seeds)]
     logs = map_in_workers(
-        functools.partial(_active_run, table[args.material], classifier,
+        functools.partial(_active_run, material, classifier,
                           likelihoods, args.confidence, args.max_segments),
         [(seed, selector) for seed in seeds for selector in inference.SELECTORS])
     out = Path(args.out)
@@ -424,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gripsense",
         description="audio + tactile object-property estimation and "
                     "reactive grip control on a deterministic simulator")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file with default argument values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="run the data-collection protocol")
@@ -445,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--material", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("episode", help="run closed-loop grip episodes")
@@ -478,81 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_train_defaults(args) -> None:
-    if args.command == "train":
-        if args.epochs is None:
-            if args.task == "classifier":
-                args.epochs = 30
-            else:
-                # material scope sees a fifth of the windows; more passes
-                # keep the gradient-step count comparable to the default's
-                args.epochs = 24 if args.scope == "material" else 8
-        if args.lr is None:
-            args.lr = 0.01 if args.task == "classifier" else 0.05
-
-
-_JSON_NUMBERS = {int: (int,), float: (int, float)}
-
-
-def _flag_value(path: Path, action: argparse.Action, value):
-    """A value the config file at `path` gives `action`'s flag, as that flag
-    holds it: a switch takes true or false, another flag a string its own
-    type parses or a JSON number where that type is int or float, within
-    its choices. Anything else raises UsageError."""
-    if action.nargs == 0:
-        if type(value) is bool:
-            return value
-    elif isinstance(value, str) or type(value) in _JSON_NUMBERS.get(action.type, ()):
-        try:
-            parsed = (action.type or str)(value)
-        except ValueError:
-            pass
-        else:
-            if action.choices is None or parsed in action.choices:
-                return parsed
-    raise UsageError(f"config {path}: {action.option_strings[0]} cannot "
-                     f"take {json.dumps(value)}")
-
-
-def _config_defaults(path: Path, command_parser: argparse.ArgumentParser) -> dict:
-    """The flag defaults that the config file at `path` sets for one
-    subcommand: a JSON object whose keys are that subcommand's own flags,
-    named by their argparse dest, each with a value its flag takes. A
-    required flag takes no default and stays on the command line. Anything
-    else raises UsageError naming the file."""
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read config {path}: {e}") from None
-    if not isinstance(doc, dict):
-        raise UsageError(f"config {path} does not hold a JSON object")
-    actions = {a.dest: a for a in command_parser._actions
-               if a.option_strings and a.dest != "help"}
-    unknown = sorted(set(doc) - set(actions))
-    if unknown:
-        raise UsageError(f"config {path} has keys not recognized by "
-                         f"{command_parser.prog}: {', '.join(unknown)}")
-    required = sorted(actions[key].option_strings[0] for key in doc
-                      if actions[key].required)
-    if required:
-        raise UsageError(f"config {path} sets {', '.join(required)}, which "
-                         "must be given on the command line")
-    return {key: _flag_value(path, actions[key], value)
-            for key, value in doc.items()}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            # defaults must land on the subcommand's own parser: subparsers
-            # parse into a fresh namespace, so top-level set_defaults is ignored
-            command_parser = parser.command_parsers[args.command]
-            command_parser.set_defaults(**_config_defaults(args.config,
-                                                           command_parser))
-            args = parser.parse_args(argv)
-        _apply_train_defaults(args)
         status = args.func(args)
         _echo_config(args)
         return status

@@ -12,11 +12,13 @@ import numpy as np
 from ..dsp import N_COEFFS
 from ..materials import MATERIAL_CLASSES
 from .metrics import accuracy
-from .optim import TrainConfig, fit_standardizer, sgd_epochs
+from .optim import fit_standardizer, sgd_epochs
 from .params import ParamLayout
 
 
 BATCH = 32           # segments per SGD step
+EPOCHS = 30          # passes over the augmented train split
+LR = 0.01            # SGD step size
 CHANNELS = (16, 32)  # output channels of the two conv layers
 KERNEL = 3           # taps of each conv layer
 
@@ -151,22 +153,24 @@ def _to_arrays(dataset):
             np.asarray([index[label] for _, label in dataset]))
 
 
-def train_classifier(train_set, val_set, cfg: TrainConfig):
-    """Minibatch SGD with momentum on cross-entropy; returns the model with
-    the best validation-accuracy weights and the training curve, one
-    (epoch, mean minibatch loss, validation accuracy) per epoch."""
+def train_classifier(train_set, val_set, epochs: int, seed: int):
+    """Minibatch SGD with momentum on cross-entropy for `epochs` passes,
+    initialized and shuffled from `seed`; returns the model with the best
+    validation-accuracy weights and the training curve, one (epoch, mean
+    minibatch loss, validation accuracy) per epoch."""
     x_train, y_train = _to_arrays(train_set)
     present = set(y_train.tolist())
     missing = [c for i, c in enumerate(MATERIAL_CLASSES) if i not in present]
     if missing:
         raise ValueError(f"training split is missing classes: {missing}")
 
-    model = MaterialClassifier(seed=cfg.seed)
+    model = MaterialClassifier(seed=seed)
     fit_standardizer(model, x_train)
     best_theta = model.theta.copy()
     best_acc = -1.0
     curve = []
-    for epoch, loss in sgd_epochs(model, (x_train, y_train), cfg, BATCH):
+    for epoch, loss in sgd_epochs(model, (x_train, y_train), epochs, LR,
+                                  BATCH, seed):
         acc = accuracy(*classify_items(model, val_set))
         curve.append((epoch, loss, acc))
         if acc > best_acc:

@@ -1,22 +1,14 @@
 """The one training loop both networks share: minibatch SGD with classical
 momentum and global-norm gradient clipping, plus the input standardizer
-fit on the training inputs."""
+fit on the training inputs. Each model module holds its own recipe
+(`EPOCHS`, `LR`, `BATCH`) and passes it in."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 MOMENTUM = 0.9
 CLIP_NORM = 5.0
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    lr: float
-    seed: int = 0
 
 
 def fit_standardizer(model, X: np.ndarray) -> None:
@@ -26,19 +18,20 @@ def fit_standardizer(model, X: np.ndarray) -> None:
     model.input_std = np.maximum(flat.std(axis=0), 1e-6)
 
 
-def sgd_epochs(model, arrays: tuple[np.ndarray, ...], cfg: TrainConfig,
-               batch: int):
-    """Train `model.theta` in place on `model.loss_and_grad(*minibatch)`,
-    yielding the epoch index and the mean of its minibatch losses after
-    each pass over the data.
+def sgd_epochs(model, arrays: tuple[np.ndarray, ...], epochs: int, lr: float,
+               batch: int, seed: int):
+    """Train `model.theta` in place on `model.loss_and_grad(*minibatch)` for
+    `epochs` passes at step size `lr`, yielding the epoch index and the
+    mean of its minibatch losses after each pass over the data.
 
-    Each epoch draws one permutation from a generator seeded by `cfg.seed`
-    and slices every array in `arrays` with the same minibatch indices."""
+    Each epoch draws one permutation from a generator seeded by `seed` and
+    slices every array in `arrays` with the same minibatch indices of at
+    most `batch` rows."""
     velocity = np.zeros_like(model.theta)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = len(arrays[0])
     starts = range(0, n, batch)
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         total = 0.0
         for lo in starts:
@@ -51,7 +44,7 @@ def sgd_epochs(model, arrays: tuple[np.ndarray, ...], cfg: TrainConfig,
             if norm > CLIP_NORM:
                 grad = grad * (CLIP_NORM / norm)
             velocity *= MOMENTUM
-            velocity -= cfg.lr * grad
+            velocity -= lr * grad
             model.theta += velocity
             total += float(loss)
         yield epoch, total / len(starts)

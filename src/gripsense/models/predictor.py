@@ -14,11 +14,16 @@ import numpy as np
 
 from ..simulation import GRID_ROWS
 from ..tactile import FEATURE_DIM
-from .optim import TrainConfig, fit_standardizer, sgd_epochs
+from .optim import fit_standardizer, sgd_epochs
 from .params import ParamLayout
 
 GRID_MAX = GRID_ROWS - 1  # highest row/col index of the square tactile grid
 BATCH = 64     # windows per SGD step
+EPOCHS = 8     # passes over a default predictor's windows
+# a material predictor sees a fifth of the windows; more passes keep the
+# gradient-step count comparable to the default's
+MATERIAL_EPOCHS = 24
+LR = 0.05      # SGD step size
 HIDDEN = 32    # GRU state width
 WINDOW = 20    # feature frames per prediction
 HORIZON = 10   # steps ahead the targets sit (50 ms at sim dt)
@@ -196,20 +201,22 @@ class SlipPredictor:
 
 
 def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
-                    y_cell: np.ndarray, cfg: TrainConfig,
+                    y_cell: np.ndarray, epochs: int, seed: int,
                     motion: str = "shaking",
                     material: str | None = None) -> tuple[SlipPredictor, list]:
     """Fit a predictor on windowed features (`dataset.predictor_windows`),
-    initialized from cfg's seed; naming a material makes it a material
-    model. Returns the model and its training curve, one (epoch, mean
-    minibatch loss) per epoch."""
+    `epochs` passes initialized and shuffled from `seed`; naming a
+    material makes it a material model.
+    Returns the model and its training curve, one (epoch, mean minibatch
+    loss) per epoch."""
     if len(X) == 0:
         raise ValueError("empty predictor training set")
-    model = SlipPredictor(seed=cfg.seed, motion=motion, material=material)
+    model = SlipPredictor(seed=seed, motion=motion, material=material)
     fit_standardizer(model, X)
     model.force_mean = float(np.mean(y_force))
     model.force_std = float(max(np.std(y_force), 1e-6))
-    curve = list(sgd_epochs(model, (X, y_slip, y_force, y_cell), cfg, BATCH))
+    curve = list(sgd_epochs(model, (X, y_slip, y_force, y_cell), epochs, LR,
+                            BATCH, seed))
     return model, curve
 
 

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, settings
 
 from gripsense import dataset as ds
 from gripsense import inference
+from gripsense.models import classifier as clf
+from gripsense.models import predictor as pred
 from gripsense.models.classifier import classify_items, train_classifier
-from gripsense.models.optim import TrainConfig
 from gripsense.models.predictor import train_predictor
 from gripsense.models.registry import ModelRegistry
 
@@ -64,8 +65,8 @@ def clf_bundle(dataset_dir, manifest):
                                             augment=True)
     val_items, val_entries = ds.classifier_segments(dataset_dir, manifest, "val")
     t0 = time.perf_counter()
-    model, _ = train_classifier(
-        train_items, val_items, TrainConfig(epochs=30, lr=0.01, seed=BASE_SEED))
+    model, _ = train_classifier(train_items, val_items,
+                                epochs=clf.EPOCHS, seed=BASE_SEED)
     return model, val_items, val_entries, time.perf_counter() - t0
 
 
@@ -87,9 +88,8 @@ def likelihoods(clf_bundle):
 def default_shaking(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "shaking")
-    model, _ = train_predictor(X, slip, force, cell, motion="shaking",
-                               cfg=TrainConfig(epochs=8, lr=0.05,
-                                               seed=BASE_SEED))
+    model, _ = train_predictor(X, slip, force, cell, epochs=pred.EPOCHS,
+                               seed=BASE_SEED, motion="shaking")
     return model
 
 
@@ -97,9 +97,8 @@ def default_shaking(dataset_dir, manifest):
 def default_rotation(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation")
-    model, _ = train_predictor(X, slip, force, cell, motion="rotation",
-                               cfg=TrainConfig(epochs=8, lr=0.05,
-                                               seed=BASE_SEED))
+    model, _ = train_predictor(X, slip, force, cell, epochs=pred.EPOCHS,
+                               seed=BASE_SEED, motion="rotation")
     return model
 
 
@@ -107,10 +106,9 @@ def default_rotation(dataset_dir, manifest):
 def cereal_rotation_model(dataset_dir, manifest):
     X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation", "cereal")
-    model, _ = train_predictor(X, slip, force, cell, motion="rotation",
-                               material="cereal",
-                               cfg=TrainConfig(epochs=24, lr=0.05,
-                                               seed=BASE_SEED))
+    model, _ = train_predictor(X, slip, force, cell,
+                               epochs=pred.MATERIAL_EPOCHS, seed=BASE_SEED,
+                               motion="rotation", material="cereal")
     return model
 
 

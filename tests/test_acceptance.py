@@ -82,7 +82,7 @@ def test_criterion_2_dataset_protocol(dataset_dir, manifest, tmp_path):
 
 
 def test_criterion_3_material_classification(dataset_dir, manifest, clf_bundle):
-    # the clf_bundle classifier: TrainConfig(epochs=30, lr=0.01, seed=0) on
+    # the clf_bundle classifier: the classifier's own recipe at seed 0 on
     # the augmented train split, timed where the fixture trains it
     model, _, _, elapsed = clf_bundle
     assert elapsed < 600.0, f"training took {elapsed:.0f}s (budget 600s)"

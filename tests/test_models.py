@@ -18,8 +18,9 @@ from gripsense.models.classifier import (
     train_classifier,
 )
 from gripsense import tactile
-from gripsense.models.optim import TrainConfig, fit_standardizer, sgd_epochs
+from gripsense.models.optim import fit_standardizer, sgd_epochs
 from gripsense.models.predictor import (
+    MATERIAL_EPOCHS,
     WINDOW,
     FeatureWindow,
     SlipPredictor,
@@ -89,17 +90,15 @@ class TestClassifier:
 
     def test_training_deterministic(self):
         items = toy_items()
-        cfg = TrainConfig(epochs=3, lr=0.01, seed=11)
-        a, _ = train_classifier(items, items[:5], cfg)
-        b, _ = train_classifier(items, items[:5], cfg)
+        a, _ = train_classifier(items, items[:5], epochs=3, seed=11)
+        b, _ = train_classifier(items, items[:5], epochs=3, seed=11)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         items = toy_items()
         x = np.stack([m for m, _ in items])
         y = np.asarray([MATERIAL_CLASSES.index(lab) for _, lab in items])
-        trained, _ = train_classifier(items, items[:5],
-                                      TrainConfig(epochs=5, lr=0.01, seed=4))
+        trained, _ = train_classifier(items, items[:5], epochs=5, seed=4)
         init = MaterialClassifier(seed=4)
         init.input_mean = trained.input_mean.copy()
         init.input_std = trained.input_std.copy()
@@ -108,8 +107,7 @@ class TestClassifier:
     def test_missing_class_rejected(self):
         items = [(m, lab) for m, lab in toy_items() if lab != "gummies"]
         with pytest.raises(ValueError, match="gummies"):
-            train_classifier(items, items[:5],
-                             TrainConfig(epochs=1, lr=0.01))
+            train_classifier(items, items[:5], epochs=1, seed=0)
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         items = toy_items()
@@ -118,8 +116,7 @@ class TestClassifier:
         items[0] = (poisoned, items[0][1])
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite loss"):
-                train_classifier(items, items[:5],
-                                 TrainConfig(epochs=1, lr=0.01))
+                train_classifier(items, items[:5], epochs=1, seed=0)
 
     def test_forward_shape_guard(self):
         with pytest.raises(ValueError):
@@ -134,8 +131,8 @@ def test_sgd_epochs_yield_the_mean_minibatch_loss():
         def loss_and_grad(self, x):
             return float(len(x)), np.zeros(3)
     # 10 rows in minibatches of 4, 4 and 2
-    curve = list(sgd_epochs(BatchSize(), (np.arange(10.0),),
-                            TrainConfig(epochs=2, lr=0.1), batch=4))
+    curve = list(sgd_epochs(BatchSize(), (np.arange(10.0),), epochs=2,
+                            lr=0.1, batch=4, seed=0))
     assert curve == [(0, 10 / 3), (1, 10 / 3)]
 
 
@@ -166,15 +163,13 @@ class TestPredictor:
 
     def test_training_deterministic(self):
         X, ys, yf, yc = self.small_windows()
-        cfg = TrainConfig(epochs=3, lr=0.05, seed=9)
-        a, _ = train_predictor(X, ys, yf, yc, cfg)
-        b, _ = train_predictor(X, ys, yf, yc, cfg)
+        a, _ = train_predictor(X, ys, yf, yc, epochs=3, seed=9)
+        b, _ = train_predictor(X, ys, yf, yc, epochs=3, seed=9)
         assert np.array_equal(a.theta, b.theta)
 
     def test_training_reduces_loss(self):
         X, ys, yf, yc = self.small_windows()
-        trained, _ = train_predictor(
-            X, ys, yf, yc, cfg=TrainConfig(epochs=6, lr=0.05, seed=2))
+        trained, _ = train_predictor(X, ys, yf, yc, epochs=6, seed=2)
         init = SlipPredictor(seed=2)
         for attr in ("input_mean", "input_std"):
             setattr(init, attr, getattr(trained, attr).copy())
@@ -184,35 +179,32 @@ class TestPredictor:
 
     def test_input_validation(self):
         X, ys, yf, yc = self.small_windows()
-        cfg = TrainConfig(epochs=8, lr=0.05)
         with pytest.raises(ValueError):
-            train_predictor(X[:0], ys[:0], yf[:0], yc[:0], cfg)
+            train_predictor(X[:0], ys[:0], yf[:0], yc[:0], epochs=1, seed=0)
 
     def test_config_and_scope_come_from_the_inputs(self):
         # the architecture is the class's; the seed, the motion and the
         # material come from the call, and naming a material makes a
         # material model
         X, ys, yf, yc = self.small_windows()
-        model, curve = train_predictor(X, ys, yf, yc,
-                                       TrainConfig(epochs=0, lr=0.05, seed=3),
+        model, curve = train_predictor(X, ys, yf, yc, epochs=0, seed=3,
                                        motion="rotation", material="cereal")
         assert curve == []
         assert np.array_equal(model.theta, SlipPredictor(seed=3).theta)
         assert (model.scope, model.motion, model.material) == \
             ("material", "rotation", "cereal")
-        cfg = TrainConfig(epochs=1, lr=0.05, seed=3)
-        model, _ = train_predictor(X, ys, yf, yc, cfg, motion="rotation")
+        model, _ = train_predictor(X, ys, yf, yc, epochs=1, seed=3,
+                                   motion="rotation")
         assert (model.scope, model.material) == ("default", None)
         with pytest.raises(ValueError, match=r"expected \(B, 20, 38\) window"):
-            train_predictor(X[:, 1:], ys, yf, yc, cfg)
+            train_predictor(X[:, 1:], ys, yf, yc, epochs=1, seed=3)
 
     def test_non_finite_targets_abort(self):
         X, ys, yf, yc = self.small_windows()
         yf[3] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(RuntimeError, match="non-finite loss"):
-                train_predictor(X, ys, yf, yc,
-                                cfg=TrainConfig(epochs=1, lr=0.05))
+                train_predictor(X, ys, yf, yc, epochs=1, seed=0)
 
     def test_slip_free_training_keeps_base_rate_low(
             self, dataset_dir, manifest, cereal_rotation_model):
@@ -238,9 +230,8 @@ class TestPredictor:
                 model = cereal_rotation_model
             else:
                 model, _ = train_predictor(
-                    Xtr, str_, ftr, ctr, motion="rotation",
-                    material="cereal",
-                    cfg=TrainConfig(epochs=24, lr=0.05, seed=seed))
+                    Xtr, str_, ftr, ctr, epochs=MATERIAL_EPOCHS, seed=seed,
+                    motion="rotation", material="cereal")
             _, fhat, _ = predict_batch(model, Xte)
             maes.append(mx.mae(fhat, fte))
         _, fhat_default, _ = predict_batch(default_rotation, Xte)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import gripsense
-from gripsense import controller, simulation
+from gripsense import cli, controller, simulation
 from gripsense.materials import material_table
 from gripsense.motion import shaking_profile
 
@@ -146,6 +146,39 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     dead = {k: v for k, v in unset.items() if k not in UNPASSED_DEFAULTS_ALLOWED}
     assert not dead, dead
     stale = sorted(set(UNPASSED_DEFAULTS_ALLOWED) - set(unset))
+    assert not stale, f"allow-list entries no longer needed: {stale}"
+
+
+# Flags of the command line that no benchmark module names, and why each
+# stays.
+FLAGS_WITHOUT_BENCHMARK_TRAFFIC = {
+    "generate --overwrite": "the benchmark generates into fresh directories; "
+                            "regenerating a dataset in place needs it",
+    "train --epochs": "the benchmark trains each model's own count; the "
+                      "tests train fewer epochs to stay fast",
+    "episode --policy": "the benchmark runs the reactive policy; the "
+                        "fixed-torque baseline (criterion 6's comparison) "
+                        "needs it",
+    "active --confidence": "the benchmark stops at the default 0.95; the "
+                           "tests stop early to stay fast",
+}
+
+
+def test_every_flag_has_benchmark_traffic():
+    # a flag that no benchmark run passes is a setting with one value in
+    # use: it belongs in a constant, unless a listed use needs it
+    literals = {node.value for path in _benchmark_modules()
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    parser = cli.build_parser()
+    commands = [("gripsense", parser)] + list(parser.command_parsers.items())
+    unused = {f"{command} {flag}" for command, sub in commands
+              for action in sub._actions for flag in action.option_strings
+              if flag.startswith("--") and flag != "--help"
+              and flag not in literals}
+    dead = sorted(unused - set(FLAGS_WITHOUT_BENCHMARK_TRAFFIC))
+    assert not dead, dead
+    stale = sorted(set(FLAGS_WITHOUT_BENCHMARK_TRAFFIC) - unused)
     assert not stale, f"allow-list entries no longer needed: {stale}"
 
 
