@@ -4,9 +4,12 @@ Flags are the one way to set a run. Every run that succeeds echoes the
 subcommand and each flag's value as the command used it (`train`'s
 epoch count included, the model's own when `--epochs` is unset) to the
 output directory as run_config.json, so results are reproducible from
-the file. A run checks its flags and inputs first: a usage error
-writes nothing, and `main` writes run_config.json once the command has
-returned, so a failing run leaves none. `train` reports the figures of
+the file. Every `train` of a pipeline writes into one models directory,
+so `train` names its echo after the model file it wrote instead:
+run_config_classifier.json, run_config_predictor_default_shaking.json and
+so on. A run checks its flags and inputs first: a usage error writes
+nothing, and `main` writes the echo once the command has returned, so a
+failing run leaves none. `train` reports the figures of
 the model file it wrote, read back as every later command reads it, and
 `train` and `eval` score the classifier through one batched scorer
 (`models.classifier.classify_items`).
@@ -45,10 +48,20 @@ class UsageError(Exception):
     pass
 
 
+def _run_config_name(args: argparse.Namespace) -> str:
+    """The file `main` echoes the run's flags to: run_config.json, or for
+    `train` run_config_<model file stem>.json."""
+    if args.command != "train":
+        return "run_config.json"
+    model = (CLASSIFIER_FILE if args.task == "classifier"
+             else predictor_filename(args.motion, args.material))
+    return f"run_config_{model.removesuffix('.gsm')}.json"
+
+
 def _echo_config(args: argparse.Namespace) -> None:
     doc = {k: (str(v) if isinstance(v, Path) else v)
            for k, v in vars(args).items() if k != "func"}
-    (Path(args.out) / "run_config.json").write_text(
+    (Path(args.out) / _run_config_name(args)).write_text(
         json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 

@@ -35,19 +35,37 @@ class Prediction:
     force_value: float          # N
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x, out=None):
+    """0.5 * (1 + tanh(0.5 x)), computed in one array: `out`, which may be
+    x itself, or a new one."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _gru_cell(gx, h, Uzr, Un, b):
     """One GRU step for the hidden states h (B, H), given the inputs'
     projection gx = x @ Wx, (B, 3H) or (1, 3H) shared by every row.
-    Returns (h_new, z, r, n)."""
+    Returns (h_new, z, r, n), each a new array. Each gate's terms are
+    added in place, in the order of ((gx + h U) + b), so every result has
+    the bits of that sum written out."""
     H = h.shape[1]
-    zr = _sigmoid(gx[:, :2 * H] + h @ Uzr + b[:2 * H])
+    zr = h @ Uzr
+    zr += gx[:, :2 * H]
+    zr += b[:2 * H]
+    _sigmoid(zr, out=zr)
     z, r = zr[:, :H], zr[:, H:]
-    n = np.tanh(gx[:, 2 * H:] + (r * h) @ Un + b[2 * H:])
-    return (1.0 - z) * n + z * h, z, r, n
+    rh = r * h
+    n = rh @ Un
+    n += gx[:, 2 * H:]
+    n += b[2 * H:]
+    np.tanh(n, out=n)
+    h_new = 1.0 - z
+    h_new *= n
+    h_new += np.multiply(z, h, out=rh)
+    return h_new, z, r, n
 
 
 def _heads(h, ws, bs, wf, bf):

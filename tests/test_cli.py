@@ -168,8 +168,41 @@ class TestTrain:
         assert cli.main(["train", "--dataset", str(cli_dataset),
                          "--out", str(out)] + flags) == 0
         assert asked == [epochs]
-        doc = json.loads((out / "run_config.json").read_text())
+        (echo,) = out.glob("run_config*.json")
+        doc = json.loads(echo.read_text())
         assert doc["epochs"] == epochs and "lr" not in doc
+
+    def test_each_train_keeps_its_flags_beside_its_model(
+            self, cli_dataset, tmp_path, monkeypatch):
+        # four trains into one models directory, each with its own epoch
+        # count and seed; the trainers run one epoch, which keeps it fast
+        for trainer in ("train_classifier", "train_predictor"):
+            real = getattr(cli, trainer)
+            monkeypatch.setattr(
+                cli, trainer,
+                lambda *args, real=real, epochs, **kwargs: real(*args, epochs=1,
+                                                               **kwargs))
+        out = tmp_path / "models"
+        runs = {
+            "classifier": (["--task", "classifier"], 3, 11),
+            "predictor_default_shaking": (["--task", "predictor"], 4, 12),
+            "predictor_default_rotation": (
+                ["--task", "predictor", "--motion", "rotation"], 5, 13),
+            "predictor_material_shaking_rice": (
+                ["--task", "predictor", "--scope", "material",
+                 "--material", "rice"], 6, 14),
+        }
+        for flags, epochs, seed in runs.values():
+            assert cli.main(["train", "--dataset", str(cli_dataset),
+                             "--out", str(out), "--epochs", str(epochs),
+                             "--seed", str(seed)] + flags) == 0
+        assert sorted(p.name for p in out.glob("run_config*.json")) == sorted(
+            f"run_config_{stem}.json" for stem in runs)
+        for stem, (_, epochs, seed) in runs.items():
+            assert (out / f"{stem}.gsm").is_file()
+            doc = json.loads((out / f"run_config_{stem}.json").read_text())
+            assert (doc["command"], doc["epochs"], doc["seed"]) == (
+                "train", epochs, seed)
 
     def test_material_scope_requires_material(self, cli_dataset, tmp_path):
         rc = cli.main(["train", "--dataset", str(cli_dataset),
