@@ -30,7 +30,10 @@ Physics, in brief:
   * Particle impacts arrive as a Poisson stream with rate proportional to
     particle count and |acceleration|; each impact is a decaying sinusoid
     at the material's spectral centroid (plus a rebound echo scaled by
-    restitution) on top of a small noise floor.
+    restitution) on top of a small noise floor. The sinusoid's phase is
+    reduced in float64 and its sine taken on float32, which is some 30
+    times cheaper; this moves a rare summed sample by one PCM16 step
+    from a float64 sine, and no other stream (see `_add_bursts`).
   * The tactile grid is the normal force spread over a fixed contact
     pattern plus the tangential load rendered as a Gaussian blob whose
     center sags opposite the current acceleration. Both patterns are
@@ -202,17 +205,29 @@ def step_arrays(k: int) -> dict[str, np.ndarray]:
 
 def _add_bursts(buf: np.ndarray, starts: np.ndarray, freqs: np.ndarray,
                 phases: np.ndarray, amps: np.ndarray, material: MaterialParams) -> None:
-    """Add one impact burst per event (start sample, freq, phase, amp) into
-    buf in event order, so every sample sums its bursts in the order they
-    were drawn."""
+    """Add one impact burst per event (start sample, freq, phase in
+    radians, amp) into buf in event order, so every sample sums its bursts
+    in the order they were drawn.
+
+    A burst is amp * env * sin(2 pi freq t + phase). Its phase is reduced
+    to [0, 1) cycles in float64, and only the sine of the angle in
+    [0, 2 pi) runs on float32, some 30 times cheaper than on float64. The
+    angle's float32 rounding (at most 2^-22 rad) and the sine's own move a
+    burst by at most about 3e-7 of its amplitude, against a PCM16 step of
+    3e-5: a rare summed sample that lies that close to a rounding boundary
+    lands one PCM16 step away from where the float64 sine puts it."""
     tt, env = _burst_envelope(material)
     n_burst = len(tt)
     for g in range(0, len(starts), BURST_GROUP):
         group = slice(g, g + BURST_GROUP)
-        bursts = 2.0 * np.pi * freqs[group, None] * tt
-        bursts += phases[group, None]
-        np.sin(bursts, out=bursts)
-        bursts *= amps[group, None] * env
+        cycles = freqs[group, None] * tt
+        cycles += phases[group, None] / (2.0 * np.pi)
+        cycles -= np.floor(cycles)
+        cycles *= 2.0 * np.pi
+        sines = cycles.astype(np.float32)
+        np.sin(sines, out=sines)
+        # float32 to float64 is exact, so this is the float64 product
+        bursts = np.multiply(sines, amps[group, None] * env, out=cycles)
         for s, burst in zip(starts[group].tolist(), bursts):
             buf[s:s + n_burst] += burst
 

@@ -271,6 +271,23 @@ def single_step_trial(material, motion, policy, seed, trial_id=None):
         **arrays)
 
 
+def impact_burst(freq, phase, amp, decay_s, restitution, sample_rate,
+                 burst_decays, echo_delay_decays) -> np.ndarray:
+    """One impact burst in float64, from its formula at t = n / sample_rate:
+    amp * env(t) * sin(2 pi freq t + phase), where env(t) = exp(-t / decay_s)
+    plus, from the echo's first sample n_echo = ceil(echo_delay_decays *
+    decay_s * sample_rate) on, the rebound restitution * exp(-(t - t_echo) /
+    decay_s). The burst lasts n_echo + ceil(burst_decays * decay_s *
+    sample_rate) samples."""
+    n_echo = math.ceil(echo_delay_decays * decay_s * sample_rate)
+    n = np.arange(n_echo + math.ceil(burst_decays * decay_s * sample_rate))
+    t = n / sample_rate
+    env = np.exp(-t / decay_s)
+    echo = n >= n_echo
+    env[echo] += restitution * np.exp(-(t[echo] - n_echo / sample_rate) / decay_s)
+    return amp * env * np.sin(2.0 * math.pi * freq * t + phase)
+
+
 def on_pcm16_grid(samples) -> bool:
     """Every sample is k / 32767 for an integer k in [-32767, 32767]: the
     values a 16-bit PCM WAV reads back as."""

@@ -606,16 +606,16 @@ class TestManifestAndSplits:
         lines = sorted(f"{e.trial_id}/{name}:{crc}" for e in manifest.trials
                        for name, crc in e.checksums.items())
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == ("242460da728a3b7b49deb3c718511192"
-                          "738c907b27a81c570fa2c9a4c5e45767")
+        assert digest == ("37a27b6d635631e88cf4fae7aa429d53"
+                          "acf92926f43ea6adbc6b629f044917fa")
 
     def test_decoded_records_are_pinned(self, seed0_trials):
         # the same dataset as read_trial rebuilds it, so a change to the
         # file pin above that keeps this one changed the storage and not
         # the records
         assert decoded_digest(*seed0_trials) == (
-            "12dfd1481d5661cee998121d9dd38abf"
-            "339cb349a99d60a23972df5ef2d220d7")
+            "5f86b57f29280af7fdad2a9fbf788944"
+            "a11532626e6c5c05b7e688aad38fb659")
 
     def test_refuses_nonempty_dir(self, tmp_path):
         (tmp_path / "full").mkdir()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,25 +8,33 @@ from gripsense.materials import material_table
 from gripsense.motion import SIM_DT, LEVER_ARM_M, MotionProfile, rotation_profile, shaking_profile
 from gripsense import simulation
 from gripsense.simulation import (
+    BURST_DECAYS,
+    BURST_GROUP,
     DROP_THRESHOLD,
+    ECHO_DELAY_DECAYS,
     FRICTION_MU,
     GRAVITY,
+    IMPACT_AMP_COEFF,
     MAX_GRIP_TORQUE,
     MAX_STIFFNESS_SCALE,
+    PCM16_FULL_SCALE,
     RENDER_BLOCK,
     SAMPLE_RATE,
     SLIP_RATE,
     TORQUE_TO_NORMAL,
     TRIAL_ARRAYS,
     _BASE_PATTERN,
+    _add_bursts,
     initial_state,
     run_trial,
     step,
     step_arrays,
 )
-from oracles import on_pcm16_grid, records_equal, single_step_trial
+from oracles import impact_burst, on_pcm16_grid, records_equal, single_step_trial
 
 TABLE = material_table()
+# the materials whose particles sound
+IMPACT_MATERIALS = sorted(name for name, m in TABLE.items() if m.particle_count)
 
 
 def fixed_shake(peak=18.0, count=3):
@@ -599,3 +609,61 @@ class TestRenderAhead:
         assert rec.dropped.any() and not rec.dropped[0]
         assert records_equal(rec, single_step_trial(TABLE["vitamins"], motion,
                                                     policy, 17))
+
+
+class TestBursts:
+    @pytest.mark.parametrize("name", IMPACT_MATERIALS)
+    def test_bursts_follow_the_float64_formula(self, name):
+        # The sine runs on float32 over an angle in [0, 2 pi): the angle
+        # rounds by at most half a float32 ulp there (2^-22 rad), and the
+        # float32 sine errs by at most 4 ulps of a value below 1 (2^-22);
+        # each burst is therefore within 2^-21 times its amplitude times
+        # its envelope (at most 1 + restitution) of the float64 formula.
+        mat = TABLE[name]
+        rng = np.random.default_rng(sorted(TABLE).index(name))
+        n_events = 3 * BURST_GROUP + 5  # three full groups and a partial one
+        starts = np.sort(rng.integers(0, 4000, n_events))
+        freqs = mat.impact_centroid_hz + mat.impact_bandwidth_hz * (
+            rng.random(n_events) - 0.5)
+        phases = 2.0 * np.pi * rng.random(n_events)
+        amps = IMPACT_AMP_COEFF * rng.uniform(0.0, 21.0, n_events)
+        ref, cover = np.zeros((2, 6000))
+        for s, f, ph, amp in zip(starts, freqs, phases, amps):
+            burst = impact_burst(f, ph, amp, mat.impact_decay_s, mat.restitution,
+                                 SAMPLE_RATE, BURST_DECAYS, ECHO_DELAY_DECAYS)
+            ref[s:s + len(burst)] += burst
+            cover[s:s + len(burst)] += amp * (1.0 + mat.restitution)
+        buf = np.zeros_like(ref)
+        _add_bursts(buf, starts, freqs, phases, amps, mat)
+        assert np.all(np.abs(buf - ref) <= 2.0 ** -21 * cover)
+        # on the PCM16 grid trial storage writes, no sample moves by more
+        # than one step
+        steps = [np.rint(np.clip(x, -1.0, 1.0) * PCM16_FULL_SCALE)
+                 for x in (buf, ref)]
+        assert np.max(np.abs(steps[0])) > 1000
+        assert np.max(np.abs(steps[0] - steps[1])) <= 1
+
+    # each impact material's grip torque for a shaking trial that drops,
+    # and the SHA-256 of that trial's tactile, joint, slip and drop bytes,
+    # taken while the burst sine still ran on float64: the sine may move
+    # the audio alone
+    DROPPING = {
+        "cereal": (0.1, "f91f93aff7ef65aba3d63f573612f958"
+                        "3448fe1b25d07dccb27e45564fc199d1"),
+        "gummies": (0.15, "488b355b8b511267531e0d65935b2b28"
+                          "3e9137df34636f5b25fecde407f8c504"),
+        "rice": (0.15, "bedad8c960dbbeaa8faa2bd70fa62968"
+                       "841cd9eb6215831fd9c983c62e884b23"),
+        "vitamins": (0.15, "95645e56175fe4a020464349ac72ef70"
+                           "1d576fccf16ba25aa52c0dc9154e57b6"),
+    }
+
+    @pytest.mark.parametrize("name", IMPACT_MATERIALS)
+    def test_dropping_trial_keeps_its_haptic_bytes(self, name):
+        torque, digest = self.DROPPING[name]
+        rec = run_trial(TABLE[name], shaking_profile(5, 18.5, 2.0), torque, 15)
+        assert rec.dropped[-1] and not rec.dropped[0]
+        h = hashlib.sha256()
+        for field, _, _ in TRIAL_ARRAYS:
+            h.update(getattr(rec, field).tobytes())
+        assert h.hexdigest() == digest
