@@ -277,8 +277,8 @@ def impact_burst(freq, phase, amp, decay_s, restitution, sample_rate,
     amp * env(t) * sin(2 pi freq t + phase), where env(t) = exp(-t / decay_s)
     plus, from the echo's first sample n_echo = ceil(echo_delay_decays *
     decay_s * sample_rate) on, the rebound restitution * exp(-(t - t_echo) /
-    decay_s). The burst lasts n_echo + ceil(burst_decays * decay_s *
-    sample_rate) samples."""
+    decay_s) with t_echo = n_echo / sample_rate. The burst lasts n_echo +
+    ceil(burst_decays * decay_s * sample_rate) samples."""
     n_echo = math.ceil(echo_delay_decays * decay_s * sample_rate)
     n = np.arange(n_echo + math.ceil(burst_decays * decay_s * sample_rate))
     t = n / sample_rate

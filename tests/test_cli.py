@@ -176,12 +176,11 @@ class TestTrain:
             self, cli_dataset, tmp_path, monkeypatch):
         # four trains into one models directory, each with its own epoch
         # count and seed; the trainers run one epoch, which keeps it fast
+        def one_epoch(real):
+            return lambda *args, epochs, **kwargs: real(*args, epochs=1, **kwargs)
+
         for trainer in ("train_classifier", "train_predictor"):
-            real = getattr(cli, trainer)
-            monkeypatch.setattr(
-                cli, trainer,
-                lambda *args, real=real, epochs, **kwargs: real(*args, epochs=1,
-                                                               **kwargs))
+            monkeypatch.setattr(cli, trainer, one_epoch(getattr(cli, trainer)))
         out = tmp_path / "models"
         runs = {
             "classifier": (["--task", "classifier"], 3, 11),
