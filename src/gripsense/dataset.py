@@ -39,7 +39,7 @@ import os
 import shutil
 import wave
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -420,19 +420,7 @@ def read_trial(trial_dir, checksums: dict[str, int] | None = None) -> TrialRecor
 
 
 def _manifest_to_json(m: DatasetManifest) -> str:
-    doc = {
-        "format_version": m.format_version,
-        "base_seed": m.base_seed,
-        "trials_per_cell": m.trials_per_cell,
-        "materials": list(m.materials),
-        "motions": list(m.motions),
-        "trials": [{
-            "trial_id": e.trial_id, "material": e.material, "motion": e.motion,
-            "seed": e.seed, "path": e.path, "checksums": e.checksums,
-        } for e in m.trials],
-        "splits": m.splits,
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return json.dumps(asdict(m), sort_keys=True, indent=1) + "\n"
 
 
 def save_manifest(m: DatasetManifest, dataset_dir) -> None:

@@ -26,6 +26,7 @@ from .simulation import AUDIO_AND_FLAGS, CHUNK, trial_blocks
 log = logging.getLogger(__name__)
 
 DEGENERACY_EPS = 1e-12
+CONFUSION_PSEUDO_COUNT = 1.0  # added to each cell of a confusion count
 # how run_active_loop may pick its motions
 SELECTORS = ("eig", "random")
 # the open interval a confidence target lies in: the uniform prior already
@@ -71,7 +72,8 @@ def estimate_confusions(pred, truth, motions) -> MotionLikelihoodModel:
     confusions = {}
     for motion in dict.fromkeys(motions):
         mine = kinds == motion
-        c = confusion_matrix(pred[mine], truth[mine], len(MATERIAL_CLASSES)) + 1.0
+        c = confusion_matrix(pred[mine], truth[mine], len(MATERIAL_CLASSES)) \
+            + CONFUSION_PSEUDO_COUNT
         confusions[motion] = c / c.sum(axis=1, keepdims=True)
     return MotionLikelihoodModel(confusions)
 

@@ -12,7 +12,7 @@ import numpy as np
 from ..dsp import N_COEFFS
 from ..materials import MATERIAL_CLASSES
 from .metrics import accuracy
-from .optim import fit_standardizer, sgd_epochs
+from .optim import fit_standardizer, sgd_epochs, standardize
 from .params import ParamLayout
 
 
@@ -57,15 +57,12 @@ class MaterialClassifier:
             v[w][...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), v[w].shape)
         return theta
 
-    def standardize(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.input_mean) / self.input_std
-
     def forward(self, x: np.ndarray, want_cache: bool = False):
         """x: (B, T, n_coeffs) raw MFCC frames. Returns (probs, cache)."""
         if x.ndim != 3 or x.shape[2] != self.n_coeffs:
             raise ValueError(f"expected (B, T, {self.n_coeffs}) input, got {x.shape}")
         v = self.layout.views(self.theta)
-        h0 = self.standardize(x).transpose(0, 2, 1)  # (B, C0, T)
+        h0 = standardize(self, x).transpose(0, 2, 1)  # (B, C0, T)
         z1 = _conv1d(h0, v["W1"], v["b1"])
         a1 = np.maximum(z1, 0.0)
         p1, arg1 = _maxpool2(a1)

@@ -1,7 +1,7 @@
 """The one training loop both networks share: minibatch SGD with classical
 momentum and global-norm gradient clipping, plus the input standardizer
-fit on the training inputs. Each model module holds its own recipe
-(`EPOCHS`, `LR`, `BATCH`) and passes it in."""
+both apply, fit on the training inputs. Each model module holds its own
+recipe (`EPOCHS`, `LR`, `BATCH`) and passes it in."""
 
 from __future__ import annotations
 
@@ -9,13 +9,19 @@ import numpy as np
 
 MOMENTUM = 0.9
 CLIP_NORM = 5.0
+STD_FLOOR = 1e-6  # the least std a model divides by
 
 
 def fit_standardizer(model, X: np.ndarray) -> None:
     """Per-feature mean/std over every row of X's last axis."""
     flat = X.reshape(-1, X.shape[-1])
     model.input_mean = flat.mean(axis=0)
-    model.input_std = np.maximum(flat.std(axis=0), 1e-6)
+    model.input_std = np.maximum(flat.std(axis=0), STD_FLOOR)
+
+
+def standardize(model, x: np.ndarray) -> np.ndarray:
+    """x standardized by the model's per-feature input statistics."""
+    return (x - model.input_mean) / model.input_std
 
 
 def sgd_epochs(model, arrays: tuple[np.ndarray, ...], epochs: int, lr: float,

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..simulation import GRID_ROWS
 from ..tactile import FEATURE_DIM
-from .optim import fit_standardizer, sgd_epochs
+from .optim import STD_FLOOR, fit_standardizer, sgd_epochs, standardize
 from .params import ParamLayout
 
 GRID_MAX = GRID_ROWS - 1  # highest row/col index of the square tactile grid
@@ -85,10 +85,9 @@ class SlipPredictor:
     def __init__(self, theta: np.ndarray | None = None, seed: int = 0,
                  motion: str = "", material: str | None = None):
         d, h = self.input_dim, self.hidden
+        # the recurrent layer's rows are stacked in gate order z, r, n
         self.layout = ParamLayout([
-            ("Wz", (h, d)), ("Uz", (h, h)), ("bz", (h,)),
-            ("Wr", (h, d)), ("Ur", (h, h)), ("br", (h,)),
-            ("Wn", (h, d)), ("Un", (h, h)), ("bn", (h,)),
+            ("W", (3 * h, d)), ("U", (3 * h, h)), ("b", (3 * h,)),
             ("ws", (h,)), ("bs", (1,)),
             ("wf", (h,)), ("bf", (1,)),
             ("Wc", (2, h)), ("bc", (2,)),
@@ -112,27 +111,25 @@ class SlipPredictor:
         return "material" if self.material else "default"
 
     def _init_params(self, seed: int) -> np.ndarray:
+        """N(0, 1 / fan_in) weights and zero biases, drawn gate by gate (W
+        rows, then U rows) and then the heads: the values each seed gave
+        when theta stored the gates apart."""
         rng = np.random.default_rng(seed)
         theta = self.layout.zeros()
         v = self.layout.views(theta)
-        for name, arr in v.items():
-            if name.startswith("b"):
-                continue
-            fan_in = arr.shape[-1] if arr.ndim > 1 else arr.shape[0]
-            arr[...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), arr.shape)
+        H = self.hidden
+        gates = [m[g * H:(g + 1) * H] for g in range(3) for m in (v["W"], v["U"])]
+        for arr in gates + [v["ws"], v["wf"], v["Wc"]]:
+            arr[...] = rng.normal(0.0, 1.0 / np.sqrt(arr.shape[-1]), arr.shape)
         return theta
 
-    def _normalize(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.input_mean) / self.input_std
-
     def _gru_weights(self):
-        """The recurrent layer's weights, stacked for `_gru_cell`: input
-        weights (input_dim, 3H) for z, r, n; z/r recurrent weights (H, 2H);
-        the n recurrent weights (H, H); biases (3H,)."""
+        """The recurrent layer's weights for `_gru_cell`, as views of theta:
+        input weights (input_dim, 3H) for z, r, n; z/r recurrent weights
+        (H, 2H); the n recurrent weights (H, H); biases (3H,)."""
         v = self.layout.views(self.theta)
-        return (np.concatenate([v["Wz"], v["Wr"], v["Wn"]]).T,
-                np.concatenate([v["Uz"], v["Ur"]]).T, v["Un"].T,
-                np.concatenate([v["bz"], v["br"], v["bn"]]))
+        H = self.hidden
+        return v["W"].T, v["U"][:2 * H].T, v["U"][2 * H:].T, v["b"]
 
     def _head_weights(self):
         """(ws, bs, wf, bf, Wc, bc): the slip, force and cell heads' weights,
@@ -147,7 +144,7 @@ class SlipPredictor:
             raise ValueError(f"expected (B, {self.window}, {self.input_dim}) "
                              f"window batch, got {X.shape}")
         Wx, Uzr, Un, b = self._gru_weights()
-        x = self._normalize(X)
+        x = standardize(self, X)
         B, W, _ = x.shape
         h = np.zeros((B, self.hidden))
         zs, rs, ns, hs = [], [], [], [h]
@@ -164,9 +161,13 @@ class SlipPredictor:
         """Joint loss: BCE(slip) + MSE(normalized force) + MSE(normalized cell).
 
         Targets arrive in natural units (bool, N, grid indices) and are
-        normalized with the model's stored statistics.
+        normalized with the model's stored statistics. Each step back
+        fills one (B, 3H) block of gate gradients, stacked as W, U and b
+        are; dh keeps its z and r products apart, as one stacked product
+        would sum in another order.
         """
         v = self.layout.views(self.theta)
+        H = self.hidden
         (slip_logit, force, cell), cache = self.forward(X, want_cache=True)
         x, zs, rs, ns, hs = cache
         B = len(X)
@@ -197,24 +198,21 @@ class SlipPredictor:
         dh = (d_logit[:, None] * v["ws"] + d_force[:, None] * v["wf"]
               + d_cell @ v["Wc"])
 
+        U, gU = v["U"], gv["U"]
+        d_gates = np.empty((B, 3 * H))
+        dz, dr, dn = d_gates[:, :H], d_gates[:, H:2 * H], d_gates[:, 2 * H:]
         for t in reversed(range(self.window)):
             z, r, n = zs[t], rs[t], ns[t]
             h_prev = hs[t]
-            xt = x[:, t]
-            dz = dh * (h_prev - n) * z * (1.0 - z)
-            dn_pre = dh * (1.0 - z) * (1.0 - n ** 2)
-            d_rh = dn_pre @ v["Un"]  # gradient at r * h_prev
-            dr_pre = d_rh * h_prev * r * (1.0 - r)
-            gv["Wz"] += dz.T @ xt
-            gv["Uz"] += dz.T @ h_prev
-            gv["bz"] += dz.sum(axis=0)
-            gv["Wr"] += dr_pre.T @ xt
-            gv["Ur"] += dr_pre.T @ h_prev
-            gv["br"] += dr_pre.sum(axis=0)
-            gv["Wn"] += dn_pre.T @ xt
-            gv["Un"] += dn_pre.T @ (r * h_prev)
-            gv["bn"] += dn_pre.sum(axis=0)
-            dh = dh * z + dz @ v["Uz"] + dr_pre @ v["Ur"] + d_rh * r
+            dz[...] = dh * (h_prev - n) * z * (1.0 - z)
+            dn[...] = dh * (1.0 - z) * (1.0 - n ** 2)
+            d_rh = dn @ U[2 * H:]  # gradient at r * h_prev
+            dr[...] = d_rh * h_prev * r * (1.0 - r)
+            gv["W"] += d_gates.T @ x[:, t]
+            gU[:2 * H] += d_gates[:, :2 * H].T @ h_prev
+            gU[2 * H:] += dn.T @ (r * h_prev)
+            gv["b"] += d_gates.sum(axis=0)
+            dh = dh * z + dz @ U[:H] + dr @ U[H:2 * H] + d_rh * r
         return loss, grad
 
 
@@ -232,7 +230,7 @@ def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
     model = SlipPredictor(seed=seed, motion=motion, material=material)
     fit_standardizer(model, X)
     model.force_mean = float(np.mean(y_force))
-    model.force_std = float(max(np.std(y_force), 1e-6))
+    model.force_std = float(max(np.std(y_force), STD_FLOOR))
     curve = list(sgd_epochs(model, (X, y_slip, y_force, y_cell), epochs, LR,
                             BATCH, seed))
     return model, curve
@@ -271,7 +269,7 @@ class FeatureWindow:
         if frame.shape != (d,):
             raise ValueError(f"expected a ({d},) feature frame, got {frame.shape}")
         Wx, Uzr, Un, b = self._gru
-        gx = self.model._normalize(frame)[None] @ Wx
+        gx = standardize(self.model, frame)[None] @ Wx
         self._h[1:] = _gru_cell(gx, self._h[:-1], Uzr, Un, b)[0]
         self._count += 1
 

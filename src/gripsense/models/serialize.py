@@ -1,13 +1,14 @@
 """Versioned flat binary model files.
 
-Layout: magic ``GSM1`` | uint32 LE descriptor length | JSON descriptor
+Layout: magic ``GSM2`` | uint32 LE descriptor length | JSON descriptor
 (utf-8) | uint64 LE parameter count | float32 LE parameter block |
 uint32 LE CRC32 of everything preceding it.
 
 The architecture is the model class's, so a file holds what training
 fits and nothing else. The descriptor has exactly the keys `kind`,
 `input_mean` and `input_std`, and a predictor's adds `motion`,
-`material`, `force_mean` and `force_std`.
+`material`, `force_mean` and `force_std`. A ``GSM1`` file held a
+predictor's gates apart in a block of the same length: it is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .classifier import MaterialClassifier
 from .predictor import SlipPredictor
 
-MAGIC = b"GSM1"
+MAGIC = b"GSM2"
 
 # kind -> (model class, descriptor fields beyond the kind and the input
 # statistics)
@@ -117,7 +118,8 @@ def load_model(path, kind: str):
             setattr(model, name, stats)
         for name in extras:
             setattr(model, name, descriptor[name])
-        # a model divides by each std, which training floors at 1e-6
+        # a model divides by each std, which training floors at
+        # optim.STD_FLOOR
         for name in ("input_mean", "input_std", "force_mean", "force_std"):
             if hasattr(model, name):
                 stats = np.asarray(getattr(model, name), dtype=float)

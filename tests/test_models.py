@@ -167,6 +167,18 @@ class TestPredictor:
         b, _ = train_predictor(X, ys, yf, yc, epochs=3, seed=9)
         assert np.array_equal(a.theta, b.theta)
 
+    def test_trained_outputs_are_pinned(self):
+        # SHA-256 of predict_batch's outputs after two epochs of three
+        # minibatches, the last one short: pins training's arithmetic,
+        # whatever order theta stores the weights in
+        X, ys, yf, yc = self.small_windows(n=150)
+        model, _ = train_predictor(X, ys, yf, yc, epochs=2, seed=4)
+        digest = hashlib.sha256()
+        for out in predict_batch(model, X):
+            digest.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+        assert digest.hexdigest() == ("e6f2177c69fee53a209bedcbfa3c053e"
+                                      "4378cc57f5d64ebaff415615c0272066")
+
     def test_training_reduces_loss(self):
         X, ys, yf, yc = self.small_windows()
         trained, _ = train_predictor(X, ys, yf, yc, epochs=6, seed=2)
@@ -382,23 +394,36 @@ class TestSerialization:
 
     def test_file_bytes_are_pinned(self, tmp_path):
         # the whole file, hashed: a CRC32 of it is constant, since the
-        # file ends with the CRC32 of everything before it. The descriptor
-        # holds no config, so the files are shorter than when it did; the
-        # parameter blocks are the same bytes
+        # file ends with the CRC32 of everything before it. Magic GSM2;
+        # the predictor's block holds its GRU weights stacked z, r, n
         clf = MaterialClassifier(seed=5)
         pred = SlipPredictor(seed=2, motion="rotation", material="gummies")
         pred.force_mean, pred.force_std = 0.4, 0.2
         golden = [
-            (clf, 9695, "2df3198734d3ed926bc66196253dc848"
-                        "6452d1d57280b03f4668d8c4892aaa0a"),
-            (pred, 28326, "2be2781b3537f6b31fbb875cf4b0483e"
-                          "42349b3c354d8e2c1a3d9b6f4382d98c"),
+            (clf, 9695, "aae98c6f2d43f9623c262e907d3f1b0d"
+                        "33964872c1bd3edbd01296e4bf998460"),
+            (pred, 28326, "aa4610029b9f4825a63c5b2c88c1e0ee"
+                          "f1a853a3906f417eca50b06bcdc6ed4a"),
         ]
         for model, size, digest in golden:
             path = tmp_path / "m.gsm"
             save_model(path, model)
             raw = path.read_bytes()
             assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
+
+    @pytest.mark.parametrize("kind", ["classifier", "predictor"])
+    def test_gsm1_file_is_refused(self, tmp_path, kind):
+        # GSM1 stored a predictor's gates apart in a block of the same
+        # length, so such a file would otherwise load scrambled
+        model = {"classifier": MaterialClassifier,
+                 "predictor": SlipPredictor}[kind]()
+        save_model(tmp_path / "new.gsm", model)
+        body = b"GSM1" + (tmp_path / "new.gsm").read_bytes()[4:-4]
+        path = tmp_path / "old.gsm"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(ModelFormatError,
+                           match=re.escape("old.gsm: bad magic b'GSM1'")):
+            load_model(path, kind)
 
     def test_corruption_detected(self, tmp_path):
         model = MaterialClassifier(seed=1)
