@@ -13,6 +13,10 @@ failing run leaves none. `train` reports the figures of
 the model file it wrote, read back as every later command reads it, and
 `train` and `eval` score the classifier through one batched scorer
 (`models.classifier.classify_items`).
+Every CSV a run writes (confusion matrices, metrics, training curves,
+episode and active logs, their summaries and eval.csv) goes through
+`write_csv`, so this module alone knows the run-file format; `controller`
+and `inference` return logs and write no file.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import inference
-from .controller import run_baseline_episode, run_reactive_loop, write_episode_csv
+from .controller import EpisodeLog, run_baseline_episode, run_reactive_loop
 from .materials import MATERIAL_CLASSES, MaterialParams, material_table
 from .models.classifier import classify_items, train_classifier
 from .models.predictor import predict_batch, train_predictor
@@ -98,13 +102,15 @@ def confusion_filename(motion: str) -> str:
     return f"confusion_{motion}.csv"
 
 
-def write_confusion_csv(path, matrix: np.ndarray) -> None:
-    """A confusion matrix whose rows and columns are MATERIAL_CLASSES."""
+def write_csv(path, rows) -> None:
+    """Write a run file: `rows` in order, the header first when the file
+    has one. This is the program's one CSV writer, so the run-file format
+    is decided here: the csv module's default dialect, each float (a
+    Python float or a numpy float64) as its shortest round-trip repr and
+    None as an empty field. Callers pass flags as 0/1 ints and arrays as
+    `.tolist()`."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["true\\predicted"] + list(MATERIAL_CLASSES))
-        for i, name in enumerate(MATERIAL_CLASSES):
-            w.writerow([name] + [repr(float(v)) for v in matrix[i]])
+        csv.writer(f).writerows(rows)
 
 
 def read_confusion_csv(path) -> np.ndarray:
@@ -222,20 +228,24 @@ def cmd_train(args) -> int:
                                      val_items)
         accuracy = _write_classifier_metrics(out / "metrics_classifier.csv",
                                              pred, truth)
-        _write_curve(out / "curve_classifier.csv",
-                     ["epoch", "mean_loss", "val_accuracy"], curve)
+        write_csv(out / "curve_classifier.csv",
+                  [("epoch", "mean_loss", "val_accuracy"), *curve])
         L = inference.estimate_confusions(
             pred, truth, [e.motion["kind"] for e in val_entries])
+        # rows and columns are MATERIAL_CLASSES, as read_confusion_csv expects
         for motion, C in L.confusions.items():
-            write_confusion_csv(out / confusion_filename(motion), C)
+            write_csv(out / confusion_filename(motion),
+                      [("true\\predicted", *MATERIAL_CLASSES)]
+                      + [[name, *row] for name, row in zip(MATERIAL_CLASSES,
+                                                           C.tolist())])
         print(f"classifier: val accuracy {accuracy:.3f} "
               f"({len(train_items)} train / {len(val_items)} val segments)")
         return 0
 
     # predictor
-    X, slip, force, cell, _ = ds.predictor_windows(
+    X, slip, force, cell = ds.predictor_windows(
         dataset_dir, manifest, "train", args.motion, args.material)
-    Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
+    Xt, slip_t, force_t, cell_t = ds.predictor_windows(
         dataset_dir, manifest, "test", args.motion, args.material)
     model, curve = train_predictor(X, slip, force, cell, epochs=args.epochs,
                                    seed=args.seed, motion=args.motion,
@@ -245,12 +255,11 @@ def cmd_train(args) -> int:
     save_model(out / name, model)
     metrics = _evaluate_predictor(load_model(out / name, "predictor"),
                                   Xt, slip_t, force_t, cell_t)
-    _write_curve(out / f"curve_{name.removesuffix('.gsm')}.csv",
-                 ["epoch", "mean_loss"], curve)
-    with open(out / f"metrics_{name.removesuffix('.gsm')}.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["auc", "force_mae", "cell_distance"])
-        w.writerow([metrics.auc, metrics.force_mae, metrics.cell_distance])
+    stem = name.removesuffix(".gsm")
+    write_csv(out / f"curve_{stem}.csv", [("epoch", "mean_loss"), *curve])
+    write_csv(out / f"metrics_{stem}.csv",
+              [("auc", "force_mae", "cell_distance"),
+               (metrics.auc, metrics.force_mae, metrics.cell_distance)])
     print(f"predictor {name}: test AUC {_auc_text(metrics, slip_t, 'n/a')}, "
           f"force MAE {metrics.force_mae:.4f} N, "
           f"cell distance {metrics.cell_distance:.2f}")
@@ -275,30 +284,33 @@ def _auc_text(metrics: mx.Metrics, slip: np.ndarray, missing: str) -> str:
     return f"{missing} (test windows: {n_slip} slip, {len(slip) - n_slip} non-slip)"
 
 
-def _write_curve(path, header: list[str], curve) -> None:
-    """A training curve: one row per epoch, its index then its figures."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows([epoch] + [repr(float(v)) for v in figures]
-                    for epoch, *figures in curve)
-
-
 def _write_classifier_metrics(path, pred, truth) -> float:
     """The accuracy, per-class precision and recall and the raw confusion
     counts of predicted against true class indices; returns the accuracy."""
     accuracy = mx.accuracy(pred, truth)
     confusion = mx.confusion_matrix(pred, truth, len(MATERIAL_CLASSES))
     precision, recall = mx.precision_recall(confusion)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["accuracy", repr(float(accuracy))])
-        w.writerow(["class", "precision", "recall"]
-                   + [f"confusion_{c}" for c in MATERIAL_CLASSES])
-        for i, c in enumerate(MATERIAL_CLASSES):
-            w.writerow([c, repr(float(precision[i])), repr(float(recall[i]))]
-                       + [int(v) for v in confusion[i]])
+    write_csv(path, [("accuracy", accuracy),
+                     ("class", "precision", "recall",
+                      *(f"confusion_{c}" for c in MATERIAL_CLASSES)),
+                     *([c, p, r, *counts] for c, p, r, counts in zip(
+                         MATERIAL_CLASSES, precision.tolist(), recall.tolist(),
+                         confusion.tolist()))])
     return accuracy
+
+
+EPISODE_COLUMNS = ("t", "torque_cmd", "stiffness", "slip_prob", "pred_force",
+                   "true_slip", "true_max_force", "active_material", "dropped")
+
+
+def write_episode_csv(log: EpisodeLog, path) -> None:
+    """One row per step, in EPISODE_COLUMNS order."""
+    rec = log.record
+    write_csv(path, [EPISODE_COLUMNS, *zip(
+        rec.t.tolist(), log.torque_cmd.tolist(), log.stiffness.tolist(),
+        log.slip_prob.tolist(), log.pred_force.tolist(),
+        map(int, rec.true_slip.tolist()), rec.true_max_force.tolist(),
+        log.active_material, map(int, rec.dropped.tolist()))])
 
 
 def cmd_episode(args) -> int:
@@ -341,20 +353,28 @@ def cmd_episode(args) -> int:
         write_episode_csv(log, out / f"episode_{tag}_{i:03d}.csv")
         mean_torques.append(log.mean_torque)
         drops += log.dropped_any
-        rows.append([i, args.policy, repr(log.mean_torque),
-                     repr(float(log.torque_cmd.min())),
-                     repr(float(log.torque_cmd.max())),
-                     int(log.dropped_any),
-                     "" if log.switch_time_s is None else repr(log.switch_time_s),
-                     log.active_material[-1]])
-    with open(out / "summary.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["episode", "policy", "mean_torque", "min_torque",
-                    "max_torque", "dropped", "switch_time_s", "final_material"])
-        w.writerows(rows)
+        rows.append([i, args.policy, log.mean_torque, log.torque_cmd.min(),
+                     log.torque_cmd.max(), int(log.dropped_any),
+                     log.switch_time_s, log.active_material[-1]])
+    write_csv(out / "summary.csv",
+              [("episode", "policy", "mean_torque", "min_torque", "max_torque",
+                "dropped", "switch_time_s", "final_material"), *rows])
     print(f"{args.episodes} episodes ({args.policy}): mean torque "
           f"{np.mean(mean_torques):.3f} Nm, drops {drops}")
     return 0
+
+
+def write_active_csv(log: inference.ActiveLog, path) -> None:
+    """One row per segment: its 1-based index, the motion it was recorded
+    under, the class predicted, then the posterior after it over
+    MATERIAL_CLASSES and that posterior's entropy in bits."""
+    write_csv(path, [
+        ("segment", "motion", "predicted",
+         *(f"p_{c}" for c in MATERIAL_CLASSES), "entropy"),
+        *([i, motion, predicted, *probs.tolist(), entropy]
+          for i, (motion, predicted, probs, entropy) in enumerate(
+              zip(log.motions, log.predicted, log.posteriors, log.entropies),
+              1))])
 
 
 def _active_run(material, classifier, likelihoods, confidence: float,
@@ -397,14 +417,12 @@ def cmd_active(args) -> int:
     for i, seed in enumerate(seeds):
         eig, rand = logs[2 * i:2 * i + 2]
         for selector, log in zip(inference.SELECTORS, (eig, rand)):
-            inference.write_active_csv(log, out / f"active_{selector}_{i:03d}.csv")
+            write_active_csv(log, out / f"active_{selector}_{i:03d}.csv")
         rows.append([i, seed, eig.segments_used, int(eig.reached_confidence),
                      rand.segments_used, int(rand.reached_confidence)])
-    with open(out / "summary.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["run", "seed", "eig_segments", "eig_reached",
-                    "random_segments", "random_reached"])
-        w.writerows(rows)
+    write_csv(out / "summary.csv",
+              [("run", "seed", "eig_segments", "eig_reached",
+                "random_segments", "random_reached"), *rows])
     eig_used, rand_used = [r[2] for r in rows], [r[4] for r in rows]
     print(f"active inference over {args.seeds} seeds: median segments "
           f"eig {np.median(eig_used):.1f} vs random {np.median(rand_used):.1f}; "
@@ -420,23 +438,22 @@ def cmd_eval(args) -> int:
 
     test_items, _ = ds.classifier_segments(dataset_dir, manifest, "test")
     acc = mx.accuracy(*classify_items(classifier, test_items))
-    lines = [["classifier_accuracy", repr(float(acc))]]
+    lines = [["classifier_accuracy", acc]]
     print(f"classifier test accuracy: {acc:.3f} over {len(test_items)} segments")
 
     for motion, model in sorted(registry.default_models.items()):
-        Xt, slip_t, force_t, cell_t, _ = ds.predictor_windows(
+        Xt, slip_t, force_t, cell_t = ds.predictor_windows(
             dataset_dir, manifest, "test", motion)
         m = _evaluate_predictor(model, Xt, slip_t, force_t, cell_t)
         auc = float("nan") if m.auc is None else m.auc
-        lines += [[f"{motion}_auc", repr(float(auc))],
-                  [f"{motion}_force_mae", repr(float(m.force_mae))],
-                  [f"{motion}_cell_distance", repr(float(m.cell_distance))]]
+        lines += [[f"{motion}_auc", auc],
+                  [f"{motion}_force_mae", m.force_mae],
+                  [f"{motion}_cell_distance", m.cell_distance]]
         print(f"default predictor [{motion}]: AUC {_auc_text(m, slip_t, 'nan')}, "
               f"force MAE {m.force_mae:.4f} N, cell distance {m.cell_distance:.2f}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "eval.csv", "w", newline="") as f:
-        csv.writer(f).writerows(lines)
+    write_csv(out / "eval.csv", lines)
     return 0
 
 

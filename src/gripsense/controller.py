@@ -8,12 +8,12 @@ predictor for the rest of the episode.
 
 An episode is one simulator trial (`simulation.run_trial`) driven by the
 policy; its `EpisodeLog` keeps that `TrialRecord` and adds the
-controller's per-step command, predictions and active model.
+controller's per-step command, predictions and active model. This module
+does no file I/O: `cli.write_episode_csv` writes an episode's log.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,21 +204,3 @@ def run_baseline_episode(material: MaterialParams, motion: MotionProfile,
     n = record.n_steps
     return EpisodeLog(record, np.full(n, float(torque)), np.ones(n),
                       np.full(n, np.nan), np.full(n, np.nan), ["default"] * n)
-
-
-EPISODE_COLUMNS = ("t", "torque_cmd", "stiffness", "slip_prob", "pred_force",
-                   "true_slip", "true_max_force", "active_material", "dropped")
-
-
-def write_episode_csv(log: EpisodeLog, path) -> None:
-    """One row per step, in EPISODE_COLUMNS order, written column by column:
-    floats as their repr, flags as 0/1."""
-    rec = log.record
-    floats = [map(repr, a.tolist()) for a in (rec.t, log.torque_cmd, log.stiffness,
-                                              log.slip_prob, log.pred_force)]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(EPISODE_COLUMNS)
-        w.writerows(zip(*floats, map(int, rec.true_slip.tolist()),
-                        map(repr, rec.true_max_force.tolist()),
-                        log.active_material, map(int, rec.dropped.tolist())))

@@ -511,8 +511,8 @@ def _render_trial(out_dir: Path, base_seed: int, trial: tuple[str, str, int]
     return TrialEntry(trial_id, material, record.motion, sim_seed, rel, checksums)
 
 
-def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
-                     overwrite: bool = False) -> DatasetManifest:
+def generate_dataset(out_dir, trials_per_cell: int, base_seed: int,
+                     overwrite: bool) -> DatasetManifest:
     """Run the full collection protocol and write it under out_dir. The
     manifest holds the split `build_splits` makes with base_seed, or none
     when the cells are too small to stratify.
@@ -547,7 +547,7 @@ def generate_dataset(out_dir, trials_per_cell: int = 30, base_seed: int = 0,
     return manifest
 
 
-def build_splits(manifest: DatasetManifest, seed: int = 0) -> DatasetManifest:
+def build_splits(manifest: DatasetManifest, seed: int) -> DatasetManifest:
     """Stratified per-(motion, material) trial split at SPLIT_FRACTIONS;
     deterministic."""
     rng = np.random.default_rng(seed)
@@ -619,13 +619,13 @@ def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
                       motion: str, material: str | None = None):
     """Windowed features + matched future targets for one split and motion.
 
-    Returns (X (N, WINDOW, 38), slip (N,), force (N,), cell (N, 2), sources).
+    Returns (X (N, WINDOW, 38), slip (N,), force (N,), cell (N, 2)).
     A trial of T steps gives the windows ending at WINDOW - 1, then every
     STRIDE steps while the target step, HORIZON later, is below T. Each
     trial is read from disk by every call.
     """
     dataset_dir = Path(dataset_dir)
-    xs, slips, forces, cells, sources = [], [], [], [], []
+    xs, slips, forces, cells = [], [], [], []
     for e in manifest.split_entries(split):
         if e.motion["kind"] != motion:
             continue
@@ -638,9 +638,8 @@ def predictor_windows(dataset_dir, manifest: DatasetManifest, split: str,
             slips.append(slip[te + HORIZON])
             forces.append(force[te + HORIZON])
             cells.append(cell[te + HORIZON])
-            sources.append(e.trial_id)
     if not xs:
         raise DatasetError(f"no {motion!r} windows in split {split!r}"
                            + (f" for material {material!r}" if material else ""))
     return (np.stack(xs), np.asarray(slips, dtype=bool), np.asarray(forces),
-            np.asarray(cells, dtype=np.int64), sources)
+            np.asarray(cells, dtype=np.int64))

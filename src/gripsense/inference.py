@@ -6,11 +6,11 @@ validation split once (`models.classifier.classify_items`) and
 `estimate_confusions` counts those predictions per motion. A posterior
 over the material classes is updated per segment, and the next
 exploratory motion is the one with the highest expected information gain.
+This module does no file I/O: `cli.write_active_csv` writes a run's log.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -208,16 +208,3 @@ def run_active_loop(material: MaterialParams, classifier: MaterialClassifier,
         out.posteriors.append(p.probs.copy())
     out.reached_confidence = float(p.probs.max()) >= confidence_target
     return out
-
-
-def write_active_csv(log_: ActiveLog, path) -> None:
-    header = ["segment", "motion", "predicted"] \
-        + [f"p_{c}" for c in MATERIAL_CLASSES] + ["entropy"]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for i, (motion, predicted, probs, entropy) in enumerate(
-                zip(log_.motions, log_.predicted, log_.posteriors,
-                    log_.entropies)):
-            w.writerow([i + 1, motion, predicted]
-                       + [repr(float(v)) for v in probs] + [repr(entropy)])

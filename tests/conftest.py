@@ -48,7 +48,8 @@ def no_child_process_at_session_end():
 @pytest.fixture(scope="session")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "full"
-    ds.generate_dataset(out, trials_per_cell=30, base_seed=BASE_SEED)
+    ds.generate_dataset(out, trials_per_cell=30, base_seed=BASE_SEED,
+                        overwrite=False)
     return out
 
 
@@ -86,7 +87,7 @@ def likelihoods(clf_bundle):
 
 @pytest.fixture(scope="session")
 def default_shaking(dataset_dir, manifest):
-    X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
+    X, slip, force, cell = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "shaking")
     model, _ = train_predictor(X, slip, force, cell, epochs=pred.EPOCHS,
                                seed=BASE_SEED, motion="shaking")
@@ -95,7 +96,7 @@ def default_shaking(dataset_dir, manifest):
 
 @pytest.fixture(scope="session")
 def default_rotation(dataset_dir, manifest):
-    X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
+    X, slip, force, cell = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation")
     model, _ = train_predictor(X, slip, force, cell, epochs=pred.EPOCHS,
                                seed=BASE_SEED, motion="rotation")
@@ -104,7 +105,7 @@ def default_rotation(dataset_dir, manifest):
 
 @pytest.fixture(scope="session")
 def cereal_rotation_model(dataset_dir, manifest):
-    X, slip, force, cell, _ = ds.predictor_windows(dataset_dir, manifest,
+    X, slip, force, cell = ds.predictor_windows(dataset_dir, manifest,
                                                    "train", "rotation", "cereal")
     model, _ = train_predictor(X, slip, force, cell,
                                epochs=pred.MATERIAL_EPOCHS, seed=BASE_SEED,

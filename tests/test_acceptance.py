@@ -71,7 +71,7 @@ def test_criterion_2_dataset_protocol(dataset_dir, manifest, tmp_path):
 
     t0 = time.perf_counter()
     again = ds.generate_dataset(tmp_path / "regen", trials_per_cell=30,
-                                base_seed=0)
+                                base_seed=0, overwrite=False)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"regeneration took {elapsed:.0f}s (budget 600s)"
     first = {e.trial_id: e.checksums for e in manifest.trials}
@@ -104,7 +104,7 @@ def test_criterion_3_material_classification(dataset_dir, manifest, clf_bundle):
 
 
 def test_criterion_4_slip_prediction(dataset_dir, manifest, default_shaking):
-    X, slip, force, _, _ = ds.predictor_windows(
+    X, slip, force, _ = ds.predictor_windows(
         dataset_dir, manifest, "test", "shaking")
     probs, force_hat, _ = predict_batch(default_shaking, X)
     auc_impl = mx.auc(probs, slip)

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from gripsense import cli
 from gripsense import dataset as ds
 from gripsense import inference
-from gripsense.controller import EPISODE_COLUMNS
+from gripsense.cli import EPISODE_COLUMNS
 from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models import classifier as clf
 from gripsense.models import predictor as pred
@@ -403,7 +404,7 @@ class TestActiveAndEval:
                 log = inference.run_active_loop(
                     material_table()[material], classifier, likelihoods,
                     0.9, 4, seed, selector)
-                inference.write_active_csv(
+                cli.write_active_csv(
                     log, serial / f"active_{selector}_{i:03d}.csv")
                 rows[-1] += [log.segments_used, int(log.reached_confidence)]
         with open(serial / "summary.csv", "w", newline="") as f:
@@ -542,8 +543,8 @@ class TestActiveAndEval:
                                              tmp_path, capsys):
         # the rotation test windows of this dataset hold no slip
         manifest = ds.load_manifest(cli_dataset)
-        _, slip, _, _, _ = ds.predictor_windows(cli_dataset, manifest, "test",
-                                                "rotation")
+        _, slip, _, _ = ds.predictor_windows(cli_dataset, manifest, "test",
+                                             "rotation")
         assert slip.sum() == 0
         note = f"(test windows: 0 slip, {len(slip)} non-slip)"
         models = tmp_path / "models"
@@ -678,6 +679,21 @@ class TestLoadModels:
 def test_episode_csv_schema_is_stable():
     assert EPISODE_COLUMNS[0] == "t"
     assert len(EPISODE_COLUMNS) == 9
+
+
+def test_write_csv_number_format(tmp_path):
+    # a Python or numpy float reads back as repr(float(v)), to the same
+    # bits; nan as nan, None as an empty field and an int as itself
+    floats = [0.1, 1 / 3, np.float64(0.1), np.float64(1e16),
+              np.float64(-2.5e-7)]
+    path = tmp_path / "run.csv"
+    cli.write_csv(path, [("name", "value"), [*floats, float("nan"), None, 7]])
+    with open(path, newline="") as f:
+        header, row = list(csv.reader(f))
+    assert header == ["name", "value"]
+    assert row == [repr(float(v)) for v in floats] + ["nan", "", "7"]
+    assert all(struct.pack("<d", float(field)) == struct.pack("<d", v)
+               for field, v in zip(row, floats))
 
 
 def test_readme_flag_reference_names_every_flag():

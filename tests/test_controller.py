@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from gripsense import controller, dsp, tactile
 from gripsense import dataset as ds
+from gripsense.cli import EPISODE_COLUMNS, write_episode_csv
 from gripsense.controller import (
-    EPISODE_COLUMNS,
     ControllerConfig,
     GripState,
     grip_update,
     run_baseline_episode,
     run_reactive_loop,
-    write_episode_csv,
 )
 from gripsense.materials import material_table
 from gripsense.models.predictor import FeatureWindow, Prediction, predict

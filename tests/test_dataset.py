@@ -496,7 +496,8 @@ class TestTrialStorage:
 def seed0_trials(tmp_path_factory):
     """The seed-0 dataset at one trial per cell: (directory, manifest)."""
     out = tmp_path_factory.mktemp("seed0") / "d"
-    return out, ds.generate_dataset(out, trials_per_cell=1, base_seed=0)
+    return out, ds.generate_dataset(out, trials_per_cell=1, base_seed=0,
+                                    overwrite=False)
 
 
 class TestManifestAndSplits:
@@ -597,7 +598,7 @@ class TestManifestAndSplits:
         assert len(tiny.trials) == 10
         assert tiny.splits is None
         with pytest.raises(ds.DatasetError):
-            ds.build_splits(tiny)
+            ds.build_splits(tiny, seed=0)
 
     def test_simulator_bytes_are_pinned(self, seed0_trials):
         # SHA-256 over the sorted per-file CRC32s of the seed-0 dataset at
@@ -621,8 +622,9 @@ class TestManifestAndSplits:
         (tmp_path / "full").mkdir()
         (tmp_path / "full" / "junk.txt").write_text("x")
         with pytest.raises(ds.DatasetError):
-            ds.generate_dataset(tmp_path / "full", trials_per_cell=1)
-        ds.generate_dataset(tmp_path / "full", trials_per_cell=1,
+            ds.generate_dataset(tmp_path / "full", trials_per_cell=1,
+                                base_seed=0, overwrite=False)
+        ds.generate_dataset(tmp_path / "full", trials_per_cell=1, base_seed=0,
                             overwrite=True)
         assert_no_child_process()
 
@@ -632,7 +634,8 @@ class TestManifestAndSplits:
         (tmp_path / "d" / "keep.txt").write_text("x")
         with pytest.raises(ValueError, match=f"trials_per_cell must be at "
                            f"least 1, got {trials}"):
-            ds.generate_dataset(tmp_path / "d", trials, overwrite=True)
+            ds.generate_dataset(tmp_path / "d", trials, base_seed=0,
+                                overwrite=True)
         assert [p.name for p in (tmp_path / "d").iterdir()] == ["keep.txt"]
 
     def test_failing_trial_stops_generation(self, tmp_path, monkeypatch):
@@ -649,7 +652,8 @@ class TestManifestAndSplits:
         out = tmp_path / "d"
         with pytest.raises(ds.DatasetError,
                            match="^trial 'shaking-rice-000': forced$"):
-            ds.generate_dataset(out, trials_per_cell=10)
+            ds.generate_dataset(out, trials_per_cell=10, base_seed=0,
+                                overwrite=False)
         assert_no_child_process()
         assert not (out / ds.MANIFEST_NAME).exists()
         assert len(list(out.glob("trials/*"))) < 50
@@ -689,17 +693,17 @@ class TestFeatureExtraction:
     def test_predictor_window_counts_follow_the_law(self, dataset_dir,
                                                     manifest):
         window, horizon = ds.WINDOW, ds.HORIZON
-        X, slip, force, cell, sources = ds.predictor_windows(
+        X, slip, force, cell = ds.predictor_windows(
             dataset_dir, manifest, "val", "rotation")
-        entries = [e for e in manifest.split_entries("val")
-                   if e.motion["kind"] == "rotation"]
-        total = 0
-        for e in entries:
-            T = len(ds.load_trial_features(dataset_dir, e)[0])
-            total += len(range(window - 1, T - horizon, ds.STRIDE))
-        assert len(X) == total
+        # the windows cut from each listed trial's own features, in order
+        cuts = []
+        for e in manifest.split_entries("val"):
+            if e.motion["kind"] == "rotation":
+                feats = ds.load_trial_features(dataset_dir, e)[0]
+                cuts += [feats[te - window + 1:te + 1] for te in
+                         range(window - 1, len(feats) - horizon, ds.STRIDE)]
         assert X.shape[1:] == (window, 38)
-        assert set(sources) == {e.trial_id for e in entries}
+        assert np.array_equal(X, np.stack(cuts))
 
     def test_zero_horizon_degenerates_to_filtering(self, dataset_dir,
                                                    manifest, monkeypatch):
@@ -714,7 +718,7 @@ class TestFeatureExtraction:
         # the windowing arithmetic at another window and horizon
         monkeypatch.setattr(ds, "WINDOW", 8)
         monkeypatch.setattr(ds, "HORIZON", 0)
-        X, s, f, c, _ = ds.predictor_windows(dataset_dir, one, "val", "shaking")
+        X, s, f, c = ds.predictor_windows(dataset_dir, one, "val", "shaking")
         assert X.shape[1] == 8
         # with no lookahead, target i is the ground truth at the window end
         ends = np.arange(7, len(feats), ds.STRIDE)

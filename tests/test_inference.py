@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gripsense import dsp, inference, simulation
+from gripsense import cli, dsp, inference, simulation
 from gripsense.dataset import COLLECTION_TORQUE, sample_trial_profile
 from gripsense.materials import MATERIAL_CLASSES, material_table
 from gripsense.models.classifier import classify, classify_items
@@ -355,7 +355,7 @@ class TestActiveLoop:
         log = inference.run_active_loop(TABLE["rice"], classifier, likelihoods,
                                         0.95, 6, seed=44)
         path = tmp_path / "active.csv"
-        inference.write_active_csv(log, path)
+        cli.write_active_csv(log, path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("segment,motion,predicted,p_rice,p_cereal,"
                             "p_gummies,p_vitamins,p_empty,entropy")

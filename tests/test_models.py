@@ -220,10 +220,10 @@ class TestPredictor:
 
     def test_slip_free_training_keeps_base_rate_low(
             self, dataset_dir, manifest, cereal_rotation_model):
-        _, slip_train, _, _, _ = ds.predictor_windows(
+        _, slip_train, _, _ = ds.predictor_windows(
             dataset_dir, manifest, "train", "rotation", material="cereal")
         assert slip_train.sum() == 0, "training windows are not slip-free"
-        X, slip, _, _, _ = ds.predictor_windows(
+        X, slip, _, _ = ds.predictor_windows(
             dataset_dir, manifest, "test", "rotation", material="cereal")
         assert slip.sum() == 0
         probs, _, _ = predict_batch(cereal_rotation_model, X)
@@ -232,9 +232,9 @@ class TestPredictor:
     def test_material_model_beats_default_on_own_holdout(
             self, dataset_dir, manifest, default_rotation,
             cereal_rotation_model):
-        Xtr, str_, ftr, ctr, _ = ds.predictor_windows(
+        Xtr, str_, ftr, ctr = ds.predictor_windows(
             dataset_dir, manifest, "train", "rotation", material="cereal")
-        Xte, _, fte, _, _ = ds.predictor_windows(
+        Xte, _, fte, _ = ds.predictor_windows(
             dataset_dir, manifest, "test", "rotation", material="cereal")
         maes = []
         for seed in range(5):

@@ -337,6 +337,35 @@ def test_one_function_starts_workers():
     assert users == ["workers.py:map_in_workers"]
 
 
+def _writes_csv(node) -> bool:
+    """Whether `node` calls `csv.writer` or `csv.DictWriter`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("writer", "DictWriter")
+            and getattr(node.func.value, "id", None) == "csv")
+
+
+def _imports_csv(node) -> bool:
+    return ((isinstance(node, ast.Import)
+             and any(a.name == "csv" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "csv"))
+
+
+def test_one_function_writes_csv():
+    # cli.write_csv is the program's one CSV writer, so the run-file format
+    # (dialect, floats, None fields) is decided in one place; a second
+    # writer, or another module importing csv, would show here
+    writers, importers = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if any(_writes_csv(node) for node in ast.walk(top)):
+                writers.append(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+        if any(_imports_csv(node) for node in ast.walk(tree)):
+            importers.append(path.name)
+    assert writers == ["cli.py:write_csv"]
+    assert importers == ["cli.py"]
+
+
 def test_benchmark_wrap_points_exist(monkeypatch):
     # perfbench/spans.py wraps these attributes in every traced run; a name
     # missing from its owner's __dict__ makes each traced run fail
