@@ -415,18 +415,21 @@ def cmd_active(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, seed in enumerate(seeds):
-        eig, rand = logs[2 * i:2 * i + 2]
-        for selector, log in zip(inference.SELECTORS, (eig, rand)):
+        row = [i, seed]
+        for selector, log in zip(inference.SELECTORS, logs[2 * i:2 * i + 2]):
             write_active_csv(log, out / f"active_{selector}_{i:03d}.csv")
-        rows.append([i, seed, eig.segments_used, int(eig.reached_confidence),
-                     rand.segments_used, int(rand.reached_confidence)])
+            row += [log.segments_used, int(log.reached_confidence),
+                    int(log.named_material == material.name)]
+        rows.append(row)
     write_csv(out / "summary.csv",
-              [("run", "seed", "eig_segments", "eig_reached",
-                "random_segments", "random_reached"), *rows])
-    eig_used, rand_used = [r[2] for r in rows], [r[4] for r in rows]
+              [("run", "seed", "eig_segments", "eig_reached", "eig_right",
+                "random_segments", "random_reached", "random_right"), *rows])
+    eig_used, rand_used = [r[2] for r in rows], [r[5] for r in rows]
+    eig_right, rand_right = sum(r[4] for r in rows), sum(r[7] for r in rows)
     print(f"active inference over {args.seeds} seeds: median segments "
           f"eig {np.median(eig_used):.1f} vs random {np.median(rand_used):.1f}; "
-          f"mean eig {np.mean(eig_used):.2f} vs random {np.mean(rand_used):.2f}")
+          f"mean eig {np.mean(eig_used):.2f} vs random {np.mean(rand_used):.2f}; "
+          f"right eig {eig_right} vs random {rand_right}")
     return 0
 
 

@@ -118,12 +118,14 @@ class _ReactivePolicy:
     """Stateful per-step policy fed to the simulator trial loop.
 
     Perceives each block the trial loop renders with one feature call, into
-    a per-episode array of feature rows. The decision of step i pushes row
-    i - 1 into the active model's feature window, reads the last second of
-    audio at classifier hops, predicts, updates the grip, records step i's
-    command and prediction at index i, and emits the command. A commit
-    gives the material model a window of its own, pushed the last W rows,
-    so the decision that commits already predicts with the new model.
+    a per-episode array of feature rows, and hands the block's rows to the
+    active model's feature window, which drops the rows a replay renders
+    again. The decision of step i reads the last second of audio at
+    classifier hops, predicts from the W rows before row i, updates the
+    grip, records step i's command and prediction at index i, and emits
+    the command. A commit gives the material model a window of its own,
+    handed the last W rows and the rest of the perceived block in one
+    call, so the decision that commits already predicts with the new model.
     """
 
     def __init__(self, classifier: MaterialClassifier, registry: ModelRegistry,
@@ -136,6 +138,7 @@ class _ReactivePolicy:
         self.window = FeatureWindow(select_model(registry, motion_kind))
         # row r is the feature of frame r; nan until its block is perceived
         self.features = np.full((n_steps, tactile.FEATURE_DIM), np.nan)
+        self.perceived = 0  # rows perceived: the end of the last block
         self.torque_cmd = np.empty(n_steps)
         self.stiffness = np.empty(n_steps)
         self.slip_prob = np.full(n_steps, np.nan)
@@ -156,27 +159,29 @@ class _ReactivePolicy:
             self.state.active_material = name
             model = select_model(self.registry, self.motion_kind, name)
             self.window = FeatureWindow(model)
-            for row in self.features[max(i - model.window, 0):i]:
-                self.window.push(row)
+            lo = max(i - model.window, 0)
+            self.window.extend(self.features[lo:self.perceived], lo)
             self.state.event_log.append((t, f"switch:{name}"))
 
     def perceive(self, history, start: int) -> None:
         """Feature rows of the newly rendered rows start onwards, from one
         call that also holds the row before them: row r reads frames r - 1
         and r only, and a call gives the same bits however many frames it
-        holds."""
+        holds. The window is handed the new rows and drops any it holds
+        from `start` on."""
         grids = history["tactile"]
-        lo = max(start - 1, 0)
-        self.features[start:len(grids)] = tactile.features_from_arrays(
+        lo, end = max(start - 1, 0), len(grids)
+        self.features[start:end] = tactile.features_from_arrays(
             grids[lo:], history["joint_angles"][lo:])[start - lo:]
+        self.window.extend(self.features[start:end], start)
+        self.perceived = end
 
     def __call__(self, history):
         i = len(history["tactile"])
         if i:
-            self.window.push(self.features[i - 1])
             self._maybe_classify(i, history["audio"])
-            if self.window.full:
-                pred = predict(self.window)
+            if i >= self.window.model.window:
+                pred = predict(self.window, i)
                 grip_update(self.state, pred, i * SIM_DT)
                 self.slip_prob[i] = pred.slip_prob
                 self.pred_force[i] = pred.force_value

@@ -147,6 +147,14 @@ class ActiveLog:
     def entropies(self) -> list[float]:
         return [entropy_bits(p) for p in self.posteriors]
 
+    @property
+    def named_material(self) -> str | None:
+        """The material the last posterior ranks first; None before any
+        segment."""
+        if not self.posteriors:
+            return None
+        return MATERIAL_CLASSES[int(np.argmax(self.posteriors[-1]))]
+
 
 def _trial_segments(material: MaterialParams, profile, seed: int):
     """The whole one-second segments of a collection trial, in order, as

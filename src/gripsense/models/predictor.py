@@ -237,52 +237,116 @@ def train_predictor(X: np.ndarray, y_slip: np.ndarray, y_force: np.ndarray,
 
 
 class FeatureWindow:
-    """The GRU states of every window in flight over one model's stream of
-    feature frames.
+    """The GRU states of every window over one model's stream of feature
+    frames, advanced a block of frames at a time.
 
-    The state block holds one row per window in flight: row k has seen the
-    k + 1 newest frames, so row W - 1 is the final state of the window of
-    the W newest frames. A push normalizes and projects the frame once,
-    then one batched cell step shifts in a zero row and advances all W
-    windows. The frames are not kept: another model's view of the stream
-    is a new window for that model, pushed the W newest frames. The
-    model's parameters must not change while its window is in use.
+    `extend(frames, start)` hands the window frames start, start + 1, ...
+    of the stream; the first call sets the frame the window starts at.
+    Frames past `start` that an earlier call handed it are dropped, and
+    the kept part of the last block is computed again from the states
+    saved before that block, so `start` may lie anywhere in that block.
+    `predict(window, n)` runs the pending block on the first call that
+    needs it: each of the W - 1 windows in flight and each window that
+    starts in the block advances one frame per batched cell step, so a
+    block of k frames costs min(k, W) cell steps over at most W - 1 + k
+    rows. Every product a window's row goes through has a C-contiguous
+    right operand and at least two rows, so a row's bits do not depend on
+    the batch it sits in, and any split of a stream into blocks gives the
+    predictions of one frame per block. The model's parameters must not
+    change while its window is in use.
     """
 
     def __init__(self, model: SlipPredictor):
         self.model = model
-        self._gru = model._gru_weights()
-        # predict reads the slip and force heads alone
-        self._heads = model._head_weights()[:4]
-        # the block is _h[1:]; _h[0] stays zero, so _h[:-1] is the block
-        # shifted down by one row with a zero row in front
-        self._h = np.zeros((model.window + 1, model.hidden))
-        self._count = 0     # frames pushed
+        self._gru = tuple(np.ascontiguousarray(w) for w in model._gru_weights())
+        # the slip and force heads as the first two columns of one (H, 4)
+        # product, as a one-column product would sum in another order
+        ws, bs, wf, bf = model._head_weights()[:4]
+        self._head_w = np.zeros((model.hidden, 4))
+        self._head_w[:, 0], self._head_w[:, 1] = ws, wf
+        self._head_b = np.array([bs[0], bf[0]])
+        self._origin = None  # the stream's frame index of the first frame
+        self._start = 0      # the stream's frame index of the block's first
+        # states of the W - 1 windows in flight before the block, oldest
+        # window first; rows of windows starting before the origin are
+        # never read out
+        self._inflight = np.zeros((model.window - 1, model.hidden))
+        self._block = np.empty((0, model.input_dim))  # standardized frames
+        self._out = None     # the block's (slip_prob, force, states after)
 
     @property
-    def full(self) -> bool:
-        return self._count >= self.model.window
+    def _end(self) -> int:
+        return self._start + len(self._block)
 
-    def push(self, frame: np.ndarray) -> None:
-        frame = np.asarray(frame, dtype=float)
+    def extend(self, frames: np.ndarray, start: int) -> None:
+        frames = np.asarray(frames, dtype=float)
         d = self.model.input_dim
-        if frame.shape != (d,):
-            raise ValueError(f"expected a ({d},) feature frame, got {frame.shape}")
+        if frames.ndim != 2 or frames.shape[1:] != (d,) or not len(frames):
+            raise ValueError(f"expected (k, {d}) feature frames, got {frames.shape}")
+        x = standardize(self.model, frames)
+        if self._origin is None:
+            self._origin = self._start = start
+        elif not self._start <= start <= self._end:
+            raise ValueError(f"frames from {start} do not follow the block of "
+                             f"frames {self._start} to {self._end - 1}")
+        if start == self._end and self._out is not None:
+            # the block has run: its states after are the new block's base
+            self._inflight = self._out[2]
+            self._start, self._block = start, x
+        else:
+            self._block = np.concatenate([self._block[:start - self._start], x])
+        self._out = None
+
+    def _run(self) -> None:
+        """Every window through the block: at step q the windows still
+        taking frames are rows q onwards of the state block; the in-flight
+        ones take frame q, and the block's window starting at frame m
+        takes frame m + q. Rows :k end as the windows ending at each of
+        the block's frames."""
         Wx, Uzr, Un, b = self._gru
-        gx = standardize(self.model, frame)[None] @ Wx
-        self._h[1:] = _gru_cell(gx, self._h[:-1], Uzr, Un, b)[0]
-        self._count += 1
+        W, H = self.model.window, self.model.hidden
+        k = len(self._block)
+        proj = _two_rows(self._block) @ Wx
+        h = np.zeros((W - 1 + k, H))
+        h[:W - 1] = self._inflight
+        for q in range(min(k, W)):
+            hi = W - 1 + k - q
+            if q < k - 1:
+                gx = np.empty((hi - q, 3 * H))
+                gx[:W - 1 - q] = proj[q]
+                gx[W - 1 - q:] = proj[q:k]
+            else:  # one frame left, which every row takes
+                gx = proj[q:k]
+            h[q:hi] = _gru_cell(gx, _two_rows(h[q:hi]), Uzr, Un, b)[0][:hi - q]
+        # h holds at least W rows, so the heads' product has two or more
+        heads = (h[:max(k, 2)] @ self._head_w)[:k, :2] + self._head_b
+        self._out = (*_natural_units(self.model, heads[:, 0], heads[:, 1]),
+                     h[k:])
 
 
-def predict(window: FeatureWindow) -> Prediction:
-    """One prediction of the window's model from a full `FeatureWindow`:
-    its heads over the final state of the W newest frames."""
+def _two_rows(a: np.ndarray) -> np.ndarray:
+    """a, or its one row twice: a BLAS product gives a row the bits of any
+    batch of two rows or more, but not those of a one-row product."""
+    return a if len(a) > 1 else np.concatenate([a, a])
+
+
+def predict(window: FeatureWindow, n: int) -> Prediction:
+    """The prediction of the window's model from the W frames before frame
+    n of its stream: its heads over that window's final state. Runs the
+    window's pending block if this is its first prediction."""
     W = window.model.window
-    if not window.full:
-        raise ValueError(f"feature window has {window._count} of {W} frames")
-    slip_prob, force = _natural_units(
-        window.model, *_heads(window._h[W:], *window._heads))
-    return Prediction(slip_prob=float(slip_prob[0]), force_value=float(force[0]))
+    start, end = window._start, window._end
+    have = min(n, end) - (window._origin or 0)
+    if have < W:
+        raise ValueError(f"feature window has {max(have, 0)} of {W} frames")
+    if not start < n <= end:
+        raise ValueError(f"no prediction for frame {n}: the window's block "
+                         f"ends frames {start + 1} to {end}")
+    if window._out is None:
+        window._run()
+    slip_prob, force, _ = window._out
+    i = n - start - 1
+    return Prediction(slip_prob=float(slip_prob[i]), force_value=float(force[i]))
 
 
 def predict_batch(model: SlipPredictor, X: np.ndarray):

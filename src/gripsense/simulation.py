@@ -455,7 +455,9 @@ def trial_blocks(material: MaterialParams, motion: MotionProfile, grip_policy,
     these views until the next block overwrites them, so the decision of
     step j may use only what was perceived of the rows before j. A replay
     is not passed again: it rewrites the rows it keeps with the same
-    bytes.
+    bytes. The next block's `start` is the first row the replay did not
+    keep, so a policy drops what it perceived of rows from `start` on
+    (the reactive policy's feature window does).
     A block is rendered only when it is pulled, and each generator draws
     in step order, so a trial's first rows do not depend on how far it is
     pulled. `step` writes straight into the trial's arrays, and this is

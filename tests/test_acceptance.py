@@ -216,13 +216,9 @@ def test_criterion_7_model_switching(classifier, registry):
         # features of the observations before it
         feats = tactile.features_from_arrays(rec.tactile, rec.joint_angles)
         window = FeatureWindow(default_model)
-        default, pushed = [], 0
-        for i in np.flatnonzero(valid):
-            while pushed < i:
-                window.push(feats[pushed])
-                pushed += 1
-            default.append(predict(window).force_value)
-        default = np.array(default)
+        window.extend(feats, 0)
+        default = np.array([predict(window, i).force_value
+                            for i in np.flatnonzero(valid)])
         material_maes.append(float(np.abs(specific[valid] - truth[valid]).mean()))
         default_maes.append(float(np.abs(default - truth[valid]).mean()))
     assert commits >= 10, f"only {commits}/20 episodes committed correctly"

@@ -373,15 +373,28 @@ class TestActiveAndEval:
         with open(tmp_path / "summary.csv", newline="") as f:
             summary = list(csv.DictReader(f))
         assert len(summary) == 2
-        # the median and the mean of each selector's segments
+        # a run is right when its log's last posterior ranks the true
+        # material first
+        for row in summary:
+            for s in ("eig", "random"):
+                with open(tmp_path / f"active_{s}_{int(row['run']):03d}.csv",
+                          newline="") as f:
+                    last = list(csv.DictReader(f))[-1]
+                probs = [float(last[f"p_{c}"]) for c in MATERIAL_CLASSES]
+                named = MATERIAL_CLASSES[int(np.argmax(probs))]
+                assert row[f"{s}_right"] == str(int(named == "rice")), (row, s)
+        # the median, the mean and the right-count of each selector's runs
         used = {s: [int(row[f"{s}_segments"]) for row in summary]
                 for s in ("eig", "random")}
+        right = {s: sum(int(row[f"{s}_right"]) for row in summary)
+                 for s in ("eig", "random")}
         assert capsys.readouterr().out == (
             f"active inference over 2 seeds: median segments "
             f"eig {np.median(used['eig']):.1f} vs random "
             f"{np.median(used['random']):.1f}; mean eig "
             f"{np.mean(used['eig']):.2f} vs random "
-            f"{np.mean(used['random']):.2f}\n")
+            f"{np.mean(used['random']):.2f}; right eig {right['eig']} vs "
+            f"random {right['random']}\n")
 
     @pytest.mark.parametrize("material", ["rice", "empty"])
     def test_active_files_equal_a_serial_run(self, cli_models, tmp_path,
@@ -395,8 +408,8 @@ class TestActiveAndEval:
         assert rc == 0
         classifier, _, likelihoods = cli.load_models(cli_models)
         serial.mkdir()
-        rows = [["run", "seed", "eig_segments", "eig_reached",
-                 "random_segments", "random_reached"]]
+        rows = [["run", "seed", "eig_segments", "eig_reached", "eig_right",
+                 "random_segments", "random_reached", "random_right"]]
         for i in range(3):
             seed = ds.derive_seed(7, i, "active")
             rows.append([i, seed])
@@ -406,7 +419,8 @@ class TestActiveAndEval:
                     0.9, 4, seed, selector)
                 cli.write_active_csv(
                     log, serial / f"active_{selector}_{i:03d}.csv")
-                rows[-1] += [log.segments_used, int(log.reached_confidence)]
+                rows[-1] += [log.segments_used, int(log.reached_confidence),
+                             int(log.named_material == material)]
         with open(serial / "summary.csv", "w", newline="") as f:
             csv.writer(f).writerows(rows)
         names = sorted(p.name for p in serial.iterdir())

@@ -119,10 +119,9 @@ class TestEpisodes:
                                              log.record.joint_angles)
         replayed = np.full(len(log.pred_force), np.nan)
         window = FeatureWindow(default)
-        for i, frame in enumerate(feats[:-1]):
-            window.push(frame)  # step i + 1's window: feats[i + 1 - W:i + 1]
-            if window.full:
-                replayed[i + 1] = predict(window).force_value
+        window.extend(feats[:-1], 0)
+        for n in range(W, len(feats)):  # step n's window: feats[n - W:n]
+            replayed[n] = predict(window, n).force_value
         pre = np.array([a == "default" for a in log.active_material])
         assert np.isfinite(log.pred_force[pre]).any()
         assert np.array_equal(replayed[pre], log.pred_force[pre], equal_nan=True)
@@ -135,9 +134,8 @@ class TestEpisodes:
         assert cereal is not default
         for n in np.flatnonzero(post):
             window = FeatureWindow(cereal)
-            for frame in feats[n - W:n]:
-                window.push(frame)
-            p = predict(window)
+            window.extend(feats[n - W:n], n - W)
+            p = predict(window, n)
             assert (p.slip_prob, p.force_value) == \
                 (log.slip_prob[n], log.pred_force[n]), n
 
@@ -205,20 +203,23 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
     """A reactive episode that commits to cereal mid-run. Returns copies of
     the newest history rows the policy was given, in order, (rows given so
     far, input) for every predict and mfcc call of the controller, and the
-    episode's log."""
+    episode's log. A predict's input is the W frames before the frame it
+    names, as the window was last handed them."""
     seen, windows, segments = [], [], []
     run_trial, predict, mfcc = controller.run_trial, controller.predict, dsp.mfcc
 
     class SpyWindow(FeatureWindow):
-        """A feature window that keeps copies of the frames it is pushed."""
+        """A feature window that keeps a copy of each frame it is handed,
+        by frame index; a frame handed again replaces the earlier copy."""
 
         def __init__(self, model):
             super().__init__(model)
-            self.pushed = []
+            self.frames = {}
 
-        def push(self, frame):
-            self.pushed.append(np.array(frame))
-            super().push(frame)
+        def extend(self, frames, start):
+            for n, frame in enumerate(frames, start):
+                self.frames[n] = np.array(frame)
+            super().extend(frames, start)
 
     def spy_run_trial(material, motion, policy, seed, **kwargs):
         def spy_policy(history):
@@ -228,10 +229,11 @@ def spied_cereal_episode(monkeypatch, classifier, registry):
         spy_policy.perceive = policy.perceive  # the trial loop's block hook
         return run_trial(material, motion, spy_policy, seed, **kwargs)
 
-    def spy_predict(window):
+    def spy_predict(window, n):
         W = window.model.window
-        windows.append((len(seen), np.array(window.pushed[-W:])))
-        return predict(window)
+        windows.append((len(seen), np.array([window.frames[m]
+                                             for m in range(n - W, n)])))
+        return predict(window, n)
 
     def spy_mfcc(samples):
         segments.append((len(seen), samples.copy()))

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,10 +141,10 @@ def test_sgd_epochs_yield_the_mean_minibatch_loss():
 
 
 def fresh_window(model, frames):
-    """A new FeatureWindow of `model`, pushed `frames`, oldest first."""
+    """A new FeatureWindow of `model`, handed `frames` from frame 0 in one
+    call."""
     fw = FeatureWindow(model)
-    for frame in frames:
-        fw.push(frame)
+    fw.extend(frames, 0)
     return fw
 
 
@@ -158,7 +162,7 @@ class TestPredictor:
         assert np.all((probs >= 0) & (probs <= 1))
         assert np.all((cells >= 0) & (cells <= 15))
         assert np.all(np.isfinite(force))
-        p = predict(fresh_window(model, X[0]))
+        p = predict(fresh_window(model, X[0]), model.window)
         assert 0.0 <= p.slip_prob <= 1.0
 
     def test_training_deterministic(self):
@@ -269,6 +273,36 @@ def stream_model(feats, seed):
     return model
 
 
+def window_predictions(model, feats, sizes):
+    """{n: (slip_prob, force)} for every frame n a window of `model` can
+    predict, handing it `feats` in blocks of `sizes` and predicting after
+    each block."""
+    fw, out, i = FeatureWindow(model), {}, 0
+    for k in sizes:
+        if i == len(feats):
+            break
+        k = min(int(k), len(feats) - i)
+        fw.extend(feats[i:i + k], i)
+        for n in range(max(i + 1, model.window), i + k + 1):
+            p = predict(fw, n)
+            out[n] = (p.slip_prob, p.force_value)
+        i += k
+    return out
+
+
+def split_digests():
+    """SHA-256 of the recorded stream's window predictions, handed in
+    single frames and in blocks of 37: two digests, space-separated."""
+    feats = recorded_stream()
+    model = stream_model(feats, seed=4)
+    digests = []
+    for k in (1, 37):
+        out = window_predictions(model, feats, [k] * len(feats))
+        values = np.array([out[n] for n in sorted(out)], dtype="<f8")
+        digests.append(hashlib.sha256(values.tobytes()).hexdigest())
+    return " ".join(digests)
+
+
 class TestFeatureWindow:
     def test_stream_equals_replay_and_batch(self):
         feats = recorded_stream()
@@ -276,12 +310,14 @@ class TestFeatureWindow:
         W = model.window
         fw = FeatureWindow(model)
         streamed, replayed = [], []
-        for i, frame in enumerate(feats):
-            fw.push(frame)
-            assert fw.full == (i + 1 >= W)
-            if fw.full:
-                streamed.append(predict(fw))
-                replayed.append(predict(fresh_window(model, feats[i + 1 - W:i + 1])))
+        for i in range(len(feats)):
+            fw.extend(feats[i:i + 1], i)
+            if i + 1 < W:
+                with pytest.raises(ValueError, match=f"{i + 1} of {W} frames"):
+                    predict(fw, i + 1)
+            else:
+                streamed.append(predict(fw, i + 1))
+                replayed.append(predict(fresh_window(model, feats[i + 1 - W:i + 1]), W))
         assert len(streamed) == len(feats) - W + 1
         assert streamed == replayed  # bit for bit, cell included
         X = np.lib.stride_tricks.sliding_window_view(feats, W, axis=0)
@@ -291,33 +327,77 @@ class TestFeatureWindow:
         assert np.allclose([p.force_value for p in streamed], force,
                            rtol=0, atol=1e-12)
 
+    def test_any_split_gives_the_bits_of_single_frames(self):
+        # blocks of any size, and a block dropped in part and handed again,
+        # give every prediction the bits of one frame per block
+        feats = recorded_stream()
+        model = stream_model(feats, seed=4)
+        W, n = model.window, len(feats)
+        single = window_predictions(model, feats, [1] * n)
+        for k in (2, W - 1, W, W + 1, 2 * W + 3, n):
+            assert window_predictions(model, feats, [k] * n) == single, k
+        sizes = np.random.default_rng(7).integers(1, 3 * W, n)
+        assert window_predictions(model, feats, sizes) == single
+        # a rewind into the last block: its frames from 2W + 5 on are junk
+        # until handed again
+        fw = FeatureWindow(model)
+        fw.extend(feats[:W + 3], 0)
+        block = feats[W + 3:3 * W].copy()
+        block[W + 2:] += 1.0
+        fw.extend(block, W + 3)
+        junk = predict(fw, 3 * W)
+        fw.extend(feats[2 * W + 5:4 * W], 2 * W + 5)
+        assert predict(fw, 3 * W) != junk
+        for m in range(W + 4, 4 * W + 1):
+            p = predict(fw, m)
+            assert (p.slip_prob, p.force_value) == single[m], m
+
+    def test_predictions_keep_their_bits_across_blas_threads(self):
+        # the digest of one stream's predictions, split two ways, at one
+        # and two BLAS threads
+        code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_models as t; "
+                "print(t.split_digests())")
+        tests = Path(__file__).resolve().parent
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code, str(tests), str(tests.parent / "src")],
+                env=env, capture_output=True, text=True, check=True)
+            digests += out.stdout.split()
+        assert len(digests) == 4 and len(set(digests)) == 1, digests
+
     def test_model_switch_replays_the_window(self):
         # a switch, as the controller makes it: the new model's window is
-        # pushed the W newest frames, then streams on
+        # handed the W newest frames, then streams on
         feats = recorded_stream()
         a, b = stream_model(feats, seed=4), stream_model(feats, seed=5)
         W = a.window
-        fw = FeatureWindow(a)
-        for frame in feats[:W + 2]:
-            fw.push(frame)
-        before = predict(fw)
-        fw = fresh_window(b, feats[2:W + 2])
-        assert predict(fw) != before
+        fw = fresh_window(a, feats[:W + 2])
+        before = predict(fw, W + 2)
+        fw = FeatureWindow(b)
+        fw.extend(feats[2:W + 2], 2)
+        assert predict(fw, W + 2) != before
         for i in range(W + 2, W + 6):
-            fw.push(feats[i])
-            assert predict(fw) == predict(fresh_window(b, feats[i + 1 - W:i + 1]))
+            fw.extend(feats[i:i + 1], i)
+            assert predict(fw, i + 1) == predict(
+                fresh_window(b, feats[i + 1 - W:i + 1]), W)
 
     def test_bad_frames_and_windows_rejected(self):
         fw = FeatureWindow(SmallPredictor())
-        for shape in ((7,), (9,), (1, 8), ()):
+        for shape in ((1, 7), (1, 9), (8,), (0, 8), ()):
             with pytest.raises(ValueError, match="feature frame"):
-                fw.push(np.zeros(shape))
-        for _ in range(5):
-            fw.push(np.zeros(8))
+                fw.extend(np.zeros(shape), 0)
+        fw.extend(np.zeros((5, 8)), 0)
         with pytest.raises(ValueError, match="5 of 6 frames"):
-            predict(fw)
-        fw.push(np.zeros(8))
-        predict(fw)
+            predict(fw, 5)
+        with pytest.raises(ValueError, match="do not follow"):
+            fw.extend(np.zeros((1, 8)), 6)
+        fw.extend(np.zeros((1, 8)), 5)
+        predict(fw, 6)
+        with pytest.raises(ValueError, match="no prediction for frame 7"):
+            predict(fw, 7)
 
     def test_batch_outputs_are_pinned(self):
         # SHA-256 of predict_batch's outputs at B = 1, 8 and 64, as the
