@@ -242,7 +242,7 @@ class FeatureWindow:
 
     `extend(frames, start)` hands the window frames start, start + 1, ...
     of the stream; the first call sets the frame the window starts at.
-    Frames past `start` that an earlier call handed it are dropped, and
+    Frames from `start` on that an earlier call handed it are dropped, and
     the kept part of the last block is computed again from the states
     saved before that block, so `start` may lie anywhere in that block.
     `predict(window, n)` runs the pending block on the first call that
@@ -265,7 +265,7 @@ class FeatureWindow:
         self._head_w = np.zeros((model.hidden, 4))
         self._head_w[:, 0], self._head_w[:, 1] = ws, wf
         self._head_b = np.array([bs[0], bf[0]])
-        self._origin = None  # the stream's frame index of the first frame
+        self._origin = 0     # the stream's frame index of the first frame
         self._start = 0      # the stream's frame index of the block's first
         # states of the W - 1 windows in flight before the block, oldest
         # window first; rows of windows starting before the origin are
@@ -284,7 +284,7 @@ class FeatureWindow:
         if frames.ndim != 2 or frames.shape[1:] != (d,) or not len(frames):
             raise ValueError(f"expected (k, {d}) feature frames, got {frames.shape}")
         x = standardize(self.model, frames)
-        if self._origin is None:
+        if not len(self._block):  # the first call
             self._origin = self._start = start
         elif not self._start <= start <= self._end:
             raise ValueError(f"frames from {start} do not follow the block of "
@@ -336,7 +336,7 @@ def predict(window: FeatureWindow, n: int) -> Prediction:
     window's pending block if this is its first prediction."""
     W = window.model.window
     start, end = window._start, window._end
-    have = min(n, end) - (window._origin or 0)
+    have = min(n, end) - window._origin
     if have < W:
         raise ValueError(f"feature window has {max(have, 0)} of {W} frames")
     if not start < n <= end:
