@@ -460,6 +460,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# built once a process: `main` may run many times in one, and parsing
+# leaves the parser as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gripsense",

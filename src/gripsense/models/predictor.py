@@ -3,7 +3,10 @@ heads, trained with backpropagation through time written out by hand.
 
 From a window of haptic feature vectors the model predicts, a fixed
 horizon ahead: the probability that slip is occurring, the maximum
-tactile force value, and the grid cell where it lands.
+tactile force value, and the grid cell where it lands. Training,
+`predict_batch` and the streamed `FeatureWindow` share one kernel,
+`SlipPredictor._prepared`'s weights and `_gru_cell`, and give a window
+the same bits.
 """
 
 from __future__ import annotations
@@ -35,43 +38,35 @@ class Prediction:
     force_value: float          # N
 
 
-def _sigmoid(x, out=None):
-    """0.5 * (1 + tanh(0.5 x)), computed in one array: `out`, which may be
-    x itself, or a new one."""
-    out = np.multiply(x, 0.5, out=out)
+def _sigmoid(x):
+    """0.5 * (1 + tanh(0.5 x)), computed in one new array."""
+    out = np.multiply(x, 0.5)
     np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
 
 
-def _gru_cell(gx, h, Uzr, Un, b):
+def _gru_cell(gx, h, Uzr, Un):
     """One GRU step for the hidden states h (B, H), given the inputs'
-    projection gx = x @ Wx, (B, 3H) or (1, 3H) shared by every row.
-    Returns (h_new, z, r, n), each a new array. Each gate's terms are
-    added in place, in the order of ((gx + h U) + b), so every result has
-    the bits of that sum written out."""
+    projection gx = x @ Wx + b, (B, 3H) or (1, 3H) shared by every row,
+    with the weights of `SlipPredictor._prepared`. Their z/r columns are
+    halved, so tanh of the z/r pre-activation, + 1, * 0.5 is its sigmoid.
+    Returns (h_new, z, r, n), each a new array or a view of one."""
     H = h.shape[1]
     zr = h @ Uzr
     zr += gx[:, :2 * H]
-    zr += b[:2 * H]
-    _sigmoid(zr, out=zr)
+    np.tanh(zr, out=zr)
+    zr += 1.0
+    zr *= 0.5
     z, r = zr[:, :H], zr[:, H:]
-    rh = r * h
-    n = rh @ Un
+    n = (r * h) @ Un
     n += gx[:, 2 * H:]
-    n += b[2 * H:]
     np.tanh(n, out=n)
-    h_new = 1.0 - z
-    h_new *= n
-    h_new += np.multiply(z, h, out=rh)
+    h_new = h - n
+    h_new *= z
+    h_new += n
     return h_new, z, r, n
-
-
-def _heads(h, ws, bs, wf, bf):
-    """(slip_logit (B,), force_norm (B,)) from final hidden states h (B, H)
-    and the slip and force heads' weights; the cell head is `forward`'s."""
-    return h @ ws + bs[0], h @ wf + bf[0]
 
 
 class SlipPredictor:
@@ -123,19 +118,21 @@ class SlipPredictor:
             arr[...] = rng.normal(0.0, 1.0 / np.sqrt(arr.shape[-1]), arr.shape)
         return theta
 
-    def _gru_weights(self):
-        """The recurrent layer's weights for `_gru_cell`, as views of theta:
-        input weights (input_dim, 3H) for z, r, n; z/r recurrent weights
-        (H, 2H); the n recurrent weights (H, H); biases (3H,)."""
+    def _prepared(self):
+        """C-contiguous copies of the weights every pass runs on: Wx
+        (input_dim, 3H), b (3H,), Uzr (H, 2H) and Un (H, H), their z/r
+        columns halved (exact in binary floating point) for `_gru_cell`,
+        then the slip, force and cell heads' (H, 4) weights and (4,)
+        biases. A row of a product with such a right operand, four or more
+        columns wide, has the same bits in any batch of two or more rows."""
         v = self.layout.views(self.theta)
         H = self.hidden
-        return v["W"].T, v["U"][:2 * H].T, v["U"][2 * H:].T, v["b"]
-
-    def _head_weights(self):
-        """(ws, bs, wf, bf, Wc, bc): the slip, force and cell heads' weights,
-        as views of theta; the first four are `_heads`'s."""
-        return tuple(self.layout.view(self.theta, name) for name
-                     in ("ws", "bs", "wf", "bf", "Wc", "bc"))
+        half = np.r_[np.full(2 * H, 0.5), np.ones(H)]
+        return (np.multiply(v["W"].T, half, order="C"), v["b"] * half,
+                np.multiply(v["U"][:2 * H].T, 0.5, order="C"),
+                np.ascontiguousarray(v["U"][2 * H:].T),
+                np.ascontiguousarray(np.vstack([v["ws"], v["wf"], v["Wc"]]).T),
+                np.concatenate([v["bs"], v["bf"], v["bc"]]))
 
     def forward(self, X: np.ndarray, want_cache: bool = False):
         """X: (B, W, input_dim) raw features. Returns (outputs, cache) where
@@ -143,28 +140,31 @@ class SlipPredictor:
         if X.ndim != 3 or X.shape[1:] != (self.window, self.input_dim):
             raise ValueError(f"expected (B, {self.window}, {self.input_dim}) "
                              f"window batch, got {X.shape}")
-        Wx, Uzr, Un, b = self._gru_weights()
+        Wx, b, Uzr, Un, head_w, head_b = self._prepared()
         x = standardize(self, X)
         B, W, _ = x.shape
         h = np.zeros((B, self.hidden))
         zs, rs, ns, hs = [], [], [], [h]
         for t in range(W):
-            h, z, r, n = _gru_cell(x[:, t] @ Wx, h, Uzr, Un, b)
+            gx = x[:, t] @ Wx
+            gx += b
+            h, z, r, n = _gru_cell(gx, h, Uzr, Un)
             if want_cache:
                 zs.append(z); rs.append(r); ns.append(n); hs.append(h)
         cache = (x, zs, rs, ns, hs) if want_cache else None
-        ws, bs, wf, bf, Wc, bc = self._head_weights()
-        return (*_heads(h, ws, bs, wf, bf), h @ Wc.T + bc), cache
+        heads = h @ head_w
+        heads += head_b
+        return (heads[:, 0], heads[:, 1], heads[:, 2:]), cache
 
     def loss_and_grad(self, X: np.ndarray, y_slip: np.ndarray,
                       y_force: np.ndarray, y_cell: np.ndarray):
         """Joint loss: BCE(slip) + MSE(normalized force) + MSE(normalized cell).
 
         Targets arrive in natural units (bool, N, grid indices) and are
-        normalized with the model's stored statistics. Each step back
-        fills one (B, 3H) block of gate gradients, stacked as W, U and b
-        are; dh keeps its z and r products apart, as one stacked product
-        would sum in another order.
+        normalized with the model's stored statistics. The forward pass is
+        `forward`'s, on `_prepared` and `_gru_cell`, which `predict_batch`
+        and `FeatureWindow` run too. Each step back fills one (B, 3H)
+        block of gate gradients, stacked as W, U and b are.
         """
         v = self.layout.views(self.theta)
         H = self.hidden
@@ -212,7 +212,7 @@ class SlipPredictor:
             gU[:2 * H] += d_gates[:, :2 * H].T @ h_prev
             gU[2 * H:] += dn.T @ (r * h_prev)
             gv["b"] += d_gates.sum(axis=0)
-            dh = dh * z + dz @ U[:H] + dr @ U[H:2 * H] + d_rh * r
+            dh = dh * z + d_gates[:, :2 * H] @ U[:2 * H] + d_rh * r
         return loss, grad
 
 
@@ -249,22 +249,16 @@ class FeatureWindow:
     needs it: each of the W - 1 windows in flight and each window that
     starts in the block advances one frame per batched cell step, so a
     block of k frames costs min(k, W) cell steps over at most W - 1 + k
-    rows. Every product a window's row goes through has a C-contiguous
-    right operand and at least two rows, so a row's bits do not depend on
-    the batch it sits in, and any split of a stream into blocks gives the
-    predictions of one frame per block. The model's parameters must not
-    change while its window is in use.
+    rows. The pass runs on the model's `_prepared` weights and
+    `_gru_cell`, as training and `predict_batch` do, and every product in
+    it has at least two rows, so any split of a stream into blocks gives
+    the bits of one frame per block and of `predict_batch`. The model's
+    parameters must not change while its window is in use.
     """
 
     def __init__(self, model: SlipPredictor):
         self.model = model
-        self._gru = tuple(np.ascontiguousarray(w) for w in model._gru_weights())
-        # the slip and force heads as the first two columns of one (H, 4)
-        # product, as a one-column product would sum in another order
-        ws, bs, wf, bf = model._head_weights()[:4]
-        self._head_w = np.zeros((model.hidden, 4))
-        self._head_w[:, 0], self._head_w[:, 1] = ws, wf
-        self._head_b = np.array([bs[0], bf[0]])
+        self._weights = model._prepared()
         self._origin = 0     # the stream's frame index of the first frame
         self._start = 0      # the stream's frame index of the block's first
         # states of the W - 1 windows in flight before the block, oldest
@@ -303,10 +297,11 @@ class FeatureWindow:
         ones take frame q, and the block's window starting at frame m
         takes frame m + q. Rows :k end as the windows ending at each of
         the block's frames."""
-        Wx, Uzr, Un, b = self._gru
+        Wx, b, Uzr, Un, head_w, head_b = self._weights
         W, H = self.model.window, self.model.hidden
         k = len(self._block)
         proj = _two_rows(self._block) @ Wx
+        proj += b
         h = np.zeros((W - 1 + k, H))
         h[:W - 1] = self._inflight
         for q in range(min(k, W)):
@@ -317,10 +312,11 @@ class FeatureWindow:
                 gx[W - 1 - q:] = proj[q:k]
             else:  # one frame left, which every row takes
                 gx = proj[q:k]
-            h[q:hi] = _gru_cell(gx, _two_rows(h[q:hi]), Uzr, Un, b)[0][:hi - q]
+            h[q:hi] = _gru_cell(gx, _two_rows(h[q:hi]), Uzr, Un)[0][:hi - q]
         # h holds at least W rows, so the heads' product has two or more
-        heads = (h[:max(k, 2)] @ self._head_w)[:k, :2] + self._head_b
-        self._out = (*_natural_units(self.model, heads[:, 0], heads[:, 1]),
+        heads = h[:max(k, 2)] @ head_w
+        heads += head_b
+        self._out = (*_natural_units(self.model, heads[:k, 0], heads[:k, 1]),
                      h[k:])
 
 
@@ -351,11 +347,13 @@ def predict(window: FeatureWindow, n: int) -> Prediction:
 
 def predict_batch(model: SlipPredictor, X: np.ndarray):
     """Vectorized predict over (N, W, input_dim); returns arrays
-    (slip_prob, force_value, cell_float)."""
-    (slip_logit, force, cell), _ = model.forward(X)
+    (slip_prob, force_value, cell_float). A window's row has the bits of
+    its `FeatureWindow` prediction, whatever N is."""
+    N = len(X)
+    (slip_logit, force, cell), _ = model.forward(_two_rows(X))
     # maximum(0.0, x), in this order, keeps np.clip's sign of zero
-    return (*_natural_units(model, slip_logit, force),
-            np.minimum(np.maximum(0.0, cell * GRID_MAX), GRID_MAX))
+    return (*_natural_units(model, slip_logit[:N], force[:N]),
+            np.minimum(np.maximum(0.0, cell[:N] * GRID_MAX), GRID_MAX))
 
 
 def _natural_units(model: SlipPredictor, slip_logit, force):

@@ -180,8 +180,8 @@ class TestPredictor:
         digest = hashlib.sha256()
         for out in predict_batch(model, X):
             digest.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
-        assert digest.hexdigest() == ("e6f2177c69fee53a209bedcbfa3c053e"
-                                      "4378cc57f5d64ebaff415615c0272066")
+        assert digest.hexdigest() == ("0372d1029c86ab6ba101b3a975120ad9"
+                                      "ac09db78475376a9f8750f5b40f083f5")
 
     def test_training_reduces_loss(self):
         X, ys, yf, yc = self.small_windows()
@@ -290,17 +290,23 @@ def window_predictions(model, feats, sizes):
     return out
 
 
-def split_digests():
-    """SHA-256 of the recorded stream's window predictions, handed in
-    single frames and in blocks of 37: two digests, space-separated."""
+def thread_digests():
+    """SHA-256 digests, space-separated: of the recorded stream's window
+    predictions handed in single frames, in blocks of 37 and to
+    `predict_batch`, then of the theta of a small `train_predictor` run."""
     feats = recorded_stream()
     model = stream_model(feats, seed=4)
-    digests = []
+    values = []
     for k in (1, 37):
         out = window_predictions(model, feats, [k] * len(feats))
-        values = np.array([out[n] for n in sorted(out)], dtype="<f8")
-        digests.append(hashlib.sha256(values.tobytes()).hexdigest())
-    return " ".join(digests)
+        values.append([out[n] for n in sorted(out)])
+    X = np.lib.stride_tricks.sliding_window_view(feats, model.window, axis=0)
+    values.append(np.column_stack(predict_batch(model, X.transpose(0, 2, 1))[:2]))
+    trained, _ = train_predictor(*TestPredictor().small_windows(n=150),
+                                 epochs=2, seed=4)
+    values.append(trained.theta)
+    return " ".join(hashlib.sha256(np.asarray(v, dtype="<f8").tobytes()).hexdigest()
+                    for v in values)
 
 
 class TestFeatureWindow:
@@ -321,11 +327,15 @@ class TestFeatureWindow:
         assert len(streamed) == len(feats) - W + 1
         assert streamed == replayed  # bit for bit, cell included
         X = np.lib.stride_tricks.sliding_window_view(feats, W, axis=0)
-        probs, force, _ = predict_batch(model, X.transpose(0, 2, 1))
-        assert np.allclose([p.slip_prob for p in streamed], probs,
-                           rtol=0, atol=1e-12)
-        assert np.allclose([p.force_value for p in streamed], force,
-                           rtol=0, atol=1e-12)
+        X = X.transpose(0, 2, 1)
+        probs, force, cells = predict_batch(model, X)
+        assert [p.slip_prob for p in streamed] == probs.tolist()
+        assert [p.force_value for p in streamed] == force.tolist()
+        # a window's row has the same bits in a batch of any size
+        for B in (1, 2, 7):
+            out = predict_batch(model, X[5:5 + B])
+            for whole, part in zip((probs, force, cells), out):
+                assert np.array_equal(part, whole[5:5 + B]), B
 
     def test_any_split_gives_the_bits_of_single_frames(self):
         # blocks of any size, and a block dropped in part and handed again,
@@ -353,10 +363,10 @@ class TestFeatureWindow:
             assert (p.slip_prob, p.force_value) == single[m], m
 
     def test_predictions_keep_their_bits_across_blas_threads(self):
-        # the digest of one stream's predictions, split two ways, at one
-        # and two BLAS threads
+        # the digests of one stream's predictions, split two ways and in a
+        # batch, and of a trained theta, at one and two BLAS threads
         code = ("import sys; sys.path[:0] = sys.argv[1:]; import test_models as t; "
-                "print(t.split_digests())")
+                "print(t.thread_digests())")
         tests = Path(__file__).resolve().parent
         digests = []
         for threads in ("1", "2"):
@@ -365,8 +375,9 @@ class TestFeatureWindow:
             out = subprocess.run(
                 [sys.executable, "-c", code, str(tests), str(tests.parent / "src")],
                 env=env, capture_output=True, text=True, check=True)
-            digests += out.stdout.split()
-        assert len(digests) == 4 and len(set(digests)) == 1, digests
+            digests.append(out.stdout.split())
+        assert len(digests[0]) == 4 and digests[0] == digests[1], digests
+        assert len(set(digests[0][:3])) == 1, digests
 
     def test_model_switch_replays_the_window(self):
         # a switch, as the controller makes it: the new model's window is
@@ -400,8 +411,8 @@ class TestFeatureWindow:
             predict(fw, 7)
 
     def test_batch_outputs_are_pinned(self):
-        # SHA-256 of predict_batch's outputs at B = 1, 8 and 64, as the
-        # unstacked per-gate GRU computed them
+        # SHA-256 of predict_batch's outputs at B = 1, 8 and 64, as
+        # `_prepared` and `_gru_cell` compute them
         model = SlipPredictor(seed=3)
         model.force_mean, model.force_std = 0.3, 0.1
         X = np.random.default_rng(11).standard_normal((64, 20, 38)) * 2.0
@@ -409,8 +420,8 @@ class TestFeatureWindow:
         for b in (1, 8, 64):
             for out in predict_batch(model, X[:b]):
                 digest.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
-        assert digest.hexdigest() == ("512096925cffa8ad7c6b0f62eaa70b3b"
-                                      "dc3dd79138f305054759d92774abe2a9")
+        assert digest.hexdigest() == ("419f262a87b8a491cc0828768bb0a228"
+                                      "da8d04cd63c9ebb22e8c33033f098d0b")
 
 
 class TestRegistry:
